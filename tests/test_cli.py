@@ -1,10 +1,14 @@
 """Command-line interface: exit codes, formats, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from ncprod.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text())
 
 
 @pytest.fixture
@@ -280,3 +284,13 @@ def test_output_is_deterministic(capsys, generic_files):
     _, first = run(capsys, *args)
     _, second = run(capsys, *args)
     assert first == second
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_golden_output(capsys, monkeypatch, name):
+    """Stdout and exit code are byte-identical to the frozen outputs in
+    tests/golden (rewrite them with tests/golden/regenerate.py)."""
+    monkeypatch.chdir(GOLDEN)
+    code, out = run(capsys, *GOLDEN_CASES[name])
+    assert code == json.loads((GOLDEN / "exit_codes.json").read_text())[name]
+    assert out == (GOLDEN / f"{name}.out").read_text()
