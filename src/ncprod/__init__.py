@@ -54,21 +54,14 @@ from .cfrac import (
 )
 from .oracle import (
     MopsResult,
-    antimonotone_moments,
     antimonotone_state,
-    boolean_moments,
     boolean_state,
-    cfree_moments,
     cfree_state,
-    free_moments,
     free_state,
     functional_inner,
     gram_schmidt_mops,
-    monotone_moments,
     monotone_state,
-    q_gaussian_moments,
     q_gaussian_state,
-    tensor_moments,
     tensor_state,
 )
 

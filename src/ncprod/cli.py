@@ -7,7 +7,8 @@ JSON, CSV, or pretty text, deterministic for identical inputs (words in
 graded-lexicographic order, rationals in lowest terms).
 
 Exit codes: 0 on success, 1 on mathematical failure (invalid tree, mismatch
-in a comparison), 2 on input errors.
+in a comparison), 2 on input errors, including a negative --order and an
+order beyond what the chosen engine can deliver.
 """
 
 from __future__ import annotations
@@ -24,6 +25,22 @@ from .ncpoly import NCPolynomial, NCSeries, Word, format_rational, parse_rationa
 
 class CliInputError(Exception):
     """Bad file, bad flag value, or an inconsistent combination of inputs."""
+
+
+# matricial_from_map builds at most this many levels, and matricial_cf is
+# exact only through order 2 * levels
+MATRICIAL_MAX_LEVELS = 5
+
+
+def _order(text: str) -> int:
+    """argparse type of --order: a nonnegative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
 
 
 def _word_key(word: Word) -> str:
@@ -49,20 +66,29 @@ def _load_jacobi(path: str | None, what: str) -> jacobi.JacobiData:
         raise CliInputError(f"bad jacobi data in {path}: {exc}") from exc
 
 
-def _load_omega(spec: str | None, depth: int) -> omega.OmegaTree:
-    """A builtin name builds a tree of the requested depth; otherwise the
-    spec names a JSON file whose own depth must be sufficient."""
-    if spec is None:
-        raise CliInputError("missing required --omega specification")
-    if spec in omega.BUILTIN_OMEGAS or spec in ("anti-monotone", "one_branch"):
+def _load_tree(spec: str, depth: int, *, file_depth_optional: bool = False) -> omega.OmegaTree:
+    """A builtin name, or any alias of one, builds a tree of the given depth;
+    otherwise the spec names a JSON tree file.  A file without "depth" is
+    read at ``depth`` when ``file_depth_optional`` is set, and is an input
+    error otherwise."""
+    if spec in omega.BUILTIN_OMEGAS or spec in omega._BUILTIN_ALIASES:
         return omega.builder(spec, depth)
     obj = _load_json(spec)
     try:
-        tree = omega.omega_from_json(obj)
+        if file_depth_optional and "depth" not in obj:
+            obj = {**obj, "depth": depth}
+        return omega.omega_from_json(obj)
     except omega.OmegaValidationError:
         raise
     except (ValueError, KeyError, TypeError) as exc:
         raise CliInputError(f"bad tree specification in {spec}: {exc}") from exc
+
+
+def _load_omega(spec: str | None, depth: int) -> omega.OmegaTree:
+    """The tree for --omega; a JSON file's own depth must be sufficient."""
+    if spec is None:
+        raise CliInputError("missing required --omega specification")
+    tree = _load_tree(spec, depth)
     if tree.depth < depth:
         raise CliInputError(
             f"tree depth {tree.depth} in {spec} is insufficient; need at least {depth}"
@@ -116,27 +142,16 @@ def _poly_json(p: NCPolynomial) -> dict:
 
 def cmd_validate(args) -> int:
     depth = args.order if args.order is not None else 6
-    if args.spec in omega.BUILTIN_OMEGAS or args.spec in ("anti-monotone", "one_branch"):
-        tree = omega.builder(args.spec, depth)
-        words = tree.members
-        depth = tree.depth
-    else:
-        obj = _load_json(args.spec)
-        depth = int(obj.get("depth", depth))
-        if "builtin" in obj:
-            words = omega.builder(obj["builtin"], depth).members
-        else:
-            words = {tuple(int(x) for x in w) for w in obj.get("words", [])}
-            if obj.get("implicit_runs", False):
-                words = set(words) | {(l,) * n for l in (1, 2) for n in range(depth + 2)}
     try:
-        tree = omega.validate(words, depth)
+        loaded = _load_tree(args.spec, depth, file_depth_optional=True)
+        # builder does not check its depth; validate rejects one below 1
+        tree = omega.validate(loaded.members, loaded.depth)
     except omega.OmegaValidationError as exc:
         report = {"valid": False, "violation": exc.report()}
         _emit(json.dumps(report, indent=2) if args.format == "json" else
               f"INVALID: {exc}")
         return 1
-    assoc_depth = min(depth, 4)
+    assoc_depth = min(tree.depth, 4)
     report = {
         "valid": True,
         "depth": tree.depth,
@@ -193,9 +208,14 @@ def cmd_cfrac(args) -> int:
         series = cfrac.classical_cf(data, args.order)
         _emit_rows(_series_to_rows(series), args.format)
         return 0
+    if args.engine == "matricial" and args.order > 2 * MATRICIAL_MAX_LEVELS:
+        raise CliInputError(
+            f"the matricial engine is exact only through order {2 * MATRICIAL_MAX_LEVELS}; "
+            f"got --order {args.order}"
+        )
     cm = _build_map(args, max(args.order, 1))
     if args.engine == "matricial":
-        levels = min((args.order + 1) // 2 + 1, 5)
+        levels = min((args.order + 1) // 2 + 1, MATRICIAL_MAX_LEVELS)
         series = cfrac.matricial_cf(cfrac.matricial_from_map(cm, levels), args.order)
     else:
         series = cfrac.scalar_branched_cf(cm, args.order)
@@ -348,20 +368,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, order_default=6, order_required=False):
+    def add_common(p, *, order_default=6):
         p.add_argument("--jacobi1", help="JSON file for the first marginal state")
         p.add_argument("--jacobi2", help="JSON file for the second marginal state")
         p.add_argument("--omega", help="builtin tree name or JSON file")
         p.add_argument("--nu1", help="JSON file for the first secondary state (two-pair mode)")
         p.add_argument("--nu2", help="JSON file for the second secondary state (two-pair mode)")
-        p.add_argument("--order", type=int, default=order_default, help="order / depth bound")
+        p.add_argument("--order", type=_order, default=order_default, help="order / depth bound")
         p.add_argument(
             "--format", choices=("json", "csv", "pretty"), default="json", help="output format"
         )
 
     p_validate = sub.add_parser("validate", help="check a tree specification")
     p_validate.add_argument("spec", help="builtin tree name or JSON file")
-    p_validate.add_argument("--order", type=int, default=None, help="depth for builtins")
+    p_validate.add_argument("--order", type=_order, default=None, help="depth for builtins")
     p_validate.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
     p_validate.set_defaults(func=cmd_validate)
 

@@ -166,10 +166,6 @@ def _pure_runs(limit: int) -> set[Word]:
     return {(letter,) * n for letter in (1, 2) for n in range(limit + 1)}
 
 
-def boundary(tree: OmegaTree) -> frozenset[Word]:
-    return tree.boundary()
-
-
 def _split_on_letter(word: Word, separator: int) -> tuple[list[Word], list[int]]:
     """Blocks between maximal runs of ``separator`` and the run lengths.
 

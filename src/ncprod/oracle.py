@@ -11,8 +11,7 @@ neighbors, and the recursion bottoms out on fully centered alternating
 products.  Each step either centers one more block or shortens the list, so
 the recursion terminates.
 
-``*_state`` factories return memoizing callables from words to rationals;
-the plain ``*_moments`` functions are one-shot conveniences.
+``*_state`` factories return memoizing callables from words to rationals.
 """
 
 from __future__ import annotations
@@ -104,10 +103,6 @@ def free_state(j1: JacobiData, j2: JacobiData) -> MomentFunctional:
     return phi
 
 
-def free_moments(j1: JacobiData, j2: JacobiData, word: Word) -> Fraction:
-    return free_state(j1, j2)(word)
-
-
 def boolean_state(j1: JacobiData, j2: JacobiData) -> MomentFunctional:
     """Each maximal block contributes its own marginal moment."""
     marginals = {1: j1, 2: j2}
@@ -119,10 +114,6 @@ def boolean_state(j1: JacobiData, j2: JacobiData) -> MomentFunctional:
         return total
 
     return phi
-
-
-def boolean_moments(j1: JacobiData, j2: JacobiData, word: Word) -> Fraction:
-    return boolean_state(j1, j2)(word)
 
 
 def monotone_state(j1: JacobiData, j2: JacobiData) -> MomentFunctional:
@@ -140,10 +131,6 @@ def monotone_state(j1: JacobiData, j2: JacobiData) -> MomentFunctional:
     return phi
 
 
-def monotone_moments(j1: JacobiData, j2: JacobiData, word: Word) -> Fraction:
-    return monotone_state(j1, j2)(word)
-
-
 def antimonotone_state(j1: JacobiData, j2: JacobiData) -> MomentFunctional:
     """Monotone with the letters and marginals interchanged."""
     mirrored = monotone_state(j2, j1)
@@ -152,10 +139,6 @@ def antimonotone_state(j1: JacobiData, j2: JacobiData) -> MomentFunctional:
         return mirrored(tuple(3 - letter for letter in word))
 
     return phi
-
-
-def antimonotone_moments(j1: JacobiData, j2: JacobiData, word: Word) -> Fraction:
-    return antimonotone_state(j1, j2)(word)
 
 
 def tensor_state(j1: JacobiData, j2: JacobiData) -> MomentFunctional:
@@ -167,10 +150,6 @@ def tensor_state(j1: JacobiData, j2: JacobiData) -> MomentFunctional:
         return moment(j1, ones) * moment(j2, len(word) - ones)
 
     return phi
-
-
-def tensor_moments(j1: JacobiData, j2: JacobiData, word: Word) -> Fraction:
-    return tensor_state(j1, j2)(word)
 
 
 def _pairings(positions: tuple[int, ...], letters: Word):
@@ -216,10 +195,6 @@ def q_gaussian_state(q: Fraction) -> MomentFunctional:
         return total
 
     return phi
-
-
-def q_gaussian_moments(q: Fraction, word: Word) -> Fraction:
-    return q_gaussian_state(q)(word)
 
 
 def cfree_state(
@@ -272,12 +247,6 @@ def cfree_state(
         return eval_blocks(_blocks_of_word(tuple(word)))
 
     return phi
-
-
-def cfree_moments(
-    mu1: JacobiData, nu1: JacobiData, mu2: JacobiData, nu2: JacobiData, word: Word
-) -> Fraction:
-    return cfree_state(mu1, nu1, mu2, nu2)(word)
 
 
 def functional_eval(phi: MomentFunctional, p: NCPolynomial) -> Fraction:

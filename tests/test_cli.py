@@ -1,13 +1,18 @@
 """Command-line interface: exit codes, formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from ncprod.cli import main
+from ncprod.omega import _BUILTIN_ALIASES
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
 GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text())
 
 
@@ -294,3 +299,71 @@ def test_golden_output(capsys, monkeypatch, name):
     code, out = run(capsys, *GOLDEN_CASES[name])
     assert code == json.loads((GOLDEN / "exit_codes.json").read_text())[name]
     assert out == (GOLDEN / f"{name}.out").read_text()
+
+
+@pytest.mark.parametrize("alias,name", sorted(_BUILTIN_ALIASES.items()))
+def test_tree_aliases_accepted_by_validate_and_omega(capsys, generic_files, alias, name):
+    j1, j2 = generic_files
+    for argv in (
+        ("validate", "{}", "--order", "4"),
+        ("moments", "--jacobi1", j1, "--jacobi2", j2, "--omega", "{}", "--order", "4"),
+    ):
+        code_alias, out_alias = run(capsys, *(a.format(alias) for a in argv))
+        code_name, out_name = run(capsys, *(a.format(name) for a in argv))
+        assert code_alias == code_name == 0
+        assert out_alias == out_name
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("validate", "free"),
+        ("moments", "--omega", "free"),
+        ("gram", "--omega", "free"),
+        ("cfrac", "--omega", "free"),
+        ("cfrac", "--engine", "classical"),
+        ("mops", "--omega", "free"),
+        ("compare", "--omega", "free", "--against", "free"),
+    ],
+)
+def test_negative_order_is_input_error(capsys, generic_files, argv):
+    j1, j2 = generic_files
+    inputs = () if argv[0] == "validate" else ("--jacobi1", j1, "--jacobi2", j2)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *inputs, "--order", "-1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "--order: must be nonnegative, got -1" in captured.err
+
+
+def test_matricial_order_beyond_its_levels_is_input_error(capsys, tmp_path):
+    # the marginal files do not exist: the order is refused before anything is read
+    absent = str(tmp_path / "absent.json")
+    code = main([
+        "cfrac", "--engine", "matricial", "--jacobi1", absent, "--jacobi2", absent,
+        "--omega", "free", "--order", "11",
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "exact only through order 10; got --order 11" in captured.err
+
+
+def test_traced_benchmark_finds_every_wrap_point(tmp_path):
+    """perfbench/traced.py wraps ncpoly's arithmetic by attribute name; a wrap
+    point it cannot find would leave its per-layer metrics at zero."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    inputs = ["--jacobi1", str(GOLDEN / "j1.json"), "--jacobi2", str(GOLDEN / "j2.json")]
+    recorded = set()
+    for argv in (["cfrac", *inputs, "--omega", "free", "--order", "3"],
+                 ["mops", *inputs, "--omega", "free", "--order", "2"]):
+        spans = tmp_path / "spans.json"
+        subprocess.run(
+            [sys.executable, str(ROOT / "perfbench" / "traced.py"), str(spans), *argv],
+            env=env, stdout=subprocess.DEVNULL, check=True, timeout=120,
+        )
+        dump = json.loads(spans.read_text())
+        assert dump["missing"] == []
+        recorded |= {span[0] for span in dump["spans"]}
+    assert {"ncpoly.series_mul", "ncpoly.series_inverse", "ncpoly.poly_mul"} <= recorded

@@ -157,6 +157,19 @@ def test_series_truncation_drops_high_terms():
     assert (t * t * t).terms == {}
 
 
+def test_result_truncates_at_smallest_operand_order():
+    s = NCSeries(2, 4, {(1,): 1, (1, 2): 2})
+    t = NCSeries(2, 2, {(): 1, (2,): 3})
+    p = NCPolynomial.monomial((2, 2, 2), 2)
+    assert s * t == NCSeries(2, 2, {(1,): 1, (1, 2): 5})
+    assert s + p == NCSeries(2, 4, {(1,): 1, (1, 2): 2, (2, 2, 2): 1})
+    assert p * s == NCSeries(2, 4, {(2, 2, 2, 1): 1})
+    assert s * p == NCSeries(2, 4, {(1, 2, 2, 2): 1})
+    assert type(p * p) is NCPolynomial and (p * p).degree() == 6
+    assert NCSeries.one(2, 3) != NCPolynomial.one(2)
+    assert NCSeries.one(2, 3) != NCSeries.one(2, 4)
+
+
 def test_sandwich_shifts_and_grows_order():
     s = NCSeries(2, 1, {(): 1, (1,): 2})
     wrapped = s.sandwich(2, 1)

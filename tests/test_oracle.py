@@ -9,25 +9,18 @@ from ncprod import (
     BUILTIN_OMEGAS,
     NCPolynomial,
     StateEvaluator,
-    antimonotone_moments,
     basis_polynomial,
-    boolean_moments,
     builder,
     cfree_map,
-    cfree_moments,
     cfree_state,
-    free_moments,
     free_state,
     functional_inner,
     gram_schmidt_mops,
     moment,
-    monotone_moments,
     monotone_state,
     preset,
     product_type_map,
-    q_gaussian_moments,
     q_gaussian_state,
-    tensor_moments,
     tensor_state,
 )
 from ncprod.oracle import antimonotone_state, boolean_state, factor_into_one_variable_triple
@@ -39,57 +32,57 @@ SEMI = preset("semicircle")
 
 
 def test_free_semicircle_values():
-    assert free_moments(SEMI, SEMI, (1, 2, 2, 1)) == 1
-    assert free_moments(SEMI, SEMI, (1, 2, 1, 2)) == 0
+    assert free_state(SEMI, SEMI)((1, 2, 2, 1)) == 1
+    assert free_state(SEMI, SEMI)((1, 2, 1, 2)) == 0
 
 
 def test_free_single_letter_restriction():
-    assert free_moments(GENERIC_J1, GENERIC_J2, (1, 1, 1)) == moment(GENERIC_J1, 3)
-    assert free_moments(GENERIC_J1, GENERIC_J2, ()) == 1
+    assert free_state(GENERIC_J1, GENERIC_J2)((1, 1, 1)) == moment(GENERIC_J1, 3)
+    assert free_state(GENERIC_J1, GENERIC_J2)(()) == 1
 
 
 def test_free_centered_alternating_vanishes():
     # with both means zero, any strictly alternating word has moment 0
     j1, j2 = random_pair(5, centered=True)
-    assert free_moments(j1, j2, (1, 2, 1, 2, 1)) == 0
-    assert free_moments(j1, j2, (2, 1, 2, 1)) == 0
+    assert free_state(j1, j2)((1, 2, 1, 2, 1)) == 0
+    assert free_state(j1, j2)((2, 1, 2, 1)) == 0
 
 
 def test_boolean_block_factorization():
-    assert boolean_moments(SEMI, SEMI, (1, 2, 1)) == 0  # centered marginals
-    assert boolean_moments(GENERIC_J1, GENERIC_J2, (1, 1, 2, 2)) == moment(
+    assert boolean_state(SEMI, SEMI)((1, 2, 1)) == 0  # centered marginals
+    assert boolean_state(GENERIC_J1, GENERIC_J2)((1, 1, 2, 2)) == moment(
         GENERIC_J1, 2
     ) * moment(GENERIC_J2, 2)
-    assert boolean_moments(GENERIC_J1, GENERIC_J2, (2, 2, 2)) == moment(GENERIC_J2, 3)
+    assert boolean_state(GENERIC_J1, GENERIC_J2)((2, 2, 2)) == moment(GENERIC_J2, 3)
 
 
 def test_monotone_block_rule():
     j1, j2 = GENERIC_J1, GENERIC_J2
-    assert monotone_moments(j1, j2, (1, 2, 1)) == moment(j1, 2) * moment(j2, 1)
-    assert monotone_moments(j1, j2, (2, 1, 2)) == moment(j1, 1) * moment(j2, 1) ** 2
-    assert monotone_moments(j1, j2, (1, 1)) == moment(j1, 2)
+    assert monotone_state(j1, j2)((1, 2, 1)) == moment(j1, 2) * moment(j2, 1)
+    assert monotone_state(j1, j2)((2, 1, 2)) == moment(j1, 1) * moment(j2, 1) ** 2
+    assert monotone_state(j1, j2)((1, 1)) == moment(j1, 2)
 
 
 def test_tensor_total_powers():
     j1, j2 = GENERIC_J1, GENERIC_J2
-    assert tensor_moments(j1, j2, (1, 2, 1)) == moment(j1, 2) * moment(j2, 1)
-    assert tensor_moments(j1, j2, (1, 2, 2, 1)) == moment(j1, 2) * moment(j2, 2)
-    assert tensor_moments(j1, j2, ()) == 1
+    assert tensor_state(j1, j2)((1, 2, 1)) == moment(j1, 2) * moment(j2, 1)
+    assert tensor_state(j1, j2)((1, 2, 2, 1)) == moment(j1, 2) * moment(j2, 2)
+    assert tensor_state(j1, j2)(()) == 1
 
 
 def test_antimonotone_is_swapped_monotone():
     j1, j2 = GENERIC_J1, GENERIC_J2
     for w in words_up_to(2, 6):
         mirrored = tuple(3 - letter for letter in w)
-        assert antimonotone_moments(j1, j2, w) == monotone_moments(j2, j1, mirrored)
+        assert antimonotone_state(j1, j2)(w) == monotone_state(j2, j1)(mirrored)
 
 
 def test_q_gaussian_values():
     q = F(1, 2)
-    assert q_gaussian_moments(q, (2, 1, 2, 1)) == q
-    assert q_gaussian_moments(q, (1, 1, 1, 1)) == 2 + q
-    assert q_gaussian_moments(q, (1, 2)) == 0
-    assert q_gaussian_moments(q, (1, 2, 1)) == 0  # odd length
+    assert q_gaussian_state(q)((2, 1, 2, 1)) == q
+    assert q_gaussian_state(q)((1, 1, 1, 1)) == 2 + q
+    assert q_gaussian_state(q)((1, 2)) == 0
+    assert q_gaussian_state(q)((1, 2, 1)) == 0  # odd length
 
 
 def test_q_gaussian_zero_is_free_semicircles():
@@ -114,8 +107,8 @@ def test_oracles_match_tree_states(name, oracle):
 
 def test_cfree_single_letter_restriction():
     nu1, nu2 = random_pair(41)
-    assert cfree_moments(GENERIC_J1, nu1, GENERIC_J2, nu2, (1, 1)) == moment(GENERIC_J1, 2)
-    assert cfree_moments(GENERIC_J1, nu1, GENERIC_J2, nu2, (2,)) == moment(GENERIC_J2, 1)
+    assert cfree_state(GENERIC_J1, nu1, GENERIC_J2, nu2)((1, 1)) == moment(GENERIC_J1, 2)
+    assert cfree_state(GENERIC_J1, nu1, GENERIC_J2, nu2)((2,)) == moment(GENERIC_J2, 1)
 
 
 def test_cfree_degenerations():
