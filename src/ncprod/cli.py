@@ -66,16 +66,15 @@ def _load_jacobi(path: str | None, what: str) -> jacobi.JacobiData:
         raise CliInputError(f"bad jacobi data in {path}: {exc}") from exc
 
 
-def _load_tree(spec: str, depth: int, *, file_depth_optional: bool = False) -> omega.OmegaTree:
+def _load_tree(spec: str, depth: int) -> omega.OmegaTree:
     """A builtin name, or any alias of one, builds a tree of the given depth;
-    otherwise the spec names a JSON tree file.  A file without "depth" is
-    read at ``depth`` when ``file_depth_optional`` is set, and is an input
-    error otherwise."""
+    otherwise the spec names a JSON tree file, read at ``depth`` when it has
+    no "depth" of its own."""
     if spec in omega.BUILTIN_OMEGAS or spec in omega._BUILTIN_ALIASES:
         return omega.builder(spec, depth)
     obj = _load_json(spec)
     try:
-        if file_depth_optional and "depth" not in obj:
+        if "depth" not in obj:
             obj = {**obj, "depth": depth}
         return omega.omega_from_json(obj)
     except omega.OmegaValidationError:
@@ -85,7 +84,8 @@ def _load_tree(spec: str, depth: int, *, file_depth_optional: bool = False) -> o
 
 
 def _load_omega(spec: str | None, depth: int) -> omega.OmegaTree:
-    """The tree for --omega; a JSON file's own depth must be sufficient."""
+    """The tree for --omega; a JSON file's own depth, if it has one, must be
+    sufficient."""
     if spec is None:
         raise CliInputError("missing required --omega specification")
     tree = _load_tree(spec, depth)
@@ -143,7 +143,7 @@ def _poly_json(p: NCPolynomial) -> dict:
 def cmd_validate(args) -> int:
     depth = args.order if args.order is not None else 6
     try:
-        loaded = _load_tree(args.spec, depth, file_depth_optional=True)
+        loaded = _load_tree(args.spec, depth)
         # builder does not check its depth; validate rejects one below 1
         tree = omega.validate(loaded.members, loaded.depth)
     except omega.OmegaValidationError as exc:

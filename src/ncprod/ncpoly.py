@@ -297,6 +297,10 @@ class NCSeries(NCPolynomial):
         return cls(d, order, {EMPTY_WORD: 1})
 
     @classmethod
+    def monomial(cls, word: Iterable[int], d: int, order: int, coeff: Rational = 1) -> "NCSeries":
+        return cls(d, order, {tuple(word): coeff})
+
+    @classmethod
     def variable(cls, letter: int, d: int, order: int) -> "NCSeries":
         return cls(d, order, {(letter,): 1})
 

@@ -10,6 +10,9 @@ lowering part.  The complete rewrite rule for left multiplication is
 where tail(u) drops the first letter.  Expanding a monomial letter by letter
 (rightmost first) from P_() and reading the constant coefficient evaluates
 the state on it; that transfer-operator expansion is exact and linear.
+Because the P_u are orthogonal, with ||P_u||^2 the product of C over the
+nonempty suffixes of u, :class:`StateEvaluator` runs that expansion only at
+half the word length: phi(x_a x_b) pairs the expansions of x_rev(a) and x_b.
 
 Coefficient maps come from three constructions:
 
@@ -292,13 +295,22 @@ def left_multiply(cm: CoefficientMap, letter: int, expansion: BasisExpansion) ->
 
 
 class StateEvaluator:
-    """Memoizing transfer-operator evaluator for one coefficient map.
+    """Memoizing evaluator of one coefficient map's state.
 
-    Word expansions are cached, so evaluating many polynomials against the
-    same state reuses work.  Supports polynomials of degree up to
-    ``cm.depth + 1`` (the final raise needs no coefficient lookup).
+    A word w = a.b is evaluated from two half-length expansions, with
+    a = w[:len(w) // 2]:
 
-    The cache makes instances single-threaded; share the immutable map and
+        phi(x_a x_b) = <x_rev(a), x_b> = sum_u [x_rev(a)]_u [x_b]_u ||P_u||^2,
+
+    because the P_u are orthogonal and every x_i is symmetric under the form
+    diag(||P_u||^2) (||P_{iu}||^2 = C(iu) ||P_u||^2), for any coefficient map.
+    :meth:`expansion` is the transfer operator itself; it caches every suffix
+    it builds.  Norms and word moments are cached as well, so evaluating
+    many polynomials against the same state reuses work.  Supports
+    polynomials of degree up to ``cm.depth + 1``; a longer word raises
+    :class:`DepthExhaustedError`.
+
+    The caches make instances single-threaded; share the immutable map and
     give each thread its own evaluator.
     """
 
@@ -307,6 +319,8 @@ class StateEvaluator:
         self._expansions: dict[Word, dict[Word, Fraction]] = {
             EMPTY_WORD: {EMPTY_WORD: Fraction(1)}
         }
+        self._norms: dict[Word, Fraction] = {}
+        self._moments: dict[Word, Fraction] = {}
 
     def expansion(self, word: Word) -> dict[Word, Fraction]:
         """Expansion of the monomial x_word in the P-basis."""
@@ -328,7 +342,28 @@ class StateEvaluator:
         return current
 
     def word_moment(self, word: Word) -> Fraction:
-        return self.expansion(word).get(EMPTY_WORD, Fraction(0))
+        word = tuple(word)
+        value = self._moments.get(word)
+        if value is not None:
+            return value
+        if len(word) > self.cm.depth + 1:
+            raise DepthExhaustedError(
+                f"word of length {len(word)} exceeds map depth {self.cm.depth} + 1"
+            )
+        half = len(word) // 2
+        left = self.expansion(word[:half][::-1])
+        right = self.expansion(word[half:])
+        norms = self._norms
+        value = Fraction(0)
+        for u, a in left.items():
+            b = right.get(u)
+            if b is not None:
+                norm = norms.get(u)
+                if norm is None:
+                    norm = norms[u] = self.cm.norm_squared(u)
+                value += a * b * norm
+        self._moments[word] = value
+        return value
 
     def eval_poly(self, p: NCPolynomial) -> Fraction:
         if p.d != self.cm.d:

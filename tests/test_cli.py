@@ -66,6 +66,23 @@ def test_validate_invalid_file(capsys, tmp_path):
     assert report["violation"]["witness"] == [2, 1]
 
 
+def test_tree_file_without_depth_is_read_at_the_needed_depth(capsys, generic_files, tmp_path):
+    # validate and --omega read a file without "depth" by the same rule
+    j1, j2 = generic_files
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps({"words": [[2, 1]], "implicit_runs": True}))
+    deep = tmp_path / "deep.json"
+    deep.write_text(json.dumps({"words": [[2, 1]], "implicit_runs": True, "depth": 4}))
+    argv = ("moments", "--jacobi1", j1, "--jacobi2", j2, "--order", "4", "--format", "csv")
+    code_bare, out_bare = run(capsys, *argv, "--omega", str(bare))
+    code_deep, out_deep = run(capsys, *argv, "--omega", str(deep))
+    assert code_bare == code_deep == 0
+    assert out_bare == out_deep
+    code, out = run(capsys, "validate", str(bare), "--order", "4")
+    assert code == 0
+    assert json.loads(out)["depth"] == 4
+
+
 def test_validate_parse_error(capsys, tmp_path):
     spec = tmp_path / "broken.json"
     spec.write_text("{not json")
@@ -352,12 +369,18 @@ def test_matricial_order_beyond_its_levels_is_input_error(capsys, tmp_path):
 
 def test_traced_benchmark_finds_every_wrap_point(tmp_path):
     """perfbench/traced.py wraps ncpoly's arithmetic by attribute name; a wrap
-    point it cannot find would leave its per-layer metrics at zero."""
+    point it cannot find would leave its per-layer metrics at zero.  The
+    moments run also pins the transfer operator's work: each word is
+    evaluated from two half-length expansions, so a table through order 6
+    expands each word of length 1 to 3 once, one left_multiply apiece
+    (2 + 4 + 8 = 14; full-length expansions would take 126)."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     inputs = ["--jacobi1", str(GOLDEN / "j1.json"), "--jacobi2", str(GOLDEN / "j2.json")]
     recorded = set()
+    left_multiplies = {}
     for argv in (["cfrac", *inputs, "--omega", "free", "--order", "3"],
-                 ["mops", *inputs, "--omega", "free", "--order", "2"]):
+                 ["mops", *inputs, "--omega", "free", "--order", "2"],
+                 ["moments", *inputs, "--omega", "free", "--order", "6"]):
         spans = tmp_path / "spans.json"
         subprocess.run(
             [sys.executable, str(ROOT / "perfbench" / "traced.py"), str(spans), *argv],
@@ -366,4 +389,6 @@ def test_traced_benchmark_finds_every_wrap_point(tmp_path):
         dump = json.loads(spans.read_text())
         assert dump["missing"] == []
         recorded |= {span[0] for span in dump["spans"]}
+        left_multiplies[argv[0]] = sum(span[0] == "prodstate.left_multiply" for span in dump["spans"])
     assert {"ncpoly.series_mul", "ncpoly.series_inverse", "ncpoly.poly_mul"} <= recorded
+    assert left_multiplies["moments"] == 14

@@ -149,6 +149,12 @@ def test_series_inverse_round_trip(terms, order):
     assert (t * s).terms == {(): 1}
 
 
+def test_series_monomial_takes_an_order():
+    assert NCSeries.monomial((1, 2), 2, 3) == NCSeries(2, 3, {(1, 2): 1})
+    assert NCSeries.monomial((2,), 2, 1, F(-3, 4)).terms == {(2,): F(-3, 4)}
+    assert NCSeries.monomial((1, 2, 1), 2, 2).terms == {}
+
+
 def test_series_truncation_drops_high_terms():
     s = NCSeries(2, 2, {(1, 1, 1): 7, (1,): 1})
     assert s.terms == {(1,): 1}

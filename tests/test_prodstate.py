@@ -1,5 +1,6 @@
 """Coefficient maps, basis polynomials, and transfer-operator evaluation."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -402,3 +403,32 @@ def test_one_branch_boolean_degeneration():
     boolean = StateEvaluator(product_type_map(builder("boolean", 6), GENERIC_J1, j2))
     for w in words_up_to(2, 6):
         assert one_branch.word_moment(w) == boolean.word_moment(w)
+
+
+def _random_explicit_map(seed, d, depth):
+    """Random B everywhere (zeros included) and random C >= 0, about a third
+    of it zero, on every word up to depth."""
+    rng = random.Random(seed)
+    words = words_up_to(d, depth)
+    b = {(i, u): F(rng.randint(-2, 2), rng.randint(1, 3)) for u in words for i in range(1, d + 1)}
+    c = {u: F(rng.choice((0, 1, 2)), rng.randint(1, 3)) for u in words if u}
+    cm = explicit_map(d, depth, b, c)
+    assert 0 < len(cm.c_entries) < len(c)
+    return cm
+
+
+def test_two_half_moment_equals_full_transfer_expansion():
+    """word_moment evaluates a word from two half-length expansions and the
+    norms; it must equal the constant term of the full-length expansion,
+    taken on a separate evaluator, through order depth + 1."""
+    nu1, nu2 = random_pair(7)
+    maps = [product_type_map(builder(name, 7), GENERIC_J1, GENERIC_J2) for name in BUILTIN_OMEGAS]
+    maps.append(cfree_map(GENERIC_J1, nu1, GENERIC_J2, nu2, 7))
+    for d, depth in ((1, 8), (2, 5), (3, 3)):
+        maps += [_random_explicit_map(seed, d, depth) for seed in range(3)]
+    for cm in maps:
+        ev, reference = StateEvaluator(cm), StateEvaluator(cm)
+        for w in words_up_to(cm.d, cm.depth + 1):
+            assert ev.word_moment(w) == reference.expansion(w).get((), 0), (cm.provenance, w)
+        with pytest.raises(DepthExhaustedError):
+            ev.word_moment((1,) * (cm.depth + 2))
