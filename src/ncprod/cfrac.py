@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .jacobi import JacobiData
-from .ncpoly import EMPTY_WORD, NCSeries, Word, words_of_length
+from .ncpoly import EMPTY_WORD, NCSeries, Word, exact_fraction, words_of_length
 from .prodstate import CoefficientMap
 
 Matrix = list[list[Fraction]]
@@ -87,7 +87,7 @@ def scalar_branched_cf(cm: CoefficientMap, order: int) -> NCSeries:
 
 
 def _as_matrix(rows: Iterable[Iterable[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+    return tuple(tuple(exact_fraction(x) for x in row) for row in rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,7 +203,13 @@ def _smat_mul(a: SeriesMatrix, b: SeriesMatrix) -> SeriesMatrix:
 
 
 def _smat_inverse(mat: SeriesMatrix, order: int) -> SeriesMatrix:
-    """Inverse of a series matrix with identity constant term."""
+    """Inverse of a series matrix with identity constant term.
+
+    Neumann iteration x_(k+1) = 1 + u*x_k from x_0 = 1, with u = 1 - mat.  As
+    u has no constant term, x_k is exact through degree k, and so is
+    x_(k+1) through degree k + 1 when u multiplies only the part of x_k of
+    degree <= k, as a series of order k + 1: step k works at order k + 1.
+    """
     n = len(mat)
     d = mat[0][0].d
     for r in range(n):
@@ -214,8 +220,9 @@ def _smat_inverse(mat: SeriesMatrix, order: int) -> SeriesMatrix:
     identity = _smat_identity(n, d, order)
     u = [[identity[r][s] - mat[r][s] for s in range(n)] for r in range(n)]
     x = identity
-    for _ in range(order):
-        ux = _smat_mul(u, x)
+    for k in range(order):
+        # x holds only degrees <= k (x_0 = 1, then x_k has order k)
+        ux = _smat_mul(u, [[entry.truncate(k + 1) for entry in row] for row in x])
         x = [[identity[r][s] + ux[r][s] for s in range(n)] for r in range(n)]
     return x
 

@@ -215,7 +215,8 @@ def cmd_cfrac(args) -> int:
         )
     cm = _build_map(args, max(args.order, 1))
     if args.engine == "matricial":
-        levels = min((args.order + 1) // 2 + 1, MATRICIAL_MAX_LEVELS)
+        # the fewest levels exact through the order; never deeper than the map
+        levels = (args.order + 1) // 2
         series = cfrac.matricial_cf(cfrac.matricial_from_map(cm, levels), args.order)
     else:
         series = cfrac.scalar_branched_cf(cm, args.order)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .ncpoly import NCPolynomial, format_rational, parse_rational
+from .ncpoly import NCPolynomial, exact_fraction, format_rational, parse_rational
 
 EXTENSION_POLICIES = ("repeat", "zero", "error")
 
@@ -43,8 +43,8 @@ class JacobiData:
     extend: str = "repeat"
 
     def __post_init__(self):
-        object.__setattr__(self, "beta", tuple(Fraction(b) for b in self.beta))
-        object.__setattr__(self, "gamma", tuple(Fraction(g) for g in self.gamma))
+        object.__setattr__(self, "beta", tuple(exact_fraction(b) for b in self.beta))
+        object.__setattr__(self, "gamma", tuple(exact_fraction(g) for g in self.gamma))
         policy = _POLICY_ALIASES.get(self.extend, self.extend)
         if policy not in EXTENSION_POLICIES:
             raise ValueError(f"unknown extension policy {self.extend!r}")
@@ -119,12 +119,34 @@ def orthogonal_polynomial(
     return current
 
 
-def moment(data: JacobiData, n: int) -> Fraction:
-    """n-th moment mu[x^n], via the transfer action on the P-basis."""
-    if n < 0:
-        raise ValueError("moment index must be nonnegative")
-    vec = [Fraction(1)]
-    for _ in range(n):
+class MomentSequence:
+    """The moments mu[x^0], mu[x^1], ... of one state, computed on demand.
+
+    One transfer pass on the P-basis serves every index: after n steps the
+    vector holds the P-coefficients of x^n, whose constant coefficient is
+    mu[x^n].  Asking for an index beyond those computed resumes the pass
+    where it stopped, so each moment is computed once.
+    """
+
+    __slots__ = ("data", "_moments", "_vec")
+
+    def __init__(self, data: JacobiData):
+        self.data = data
+        self._moments = [Fraction(1)]
+        self._vec = [Fraction(1)]
+
+    def __getitem__(self, n: int) -> Fraction:
+        if n < 0:
+            raise ValueError("moment index must be nonnegative")
+        moments = self._moments
+        while len(moments) <= n:
+            self._vec = self._step(self._vec)
+            moments.append(self._vec[0])
+        return moments[n]
+
+    def _step(self, vec: list[Fraction]) -> list[Fraction]:
+        """x * sum_m vec[m] P_m in the P-basis, by the three-term recursion."""
+        data = self.data
         nxt = [Fraction(0)] * (len(vec) + 1)
         for m, coeff in enumerate(vec):
             if not coeff:
@@ -137,22 +159,23 @@ def moment(data: JacobiData, n: int) -> Fraction:
                 g = data.gamma_at(m)
                 if g:
                     nxt[m - 1] += coeff * g
-        vec = nxt
-    return vec[0]
+        return nxt
+
+
+def moment(data: JacobiData, n: int) -> Fraction:
+    """n-th moment mu[x^n], via the transfer action on the P-basis."""
+    return MomentSequence(data)[n]
 
 
 def expectation(data: JacobiData, poly: NCPolynomial) -> Fraction:
     """Apply the state to a polynomial in a single variable."""
+    moments = MomentSequence(data)
     total = Fraction(0)
     for word, coeff in poly.terms.items():
         if len(set(word)) > 1:
             raise ValueError("expectation only applies to one-variable polynomials")
-        total += coeff * moment(data, len(word))
+        total += coeff * moments[len(word)]
     return total
-
-
-def moment_sequence(data: JacobiData, order: int) -> list[Fraction]:
-    return [moment(data, n) for n in range(order + 1)]
 
 
 PRESET_NAMES = ("semicircle", "q-gaussian", "gaussian", "point-mass", "bernoulli", "custom")
@@ -201,8 +224,8 @@ def preset(name: str, *, terms: int = 24, **params) -> JacobiData:
         variance = p * a * a + (1 - p) * b * b - mean * mean
         return JacobiData(beta=(mean, a + b - mean), gamma=(variance, Fraction(0)))
     if name == "custom":
-        beta = tuple(Fraction(x) for x in params.pop("beta", ()))
-        gamma = tuple(Fraction(x) for x in params.pop("gamma", ()))
+        beta = tuple(params.pop("beta", ()))
+        gamma = tuple(params.pop("gamma", ()))
         extend = params.pop("extend", "repeat")
         _reject_params(name, params)
         return JacobiData(beta=beta, gamma=gamma, extend=extend)
@@ -212,7 +235,7 @@ def preset(name: str, *, terms: int = 24, **params) -> JacobiData:
 def _required_rational(name: str, params: dict, key: str) -> Fraction:
     if key not in params:
         raise ValueError(f"preset {name!r} requires parameter {key!r}")
-    return Fraction(params.pop(key))
+    return exact_fraction(params.pop(key))
 
 
 def _reject_params(name: str, params: Mapping) -> None:

@@ -1,7 +1,7 @@
 """Words, non-commutative polynomials, and truncated non-commutative power series.
 
 Coefficients are exact rationals (``fractions.Fraction``) everywhere; nothing
-in this package touches floating point.  Words are tuples of letters from
+in this package touches floating point, and a float coefficient is refused.  Words are tuples of letters from
 ``{1, ..., d}`` with the empty tuple as the unit monomial.  Words are stored
 leftmost-first, and a "postfix" always means a right-suffix: ``(2, 1)`` is a
 postfix of ``(1, 2, 1)`` but ``(1, 2)`` is not.
@@ -86,13 +86,39 @@ def words_up_to(d: int, max_length: int) -> list[Word]:
     return out
 
 
+def exact_fraction(value: Rational) -> Fraction:
+    """``Fraction(value)``, refusing a float: 0.1 would become 3602879701896397/2**55."""
+    if isinstance(value, float):
+        raise ValueError(f"float {value!r} is not exact; pass an int, a Fraction or a 'p/q' string")
+    return Fraction(value)
+
+
 def _clean_terms(terms: Mapping[Word, Rational], d: int) -> dict[Word, Fraction]:
     cleaned: dict[Word, Fraction] = {}
     for word, coeff in terms.items():
-        value = Fraction(coeff)
+        value = exact_fraction(coeff)
         if value:
             cleaned[check_word(word, d)] = value
     return cleaned
+
+
+def _make(d: int, order: int | None, terms: Mapping[Word, Fraction]) -> "NCPolynomial":
+    """The result of arithmetic, built without the constructors' checks.
+
+    Its terms already hold ``Fraction`` coefficients on words over 1..d, so
+    only zero coefficients and words longer than ``order`` are dropped.  A
+    polynomial when ``order`` is None, a series otherwise.
+    """
+    if order is None:
+        out = object.__new__(NCPolynomial)
+        kept = {w: c for w, c in terms.items() if c}
+    else:
+        out = object.__new__(NCSeries)
+        object.__setattr__(out, "order", order)
+        kept = {w: c for w, c in terms.items() if c and len(w) <= order}
+    object.__setattr__(out, "d", d)
+    object.__setattr__(out, "terms", kept)
+    return out
 
 
 def _format_terms(terms: Mapping[Word, Fraction], var: str) -> str:
@@ -150,11 +176,6 @@ class NCPolynomial:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def _make(self, order: int | None, terms: Mapping[Word, Rational]) -> "NCPolynomial":
-        if order is None:
-            return NCPolynomial(self.d, terms)
-        return NCSeries(self.d, order, terms)
-
     @classmethod
     def zero(cls, d: int) -> "NCPolynomial":
         return cls(d)
@@ -186,7 +207,7 @@ class NCPolynomial:
     def _coerce(self, other):
         """A scalar becomes a constant of this order; anything else is returned as is."""
         if isinstance(other, (int, Fraction)):
-            return self._make(self.order, {EMPTY_WORD: other})
+            return _make(self.d, self.order, {EMPTY_WORD: Fraction(other)})
         return other
 
     def _check_compatible(self, other: "NCPolynomial") -> None:
@@ -200,13 +221,14 @@ class NCPolynomial:
         self._check_compatible(other)
         merged = dict(self.terms)
         for word, coeff in other.terms.items():
-            merged[word] = merged.get(word, Fraction(0)) + coeff
-        return self._make(_meet(self.order, other.order), merged)
+            prev = merged.get(word)
+            merged[word] = coeff if prev is None else prev + coeff
+        return _make(self.d, _meet(self.order, other.order), merged)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._make(self.order, {w: -c for w, c in self.terms.items()})
+        return _make(self.d, self.order, {w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -219,7 +241,7 @@ class NCPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._make(self.order, {w: c * other for w, c in self.terms.items()})
+            return _make(self.d, self.order, {w: c * other for w, c in self.terms.items()})
         if not isinstance(other, NCPolynomial):
             return NotImplemented
         self._check_compatible(other)
@@ -239,8 +261,9 @@ class NCPolynomial:
                     continue
                 for w2, c2 in entries:
                     word = w1 + w2
-                    product[word] = product.get(word, Fraction(0)) + c1 * c2
-        return self._make(order, product)
+                    prev = product.get(word)
+                    product[word] = c1 * c2 if prev is None else prev + c1 * c2
+        return _make(self.d, order, product)
 
     def __rmul__(self, other):
         # self.__mul__, not NCPolynomial.__mul__: a replaced NCSeries.__mul__ (the
@@ -251,7 +274,7 @@ class NCPolynomial:
 
     def involution(self) -> "NCPolynomial":
         """Reverse every word, keep coefficients; each x_i is self-adjoint."""
-        return self._make(self.order, {w[::-1]: c for w, c in self.terms.items()})
+        return _make(self.d, self.order, {w[::-1]: c for w, c in self.terms.items()})
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -312,29 +335,38 @@ class NCSeries(NCPolynomial):
         return self.terms.get(EMPTY_WORD, Fraction(0))
 
     def truncate(self, order: int) -> "NCSeries":
-        return NCSeries(self.d, order, self.terms)
+        if order < 0:
+            raise ValueError("truncation order must be nonnegative")
+        return _make(self.d, order, self.terms)
 
     def sandwich(self, left: int, right: int) -> "NCSeries":
         """z_left * self * z_right; exact two orders beyond self, so order grows by 2."""
         check_word((left, right), self.d)
         shifted = {(left,) + word + (right,): coeff for word, coeff in self.terms.items()}
-        return NCSeries(self.d, self.order + 2, shifted)
+        return _make(self.d, self.order + 2, shifted)
 
     def inverse(self) -> "NCSeries":
         """Multiplicative inverse up to the truncation order.
 
         Requires constant term exactly 1; computed degree by degree from
-        t = 1 - r*t where r is the positive-degree part.
+        t = 1 - r*t where r is the positive-degree part.  With den the lcm of
+        r's denominators and R = r*den, the degree-m part T_m = t_m*den^m is
+        integral, T_m = -sum_j R_j*T_(m-j)*den^(j-1), so the recursion runs on
+        integers and each output coefficient becomes a Fraction once.
         """
         if self.constant_term() != 1:
             raise ValueError("series inverse requires constant term 1")
-        r_by_degree: dict[int, list[tuple[Word, Fraction]]] = {}
-        for word, coeff in self.terms.items():
-            if word:
-                r_by_degree.setdefault(len(word), []).append((word, coeff))
-        parts: list[dict[Word, Fraction]] = [{EMPTY_WORD: Fraction(1)}]
+        rest = [(word, coeff) for word, coeff in self.terms.items() if word]
+        den = math.lcm(*(coeff.denominator for _, coeff in rest))
+        # R_j * den^(j-1), grouped by the degree j
+        r_by_degree: dict[int, list[tuple[Word, int]]] = {}
+        for word, coeff in rest:
+            scaled = coeff.numerator * (den // coeff.denominator) * den ** (len(word) - 1)
+            r_by_degree.setdefault(len(word), []).append((word, scaled))
+        parts: list[dict[Word, int]] = [{EMPTY_WORD: 1}]
+        terms: dict[Word, Fraction] = {EMPTY_WORD: Fraction(1)}
         for m in range(1, self.order + 1):
-            component: dict[Word, Fraction] = {}
+            component: dict[Word, int] = {}
             for j, entries in r_by_degree.items():
                 if j > m:
                     continue
@@ -342,12 +374,13 @@ class NCSeries(NCPolynomial):
                 for wr, cr in entries:
                     for wt, ct in lower.items():
                         word = wr + wt
-                        component[word] = component.get(word, Fraction(0)) - cr * ct
-            parts.append({w: c for w, c in component.items() if c})
-        merged: dict[Word, Fraction] = {}
-        for component in parts:
-            merged.update(component)
-        return NCSeries(self.d, self.order, merged)
+                        component[word] = component.get(word, 0) - cr * ct
+            component = {w: c for w, c in component.items() if c}
+            parts.append(component)
+            scale = den**m
+            for word, coeff in component.items():
+                terms[word] = Fraction(coeff, scale)
+        return _make(self.d, self.order, terms)
 
     def __repr__(self):
         return f"NCSeries(order={self.order}, {self.to_str()})"

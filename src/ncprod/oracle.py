@@ -12,6 +12,8 @@ products.  Each step either centers one more block or shortens the list, so
 the recursion terminates.
 
 ``*_state`` factories return memoizing callables from words to rationals.
+Each holds one :class:`~ncprod.jacobi.MomentSequence` per marginal, so a
+marginal moment is computed once however many words need it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .jacobi import JacobiData, moment
+from .jacobi import JacobiData, MomentSequence
 from .ncpoly import NCPolynomial, Word, graded_lex_key, word_runs, words_up_to
 
 MomentFunctional = Callable[[Word], Fraction]
@@ -46,8 +48,8 @@ def _coeff_mul(p: Coeffs, q: Coeffs) -> Coeffs:
     return tuple(out)
 
 
-def _coeff_mean(data: JacobiData, p: Coeffs) -> Fraction:
-    return sum((c * moment(data, k) for k, c in enumerate(p) if c), Fraction(0))
+def _coeff_mean(moments: MomentSequence, p: Coeffs) -> Fraction:
+    return sum((c * moments[k] for k, c in enumerate(p) if c), Fraction(0))
 
 
 def _blocks_of_word(word: Word) -> tuple[Block, ...]:
@@ -73,7 +75,7 @@ def _center(block: Block, mean: Fraction) -> Block:
 
 def free_state(j1: JacobiData, j2: JacobiData) -> MomentFunctional:
     """Joint state under which centered alternating products vanish."""
-    marginals = {1: j1, 2: j2}
+    marginals = {1: MomentSequence(j1), 2: MomentSequence(j2)}
     cache: dict[tuple[Block, ...], Fraction] = {}
 
     def eval_blocks(blocks: tuple[Block, ...]) -> Fraction:
@@ -105,12 +107,12 @@ def free_state(j1: JacobiData, j2: JacobiData) -> MomentFunctional:
 
 def boolean_state(j1: JacobiData, j2: JacobiData) -> MomentFunctional:
     """Each maximal block contributes its own marginal moment."""
-    marginals = {1: j1, 2: j2}
+    marginals = {1: MomentSequence(j1), 2: MomentSequence(j2)}
 
     def phi(word: Word) -> Fraction:
         total = Fraction(1)
         for letter, length in word_runs(tuple(word)):
-            total *= moment(marginals[letter], length)
+            total *= marginals[letter][length]
         return total
 
     return phi
@@ -118,14 +120,15 @@ def boolean_state(j1: JacobiData, j2: JacobiData) -> MomentFunctional:
 
 def monotone_state(j1: JacobiData, j2: JacobiData) -> MomentFunctional:
     """All letter-1 blocks merge into one marginal moment; letter-2 blocks factor."""
+    m1, m2 = MomentSequence(j1), MomentSequence(j2)
 
     def phi(word: Word) -> Fraction:
         word = tuple(word)
         ones = sum(1 for letter in word if letter == 1)
-        total = moment(j1, ones)
+        total = m1[ones]
         for letter, length in word_runs(word):
             if letter == 2:
-                total *= moment(j2, length)
+                total *= m2[length]
         return total
 
     return phi
@@ -143,11 +146,12 @@ def antimonotone_state(j1: JacobiData, j2: JacobiData) -> MomentFunctional:
 
 def tensor_state(j1: JacobiData, j2: JacobiData) -> MomentFunctional:
     """Product of the two total-power marginal moments."""
+    m1, m2 = MomentSequence(j1), MomentSequence(j2)
 
     def phi(word: Word) -> Fraction:
         word = tuple(word)
         ones = sum(1 for letter in word if letter == 1)
-        return moment(j1, ones) * moment(j2, len(word) - ones)
+        return m1[ones] * m2[len(word) - ones]
 
     return phi
 
@@ -206,8 +210,8 @@ def cfree_state(
     centering; once every non-exempt block is nu-centered the moment is the
     product of the mu-means of all blocks.
     """
-    mu = {1: mu1, 2: mu2}
-    nu = {1: nu1, 2: nu2}
+    mu = {1: MomentSequence(mu1), 2: MomentSequence(mu2)}
+    nu = {1: MomentSequence(nu1), 2: MomentSequence(nu2)}
     cache: dict[tuple[Block, ...], Fraction] = {}
 
     def needs_centering(index: int, letter: int, count: int) -> bool:

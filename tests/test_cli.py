@@ -367,20 +367,40 @@ def test_matricial_order_beyond_its_levels_is_input_error(capsys, tmp_path):
     assert "exact only through order 10; got --order 11" in captured.err
 
 
+@pytest.mark.parametrize("omega,orders", [("free", range(5)), ("one-branch", range(11))])
+def test_matricial_rows_equal_scalar_rows(capsys, generic_files, omega, orders):
+    """Every order the matricial engine accepts is served, by no more levels
+    than the map built for that order holds."""
+    j1, j2 = generic_files
+    for order in orders:
+        out = {}
+        for engine in ("scalar", "matricial"):
+            code, out[engine] = run(capsys, "cfrac", "--engine", engine, "--jacobi1", j1,
+                                    "--jacobi2", j2, "--omega", omega, "--order", str(order))
+            assert code == 0, (engine, order)
+        assert out["matricial"] == out["scalar"], order
+
+
 def test_traced_benchmark_finds_every_wrap_point(tmp_path):
     """perfbench/traced.py wraps ncpoly's arithmetic by attribute name; a wrap
     point it cannot find would leave its per-layer metrics at zero.  The
     moments run also pins the transfer operator's work: each word is
     evaluated from two half-length expansions, so a table through order 6
     expands each word of length 1 to 3 once, one left_multiply apiece
-    (2 + 4 + 8 = 14; full-length expansions would take 126)."""
+    (2 + 4 + 8 = 14; full-length expansions would take 126).  The free
+    oracle's comparison pins the marginal moments: each of the 2 marginals
+    is needed at indices 0..6, so at most 14 jacobi.moment calls (the oracle
+    reads its moment sequences and makes none; rebuilding every moment from
+    scratch took 3,602)."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     inputs = ["--jacobi1", str(GOLDEN / "j1.json"), "--jacobi2", str(GOLDEN / "j2.json")]
     recorded = set()
     left_multiplies = {}
+    moment_calls = {}
     for argv in (["cfrac", *inputs, "--omega", "free", "--order", "3"],
                  ["mops", *inputs, "--omega", "free", "--order", "2"],
-                 ["moments", *inputs, "--omega", "free", "--order", "6"]):
+                 ["moments", *inputs, "--omega", "free", "--order", "6"],
+                 ["compare", *inputs, "--omega", "free", "--against", "free", "--order", "6"]):
         spans = tmp_path / "spans.json"
         subprocess.run(
             [sys.executable, str(ROOT / "perfbench" / "traced.py"), str(spans), *argv],
@@ -390,5 +410,7 @@ def test_traced_benchmark_finds_every_wrap_point(tmp_path):
         assert dump["missing"] == []
         recorded |= {span[0] for span in dump["spans"]}
         left_multiplies[argv[0]] = sum(span[0] == "prodstate.left_multiply" for span in dump["spans"])
+        moment_calls[argv[0]] = dump["totals"]["jacobi.moment"][0]
     assert {"ncpoly.series_mul", "ncpoly.series_inverse", "ncpoly.poly_mul"} <= recorded
     assert left_multiplies["moments"] == 14
+    assert moment_calls["compare"] <= 14

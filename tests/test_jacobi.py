@@ -16,6 +16,7 @@ from conftest import random_jacobi
 from ncprod import JacobiData, moment, orthogonal_polynomial, preset
 from ncprod.jacobi import (
     JacobiRangeError,
+    MomentSequence,
     expectation,
     jacobi_from_json,
     jacobi_to_json,
@@ -196,3 +197,17 @@ def test_json_round_trip():
 @given(st.integers(0, 8), st.fractions(min_value=-2, max_value=2, max_denominator=3))
 def test_point_mass_moment_property(n, c):
     assert moment(preset("point-mass", c=c), n) == c**n
+
+
+def test_moment_sequence_resumes_one_transfer_pass(monkeypatch):
+    data = random_jacobi(random.Random(3))
+    expected = [moment(data, n) for n in range(10)]
+    steps = []
+    step = MomentSequence._step
+    monkeypatch.setattr(MomentSequence, "_step", lambda self, vec: steps.append(1) or step(self, vec))
+    seq = MomentSequence(data)
+    assert [seq[n] for n in (5, 2, 9, 0, 9)] == [expected[n] for n in (5, 2, 9, 0, 9)]
+    assert [seq[n] for n in range(10)] == expected
+    assert len(steps) == 9  # one step per index beyond 0, never repeated
+    with pytest.raises(ValueError):
+        seq[-1]

@@ -23,6 +23,7 @@ from ncprod import (
     q_gaussian_state,
     tensor_state,
 )
+from ncprod.jacobi import MomentSequence
 from ncprod.oracle import antimonotone_state, boolean_state, factor_into_one_variable_triple
 from ncprod.ncpoly import words_up_to
 
@@ -213,3 +214,18 @@ def test_q_121_does_not_factor_for_generic_q():
     # at q = 0 it is just the monomial, which factors trivially
     zero = gram_schmidt_mops(q_gaussian_state(F(0)), 3)
     assert factor_into_one_variable_triple(zero.polynomials[(1, 2, 1)]) == (0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "factory", [free_state, boolean_state, monotone_state, antimonotone_state, tensor_state]
+)
+def test_state_computes_each_marginal_moment_once(monkeypatch, factory):
+    """A state holds one moment sequence per marginal: words through order 6
+    need indices 0..6 of each, so at most 6 transfer steps per marginal."""
+    steps = []
+    step = MomentSequence._step
+    monkeypatch.setattr(MomentSequence, "_step", lambda self, vec: steps.append(1) or step(self, vec))
+    phi = factory(GENERIC_J1, GENERIC_J2)
+    for w in words_up_to(2, 6):
+        phi(w)
+    assert len(steps) <= 2 * 6
