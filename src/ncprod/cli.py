@@ -3,8 +3,11 @@
 Subcommands: validate | moments | gram | cfrac | mops | compare |
 counterexample.  Inputs are JSON files for one-variable states (Jacobi data
 or presets) and tree specifications (builtin name or JSON file); outputs are
-JSON, CSV, or pretty text, deterministic for identical inputs (words in
-graded-lexicographic order, rationals in lowest terms).
+JSON or pretty text, and CSV for the tables of moments, gram and cfrac,
+deterministic for identical inputs (words in graded-lexicographic order,
+rationals in lowest terms).  --omega picks the tree of a product-type
+state; two-pair mode (--nu1/--nu2) always uses the full tree, so it
+refuses --omega.
 
 Exit codes: 0 on success, 1 on mathematical failure (invalid tree, mismatch
 in a comparison), 2 on input errors, including a negative --order and an
@@ -97,12 +100,17 @@ def _load_omega(spec: str | None, depth: int) -> omega.OmegaTree:
 
 
 def _build_map(args, depth: int) -> prodstate.CoefficientMap:
-    j1 = _load_jacobi(args.jacobi1, "--jacobi1")
-    j2 = _load_jacobi(args.jacobi2, "--jacobi2")
     nu1 = getattr(args, "nu1", None)
     nu2 = getattr(args, "nu2", None)
     if (nu1 is None) != (nu2 is None):
         raise CliInputError("--nu1 and --nu2 must be given together")
+    if nu1 is not None and args.omega is not None:
+        raise CliInputError(
+            "--omega cannot be combined with --nu1/--nu2: the two-pair state "
+            "always lives on the full binary tree"
+        )
+    j1 = _load_jacobi(args.jacobi1, "--jacobi1")
+    j2 = _load_jacobi(args.jacobi2, "--jacobi2")
     if nu1 is not None:
         return prodstate.cfree_map(
             j1, _load_jacobi(nu1, "--nu1"), j2, _load_jacobi(nu2, "--nu2"), depth
@@ -117,10 +125,23 @@ def _emit(text: str) -> None:
         sys.stdout.write("\n")
 
 
+def _json_rows(rows: list[tuple[Word, Fraction]]) -> str:
+    """The text of json.dumps([{"word": [...], "value": "p/q"}, ...], indent=2),
+    built directly: the pure-Python indenting encoder is slower than the
+    table it prints.  A letter is an int and format_rational writes only
+    digits, "-" and "/", so nothing needs escaping."""
+    if not rows:
+        return "[]"
+    items = []
+    for w, v in rows:
+        word = "[\n      " + ",\n      ".join(map(str, w)) + "\n    ]" if w else "[]"
+        items.append(f'  {{\n    "word": {word},\n    "value": "{format_rational(v)}"\n  }}')
+    return "[\n" + ",\n".join(items) + "\n]"
+
+
 def _emit_rows(rows: list[tuple[Word, Fraction]], fmt: str, header: str = "word,value") -> None:
     if fmt == "json":
-        payload = [{"word": list(w), "value": format_rational(v)} for w, v in rows]
-        _emit(json.dumps(payload, indent=2))
+        _emit(_json_rows(rows))
     elif fmt == "csv":
         lines = [header]
         lines += [f"{_word_key(w)},{format_rational(v)}" for w, v in rows]
@@ -369,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, order_default=6):
+    def add_common(p, *, order_default=6, formats=("json", "csv", "pretty")):
         p.add_argument("--jacobi1", help="JSON file for the first marginal state")
         p.add_argument("--jacobi2", help="JSON file for the second marginal state")
         p.add_argument("--omega", help="builtin tree name or JSON file")
@@ -377,13 +398,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--nu2", help="JSON file for the second secondary state (two-pair mode)")
         p.add_argument("--order", type=_order, default=order_default, help="order / depth bound")
         p.add_argument(
-            "--format", choices=("json", "csv", "pretty"), default="json", help="output format"
+            "--format", choices=formats, default="json", help="output format"
         )
 
     p_validate = sub.add_parser("validate", help="check a tree specification")
     p_validate.add_argument("spec", help="builtin tree name or JSON file")
     p_validate.add_argument("--order", type=_order, default=None, help="depth for builtins")
-    p_validate.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
+    p_validate.add_argument("--format", choices=("json", "pretty"), default="json")
     p_validate.set_defaults(func=cmd_validate)
 
     p_moments = sub.add_parser("moments", help="table of all word moments up to an order")
@@ -402,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cfrac.set_defaults(func=cmd_cfrac)
 
     p_mops = sub.add_parser("mops", help="orthogonalize monomials and test the family")
-    add_common(p_mops, order_default=None)
+    add_common(p_mops, order_default=None, formats=("json", "pretty"))
     p_mops.add_argument(
         "--state", choices=("omega", "tensor", "q-gaussian"), default="omega"
     )
@@ -410,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mops.set_defaults(func=cmd_mops)
 
     p_compare = sub.add_parser("compare", help="diff the state against an oracle or engine")
-    add_common(p_compare)
+    add_common(p_compare, formats=("json", "pretty"))
     p_compare.add_argument(
         "--against",
         required=True,
@@ -422,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
         "counterexample", help="report the states whose monomial families fail orthogonality"
     )
     p_counter.add_argument("--q", default="1/2", help="deformation parameter")
-    p_counter.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
+    p_counter.add_argument("--format", choices=("json", "pretty"), default="pretty")
     p_counter.set_defaults(func=cmd_counterexample)
 
     return parser

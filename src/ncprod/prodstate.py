@@ -14,6 +14,18 @@ Because the P_u are orthogonal, with ||P_u||^2 the product of C over the
 nonempty suffixes of u, :class:`StateEvaluator` runs that expansion only at
 half the word length: phi(x_a x_b) pairs the expansions of x_rev(a) and x_b.
 
+:class:`StateEvaluator` runs it in integers.  With D the lcm of the
+denominators of every B and C entry, the scaled variables y_i = D x_i and
+basis Q_u = D^|u| P_u obey
+
+    y_i * Q_u = Q_{(i, u)} + (D B(i, u)) * Q_u + [u starts with i] * (D^2 C(u)) * Q_tail(u),
+
+whose coefficients B' = D B and C' = D^2 C are integers, since D clears
+every denominator (C' takes D^2 because Q_tail(u) carries one factor D
+fewer than Q_u).  So the expansion of y_w in the Q-basis has integer
+coefficients, ||Q_u||^2 (the product of C' over the nonempty suffixes of u)
+is an integer, and phi(x_w) = phi(y_w) / D^|w| needs one division per word.
+
 Coefficient maps come from three constructions:
 
 * ``product_type_map(tree, j1, j2)``: B(i, u) is beta_k of marginal i (k the
@@ -29,6 +41,7 @@ Coefficient maps come from three constructions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
@@ -270,13 +283,18 @@ def recursion_basis(cm: CoefficientMap, u: Word) -> NCPolynomial:
 
 
 def left_multiply(cm: CoefficientMap, letter: int, expansion: BasisExpansion) -> dict[Word, Fraction]:
-    """Linear extension of the left-multiplication rewrite rule."""
+    """Linear extension of the left-multiplication rewrite rule.
+
+    Coefficients stay in the type of the map's entries and the expansion's
+    coefficients: ``Fraction`` for a map as built, ``int`` for the scaled map
+    and integer expansions of :class:`StateEvaluator`.
+    """
     if not 1 <= letter <= cm.d:
         raise ValueError(f"letter {letter} outside alphabet 1..{cm.d}")
     out: dict[Word, Fraction] = {}
 
     def add(word: Word, value: Fraction) -> None:
-        total = out.get(word, Fraction(0)) + value
+        total = out.get(word, 0) + value
         if total:
             out[word] = total
         elif word in out:
@@ -294,6 +312,19 @@ def left_multiply(cm: CoefficientMap, letter: int, expansion: BasisExpansion) ->
     return out
 
 
+def _scaled_map(cm: CoefficientMap) -> tuple[int, CoefficientMap]:
+    """D, the lcm of every entry's denominator, and the map of B' = D B and
+    C' = D^2 C, whose entries are ints."""
+    entries = [*cm.b_entries.values(), *cm.c_entries.values()]
+    scale = math.lcm(*(value.denominator for value in entries))
+    b = {key: value.numerator * (scale // value.denominator) for key, value in cm.b_entries.items()}
+    c = {
+        key: value.numerator * (scale * scale // value.denominator)
+        for key, value in cm.c_entries.items()
+    }
+    return scale, CoefficientMap(d=cm.d, depth=cm.depth, b_entries=b, c_entries=c)
+
+
 class StateEvaluator:
     """Memoizing evaluator of one coefficient map's state.
 
@@ -304,11 +335,23 @@ class StateEvaluator:
 
     because the P_u are orthogonal and every x_i is symmetric under the form
     diag(||P_u||^2) (||P_{iu}||^2 = C(iu) ||P_u||^2), for any coefficient map.
-    :meth:`expansion` is the transfer operator itself; it caches every suffix
-    it builds.  Norms and word moments are cached as well, so evaluating
-    many polynomials against the same state reuses work.  Supports
-    polynomials of degree up to ``cm.depth + 1``; a longer word raises
-    :class:`DepthExhaustedError`.
+
+    The sum runs in integers.  With D the lcm of the denominators of every B
+    and C entry, y_i = D x_i and Q_u = D^|u| P_u, the rewrite rule has the
+    coefficients B' = D B and C' = D^2 C, which are integers because D
+    clears every denominator; a map of them drives :func:`left_multiply`.
+    Then the expansions A of y_rev(a) and B of y_b in the Q-basis, and
+    ||Q_u||^2 (the product of C' over the nonempty suffixes of u), are
+    integers, and
+
+        phi(x_w) = sum_u A_u B_u ||Q_u||^2 / D^|w|.
+
+    Integer expansions are cached for every suffix built, and so are the
+    norms and, for each left half, its row {u: A_u ||Q_u||^2}, shared by
+    every word that starts with that half.  Word moments are cached as
+    well, so evaluating many polynomials against the same state reuses
+    work.  Supports polynomials of degree up to ``cm.depth + 1``; a longer
+    word raises :class:`DepthExhaustedError`.
 
     The caches make instances single-threaded; share the immutable map and
     give each thread its own evaluator.
@@ -316,19 +359,18 @@ class StateEvaluator:
 
     def __init__(self, cm: CoefficientMap):
         self.cm = cm
-        self._expansions: dict[Word, dict[Word, Fraction]] = {
-            EMPTY_WORD: {EMPTY_WORD: Fraction(1)}
-        }
-        self._norms: dict[Word, Fraction] = {}
+        self._scale, self._scaled = _scaled_map(cm)
+        self._expansions: dict[Word, dict[Word, int]] = {EMPTY_WORD: {EMPTY_WORD: 1}}
+        self._norms: dict[Word, int] = {EMPTY_WORD: 1}
+        self._rows: dict[Word, dict[Word, int]] = {}
         self._moments: dict[Word, Fraction] = {}
 
-    def expansion(self, word: Word) -> dict[Word, Fraction]:
-        """Expansion of the monomial x_word in the P-basis."""
-        word = tuple(word)
+    def _integer_expansion(self, word: Word) -> dict[Word, int]:
+        """Expansion of y_word in the Q-basis, built from the longest cached
+        suffix outward."""
         cached = self._expansions.get(word)
         if cached is not None:
             return cached
-        # build from the longest cached suffix outward
         start = len(word)
         for k in range(1, len(word) + 1):
             if word[k:] in self._expansions:
@@ -336,10 +378,39 @@ class StateEvaluator:
                 break
         current = self._expansions[word[start:]]
         for pos in range(start - 1, -1, -1):
-            suffix = word[pos:]
-            current = left_multiply(self.cm, word[pos], current)
-            self._expansions[suffix] = current
+            current = left_multiply(self._scaled, word[pos], current)
+            self._expansions[word[pos:]] = current
         return current
+
+    def expansion(self, word: Word) -> dict[Word, Fraction]:
+        """Expansion of the monomial x_word in the P-basis:
+        [x_w]_u = [y_w]_u D^|u| / D^|w|."""
+        word = tuple(word)
+        scale = self._scale
+        denominator = scale ** len(word)
+        return {
+            u: Fraction(coeff * scale ** len(u), denominator)
+            for u, coeff in self._integer_expansion(word).items()
+        }
+
+    def _norm(self, u: Word) -> int:
+        """||Q_u||^2 = C'(u) ||Q_tail(u)||^2."""
+        norm = self._norms.get(u)
+        if norm is None:
+            norm = self._norms[u] = self._scaled.c_entries.get(u, 0) * self._norm(u[1:])
+        return norm
+
+    def _row(self, left: Word) -> dict[Word, int]:
+        """{u: A_u ||Q_u||^2} for the expansion A of y_left, zeros dropped."""
+        row = self._rows.get(left)
+        if row is None:
+            row = {}
+            for u, coeff in self._integer_expansion(left).items():
+                norm = self._norm(u)
+                if norm:
+                    row[u] = coeff * norm
+            self._rows[left] = row
+        return row
 
     def word_moment(self, word: Word) -> Fraction:
         word = tuple(word)
@@ -351,18 +422,14 @@ class StateEvaluator:
                 f"word of length {len(word)} exceeds map depth {self.cm.depth} + 1"
             )
         half = len(word) // 2
-        left = self.expansion(word[:half][::-1])
-        right = self.expansion(word[half:])
-        norms = self._norms
-        value = Fraction(0)
-        for u, a in left.items():
+        row = self._row(word[:half][::-1])
+        right = self._integer_expansion(word[half:])
+        total = 0
+        for u, a in row.items():
             b = right.get(u)
             if b is not None:
-                norm = norms.get(u)
-                if norm is None:
-                    norm = norms[u] = self.cm.norm_squared(u)
-                value += a * b * norm
-        self._moments[word] = value
+                total += a * b
+        value = self._moments[word] = Fraction(total, self._scale ** len(word))
         return value
 
     def eval_poly(self, p: NCPolynomial) -> Fraction:

@@ -1,15 +1,18 @@
-"""Plain reference versions of the series kernels, for the tests only.
+"""Plain reference versions of the exact kernels, for the tests only.
 
 ``fraction_inverse`` is the degree-by-degree inverse with one ``Fraction``
-operation per term pair, and ``full_order_neumann_inverse`` runs every
-Neumann step of a series-matrix inverse at the full order.  The library's
-kernels must agree with them exactly.
+operation per term pair, ``full_order_neumann_inverse`` runs every Neumann
+step of a series-matrix inverse at the full order, and
+``fraction_expansion`` runs the transfer operator over the whole word on the
+map's own ``Fraction`` entries.  The library's kernels must agree with them
+exactly.
 """
 
 from fractions import Fraction
 
 from ncprod.cfrac import SeriesMatrix, _smat_identity, _smat_mul
 from ncprod.ncpoly import EMPTY_WORD, NCSeries, Word
+from ncprod.prodstate import CoefficientMap, left_multiply
 
 
 def fraction_inverse(series: NCSeries) -> NCSeries:
@@ -49,3 +52,12 @@ def full_order_neumann_inverse(mat: SeriesMatrix, order: int) -> SeriesMatrix:
         ux = _smat_mul(u, x)
         x = [[identity[r][s] + ux[r][s] for s in range(n)] for r in range(n)]
     return x
+
+
+def fraction_expansion(cm: CoefficientMap, word: Word) -> dict[Word, Fraction]:
+    """The P-basis expansion of x_word, one Fraction left multiplication per
+    letter, rightmost first; its constant term is the word's moment."""
+    expansion: dict[Word, Fraction] = {EMPTY_WORD: Fraction(1)}
+    for letter in reversed(word):
+        expansion = left_multiply(cm, letter, expansion)
+    return expansion

@@ -264,6 +264,41 @@ def test_compare_cfree_mode(capsys, generic_files, tmp_path):
     assert json.loads(out)["equal"] is True
 
 
+def test_omega_with_two_pair_mode_is_input_error(capsys, generic_files):
+    """Two-pair mode always uses the full binary tree, so a tree given with
+    --nu1/--nu2 would be ignored; it is refused instead."""
+    j1, j2 = generic_files
+    for tree in ("one-branch", "free"):
+        code = main([
+            "moments", "--jacobi1", j1, "--jacobi2", j2, "--nu1", j1, "--nu2", j2,
+            "--omega", tree, "--order", "3",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--omega" in captured.err and "--nu1/--nu2" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("validate", "free"),
+        ("mops", "--omega", "free", "--order", "2"),
+        ("compare", "--omega", "free", "--against", "free", "--order", "2"),
+        ("counterexample",),
+    ],
+)
+def test_csv_is_refused_where_no_table_is_printed(capsys, generic_files, argv):
+    j1, j2 = generic_files
+    inputs = ("--jacobi1", j1, "--jacobi2", j2) if argv[0] in ("mops", "compare") else ()
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *inputs, "--format", "csv"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "--format: invalid choice: 'csv'" in captured.err
+
+
 def test_counterexample_report(capsys):
     code, out = run(capsys, "counterexample", "--q", "1/2", "--format", "json")
     assert code == 0

@@ -1,21 +1,27 @@
 """Exact kernels against their plain references, and what every result holds.
 
-``NCSeries.inverse`` runs on integers over a common denominator and
-``cfrac._smat_inverse`` truncates each Neumann step; both must equal the
-plain ``Fraction`` versions in ``reference_kernels`` exactly.  Arithmetic
-results skip the constructors' checks, so the invariants those checks gave
-are asserted here on every operation.
+``NCSeries.inverse`` and ``StateEvaluator`` run on integers over a common
+denominator, and ``cfrac._smat_inverse`` truncates each Neumann step; each
+must equal the plain ``Fraction`` version in ``reference_kernels`` exactly.
+Arithmetic results skip the constructors' checks, so the invariants those
+checks gave are asserted here on every operation.  The CLI's JSON rows are
+written by hand and must be the bytes ``json.dumps`` would give.
 """
 
+import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from reference_kernels import fraction_inverse, full_order_neumann_inverse
+from conftest import GENERIC_J1, GENERIC_J2, random_pair
+from reference_kernels import fraction_expansion, fraction_inverse, full_order_neumann_inverse
 
-from ncprod import JacobiData, preset
+from ncprod import BUILTIN_OMEGAS, JacobiData, builder, preset
 from ncprod.cfrac import MatricialData, _smat_inverse
-from ncprod.ncpoly import NCPolynomial, NCSeries
+from ncprod.cli import _emit_rows
+from ncprod.ncpoly import NCPolynomial, NCSeries, format_rational, words_up_to
+from ncprod.prodstate import StateEvaluator, cfree_map, explicit_map, product_type_map
 
 F = Fraction
 
@@ -159,3 +165,57 @@ def test_float_coefficients_are_rejected():
     # exact inputs are still read as before
     assert NCPolynomial(2, {(1,): "1/10"}).coefficient((1,)) == F(1, 10)
     assert JacobiData(beta=(F(1, 10), 2), gamma=("3/4",)).beta == (F(1, 10), F(2))
+
+
+def coprime_explicit_map(seed: int, d: int, depth: int):
+    """Random data whose common denominator needs every factor: B over 7 or
+    11 with either sign, C over 13, about a quarter of the C entries zero."""
+    rng = random.Random(seed)
+    words = words_up_to(d, depth)
+    b = {(i, u): F(rng.choice((-1, 1)) * rng.randint(1, 4), rng.choice((7, 11)))
+         for u in words for i in range(1, d + 1)}
+    c = {u: F(rng.choice((0, 1, 2, 3)), 13) for u in words if u}
+    cm = explicit_map(d, depth, b, c)
+    entries = [*cm.b_entries.values(), *cm.c_entries.values()]
+    assert math.lcm(*(value.denominator for value in entries)) == 7 * 11 * 13
+    assert any(value < 0 for value in cm.b_entries.values())
+    assert 0 < len(cm.c_entries) < len(c)
+    return cm
+
+
+KERNEL_MAPS = {
+    **{f"explicit-d{d}-seed{seed}": (lambda d=d, depth=depth, seed=seed:
+                                     coprime_explicit_map(700 + seed, d, depth))
+       for d, depth in ((1, 8), (2, 5), (3, 3)) for seed in range(3)},
+    "c-free": lambda: cfree_map(GENERIC_J1, random_pair(7)[0], GENERIC_J2, random_pair(8)[1], 6),
+    **{name: (lambda name=name: product_type_map(builder(name, 6), GENERIC_J1, GENERIC_J2))
+       for name in BUILTIN_OMEGAS},
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_MAPS))
+def test_integer_word_moments_equal_fraction_transfer_operator(name):
+    """word_moment and expansion run on the integer map over one common
+    denominator; both must equal the full-length Fraction transfer operator
+    on every word through depth + 1."""
+    cm = KERNEL_MAPS[name]()
+    evaluator = StateEvaluator(cm)
+    for w in words_up_to(cm.d, cm.depth + 1):
+        reference = fraction_expansion(cm, w)
+        assert evaluator.word_moment(w) == reference.get((), 0), (name, w)
+        expansion = evaluator.expansion(w)
+        assert expansion == reference, (name, w)
+        assert all(type(coeff) is Fraction for coeff in expansion.values())
+
+
+def test_json_rows_are_the_bytes_of_json_dumps(capsys):
+    rows_cases = [
+        [],
+        [((), F(1))],
+        [((), F(1)), ((1,), F(3)), ((2,), F(-5, 12)), ((1, 2, 1), F(-7))],
+        [((2, 2, 1), F(4, 9)), ((1,), F(0))],
+    ]
+    for rows in rows_cases:
+        _emit_rows(rows, "json")
+        payload = [{"word": list(w), "value": format_rational(v)} for w, v in rows]
+        assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
