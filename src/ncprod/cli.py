@@ -7,7 +7,9 @@ JSON or pretty text, and CSV for the tables of moments, gram and cfrac,
 deterministic for identical inputs (words in graded-lexicographic order,
 rationals in lowest terms).  --omega picks the tree of a product-type
 state; two-pair mode (--nu1/--nu2) always uses the full tree, so it
-refuses --omega.
+refuses --omega.  Where no coefficient map is built (cfrac --engine
+classical, mops --state tensor or q-gaussian), --omega and --nu1/--nu2 are
+refused rather than ignored.
 
 Exit codes: 0 on success, 1 on mathematical failure (invalid tree, mismatch
 in a comparison), 2 on input errors, including a negative --order and an
@@ -119,6 +121,14 @@ def _build_map(args, depth: int) -> prodstate.CoefficientMap:
     return prodstate.product_type_map(tree, j1, j2)
 
 
+def _refuse_map_flags(args, mode: str) -> None:
+    """--omega and --nu1/--nu2 pick a coefficient map; a mode that builds none
+    refuses them rather than ignore them."""
+    for flag in ("omega", "nu1", "nu2"):
+        if getattr(args, flag) is not None:
+            raise CliInputError(f"--{flag} is not read by {mode}, which builds no coefficient map")
+
+
 def _emit(text: str) -> None:
     sys.stdout.write(text)
     if not text.endswith("\n"):
@@ -225,6 +235,7 @@ def cmd_gram(args) -> int:
 
 def cmd_cfrac(args) -> int:
     if args.engine == "classical":
+        _refuse_map_flags(args, "--engine classical")
         data = _load_jacobi(args.jacobi1, "--jacobi1")
         series = cfrac.classical_cf(data, args.order)
         _emit_rows(_series_to_rows(series), args.format)
@@ -250,6 +261,8 @@ def cmd_cfrac(args) -> int:
 
 def cmd_mops(args) -> int:
     depth = args.order if args.order is not None else 3
+    if args.state != "omega":
+        _refuse_map_flags(args, f"--state {args.state}")
     if args.state == "tensor":
         j1 = _load_jacobi(args.jacobi1, "--jacobi1")
         j2 = _load_jacobi(args.jacobi2, "--jacobi2")

@@ -8,6 +8,9 @@ postfix of ``(1, 2, 1)`` but ``(1, 2)`` is not.
 
 All values are immutable after construction and all operations are pure, so
 everything here is safe to share between threads.
+
+:class:`MomentMatrix` takes the inner products <p, q> = phi(p* q) of a word
+functional phi from one table of its values, instead of from products.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 Word = tuple[int, ...]
 Rational = Union[Fraction, int]
@@ -384,3 +387,33 @@ class NCSeries(NCPolynomial):
 
     def __repr__(self):
         return f"NCSeries(order={self.order}, {self.to_str()})"
+
+
+class MomentMatrix:
+    """The form <p, q> = phi(p* q) of a word functional, on polynomials over
+    a fixed list of words.
+
+    Each entry M[a][b] = phi(rev(a) + b) is evaluated once, so that
+    <p, q> = sum_(a, b) p_a M[a][b] q_b needs no polynomial product.  A
+    polynomial is its coefficient dict {word: Fraction} over those words;
+    :meth:`row` gives p^T M, which :meth:`pair` closes with q.
+    """
+
+    def __init__(self, phi: Callable[[Word], Fraction], words: Iterable[Word]):
+        self.words = tuple(words)
+        self._index = {w: i for i, w in enumerate(self.words)}
+        self._entries = [[phi(a[::-1] + b) for b in self.words] for a in self.words]
+
+    def row(self, p: Mapping[Word, Fraction]) -> list[Fraction]:
+        """p^T M, one entry per word: the coefficients of q -> <p, q>."""
+        out = [Fraction(0)] * len(self.words)
+        for a, coeff in p.items():
+            for j, value in enumerate(self._entries[self._index[a]]):
+                if value:
+                    out[j] += coeff * value
+        return out
+
+    def pair(self, row: Sequence[Fraction], q: Mapping[Word, Fraction]) -> Fraction:
+        """<p, q>, from the row of p."""
+        index = self._index
+        return sum((row[index[b]] * coeff for b, coeff in q.items()), Fraction(0))

@@ -4,16 +4,24 @@ Every oracle here evaluates joint moments straight from a defining
 factorization or combinatorial formula, never through coefficient maps or
 continued fractions, so agreement between the two routes is meaningful.
 
-The block-based states (free, two-pair) work on lists of (letter, polynomial)
-blocks and recursively center blocks: a block polynomial p splits into
-(p - mean) plus its mean, the mean term deletes the block and merges its
-neighbors, and the recursion bottoms out on fully centered alternating
-products.  Each step either centers one more block or shortens the list, so
-the recursion terminates.
+The free state sums products of free cumulants over non-crossing partitions
+(Speicher's moment-cumulant formula), recursing on the block of the first
+position; see :func:`free_state`.
+
+The two-pair state works on lists of (letter, polynomial) blocks and
+recursively centers blocks: a block polynomial p splits into (p - mean) plus
+its mean, the mean term deletes the block and merges its neighbors, and the
+recursion bottoms out once every block that must be centered is.  Each step
+either centers one more block or shortens the list, so the recursion
+terminates.  With both pairs equal, ``cfree_state(mu1, mu1, mu2, mu2)`` is
+the free state, computed by a route independent of the cumulant sum.
 
 ``*_state`` factories return memoizing callables from words to rationals.
 Each holds one :class:`~ncprod.jacobi.MomentSequence` per marginal, so a
 marginal moment is computed once however many words need it.
+
+:func:`gram_schmidt_mops` orthogonalizes the monomials under any such
+functional and tests the monic-orthogonality property.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .jacobi import JacobiData, MomentSequence
-from .ncpoly import NCPolynomial, Word, graded_lex_key, word_runs, words_up_to
+from .ncpoly import MomentMatrix, NCPolynomial, Word, graded_lex_key, word_runs, words_up_to
 
 MomentFunctional = Callable[[Word], Fraction]
 
@@ -74,33 +82,73 @@ def _center(block: Block, mean: Fraction) -> Block:
 
 
 def free_state(j1: JacobiData, j2: JacobiData) -> MomentFunctional:
-    """Joint state under which centered alternating products vanish."""
-    marginals = {1: MomentSequence(j1), 2: MomentSequence(j2)}
-    cache: dict[tuple[Block, ...], Fraction] = {}
+    """Joint moments of the free product of the two marginals.
 
-    def eval_blocks(blocks: tuple[Block, ...]) -> Fraction:
-        if not blocks:
-            return Fraction(1)
-        if len(blocks) == 1:
-            letter, coeffs = blocks[0]
-            return _coeff_mean(marginals[letter], coeffs)
-        cached = cache.get(blocks)
-        if cached is not None:
-            return cached
-        result = None
-        for index, (letter, coeffs) in enumerate(blocks):
-            mean = _coeff_mean(marginals[letter], coeffs)
-            if mean:
-                centered = blocks[:index] + (_center(blocks[index], mean),) + blocks[index + 1 :]
-                result = eval_blocks(centered) + mean * eval_blocks(_delete_block(blocks, index))
-                break
-        if result is None:
-            result = Fraction(0)  # alternating product of centered blocks
-        cache[blocks] = result
-        return result
+    Speicher's moment-cumulant formula sums, over the non-crossing
+    partitions of the positions whose blocks each hold one letter, the
+    product of the blocks' free cumulants.  Recursing on the block S of the
+    first position,
+
+        phi(w) = sum_S kappa_|S|(w_1) * prod over the gaps of phi(gap),
+
+    where S runs over the position sets that contain the first position and
+    on which w is constant, and the gaps are the stretches between
+    consecutive elements of S plus the tail after the last one.  A
+    marginal's kappa_n comes from the same sum on the word a^n, whose value
+    m_n is known: kappa_n is m_n minus the terms with |S| < n.  The memo is
+    keyed by words.
+    """
+    marginals = {1: MomentSequence(j1), 2: MomentSequence(j2)}
+    # kappa_n at index n; index 0 is never read
+    cumulants: dict[int, list[Fraction]] = {1: [Fraction(0)], 2: [Fraction(0)]}
+    cache: dict[Word, Fraction] = {}
+
+    def block_sum(word: Word, kappa: list[Fraction]) -> Fraction:
+        """The sum over S, with kappa the first letter's cumulants."""
+        letter = word[0]
+        # chains[j][k]: sum over the sets S with last element j and |S| = k
+        # of the product of their inner gaps' values
+        chains: dict[int, dict[int, Fraction]] = {}
+        total = Fraction(0)
+        for j, current in enumerate(word):
+            if current != letter:
+                continue
+            if j == 0:
+                weights = {1: Fraction(1)}
+            else:
+                weights = {}
+                for i, before in chains.items():
+                    gap = phi(word[i + 1 : j])
+                    if gap:
+                        for k, weight in before.items():
+                            weights[k + 1] = weights.get(k + 1, 0) + weight * gap
+            chains[j] = weights
+            tail = phi(word[j + 1 :])
+            if tail:
+                for k, weight in weights.items():
+                    total += kappa[k] * weight * tail
+        return total
+
+    def cumulants_through(letter: int, n: int) -> list[Fraction]:
+        kappa = cumulants[letter]
+        while len(kappa) <= n:
+            m = len(kappa)
+            kappa.append(Fraction(0))  # leaves out S = every position
+            kappa[m] = marginals[letter][m] - block_sum((letter,) * m, kappa)
+        return kappa
 
     def phi(word: Word) -> Fraction:
-        return eval_blocks(_blocks_of_word(tuple(word)))
+        word = tuple(word)
+        if not word:
+            return Fraction(1)
+        letter = word[0]
+        count = word.count(letter)
+        if count == len(word):
+            return marginals[letter][count]
+        cached = cache.get(word)
+        if cached is None:
+            cached = cache[word] = block_sum(word, cumulants_through(letter, count))
+        return cached
 
     return phi
 
@@ -287,34 +335,52 @@ def gram_schmidt_mops(
     length 2 * depth.  The verdict is True exactly when all distinct pairs up
     to the depth are orthogonal; the first failing pair is reported.
 
+    Every inner product comes from one moment matrix M[a][b] = phi(rev(a) b)
+    over the words up to the depth, so phi is called once per pair of words
+    and no polynomial is multiplied.  Each Q_u is kept as a coefficient dict
+    with its row r_u = Q_u^T M, so <Q_u, q> = r_u . q and ||Q_u||^2 =
+    r_u . Q_u.  The order is that of modified Gram-Schmidt: each overlap is
+    taken against q as already updated by the projections before it, which
+    matters because lower Q_v of one degree need not be orthogonal to each
+    other.
+
     Within-degree ordering never affects the result because projections only
     target lower degrees; ``within_degree_order`` exists to exercise that.
     """
-    by_degree: list[list[Word]] = [
-        [w for w in words_up_to(d, depth) if len(w) == n] for n in range(depth + 1)
-    ]
+    words = words_up_to(d, depth)
+    by_degree: list[list[Word]] = [[w for w in words if len(w) == n] for n in range(depth + 1)]
     if within_degree_order is not None:
         by_degree = [within_degree_order(list(level)) for level in by_degree]
 
-    polys: dict[Word, NCPolynomial] = {}
+    matrix = MomentMatrix(phi, words)
+    coeffs: dict[Word, dict[Word, Fraction]] = {}
+    rows: dict[Word, list[Fraction]] = {}
     norms: dict[Word, Fraction] = {}
     for n, level in enumerate(by_degree):
         lower = [v for m in range(n) for v in by_degree[m] if norms[v]]
         for u in level:
-            q = NCPolynomial.monomial(u, d)
+            q = {u: Fraction(1)}
             for v in lower:
-                overlap = functional_inner(phi, polys[v], q)
+                overlap = matrix.pair(rows[v], q)
                 if overlap:
-                    q = q - (overlap / norms[v]) * polys[v]
-            polys[u] = q
-            norms[u] = functional_inner(phi, q, q)
+                    factor = overlap / norms[v]
+                    for w, c in coeffs[v].items():
+                        value = q.get(w, 0) - factor * c
+                        if value:
+                            q[w] = value
+                        else:
+                            del q[w]
+            coeffs[u] = q
+            rows[u] = matrix.row(q)
+            norms[u] = matrix.pair(rows[u], q)
 
+    polys = {u: NCPolynomial(d, q) for u, q in coeffs.items()}
     ordered = [u for level in by_degree for u in level]
     for u in ordered:
         for v in ordered:
             if u == v:
                 continue
-            value = functional_inner(phi, polys[u], polys[v])
+            value = matrix.pair(rows[u], coeffs[v])
             if value:
                 pair = (u, v) if graded_lex_key(u) <= graded_lex_key(v) else (v, u)
                 return MopsResult(polys, norms, False, pair, value)

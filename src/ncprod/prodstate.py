@@ -49,6 +49,7 @@ from typing import Callable, Iterable, Mapping
 from .jacobi import JacobiData, orthogonal_polynomial
 from .ncpoly import (
     EMPTY_WORD,
+    MomentMatrix,
     NCPolynomial,
     Word,
     graded_lex_key,
@@ -492,7 +493,8 @@ def gram_matrix(cm: CoefficientMap, depth: int) -> GramMatrix:
     """Gram matrix of {P_u : |u| <= depth} under the state.
 
     Needs 2 * depth <= cm.depth + 1 so that the inner products stay within
-    the supported degree.
+    the supported degree.  Each entry is P_u^T M P_v, with M the state's
+    moment matrix over the words up to the depth.
     """
     if 2 * depth > cm.depth + 1:
         raise DepthExhaustedError(
@@ -500,13 +502,13 @@ def gram_matrix(cm: CoefficientMap, depth: int) -> GramMatrix:
         )
     basis = _basis_builder(cm)
     words = tuple(words_up_to(cm.d, depth))
-    polys = {u: basis(u) for u in words}
-    evaluator = StateEvaluator(cm)
+    polys = {u: basis(u).terms for u in words}
+    matrix = MomentMatrix(StateEvaluator(cm).word_moment, words)
     entries: dict[tuple[Word, Word], Fraction] = {}
     for u in words:
-        pu_star = polys[u].involution()
+        row = matrix.row(polys[u])
         for v in words:
-            value = evaluator.eval_poly(pu_star * polys[v])
+            value = matrix.pair(row, polys[v])
             if value:
                 entries[(u, v)] = value
     return GramMatrix(words=words, entries=entries)

@@ -4,14 +4,16 @@
 operation per term pair, ``full_order_neumann_inverse`` runs every Neumann
 step of a series-matrix inverse at the full order, and
 ``fraction_expansion`` runs the transfer operator over the whole word on the
-map's own ``Fraction`` entries.  The library's kernels must agree with them
-exactly.
+map's own ``Fraction`` entries, and ``product_gram_schmidt_mops`` takes
+every inner product of the monomial orthogonalization from a polynomial
+product.  The library's kernels must agree with them exactly.
 """
 
 from fractions import Fraction
 
 from ncprod.cfrac import SeriesMatrix, _smat_identity, _smat_mul
-from ncprod.ncpoly import EMPTY_WORD, NCSeries, Word
+from ncprod.ncpoly import EMPTY_WORD, NCPolynomial, NCSeries, Word, graded_lex_key, words_up_to
+from ncprod.oracle import MopsResult, functional_inner
 from ncprod.prodstate import CoefficientMap, left_multiply
 
 
@@ -61,3 +63,34 @@ def fraction_expansion(cm: CoefficientMap, word: Word) -> dict[Word, Fraction]:
     for letter in reversed(word):
         expansion = left_multiply(cm, letter, expansion)
     return expansion
+
+
+def product_gram_schmidt_mops(phi, depth, d=2, within_degree_order=None) -> MopsResult:
+    """gram_schmidt_mops with each inner product <p, q> = phi(p* q) taken
+    from the polynomial product p* q, in the same modified Gram-Schmidt
+    order and the same final sweep."""
+    by_degree = [[w for w in words_up_to(d, depth) if len(w) == n] for n in range(depth + 1)]
+    if within_degree_order is not None:
+        by_degree = [within_degree_order(list(level)) for level in by_degree]
+    polys: dict[Word, NCPolynomial] = {}
+    norms: dict[Word, Fraction] = {}
+    for n, level in enumerate(by_degree):
+        lower = [v for m in range(n) for v in by_degree[m] if norms[v]]
+        for u in level:
+            q = NCPolynomial.monomial(u, d)
+            for v in lower:
+                overlap = functional_inner(phi, polys[v], q)
+                if overlap:
+                    q = q - (overlap / norms[v]) * polys[v]
+            polys[u] = q
+            norms[u] = functional_inner(phi, q, q)
+    ordered = [u for level in by_degree for u in level]
+    for u in ordered:
+        for v in ordered:
+            if u == v:
+                continue
+            value = functional_inner(phi, polys[u], polys[v])
+            if value:
+                pair = (u, v) if graded_lex_key(u) <= graded_lex_key(v) else (v, u)
+                return MopsResult(polys, norms, False, pair, value)
+    return MopsResult(polys, norms, True)

@@ -279,6 +279,37 @@ def test_omega_with_two_pair_mode_is_input_error(capsys, generic_files):
         assert "--omega" in captured.err and "--nu1/--nu2" in captured.err
 
 
+def _assert_map_flags_refused(capsys, argv, j1):
+    """Each of --omega and --nu1/--nu2 given to a mode that builds no
+    coefficient map exits 2, prints nothing and names the flag."""
+    for flags, named in ((("--omega", "nonsense"), "--omega"),
+                         (("--nu1", j1, "--nu2", j1), "--nu1")):
+        code = main([*argv, *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert named in captured.err and "builds no coefficient map" in captured.err
+
+
+def test_cfrac_classical_refuses_map_flags(capsys, generic_files):
+    j1, _ = generic_files
+    _assert_map_flags_refused(
+        capsys, ["cfrac", "--engine", "classical", "--jacobi1", j1, "--order", "4"], j1
+    )
+
+
+def test_mops_tensor_refuses_map_flags(capsys, generic_files):
+    j1, j2 = generic_files
+    _assert_map_flags_refused(
+        capsys, ["mops", "--state", "tensor", "--jacobi1", j1, "--jacobi2", j2, "--order", "2"], j1
+    )
+
+
+def test_mops_q_gaussian_refuses_map_flags(capsys, generic_files):
+    j1, _ = generic_files
+    _assert_map_flags_refused(capsys, ["mops", "--state", "q-gaussian", "--order", "2"], j1)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -426,16 +457,21 @@ def test_traced_benchmark_finds_every_wrap_point(tmp_path):
     oracle's comparison pins the marginal moments: each of the 2 marginals
     is needed at indices 0..6, so at most 14 jacobi.moment calls (the oracle
     reads its moment sequences and makes none; rebuilding every moment from
-    scratch took 3,602)."""
+    scratch took 3,602).  The mops run pins its moment matrix: the 7 words
+    through length 2 give 7 x 7 = 49 word moments (pair-by-pair polynomial
+    products took 328).  Only the counterexample run still multiplies
+    polynomials, in functional_inner."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     inputs = ["--jacobi1", str(GOLDEN / "j1.json"), "--jacobi2", str(GOLDEN / "j2.json")]
     recorded = set()
     left_multiplies = {}
     moment_calls = {}
+    word_moments = {}
     for argv in (["cfrac", *inputs, "--omega", "free", "--order", "3"],
                  ["mops", *inputs, "--omega", "free", "--order", "2"],
                  ["moments", *inputs, "--omega", "free", "--order", "6"],
-                 ["compare", *inputs, "--omega", "free", "--against", "free", "--order", "6"]):
+                 ["compare", *inputs, "--omega", "free", "--against", "free", "--order", "6"],
+                 ["counterexample", "--q", "1/2"]):
         spans = tmp_path / "spans.json"
         subprocess.run(
             [sys.executable, str(ROOT / "perfbench" / "traced.py"), str(spans), *argv],
@@ -446,6 +482,8 @@ def test_traced_benchmark_finds_every_wrap_point(tmp_path):
         recorded |= {span[0] for span in dump["spans"]}
         left_multiplies[argv[0]] = sum(span[0] == "prodstate.left_multiply" for span in dump["spans"])
         moment_calls[argv[0]] = dump["totals"]["jacobi.moment"][0]
+        word_moments[argv[0]] = sum(span[0] == "prodstate.word_moment" for span in dump["spans"])
     assert {"ncpoly.series_mul", "ncpoly.series_inverse", "ncpoly.poly_mul"} <= recorded
     assert left_multiplies["moments"] == 14
+    assert word_moments["mops"] == 49
     assert moment_calls["compare"] <= 14

@@ -23,9 +23,10 @@ from ncprod import (
     q_gaussian_state,
     tensor_state,
 )
-from ncprod.jacobi import MomentSequence
+from ncprod.jacobi import JacobiData, MomentSequence
 from ncprod.oracle import antimonotone_state, boolean_state, factor_into_one_variable_triple
 from ncprod.ncpoly import words_up_to
+from reference_kernels import product_gram_schmidt_mops
 
 F = Fraction
 
@@ -104,6 +105,33 @@ def test_oracles_match_tree_states(name, oracle):
     phi = oracle(j1, j2)
     for w in words_up_to(2, 6):
         assert evaluator.word_moment(w) == phi(w), w
+
+
+@pytest.mark.parametrize(
+    "j1,j2",
+    [
+        *(random_pair(seed) for seed in (51, 52, 53)),
+        # a zero beta, and a marginal supported on one point
+        (JacobiData(beta=(F(0), F(1, 2)), gamma=(F(1), F(2))), preset("point-mass", c=F(3, 2))),
+    ],
+    ids=["seed51", "seed52", "seed53", "zero-beta-point-mass"],
+)
+def test_free_cumulant_sum_equals_centering_route(j1, j2):
+    """free_state sums free cumulants over non-crossing partitions; the
+    two-pair state with nu = mu reaches the free state by centering blocks."""
+    free = free_state(j1, j2)
+    centered = cfree_state(j1, j1, j2, j2)
+    for w in words_up_to(2, 8):
+        assert free(w) == centered(w), w
+
+
+def test_free_semicircles_sum_non_crossing_pairings():
+    """Semicircle cumulants are kappa_2 = 1 and 0 otherwise, so the free
+    moment counts the non-crossing letter-matching pairings: q-Gaussian at q = 0."""
+    free = free_state(SEMI, SEMI)
+    pairings = q_gaussian_state(F(0))
+    for w in words_up_to(2, 10):
+        assert free(w) == pairings(w), w
 
 
 def test_cfree_single_letter_restriction():
@@ -205,6 +233,30 @@ def test_mops_zero_norm_directions_skipped():
     result = gram_schmidt_mops(evaluator.word_moment, 3)
     assert result.is_mops
     assert result.norms[(1, 2)] == 0
+
+
+def _mops_states():
+    for name in ("free", "boolean", "one-branch"):
+        cm = product_type_map(builder(name, 6), GENERIC_J1, GENERIC_J2)
+        yield name, StateEvaluator(cm).word_moment
+    yield "tensor", tensor_state(GENERIC_J1, GENERIC_J2)
+    for q in (F(0), F(1, 3), F(-1, 2)):
+        yield f"q-gaussian {q}", q_gaussian_state(q)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("name,phi", list(_mops_states()))
+def test_mops_moment_matrix_equals_polynomial_products(name, phi, reverse):
+    """Inner products from the moment matrix give the same family, norms,
+    verdict and witness as inner products from polynomial products."""
+    order = (lambda ws: ws[::-1]) if reverse else None
+    got = gram_schmidt_mops(phi, 3, within_degree_order=order)
+    expected = product_gram_schmidt_mops(phi, 3, within_degree_order=order)
+    assert got.polynomials == expected.polynomials
+    assert got.norms == expected.norms
+    assert got.is_mops == expected.is_mops
+    assert got.witness == expected.witness
+    assert got.witness_value == expected.witness_value
 
 
 def test_q_121_does_not_factor_for_generic_q():
