@@ -4,7 +4,7 @@ Three engines, all producing truncated non-commutative power series whose
 coefficient at a word w is the state applied to the monomial x_w:
 
 * ``classical_cf``: the one-variable chain 1 / (1 - beta_0 z - gamma_1 z^2 /
-  (1 - beta_1 z - ...)).
+  (1 - beta_1 z - ...)), which is the scalar engine on a one-letter map.
 * ``scalar_branched_cf``: the branched version over a coefficient map; the
   node at word u contributes denominator 1 - sum_i B(i, u) z_i -
   sum_j C(j, u) z_j F_(j,u) z_j, with F_u the inverse of that denominator
@@ -18,6 +18,15 @@ Evaluation is bottom-up over the depth-truncated tree with the identity at
 the frontier.  Each level down costs at least total degree 2 per branch, so
 a tree explored while the order budget stays nonnegative yields exact
 coefficients up to the requested order.
+
+Both engines run over one common denominator.  Substituting z_i -> D z_i,
+with D an integer that clears every coefficient's denominator, turns each
+node's denominator into 1 - sum_i (D B) z_i - sum_j (D^2 C) z_j F'_(j,u) z_j,
+with integer coefficients only, so every series in the recursion has
+integer coefficients and the coefficient of F at a word w is that of F' at
+w over D^|w|: one division per output word.  The scalar engine reads D B and
+D^2 C from the map's integer view, which reads only the entries the
+recursion reaches; the matricial engine takes D from its own data.
 """
 
 from __future__ import annotations
@@ -27,32 +36,47 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .jacobi import JacobiData
-from .ncpoly import EMPTY_WORD, NCSeries, Word, exact_fraction, words_of_length
-from .prodstate import CoefficientMap
+from .ncpoly import (
+    EMPTY_WORD,
+    NCSeries,
+    Word,
+    _make,
+    clear_denominator,
+    common_denominator,
+    exact_fraction,
+    words_of_length,
+)
+from .prodstate import CoefficientMap, explicit_map
 
 Matrix = list[list[Fraction]]
 SeriesMatrix = list[list[NCSeries]]
 
 
 def classical_cf(data: JacobiData, order: int) -> NCSeries:
-    """One-variable moment generating function as a truncated series in z."""
+    """One-variable moment generating function as a truncated series in z:
+    the scalar engine on the one-letter chain map B(1, 1^k) = beta_k,
+    C(1^k) = gamma_k, through the depth order // 2 that the order reaches."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     level = order // 2
-    f = NCSeries.one(1, max(order - 2 * level, 0))
-    for k in range(level, -1, -1):
-        budget = order - 2 * k
-        terms = {EMPTY_WORD: Fraction(1)}
-        beta = data.beta_at(k)
-        if beta and budget >= 1:
-            terms[(1,)] = -beta
-        denom = NCSeries(1, budget, terms)
-        if budget >= 2:
-            gamma = data.gamma_at(k + 1)
-            if gamma:
-                denom = denom - gamma * f.truncate(budget - 2).sandwich(1, 1).truncate(budget)
-        f = denom.inverse()
-    return f
+    chain = explicit_map(
+        1,
+        level,
+        {(1, (1,) * k): data.beta_at(k) for k in range(level + 1)},
+        {(1,) * k: data.gamma_at(k) for k in range(1, level + 1)},
+    )
+    return scalar_branched_cf(chain, order)
+
+
+def _over_powers(series: NCSeries, scale: int) -> NCSeries:
+    """The series with each integer coefficient g at a word w replaced by
+    the Fraction g / scale^|w|."""
+    powers = [scale**n for n in range(series.order + 1)]
+    return _make(
+        series.d,
+        series.order,
+        {w: Fraction(g, powers[len(w)]) for w, g in series.terms.items()},
+    )
 
 
 def scalar_branched_cf(cm: CoefficientMap, order: int) -> NCSeries:
@@ -60,30 +84,32 @@ def scalar_branched_cf(cm: CoefficientMap, order: int) -> NCSeries:
 
     Branches follow the nonzero C entries, so for a product-type map the
     recursion runs exactly over the interior of its tree; boundary nodes keep
-    only their B terms.
+    only their B terms.  It runs on the map's integer view (see the module
+    docstring) and divides once per output word.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     d = cm.d
+    scaled = cm.integer
 
     def node(u: Word, budget: int) -> NCSeries:
-        terms: dict[Word, Fraction] = {EMPTY_WORD: Fraction(1)}
+        terms: dict[Word, int] = {EMPTY_WORD: 1}
         if budget >= 1:
             for i in range(1, d + 1):
-                bval = cm.b(i, u)
+                bval = scaled.b(i, u)
                 if bval:
                     terms[(i,)] = -bval
-        denom = NCSeries(d, budget, terms)
+        denom = _make(d, budget, terms)
         if budget >= 2:
             for j in range(1, d + 1):
                 child = (j,) + u
-                cval = cm.c(child)
+                cval = scaled.c(child)
                 if cval:
                     sub = node(child, budget - 2)
                     denom = denom - cval * sub.sandwich(j, j).truncate(budget)
         return denom.inverse()
 
-    return node(EMPTY_WORD, order)
+    return _over_powers(node(EMPTY_WORD, order), cm.scale)
 
 
 def _as_matrix(rows: Iterable[Iterable[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
@@ -176,9 +202,10 @@ def block_extract(matrix: Sequence[Sequence], i: int, j: int, d: int) -> list[li
     return [list(row[(j - 1) * m : j * m]) for row in matrix[(i - 1) * m : i * m]]
 
 
-def _smat_identity(n: int, d: int, order: int) -> SeriesMatrix:
+def _smat_identity(n: int, d: int, order: int, one: Fraction | int = Fraction(1)) -> SeriesMatrix:
+    """The n x n identity; ``one`` is int 1 for a matrix of integer series."""
     return [
-        [NCSeries.one(d, order) if r == s else NCSeries.zero(d, order) for s in range(n)]
+        [_make(d, order, {EMPTY_WORD: one} if r == s else {}) for s in range(n)]
         for r in range(n)
     ]
 
@@ -217,7 +244,8 @@ def _smat_inverse(mat: SeriesMatrix, order: int) -> SeriesMatrix:
             expected = Fraction(1) if r == s else Fraction(0)
             if mat[r][s].constant_term() != expected:
                 raise ValueError("matrix inverse requires identity constant term")
-    identity = _smat_identity(n, d, order)
+    # the unit of the entries' own type, so an integer matrix stays integer
+    identity = _smat_identity(n, d, order, mat[0][0].constant_term())
     u = [[identity[r][s] - mat[r][s] for s in range(n)] for r in range(n)]
     x = identity
     for k in range(order):
@@ -231,29 +259,36 @@ def matricial_cf(md: MatricialData, order: int) -> NCSeries:
     """Moment generating series from level-matrix data, evaluated bottom-up.
 
     Coefficients are sound only up to order 2 * K for data with levels 0..K,
-    so the returned series is truncated there.
+    so the returned series is truncated there.  Like the scalar engine it
+    runs on integers: T' = D T and C' = D^2 C with D the data's own
+    common denominator (T need not be diagonal), one division per output
+    word.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     d = md.d
     top = md.levels
     effective = min(order, 2 * top)
+    matrices = [m for level in md.t for m in level] + list(md.c)
+    scale = common_denominator(value for m in matrices for row in m for value in row)
     f: SeriesMatrix | None = None
     for k in range(top, -1, -1):
         budget = max(effective - 2 * k, 0)
         n = d**k
-        denom = _smat_identity(n, d, budget)
+        denom = _smat_identity(n, d, budget, 1)
         for i in range(1, d + 1):
             t_matrix = md.t[k][i - 1]
             for r in range(n):
                 for s in range(n):
                     value = t_matrix[r][s]
                     if value and budget >= 1:
-                        denom[r][s] = denom[r][s] - NCSeries(d, budget, {(i,): value})
+                        term = _make(d, budget, {(i,): clear_denominator(value, scale)})
+                        denom[r][s] = denom[r][s] - term
         if k < top and budget >= 2 and f is not None:
             c_matrix = md.c[k]  # C at level k + 1 (c is indexed from level 1)
             scaled = [
-                [c_matrix[r][r] * f[r][s].truncate(budget - 2) for s in range(d * n)]
+                [clear_denominator(c_matrix[r][r], scale * scale) * f[r][s].truncate(budget - 2)
+                 for s in range(d * n)]
                 for r in range(d * n)
             ]
             for j in range(1, d + 1):
@@ -265,7 +300,7 @@ def matricial_cf(md: MatricialData, order: int) -> NCSeries:
                                 denom[r][s] = denom[r][s] - block[r][s].sandwich(j, l).truncate(budget)
         f = _smat_inverse(denom, budget)
     assert f is not None
-    return f[0][0]
+    return _over_powers(f[0][0], scale)
 
 
 def render_branched_cf(cm: CoefficientMap, depth: int, var: str = "z") -> str:

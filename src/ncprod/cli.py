@@ -9,11 +9,13 @@ rationals in lowest terms).  --omega picks the tree of a product-type
 state; two-pair mode (--nu1/--nu2) always uses the full tree, so it
 refuses --omega.  Where no coefficient map is built (cfrac --engine
 classical, mops --state tensor or q-gaussian), --omega and --nu1/--nu2 are
-refused rather than ignored.
+refused rather than ignored, and so are mops --q without --state
+q-gaussian and --jacobi1/--jacobi2 with it.
 
 Exit codes: 0 on success, 1 on mathematical failure (invalid tree, mismatch
-in a comparison), 2 on input errors, including a negative --order and an
-order beyond what the chosen engine can deliver.
+in a comparison), 2 on input errors, including a negative --order, an
+order beyond what the chosen engine can deliver, and Jacobi data under the
+"error" extension policy too short for the order.
 """
 
 from __future__ import annotations
@@ -263,12 +265,18 @@ def cmd_mops(args) -> int:
     depth = args.order if args.order is not None else 3
     if args.state != "omega":
         _refuse_map_flags(args, f"--state {args.state}")
+    if args.state == "q-gaussian":
+        for flag in ("jacobi1", "jacobi2"):
+            if getattr(args, flag) is not None:
+                raise CliInputError(f"--{flag} is not read by --state q-gaussian, which has fixed marginals")
+    elif args.q is not None:
+        raise CliInputError(f"--q is read only by --state q-gaussian, not by --state {args.state}")
     if args.state == "tensor":
         j1 = _load_jacobi(args.jacobi1, "--jacobi1")
         j2 = _load_jacobi(args.jacobi2, "--jacobi2")
         phi = oracle.tensor_state(j1, j2)
     elif args.state == "q-gaussian":
-        phi = oracle.q_gaussian_state(parse_rational(args.q))
+        phi = oracle.q_gaussian_state(parse_rational(args.q if args.q is not None else "1/2"))
     else:
         cm = _build_map(args, max(2 * depth, 1))
         evaluator = prodstate.StateEvaluator(cm)
@@ -440,7 +448,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_mops.add_argument(
         "--state", choices=("omega", "tensor", "q-gaussian"), default="omega"
     )
-    p_mops.add_argument("--q", default="1/2", help="deformation parameter for q-gaussian")
+    p_mops.add_argument(
+        "--q", default=None, help="deformation parameter of --state q-gaussian (default 1/2)"
+    )
     p_mops.set_defaults(func=cmd_mops)
 
     p_compare = sub.add_parser("compare", help="diff the state against an oracle or engine")
@@ -476,7 +486,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except prodstate.DepthExhaustedError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, jacobi.JacobiRangeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,7 +1,9 @@
 """Words, non-commutative polynomials, and truncated non-commutative power series.
 
-Coefficients are exact rationals (``fractions.Fraction``) everywhere; nothing
-in this package touches floating point, and a float coefficient is refused.  Words are tuples of letters from
+Coefficients are exact rationals (``fractions.Fraction``); nothing in this
+package touches floating point, and a float coefficient is refused.  The one
+exception is internal: the continued-fraction engines run on series of
+``int`` coefficients, made only by ``_make``.  Words are tuples of letters from
 ``{1, ..., d}`` with the empty tuple as the unit monomial.  Words are stored
 leftmost-first, and a "postfix" always means a right-suffix: ``(2, 1)`` is a
 postfix of ``(1, 2, 1)`` but ``(1, 2)`` is not.
@@ -96,6 +98,19 @@ def exact_fraction(value: Rational) -> Fraction:
     return Fraction(value)
 
 
+def common_denominator(values: Iterable[Rational]) -> int:
+    """The lcm of the values' denominators; 1 for no values."""
+    return math.lcm(*(value.denominator for value in values))
+
+
+def clear_denominator(value: Rational, multiple: int) -> int:
+    """value * multiple as an int; the multiple must clear value's denominator."""
+    quotient, remainder = divmod(multiple, value.denominator)
+    if remainder:
+        raise ValueError(f"{multiple} does not clear the denominator of {value}")
+    return value.numerator * quotient
+
+
 def _clean_terms(terms: Mapping[Word, Rational], d: int) -> dict[Word, Fraction]:
     cleaned: dict[Word, Fraction] = {}
     for word, coeff in terms.items():
@@ -105,12 +120,16 @@ def _clean_terms(terms: Mapping[Word, Rational], d: int) -> dict[Word, Fraction]
     return cleaned
 
 
-def _make(d: int, order: int | None, terms: Mapping[Word, Fraction]) -> "NCPolynomial":
+def _make(d: int, order: int | None, terms: Mapping[Word, Rational]) -> "NCPolynomial":
     """The result of arithmetic, built without the constructors' checks.
 
-    Its terms already hold ``Fraction`` coefficients on words over 1..d, so
-    only zero coefficients and words longer than ``order`` are dropped.  A
-    polynomial when ``order`` is None, a series otherwise.
+    Its terms already hold exact coefficients on words over 1..d, so only
+    zero coefficients and words longer than ``order`` are dropped.  A
+    polynomial when ``order`` is None, a series otherwise.  It is also the
+    one way to make a series of ``int`` coefficients, on which the
+    continued-fraction engines run their arithmetic: sums, products,
+    truncations, sandwiches and inverses of such series, and their int
+    multiples, keep int coefficients.
     """
     if order is None:
         out = object.__new__(NCPolynomial)
@@ -355,19 +374,22 @@ class NCSeries(NCPolynomial):
         t = 1 - r*t where r is the positive-degree part.  With den the lcm of
         r's denominators and R = r*den, the degree-m part T_m = t_m*den^m is
         integral, T_m = -sum_j R_j*T_(m-j)*den^(j-1), so the recursion runs on
-        integers and each output coefficient becomes a Fraction once.
+        integers and each output coefficient becomes a Fraction once.  A
+        series of int coefficients (den = 1) keeps its inverse in ints.
         """
-        if self.constant_term() != 1:
+        one = self.constant_term()
+        if one != 1:
             raise ValueError("series inverse requires constant term 1")
+        integral = type(one) is int
         rest = [(word, coeff) for word, coeff in self.terms.items() if word]
-        den = math.lcm(*(coeff.denominator for _, coeff in rest))
+        den = common_denominator(coeff for _, coeff in rest)
         # R_j * den^(j-1), grouped by the degree j
         r_by_degree: dict[int, list[tuple[Word, int]]] = {}
         for word, coeff in rest:
-            scaled = coeff.numerator * (den // coeff.denominator) * den ** (len(word) - 1)
+            scaled = clear_denominator(coeff, den) * den ** (len(word) - 1)
             r_by_degree.setdefault(len(word), []).append((word, scaled))
         parts: list[dict[Word, int]] = [{EMPTY_WORD: 1}]
-        terms: dict[Word, Fraction] = {EMPTY_WORD: Fraction(1)}
+        terms: dict[Word, Rational] = {EMPTY_WORD: one}
         for m in range(1, self.order + 1):
             component: dict[Word, int] = {}
             for j, entries in r_by_degree.items():
@@ -380,6 +402,9 @@ class NCSeries(NCPolynomial):
                         component[word] = component.get(word, 0) - cr * ct
             component = {w: c for w, c in component.items() if c}
             parts.append(component)
+            if integral:
+                terms.update(component)
+                continue
             scale = den**m
             for word, coeff in component.items():
                 terms[word] = Fraction(coeff, scale)

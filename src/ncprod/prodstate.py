@@ -14,9 +14,9 @@ Because the P_u are orthogonal, with ||P_u||^2 the product of C over the
 nonempty suffixes of u, :class:`StateEvaluator` runs that expansion only at
 half the word length: phi(x_a x_b) pairs the expansions of x_rev(a) and x_b.
 
-:class:`StateEvaluator` runs it in integers.  With D the lcm of the
-denominators of every B and C entry, the scaled variables y_i = D x_i and
-basis Q_u = D^|u| P_u obey
+:class:`StateEvaluator` runs it in integers.  With D an integer that
+clears the denominator of every B and C entry (the map's ``scale``), the
+scaled variables y_i = D x_i and basis Q_u = D^|u| P_u obey
 
     y_i * Q_u = Q_{(i, u)} + (D B(i, u)) * Q_u + [u starts with i] * (D^2 C(u)) * Q_tail(u),
 
@@ -25,22 +25,37 @@ every denominator (C' takes D^2 because Q_tail(u) carries one factor D
 fewer than Q_u).  So the expansion of y_w in the Q-basis has integer
 coefficients, ||Q_u||^2 (the product of C' over the nonempty suffixes of u)
 is an integer, and phi(x_w) = phi(y_w) / D^|w| needs one division per word.
+The continued-fraction engines in :mod:`ncprod.cfrac` run on the same
+integer coefficients.
 
-Coefficient maps come from three constructions:
+A :class:`CoefficientMap` answers B(i, u) and C(u) on demand and keeps each
+answer, so a query touches only the entries it reads (``cfrac --order 13``
+reads a few hundred of the 49,148 entries of depth 13), and so does its
+integer view of B' and C'.  D is fixed at construction.  Coefficient maps
+come from three constructions, each of which also supplies the basis
+polynomials P_u:
 
 * ``product_type_map(tree, j1, j2)``: B(i, u) is beta_k of marginal i (k the
   leading i-run length of u) when (i, u) is a tree member, else 0; C(u) is
   gamma_k of the first letter's marginal when u is an interior member
-  (member with its same-letter extension present), else 0.
+  (member with its same-letter extension present), else 0.  P_u is
+  :func:`basis_polynomial`.
 * ``cfree_map(mu1, nu1, mu2, nu2, depth)``: the two-marginal-pair state on
   the full binary tree; a node whose leading run is the whole word draws its
-  coefficients from mu, every other node from nu.
+  coefficients from mu, every other node from nu.  P_u is
+  :func:`cfree_basis_polynomial`.
 * ``explicit_map``: arbitrary diagonal data, for exercising the continued
-  fraction machinery beyond the product-type case.
+  fraction machinery beyond the product-type case.  P_u is
+  :func:`recursion_basis`.
+
+The first two take D from the marginals: the lcm over every coefficient
+the map can hold, all read at construction, so Jacobi data that run out
+under the "error" policy raise there and not at some later query.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -52,6 +67,8 @@ from .ncpoly import (
     MomentMatrix,
     NCPolynomial,
     Word,
+    clear_denominator,
+    common_denominator,
     graded_lex_key,
     leading_run_length,
     word_postfixes,
@@ -67,52 +84,77 @@ class DepthExhaustedError(RuntimeError):
     """A coefficient was requested beyond the stored depth of the map."""
 
 
-@dataclass(frozen=True, eq=False)
-class CoefficientMap:
-    """Per-word recursion coefficients B(i, u) and C(u), stored sparsely.
+ZERO = Fraction(0)
 
-    Only nonzero entries are kept; queries beyond ``depth`` raise
-    :class:`DepthExhaustedError`.  ``omega`` and ``marginals`` record the
-    provenance when the map was built from a tree or from marginal pairs.
+
+class CoefficientMap:
+    """Per-word recursion coefficients B(i, u) and C(u), answered on demand.
+
+    ``b_rule(i, u)`` and ``c_rule(u)`` give one entry (0 where there is
+    none); :meth:`b` and :meth:`c` ask each rule at most once per entry and
+    keep its answer.  A word longer than ``depth`` is never kept, so every
+    query beyond the depth raises :class:`DepthExhaustedError`.
+
+    ``scale`` is D, fixed at construction: an integer that clears the
+    denominator of every entry.  :attr:`integer` is the map of B' = D B and
+    C' = D^2 C, whose entries are ints, also kept as they are read.
+    ``basis(u)`` is the basis polynomial P_u; by default it is rebuilt from
+    the rewrite rules (:func:`recursion_basis`).
+
+    The rules are pure, and a memo only ever gains the value its rule
+    gives, so threads may share a map.
     """
 
-    d: int
-    depth: int
-    b_entries: Mapping[tuple[int, Word], Fraction]
-    c_entries: Mapping[Word, Fraction]
-    provenance: str = "explicit"
-    omega: OmegaTree | None = None
-    marginals: tuple[JacobiData, ...] | None = None
-
-    def __post_init__(self):
-        for (letter, word), value in self.b_entries.items():
-            if not 1 <= letter <= self.d or len(word) > self.depth:
-                raise ValueError(f"bad B entry at letter {letter}, word {list(word)}")
-            if value == 0:
-                raise ValueError("B entries must be nonzero (omit zeros)")
-        for word, value in self.c_entries.items():
-            if not word or len(word) > self.depth:
-                raise ValueError(f"bad C entry at word {list(word)}")
-            if value < 0:
-                raise ValueError(f"C entry at {list(word)} is negative: {value}")
-            if value == 0:
-                raise ValueError("C entries must be nonzero (omit zeros)")
+    def __init__(
+        self,
+        d: int,
+        depth: int,
+        b_rule: Callable[[int, Word], Fraction],
+        c_rule: Callable[[Word], Fraction],
+        scale: int,
+        basis: Callable[[Word], NCPolynomial] | None = None,
+    ):
+        self.d = d
+        self.depth = depth
+        self.scale = scale
+        self.basis = basis if basis is not None else functools.partial(recursion_basis, self)
+        self._b_rule = b_rule
+        self._c_rule = c_rule
+        self._b: dict[tuple[int, Word], Fraction] = {}
+        self._c: dict[Word, Fraction] = {}
 
     def b(self, letter: int, word: Word) -> Fraction:
-        if len(word) > self.depth:
-            raise DepthExhaustedError(
-                f"B query at depth {len(word)} exceeds map depth {self.depth}"
-            )
-        return self.b_entries.get((letter, word), Fraction(0))
+        key = (letter, word)
+        value = self._b.get(key)
+        if value is None:
+            if len(word) > self.depth:
+                raise DepthExhaustedError(
+                    f"B query at depth {len(word)} exceeds map depth {self.depth}"
+                )
+            value = self._b[key] = self._b_rule(letter, word)
+        return value
 
     def c(self, word: Word) -> Fraction:
-        if not word:
-            return Fraction(0)
-        if len(word) > self.depth:
-            raise DepthExhaustedError(
-                f"C query at depth {len(word)} exceeds map depth {self.depth}"
-            )
-        return self.c_entries.get(word, Fraction(0))
+        value = self._c.get(word)
+        if value is None:
+            if len(word) > self.depth:
+                raise DepthExhaustedError(
+                    f"C query at depth {len(word)} exceeds map depth {self.depth}"
+                )
+            value = self._c[word] = self._c_rule(word)
+        return value
+
+    @functools.cached_property
+    def integer(self) -> "CoefficientMap":
+        """The map of B' = D B and C' = D^2 C, whose entries are ints."""
+        scale = self.scale
+        return CoefficientMap(
+            self.d,
+            self.depth,
+            lambda letter, word: clear_denominator(self.b(letter, word), scale),
+            lambda word: clear_denominator(self.c(word), scale * scale),
+            1,
+        )
 
     def norm_squared(self, word: Word) -> Fraction:
         """Product of C over all nonempty right-suffixes of the word."""
@@ -128,47 +170,51 @@ def _marginal_pair(j1: JacobiData, j2: JacobiData) -> dict[int, JacobiData]:
     return {1: j1, 2: j2}
 
 
+def _jacobi_lcm(data: JacobiData, depth: int) -> int:
+    """lcm of the denominators of beta_0..beta_depth and gamma_1..gamma_depth;
+    reading them raises JacobiRangeError where the data run out."""
+    betas = [data.beta_at(k) for k in range(depth + 1)]
+    return common_denominator(betas + [data.gamma_at(k) for k in range(1, depth + 1)])
+
+
 def _check_finite_support(tree: OmegaTree, marginals: dict[int, JacobiData]) -> None:
-    # A marginal supported on n points cannot meet runs of its letter longer
-    # than n anywhere in the tree.
-    limits = {i: j.support_size() for i, j in marginals.items()}
-    if all(limit is None for limit in limits.values()):
-        return
-    for u in tree.members:
-        for letter, length in word_runs(u):
-            limit = limits[letter]
-            if limit is not None and length > limit:
-                raise ValueError(
-                    f"marginal {letter} is supported on {limit} points but the tree "
-                    f"contains a run of {length} letter-{letter}s (word {list(u)})"
-                )
+    # Every valid tree holds the pure runs i^n through depth + 1, and a
+    # marginal supported on n points cannot meet a run of its letter longer
+    # than n.
+    for letter, data in marginals.items():
+        limit = data.support_size()
+        if limit is not None and limit < tree.depth + 1:
+            run = (letter,) * (limit + 1)
+            raise ValueError(
+                f"marginal {letter} is supported on {limit} points but the tree "
+                f"contains a run of {limit + 1} letter-{letter}s (word {list(run)})"
+            )
 
 
 def product_type_map(tree: OmegaTree, j1: JacobiData, j2: JacobiData) -> CoefficientMap:
-    """Coefficient map of the product-type state attached to a tree."""
+    """Coefficient map of the product-type state attached to a tree.
+
+    D is the lcm over beta_0..beta_depth and gamma_1..gamma_depth of both
+    marginals, every coefficient an entry can take.
+    """
     marginals = _marginal_pair(j1, j2)
     _check_finite_support(tree, marginals)
     depth = tree.depth
-    b: dict[tuple[int, Word], Fraction] = {}
-    c: dict[Word, Fraction] = {}
-    for u in words_up_to(2, depth):
-        for i in (1, 2):
-            if (i,) + u in tree.members:
-                value = marginals[i].beta_at(leading_run_length(u, i))
-                if value:
-                    b[(i, u)] = value
-        if u and tree.in_interior(u):
-            value = marginals[u[0]].gamma_at(leading_run_length(u, u[0]))
-            if value:
-                c[u] = value
+    scale = math.lcm(_jacobi_lcm(j1, depth), _jacobi_lcm(j2, depth))
+    members = tree.members
+
+    def b_rule(letter: int, word: Word) -> Fraction:
+        if (letter,) + word not in members:
+            return ZERO
+        return marginals[letter].beta_at(leading_run_length(word, letter))
+
+    def c_rule(word: Word) -> Fraction:
+        if not word or not tree.in_interior(word):
+            return ZERO
+        return marginals[word[0]].gamma_at(leading_run_length(word, word[0]))
+
     return CoefficientMap(
-        d=2,
-        depth=depth,
-        b_entries=b,
-        c_entries=c,
-        provenance="product-type",
-        omega=tree,
-        marginals=(j1, j2),
+        2, depth, b_rule, c_rule, scale, lambda u: basis_polynomial(tree, j1, j2, u)
     )
 
 
@@ -179,32 +225,30 @@ def cfree_map(
 
     At a node u = i^k v: the leading run's coefficients come from mu_i when
     v is empty (the run is the rightmost block of u) and from nu_i otherwise.
+    D is the lcm over the coefficients that can occur: each mu's through
+    index depth, each nu's through depth - 1.
     """
     mu = _marginal_pair(mu1, mu2)
     nu = _marginal_pair(nu1, nu2)
-    b: dict[tuple[int, Word], Fraction] = {}
-    c: dict[Word, Fraction] = {}
-    for u in words_up_to(2, depth):
-        for i in (1, 2):
-            k = leading_run_length(u, i)
-            source = mu[i] if len(u) == k else nu[i]
-            value = source.beta_at(k)
-            if value:
-                b[(i, u)] = value
-        if u:
-            i = u[0]
-            k = leading_run_length(u, i)
-            source = mu[i] if len(u) == k else nu[i]
-            value = source.gamma_at(k)
-            if value:
-                c[u] = value
+    scale = math.lcm(
+        *(_jacobi_lcm(m, depth) for m in (mu1, mu2)),
+        *(_jacobi_lcm(n, depth - 1) for n in (nu1, nu2)),
+    )
+
+    def b_rule(letter: int, word: Word) -> Fraction:
+        k = leading_run_length(word, letter)
+        return (mu[letter] if len(word) == k else nu[letter]).beta_at(k)
+
+    def c_rule(word: Word) -> Fraction:
+        if not word:
+            return ZERO
+        letter = word[0]
+        k = leading_run_length(word, letter)
+        return (mu[letter] if len(word) == k else nu[letter]).gamma_at(k)
+
     return CoefficientMap(
-        d=2,
-        depth=depth,
-        b_entries=b,
-        c_entries=c,
-        provenance="c-free",
-        marginals=(mu1, nu1, mu2, nu2),
+        2, depth, b_rule, c_rule, scale,
+        lambda u: cfree_basis_polynomial(mu1, nu1, mu2, nu2, u),
     )
 
 
@@ -214,14 +258,26 @@ def explicit_map(
     b_entries: Mapping[tuple[int, Iterable[int]], Fraction],
     c_entries: Mapping[Iterable[int], Fraction],
 ) -> CoefficientMap:
-    """Arbitrary diagonal recursion data (no tree attached)."""
+    """Arbitrary diagonal recursion data (no tree attached); D is the lcm
+    of the entries' denominators, and P_u comes from the rewrite rules."""
     b = {
-        (letter, tuple(word)): Fraction(value)
+        (letter, tuple(word)): exact
         for (letter, word), value in b_entries.items()
-        if Fraction(value)
+        if (exact := Fraction(value))
     }
-    c = {tuple(word): Fraction(value) for word, value in c_entries.items() if Fraction(value)}
-    return CoefficientMap(d=d, depth=depth, b_entries=b, c_entries=c, provenance="explicit")
+    c = {tuple(word): exact for word, value in c_entries.items() if (exact := Fraction(value))}
+    for letter, word in b:
+        if not 1 <= letter <= d or len(word) > depth:
+            raise ValueError(f"bad B entry at letter {letter}, word {list(word)}")
+    for word, value in c.items():
+        if not word or len(word) > depth:
+            raise ValueError(f"bad C entry at word {list(word)}")
+        if value < 0:
+            raise ValueError(f"C entry at {list(word)} is negative: {value}")
+    scale = common_denominator((*b.values(), *c.values()))
+    return CoefficientMap(
+        d, depth, lambda letter, word: b.get((letter, word), ZERO), lambda word: c.get(word, ZERO), scale
+    )
 
 
 def basis_polynomial(tree: OmegaTree, j1: JacobiData, j2: JacobiData, u: Word) -> NCPolynomial:
@@ -313,19 +369,6 @@ def left_multiply(cm: CoefficientMap, letter: int, expansion: BasisExpansion) ->
     return out
 
 
-def _scaled_map(cm: CoefficientMap) -> tuple[int, CoefficientMap]:
-    """D, the lcm of every entry's denominator, and the map of B' = D B and
-    C' = D^2 C, whose entries are ints."""
-    entries = [*cm.b_entries.values(), *cm.c_entries.values()]
-    scale = math.lcm(*(value.denominator for value in entries))
-    b = {key: value.numerator * (scale // value.denominator) for key, value in cm.b_entries.items()}
-    c = {
-        key: value.numerator * (scale * scale // value.denominator)
-        for key, value in cm.c_entries.items()
-    }
-    return scale, CoefficientMap(d=cm.d, depth=cm.depth, b_entries=b, c_entries=c)
-
-
 class StateEvaluator:
     """Memoizing evaluator of one coefficient map's state.
 
@@ -337,10 +380,10 @@ class StateEvaluator:
     because the P_u are orthogonal and every x_i is symmetric under the form
     diag(||P_u||^2) (||P_{iu}||^2 = C(iu) ||P_u||^2), for any coefficient map.
 
-    The sum runs in integers.  With D the lcm of the denominators of every B
-    and C entry, y_i = D x_i and Q_u = D^|u| P_u, the rewrite rule has the
-    coefficients B' = D B and C' = D^2 C, which are integers because D
-    clears every denominator; a map of them drives :func:`left_multiply`.
+    The sum runs in integers.  With D the map's scale, y_i = D x_i and
+    Q_u = D^|u| P_u, the rewrite rule has the coefficients B' = D B and
+    C' = D^2 C, which are integers because D clears every denominator; the
+    map's integer view ``cm.integer`` drives :func:`left_multiply`.
     Then the expansions A of y_rev(a) and B of y_b in the Q-basis, and
     ||Q_u||^2 (the product of C' over the nonempty suffixes of u), are
     integers, and
@@ -354,13 +397,14 @@ class StateEvaluator:
     work.  Supports polynomials of degree up to ``cm.depth + 1``; a longer
     word raises :class:`DepthExhaustedError`.
 
-    The caches make instances single-threaded; share the immutable map and
+    The caches make instances single-threaded; share the map and
     give each thread its own evaluator.
     """
 
     def __init__(self, cm: CoefficientMap):
         self.cm = cm
-        self._scale, self._scaled = _scaled_map(cm)
+        self._scale = cm.scale
+        self._integer = cm.integer
         self._expansions: dict[Word, dict[Word, int]] = {EMPTY_WORD: {EMPTY_WORD: 1}}
         self._norms: dict[Word, int] = {EMPTY_WORD: 1}
         self._rows: dict[Word, dict[Word, int]] = {}
@@ -379,7 +423,7 @@ class StateEvaluator:
                 break
         current = self._expansions[word[start:]]
         for pos in range(start - 1, -1, -1):
-            current = left_multiply(self._scaled, word[pos], current)
+            current = left_multiply(self._integer, word[pos], current)
             self._expansions[word[pos:]] = current
         return current
 
@@ -398,7 +442,7 @@ class StateEvaluator:
         """||Q_u||^2 = C'(u) ||Q_tail(u)||^2."""
         norm = self._norms.get(u)
         if norm is None:
-            norm = self._norms[u] = self._scaled.c_entries.get(u, 0) * self._norm(u[1:])
+            norm = self._norms[u] = self._integer.c(u) * self._norm(u[1:])
         return norm
 
     def _row(self, left: Word) -> dict[Word, int]:
@@ -479,16 +523,6 @@ class GramMatrix:
         return [(u, v, value) for (u, v), value in ordered if value]
 
 
-def _basis_builder(cm: CoefficientMap) -> Callable[[Word], NCPolynomial]:
-    if cm.provenance == "product-type" and cm.omega is not None and cm.marginals:
-        tree, (j1, j2) = cm.omega, cm.marginals
-        return lambda u: basis_polynomial(tree, j1, j2, u)
-    if cm.provenance == "c-free" and cm.marginals:
-        mu1, nu1, mu2, nu2 = cm.marginals
-        return lambda u: cfree_basis_polynomial(mu1, nu1, mu2, nu2, u)
-    return lambda u: recursion_basis(cm, u)
-
-
 def gram_matrix(cm: CoefficientMap, depth: int) -> GramMatrix:
     """Gram matrix of {P_u : |u| <= depth} under the state.
 
@@ -500,9 +534,8 @@ def gram_matrix(cm: CoefficientMap, depth: int) -> GramMatrix:
         raise DepthExhaustedError(
             f"Gram depth {depth} needs map depth >= {2 * depth - 1}, have {cm.depth}"
         )
-    basis = _basis_builder(cm)
     words = tuple(words_up_to(cm.d, depth))
-    polys = {u: basis(u).terms for u in words}
+    polys = {u: cm.basis(u).terms for u in words}
     matrix = MomentMatrix(StateEvaluator(cm).word_moment, words)
     entries: dict[tuple[Word, Word], Fraction] = {}
     for u in words:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ncprod import JacobiData, moment
+from ncprod.ncpoly import words_up_to
 
 F = Fraction
 
@@ -34,6 +35,15 @@ def p1_coefficient(data: JacobiData, n: int) -> Fraction:
     (mu[x^(n+1)] - mu[x] mu[x^n]) / (mu[x^2] - mu[x]^2)."""
     mean = moment(data, 1)
     return (moment(data, n + 1) - mean * moment(data, n)) / (moment(data, 2) - mean**2)
+
+
+def map_entries(cm):
+    """The nonzero entries of a coefficient map through its depth, as
+    {(i, u): B(i, u)} and {u: C(u)}."""
+    words = words_up_to(cm.d, cm.depth)
+    b = {(i, u): cm.b(i, u) for u in words for i in range(1, cm.d + 1) if cm.b(i, u)}
+    c = {u: cm.c(u) for u in words if u and cm.c(u)}
+    return b, c
 
 
 @pytest.fixture

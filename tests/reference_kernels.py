@@ -6,13 +6,35 @@ step of a series-matrix inverse at the full order, and
 ``fraction_expansion`` runs the transfer operator over the whole word on the
 map's own ``Fraction`` entries, and ``product_gram_schmidt_mops`` takes
 every inner product of the monomial orthogonalization from a polynomial
-product.  The library's kernels must agree with them exactly.
+product.  ``fraction_classical_cf``, ``fraction_scalar_branched_cf`` and
+``fraction_matricial_cf`` are the continued-fraction engines with every
+series in ``Fraction`` coefficients, the classical one with its own chain
+recursion; ``eager_product_type_entries`` and ``eager_cfree_entries`` fill
+every nonzero coefficient-map entry through the depth, word by word.  The
+library's kernels must agree with them exactly.
 """
 
 from fractions import Fraction
 
-from ncprod.cfrac import SeriesMatrix, _smat_identity, _smat_mul
-from ncprod.ncpoly import EMPTY_WORD, NCPolynomial, NCSeries, Word, graded_lex_key, words_up_to
+from ncprod.cfrac import (
+    MatricialData,
+    SeriesMatrix,
+    _smat_identity,
+    _smat_inverse,
+    _smat_mul,
+    block_extract,
+)
+from ncprod.jacobi import JacobiData
+from ncprod.ncpoly import (
+    EMPTY_WORD,
+    NCPolynomial,
+    NCSeries,
+    Word,
+    graded_lex_key,
+    leading_run_length,
+    words_up_to,
+)
+from ncprod.omega import OmegaTree
 from ncprod.oracle import MopsResult, functional_inner
 from ncprod.prodstate import CoefficientMap, left_multiply
 
@@ -94,3 +116,120 @@ def product_gram_schmidt_mops(phi, depth, d=2, within_degree_order=None) -> Mops
                 pair = (u, v) if graded_lex_key(u) <= graded_lex_key(v) else (v, u)
                 return MopsResult(polys, norms, False, pair, value)
     return MopsResult(polys, norms, True)
+
+
+def fraction_classical_cf(data: JacobiData, order: int) -> NCSeries:
+    """1 / (1 - beta_0 z - gamma_1 z^2 / (1 - beta_1 z - ...)), level by level
+    from the deepest one the order reaches."""
+    level = order // 2
+    f = NCSeries.one(1, max(order - 2 * level, 0))
+    for k in range(level, -1, -1):
+        budget = order - 2 * k
+        terms = {EMPTY_WORD: Fraction(1)}
+        beta = data.beta_at(k)
+        if beta and budget >= 1:
+            terms[(1,)] = -beta
+        denom = NCSeries(1, budget, terms)
+        if budget >= 2:
+            gamma = data.gamma_at(k + 1)
+            if gamma:
+                denom = denom - gamma * f.truncate(budget - 2).sandwich(1, 1).truncate(budget)
+        f = denom.inverse()
+    return f
+
+
+def fraction_scalar_branched_cf(cm: CoefficientMap, order: int) -> NCSeries:
+    """The branched continued fraction on the map's Fraction entries."""
+    d = cm.d
+
+    def node(u: Word, budget: int) -> NCSeries:
+        terms: dict[Word, Fraction] = {EMPTY_WORD: Fraction(1)}
+        if budget >= 1:
+            for i in range(1, d + 1):
+                bval = cm.b(i, u)
+                if bval:
+                    terms[(i,)] = -bval
+        denom = NCSeries(d, budget, terms)
+        if budget >= 2:
+            for j in range(1, d + 1):
+                child = (j,) + u
+                cval = cm.c(child)
+                if cval:
+                    sub = node(child, budget - 2)
+                    denom = denom - cval * sub.sandwich(j, j).truncate(budget)
+        return denom.inverse()
+
+    return node(EMPTY_WORD, order)
+
+
+def fraction_matricial_cf(md: MatricialData, order: int) -> NCSeries:
+    """The matricial continued fraction with Fraction series matrices."""
+    d = md.d
+    top = md.levels
+    effective = min(order, 2 * top)
+    f = None
+    for k in range(top, -1, -1):
+        budget = max(effective - 2 * k, 0)
+        n = d**k
+        denom = _smat_identity(n, d, budget)
+        for i in range(1, d + 1):
+            t_matrix = md.t[k][i - 1]
+            for r in range(n):
+                for s in range(n):
+                    value = t_matrix[r][s]
+                    if value and budget >= 1:
+                        denom[r][s] = denom[r][s] - NCSeries(d, budget, {(i,): value})
+        if k < top and budget >= 2 and f is not None:
+            c_matrix = md.c[k]
+            scaled = [
+                [c_matrix[r][r] * f[r][s].truncate(budget - 2) for s in range(d * n)]
+                for r in range(d * n)
+            ]
+            for j in range(1, d + 1):
+                for l in range(1, d + 1):
+                    block = block_extract(scaled, j, l, d)
+                    for r in range(n):
+                        for s in range(n):
+                            if block[r][s].terms:
+                                denom[r][s] = denom[r][s] - block[r][s].sandwich(j, l).truncate(budget)
+        f = _smat_inverse(denom, budget)
+    return f[0][0]
+
+
+def eager_product_type_entries(tree: OmegaTree, j1: JacobiData, j2: JacobiData):
+    """Every nonzero B and C entry of the product-type map, as two dicts."""
+    marginals = {1: j1, 2: j2}
+    b: dict[tuple[int, Word], Fraction] = {}
+    c: dict[Word, Fraction] = {}
+    for u in words_up_to(2, tree.depth):
+        for i in (1, 2):
+            if (i,) + u in tree.members:
+                value = marginals[i].beta_at(leading_run_length(u, i))
+                if value:
+                    b[(i, u)] = value
+        if u and tree.in_interior(u):
+            value = marginals[u[0]].gamma_at(leading_run_length(u, u[0]))
+            if value:
+                c[u] = value
+    return b, c
+
+
+def eager_cfree_entries(mu1, nu1, mu2, nu2, depth: int):
+    """Every nonzero B and C entry of the two-pair map, as two dicts."""
+    mu = {1: mu1, 2: mu2}
+    nu = {1: nu1, 2: nu2}
+    b: dict[tuple[int, Word], Fraction] = {}
+    c: dict[Word, Fraction] = {}
+    for u in words_up_to(2, depth):
+        for i in (1, 2):
+            k = leading_run_length(u, i)
+            value = (mu[i] if len(u) == k else nu[i]).beta_at(k)
+            if value:
+                b[(i, u)] = value
+        if u:
+            i = u[0]
+            k = leading_run_length(u, i)
+            value = (mu[i] if len(u) == k else nu[i]).gamma_at(k)
+            if value:
+                c[u] = value
+    return b, c

@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import GENERIC_J1, GENERIC_J2, random_pair
+from reference_kernels import fraction_classical_cf
 from ncprod import (
     BUILTIN_OMEGAS,
+    JacobiData,
     MatricialData,
     StateEvaluator,
     block_extract,
@@ -57,6 +59,19 @@ def test_classical_finite_support():
     series = classical_cf(j, 8)
     for n in range(9):
         assert series.coefficient((1,) * n) == moment(j, n)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [GENERIC_J1, SEMI, preset("point-mass", c=F(-2, 3)),
+     JacobiData(beta=(F(1, 2), F(-1, 3)), gamma=(F(2, 5),), extend="zero")],
+    ids=["generic", "semicircle", "point-mass", "finite-zero"],
+)
+def test_classical_is_the_scalar_engine_on_a_chain(data):
+    """classical_cf runs the scalar engine on the one-letter chain map; it
+    must equal the chain's own level-by-level recursion."""
+    for order in range(12):
+        assert classical_cf(data, order) == fraction_classical_cf(data, order), order
 
 
 def test_scalar_branched_boolean_semicircle():

@@ -362,6 +362,51 @@ def test_mops_command_tensor(capsys, semicircle_file):
     assert report["witness"] == [[1, 2], [2, 1]]
 
 
+def _assert_input_error(capsys, argv, message):
+    """The command exits 2, prints nothing on stdout and names the problem."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ") and message in captured.err
+
+
+def test_short_error_policy_data_is_input_error(capsys, generic_files, tmp_path):
+    """Jacobi data under the "error" policy that run out before the order
+    needs them are bad input, not a traceback."""
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps({"beta": ["1/2", "1/3"], "gamma": ["1", "2"], "extend": "error"}))
+    _, j2 = generic_files
+    _assert_input_error(capsys, ["moments", "--omega", "free", "--order", "6",
+                                 "--jacobi1", str(short), "--jacobi2", j2], "beta_2")
+    _assert_input_error(capsys, ["cfrac", "--engine", "classical", "--order", "8",
+                                 "--jacobi1", str(short)], "beta_2")
+    code, _ = run(capsys, "cfrac", "--engine", "classical", "--order", "3", "--jacobi1", str(short))
+    assert code == 0
+
+
+def test_mops_q_without_q_gaussian_is_input_error(capsys, generic_files):
+    j1, j2 = generic_files
+    for state in (("--omega", "free"), ("--state", "tensor")):
+        _assert_input_error(capsys, ["mops", *state, "--jacobi1", j1, "--jacobi2", j2,
+                                     "--q", "notanumber", "--order", "2"], "--q")
+
+
+def test_mops_q_gaussian_refuses_jacobi_files(capsys, generic_files):
+    j1, j2 = generic_files
+    for flag, path in (("--jacobi1", j1), ("--jacobi2", j2), ("--jacobi1", "/absent.json")):
+        _assert_input_error(capsys, ["mops", "--state", "q-gaussian", flag, path,
+                                     "--order", "2"], flag)
+
+
+def test_mops_q_gaussian_default_q_is_one_half(capsys):
+    argv = ("mops", "--state", "q-gaussian", "--order", "3", "--format", "json")
+    code_default, out_default = run(capsys, *argv)
+    code_half, out_half = run(capsys, *argv, "--q", "1/2")
+    assert code_default == code_half == 0
+    assert out_default == out_half
+
+
 def test_output_is_deterministic(capsys, generic_files):
     j1, j2 = generic_files
     args = (
@@ -459,14 +504,18 @@ def test_traced_benchmark_finds_every_wrap_point(tmp_path):
     reads its moment sequences and makes none; rebuilding every moment from
     scratch took 3,602).  The mops run pins its moment matrix: the 7 words
     through length 2 give 7 x 7 = 49 word moments (pair-by-pair polynomial
-    products took 328).  Only the counterexample run still multiplies
-    polynomials, in functional_inner."""
+    products took 328).  The scalar continued fraction through order 3 on
+    the free tree inverts one series per node it reaches: the root and its
+    two children, 3 inverses, on integer series as on Fraction ones.  Only
+    the counterexample run still multiplies polynomials, in
+    functional_inner."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     inputs = ["--jacobi1", str(GOLDEN / "j1.json"), "--jacobi2", str(GOLDEN / "j2.json")]
     recorded = set()
     left_multiplies = {}
     moment_calls = {}
     word_moments = {}
+    inverses = {}
     for argv in (["cfrac", *inputs, "--omega", "free", "--order", "3"],
                  ["mops", *inputs, "--omega", "free", "--order", "2"],
                  ["moments", *inputs, "--omega", "free", "--order", "6"],
@@ -483,7 +532,9 @@ def test_traced_benchmark_finds_every_wrap_point(tmp_path):
         left_multiplies[argv[0]] = sum(span[0] == "prodstate.left_multiply" for span in dump["spans"])
         moment_calls[argv[0]] = dump["totals"]["jacobi.moment"][0]
         word_moments[argv[0]] = sum(span[0] == "prodstate.word_moment" for span in dump["spans"])
+        inverses[argv[0]] = sum(span[0] == "ncpoly.series_inverse" for span in dump["spans"])
     assert {"ncpoly.series_mul", "ncpoly.series_inverse", "ncpoly.poly_mul"} <= recorded
     assert left_multiplies["moments"] == 14
     assert word_moments["mops"] == 49
+    assert inverses["cfrac"] == 3
     assert moment_calls["compare"] <= 14

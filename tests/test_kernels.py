@@ -1,8 +1,9 @@
 """Exact kernels against their plain references, and what every result holds.
 
-``NCSeries.inverse`` and ``StateEvaluator`` run on integers over a common
-denominator, and ``cfrac._smat_inverse`` truncates each Neumann step; each
-must equal the plain ``Fraction`` version in ``reference_kernels`` exactly.
+``NCSeries.inverse``, ``StateEvaluator`` and the two continued-fraction
+engines run on integers over a common denominator, and
+``cfrac._smat_inverse`` truncates each Neumann step; each must equal the
+plain ``Fraction`` version in ``reference_kernels`` exactly.
 Arithmetic results skip the constructors' checks, so the invariants those
 checks gave are asserted here on every operation.  The CLI's JSON rows are
 written by hand and must be the bytes ``json.dumps`` would give.
@@ -14,13 +15,19 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import GENERIC_J1, GENERIC_J2, random_pair
-from reference_kernels import fraction_expansion, fraction_inverse, full_order_neumann_inverse
+from conftest import GENERIC_J1, GENERIC_J2, map_entries, random_pair
+from reference_kernels import (
+    fraction_expansion,
+    fraction_inverse,
+    fraction_matricial_cf,
+    fraction_scalar_branched_cf,
+    full_order_neumann_inverse,
+)
 
 from ncprod import BUILTIN_OMEGAS, JacobiData, builder, preset
-from ncprod.cfrac import MatricialData, _smat_inverse
+from ncprod.cfrac import MatricialData, _smat_inverse, matricial_cf, scalar_branched_cf
 from ncprod.cli import _emit_rows
-from ncprod.ncpoly import NCPolynomial, NCSeries, format_rational, words_up_to
+from ncprod.ncpoly import NCPolynomial, NCSeries, _make, format_rational, words_up_to
 from ncprod.prodstate import StateEvaluator, cfree_map, explicit_map, product_type_map
 
 F = Fraction
@@ -67,6 +74,18 @@ def test_integer_inverse_equals_fraction_loop(d):
             assert t == fraction_inverse(s)
             assert_clean(t)
             assert s * t == NCSeries.one(d, order)
+
+
+def test_inverse_of_an_int_series_stays_int():
+    """The engines' int series come from _make; their inverse keeps int
+    coefficients and equals the Fraction inverse."""
+    rng = random.Random(550)
+    for d in (1, 2):
+        for order in range(7):
+            terms = {w: c.numerator for w, c in random_unit_series(rng, d, order).terms.items()}
+            t = _make(d, order, {**terms, (): 1}).inverse()
+            assert all(type(coeff) is int for coeff in t.terms.values())
+            assert t == fraction_inverse(NCSeries(d, order, {**terms, (): 1}))
 
 
 def test_integer_inverse_without_positive_degree_terms():
@@ -176,10 +195,11 @@ def coprime_explicit_map(seed: int, d: int, depth: int):
          for u in words for i in range(1, d + 1)}
     c = {u: F(rng.choice((0, 1, 2, 3)), 13) for u in words if u}
     cm = explicit_map(d, depth, b, c)
-    entries = [*cm.b_entries.values(), *cm.c_entries.values()]
-    assert math.lcm(*(value.denominator for value in entries)) == 7 * 11 * 13
-    assert any(value < 0 for value in cm.b_entries.values())
-    assert 0 < len(cm.c_entries) < len(c)
+    b_entries, c_entries = map_entries(cm)
+    entries = [*b_entries.values(), *c_entries.values()]
+    assert math.lcm(*(value.denominator for value in entries)) == 7 * 11 * 13 == cm.scale
+    assert any(value < 0 for value in b_entries.values())
+    assert 0 < len(c_entries) < len(c)
     return cm
 
 
@@ -206,6 +226,55 @@ def test_integer_word_moments_equal_fraction_transfer_operator(name):
         expansion = evaluator.expansion(w)
         assert expansion == reference, (name, w)
         assert all(type(coeff) is Fraction for coeff in expansion.values())
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_MAPS))
+def test_integer_scalar_cf_equals_fraction_engine(name):
+    """scalar_branched_cf runs on the map's integer view; it must equal the
+    same recursion on Fraction series at every order up to a bound: every
+    order the map reaches for one letter, fewer for two and three."""
+    cm = KERNEL_MAPS[name]()
+    top = {1: 2 * cm.depth + 1, 2: 9, 3: 6}[cm.d]
+    for order in range(top + 1):
+        series = scalar_branched_cf(cm, order)
+        assert series == fraction_scalar_branched_cf(cm, order), (name, order)
+        assert series.order == order
+        assert_clean(series)
+
+
+def random_matricial_data(rng: random.Random, d: int, levels: int) -> MatricialData:
+    """T entries over 7 or 11 with either sign, off the diagonal too, about
+    a third of them zero; diagonal C over 13, about a quarter zero."""
+    def t_entry():
+        if rng.random() < 1 / 3:
+            return F(0)
+        return F(rng.choice((-1, 1)) * rng.randint(1, 4), rng.choice((7, 11)))
+
+    t, c = [], []
+    for k in range(levels + 1):
+        n = d**k
+        t.append([[[t_entry() for _ in range(n)] for _ in range(n)] for _ in range(d)])
+        if k:
+            c.append([[F(rng.choice((0, 1, 2, 3)), 13) if r == s else F(0) for s in range(n)]
+                      for r in range(n)])
+    return MatricialData(d=d, t=t, c=c)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_integer_matricial_cf_equals_fraction_engine(d):
+    """matricial_cf takes its common denominator from the data, whose T need
+    not be diagonal; it must equal the Fraction series-matrix recursion."""
+    rng = random.Random(800 + d)
+    for levels in range(1, 4 if d == 1 else 3):
+        for _ in range(3):
+            md = random_matricial_data(rng, d, levels)
+            if d > 1:
+                assert any(value and r != s for level in md.t for m in level
+                           for r, row in enumerate(m) for s, value in enumerate(row))
+            for order in range(2 * levels + 2):
+                series = matricial_cf(md, order)
+                assert series == fraction_matricial_cf(md, order), (d, levels, order)
+                assert_clean(series)
 
 
 def test_json_rows_are_the_bytes_of_json_dumps(capsys):

@@ -1,13 +1,16 @@
 """Coefficient maps, basis polynomials, and transfer-operator evaluation."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import GENERIC_J1, GENERIC_J2, p1_coefficient, random_pair
+from conftest import GENERIC_J1, GENERIC_J2, map_entries, p1_coefficient, random_pair
+from reference_kernels import eager_cfree_entries, eager_product_type_entries
 from ncprod import (
     BUILTIN_OMEGAS,
+    CoefficientMap,
     JacobiData,
     NCPolynomial,
     StateEvaluator,
@@ -20,11 +23,14 @@ from ncprod import (
     inner_product,
     left_multiply,
     moment,
+    omega_from_json,
     preset,
     product_type_map,
     recursion_basis,
+    scalar_branched_cf,
     state_eval,
 )
+from ncprod.jacobi import JacobiRangeError
 from ncprod.prodstate import DepthExhaustedError
 from ncprod.ncpoly import words_up_to
 
@@ -69,10 +75,19 @@ def test_explicit_map_rejects_negative_c():
 
 def test_depth_guard():
     cm = product_type_map(builder("free", 2), SEMI, SEMI)
-    with pytest.raises(DepthExhaustedError):
-        cm.b(1, (1, 2, 1))
+    for _ in range(2):  # a word beyond the depth is never kept
+        with pytest.raises(DepthExhaustedError):
+            cm.b(1, (1, 2, 1))
+        with pytest.raises(DepthExhaustedError):
+            cm.integer.c((1, 2, 1))
     with pytest.raises(DepthExhaustedError):
         state_eval(cm, word_poly((1, 2, 1, 2)))
+
+
+def test_integer_view_refuses_a_scale_that_leaves_a_denominator():
+    cm = CoefficientMap(1, 2, lambda letter, word: F(1, 6), lambda word: F(0), 3)
+    with pytest.raises(ValueError, match="does not clear"):
+        scalar_branched_cf(cm, 2)
 
 
 def test_finite_support_guard():
@@ -81,6 +96,59 @@ def test_finite_support_guard():
         product_type_map(builder("boolean", 4), two_points, GENERIC_J2)
     # runs of length <= 2 are allowed for a two-point state
     product_type_map(builder("boolean", 1), two_points, GENERIC_J2)
+
+
+@pytest.mark.parametrize("name", BUILTIN_OMEGAS)
+def test_finite_support_guard_names_the_shortest_pure_run(name):
+    """A tree of depth N holds the pure runs through N + 1, so a marginal on
+    n points fails exactly when n < N + 1, with the run of n + 1 letters as
+    witness, whichever letter it is."""
+    three_points = JacobiData(beta=(F(1, 2), F(0)), gamma=(F(1), F(2, 3)), extend="zero")
+    assert three_points.support_size() == 3
+    product_type_map(builder(name, 2), GENERIC_J1, three_points)
+    with pytest.raises(ValueError, match=r"supported on 3 points.*word \[2, 2, 2, 2\]"):
+        product_type_map(builder(name, 3), GENERIC_J1, three_points)
+    with pytest.raises(ValueError, match=r"marginal 1 .*word \[1, 1, 1, 1\]"):
+        product_type_map(builder(name, 5), three_points, GENERIC_J2)
+
+
+def test_error_policy_marginal_raises_at_map_construction():
+    """Maps answer on demand, but read every marginal coefficient they can
+    use when they fix D, so data that run out fail at construction."""
+    short = JacobiData(beta=(F(1, 2), F(1, 3)), gamma=(F(1), F(2)), extend="error")
+    product_type_map(builder("free", 1), short, GENERIC_J2)
+    with pytest.raises(JacobiRangeError, match="beta_2"):
+        product_type_map(builder("free", 2), short, GENERIC_J2)
+    with pytest.raises(JacobiRangeError):
+        product_type_map(builder("boolean", 2), GENERIC_J1, short)
+    # the two-pair map reads each nu one index less deep than each mu
+    cfree_map(GENERIC_J1, short, GENERIC_J2, short, 2)
+    with pytest.raises(JacobiRangeError):
+        cfree_map(GENERIC_J1, short, GENERIC_J2, short, 3)
+    with pytest.raises(JacobiRangeError):
+        cfree_map(short, GENERIC_J1, GENERIC_J2, GENERIC_J2, 2)
+
+
+CUSTOM_TREE = {"words": [[2, 1], [2, 2, 1], [1, 2, 1]], "implicit_runs": True}
+
+
+def test_lazy_entries_equal_eager_build():
+    """Entries read on demand equal every entry the word-by-word build
+    fills, and D is the lcm of their denominators."""
+    nu1, nu2 = random_pair(11)
+    trees = [builder(name, 6) for name in BUILTIN_OMEGAS]
+    trees.append(omega_from_json({**CUSTOM_TREE, "depth": 6}))
+    cases = [(product_type_map(tree, GENERIC_J1, GENERIC_J2),
+              eager_product_type_entries(tree, GENERIC_J1, GENERIC_J2)) for tree in trees]
+    cases.append((cfree_map(GENERIC_J1, nu1, GENERIC_J2, nu2, 6),
+                  eager_cfree_entries(GENERIC_J1, nu1, GENERIC_J2, nu2, 6)))
+    for index, (cm, (b, c)) in enumerate(cases):
+        assert map_entries(cm) == (b, c), index
+        assert cm.scale == math.lcm(*(v.denominator for v in (*b.values(), *c.values()))), index
+        for (i, u), value in b.items():
+            assert cm.integer.b(i, u) == value * cm.scale
+        for u, value in c.items():
+            assert cm.integer.c(u) == value * cm.scale**2
 
 
 # basis polynomials ----------------------------------------------------------
@@ -298,16 +366,14 @@ def test_distinctness_of_builtin_states():
 def test_cfree_map_nu_equals_mu_is_free_map():
     free_cm = product_type_map(builder("free", 5), GENERIC_J1, GENERIC_J2)
     cf = cfree_map(GENERIC_J1, GENERIC_J1, GENERIC_J2, GENERIC_J2, 5)
-    assert dict(cf.b_entries) == dict(free_cm.b_entries)
-    assert dict(cf.c_entries) == dict(free_cm.c_entries)
+    assert map_entries(cf) == map_entries(free_cm)
 
 
 def test_cfree_map_nu_delta_zero_is_boolean_map():
     delta0 = preset("point-mass", c=F(0))
     boolean_cm = product_type_map(builder("boolean", 5), GENERIC_J1, GENERIC_J2)
     cf = cfree_map(GENERIC_J1, delta0, GENERIC_J2, delta0, 5)
-    assert dict(cf.b_entries) == dict(boolean_cm.b_entries)
-    assert dict(cf.c_entries) == dict(boolean_cm.c_entries)
+    assert map_entries(cf) == map_entries(boolean_cm)
 
 
 def test_cfree_coefficient_pattern():
@@ -413,7 +479,7 @@ def _random_explicit_map(seed, d, depth):
     b = {(i, u): F(rng.randint(-2, 2), rng.randint(1, 3)) for u in words for i in range(1, d + 1)}
     c = {u: F(rng.choice((0, 1, 2)), rng.randint(1, 3)) for u in words if u}
     cm = explicit_map(d, depth, b, c)
-    assert 0 < len(cm.c_entries) < len(c)
+    assert 0 < len(map_entries(cm)[1]) < len(c)
     return cm
 
 
@@ -426,9 +492,9 @@ def test_two_half_moment_equals_full_transfer_expansion():
     maps.append(cfree_map(GENERIC_J1, nu1, GENERIC_J2, nu2, 7))
     for d, depth in ((1, 8), (2, 5), (3, 3)):
         maps += [_random_explicit_map(seed, d, depth) for seed in range(3)]
-    for cm in maps:
+    for index, cm in enumerate(maps):
         ev, reference = StateEvaluator(cm), StateEvaluator(cm)
         for w in words_up_to(cm.d, cm.depth + 1):
-            assert ev.word_moment(w) == reference.expansion(w).get((), 0), (cm.provenance, w)
+            assert ev.word_moment(w) == reference.expansion(w).get((), 0), (index, w)
         with pytest.raises(DepthExhaustedError):
             ev.word_moment((1,) * (cm.depth + 2))
