@@ -36,12 +36,10 @@ from .prodstate import (
     cfree_map,
     explicit_map,
     gram_matrix,
-    inner_product,
     left_multiply,
     moment_table,
     product_type_map,
     recursion_basis,
-    state_eval,
 )
 from .cfrac import (
     MatricialData,

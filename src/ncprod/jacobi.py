@@ -98,10 +98,6 @@ class JacobiData:
             return 1  # every gamma extends to zero
         return None
 
-    def is_faithful_to(self, depth: int) -> bool:
-        """True when gamma_1 .. gamma_depth are all strictly positive."""
-        return all(self.gamma_at(n) > 0 for n in range(1, depth + 1))
-
 
 def orthogonal_polynomial(
     data: JacobiData, n: int, *, letter: int = 1, alphabet: int = 1

@@ -25,6 +25,9 @@ from typing import Callable, Iterable, Mapping, Sequence, Union
 Word = tuple[int, ...]
 Rational = Union[Fraction, int]
 
+# the coefficient of an absent word; Fractions are immutable, so one serves all
+_ZERO = Fraction(0)
+
 EMPTY_WORD: Word = ()
 
 
@@ -37,8 +40,9 @@ def parse_rational(text: Union[str, int]) -> Fraction:
 
 
 def format_rational(value: Rational) -> str:
-    """Canonical lowest-terms string, integers rendered without a denominator."""
-    return str(Fraction(value))
+    """Canonical lowest-terms string, integers rendered without a denominator;
+    ``str`` already prints a Fraction or an int that way."""
+    return str(value)
 
 
 def check_word(word: Iterable[int], d: int) -> Word:
@@ -215,7 +219,7 @@ class NCPolynomial:
         return cls(d, {(letter,): 1})
 
     def coefficient(self, word: Iterable[int]) -> Fraction:
-        return self.terms.get(tuple(word), Fraction(0))
+        return self.terms.get(tuple(word), _ZERO)
 
     def degree(self) -> int | None:
         """Maximal word length among terms; None for the zero polynomial."""
@@ -354,7 +358,7 @@ class NCSeries(NCPolynomial):
         return cls(p.d, order, p.terms)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get(EMPTY_WORD, Fraction(0))
+        return self.terms.get(EMPTY_WORD, _ZERO)
 
     def truncate(self, order: int) -> "NCSeries":
         if order < 0:

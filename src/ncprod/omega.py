@@ -57,7 +57,6 @@ class OmegaTree:
 
     depth: int
     members: frozenset[Word]
-    tag: str = "custom"
 
     def __contains__(self, word) -> bool:
         return tuple(word) in self.members
@@ -84,12 +83,10 @@ class OmegaTree:
         if depth > self.depth:
             raise ValueError("cannot deepen a truncated tree")
         limit = depth + 1
-        return OmegaTree(
-            depth, frozenset(u for u in self.members if len(u) <= limit), self.tag
-        )
+        return OmegaTree(depth, frozenset(u for u in self.members if len(u) <= limit))
 
 
-def validate(words: Iterable[Iterable[int]], depth: int, tag: str = "custom") -> OmegaTree:
+def validate(words: Iterable[Iterable[int]], depth: int) -> OmegaTree:
     """Check the three conditions and build a tree, or raise the first violation.
 
     Conditions are checked in order: postfix closure, pure runs, sibling
@@ -136,7 +133,7 @@ def validate(words: Iterable[Iterable[int]], depth: int, tag: str = "custom") ->
                 f"{list((j,) + u)} present forces {list((i,) + u)}",
             )
 
-    return OmegaTree(depth, frozenset(members), tag)
+    return OmegaTree(depth, frozenset(members))
 
 
 def builder(name: str, depth: int) -> OmegaTree:
@@ -159,7 +156,7 @@ def builder(name: str, depth: int) -> OmegaTree:
         words = _pure_runs(limit) | {(2, 1)}
     else:
         raise ValueError(f"unknown builtin tree {name!r}; known: {', '.join(BUILTIN_OMEGAS)}")
-    return OmegaTree(depth, frozenset(words), tag=name)
+    return OmegaTree(depth, frozenset(words))
 
 
 def _pure_runs(limit: int) -> set[Word]:
@@ -210,17 +207,7 @@ def omega_squared(tree: OmegaTree, depth: int) -> frozenset[Word]:
     {1, 2}-block is a member and the length pattern, with 1-runs recording
     block lengths and 2-runs recording the letter-3 run lengths, is a member.
     """
-    if depth > tree.depth + 1:
-        raise ValueError(f"query depth {depth} exceeds stored depth {tree.depth + 1}")
-    out = set()
-    for u in words_up_to(3, depth):
-        blocks, runs = _split_on_letter(u, 3)
-        if any(block not in tree.members for block in blocks):
-            continue
-        pattern = _interleave(1, 2, [len(b) for b in blocks], runs)
-        if pattern in tree.members:
-            out.add(u)
-    return frozenset(out)
+    return _iterated_membership(tree, depth, separator=3, shift=0, letters=(1, 2))
 
 
 def _omega_squared_mirror(tree: OmegaTree, depth: int) -> frozenset[Word]:
@@ -230,15 +217,25 @@ def _omega_squared_mirror(tree: OmegaTree, depth: int) -> frozenset[Word]:
     the pattern with 2-runs for block lengths and 1-runs for the separator
     runs must be a member.
     """
+    return _iterated_membership(tree, depth, separator=1, shift=1, letters=(2, 1))
+
+
+def _iterated_membership(
+    tree: OmegaTree, depth: int, separator: int, shift: int, letters: tuple[int, int]
+) -> frozenset[Word]:
+    """Words over {1, 2, 3} up to ``depth`` that split at maximal runs of
+    ``separator`` into blocks that are members once each letter is lowered
+    by ``shift``, and whose length pattern is a member: letters[0]-runs
+    record the block lengths, letters[1]-runs the separator run lengths."""
     if depth > tree.depth + 1:
         raise ValueError(f"query depth {depth} exceeds stored depth {tree.depth + 1}")
+    block_letter, run_letter = letters
     out = set()
     for u in words_up_to(3, depth):
-        blocks, runs = _split_on_letter(u, 1)
-        # relabel each {2,3}-block down (2 -> 1, 3 -> 2) to test membership
-        if any(tuple(letter - 1 for letter in block) not in tree.members for block in blocks):
+        blocks, runs = _split_on_letter(u, separator)
+        if any(tuple(letter - shift for letter in block) not in tree.members for block in blocks):
             continue
-        pattern = _interleave(2, 1, [len(b) for b in blocks], runs)
+        pattern = _interleave(block_letter, run_letter, [len(b) for b in blocks], runs)
         if pattern in tree.members:
             out.add(u)
     return frozenset(out)
@@ -247,16 +244,6 @@ def _omega_squared_mirror(tree: OmegaTree, depth: int) -> frozenset[Word]:
 def is_associative(tree: OmegaTree, depth: int) -> bool:
     """True when the direct and mirrored constructions agree up to depth."""
     return omega_squared(tree, depth) == _omega_squared_mirror(tree, depth)
-
-
-def omega_to_json(tree: OmegaTree) -> dict:
-    if tree.tag in BUILTIN_OMEGAS:
-        return {"builtin": tree.tag, "depth": tree.depth}
-    return {
-        "words": [list(w) for w in sorted(tree.members, key=graded_lex_key)],
-        "depth": tree.depth,
-        "implicit_runs": False,
-    }
 
 
 def omega_from_json(obj: Mapping) -> OmegaTree:

@@ -4,17 +4,16 @@ Every oracle here evaluates joint moments straight from a defining
 factorization or combinatorial formula, never through coefficient maps or
 continued fractions, so agreement between the two routes is meaningful.
 
-The free state sums products of free cumulants over non-crossing partitions
-(Speicher's moment-cumulant formula), recursing on the block of the first
-position; see :func:`free_state`.
-
-The two-pair state works on lists of (letter, polynomial) blocks and
-recursively centers blocks: a block polynomial p splits into (p - mean) plus
-its mean, the mean term deletes the block and merges its neighbors, and the
-recursion bottoms out once every block that must be centered is.  Each step
-either centers one more block or shortens the list, so the recursion
-terminates.  With both pairs equal, ``cfree_state(mu1, mu1, mu2, mu2)`` is
-the free state, computed by a route independent of the cumulant sum.
+One non-crossing recursion serves the free and the two-pair oracles; see
+:func:`_noncrossing_moments`.  It sums over the block of the first position,
+with cumulants read off the marginals' moments and the gaps nested inside
+that block evaluated by a second state.  For the free state that second
+state is the state itself (Speicher's moment-cumulant formula).  For the
+two-pair (conditionally free) state it is the free state of the nu
+marginals, and the cumulants read off the mu marginals are the c-free
+cumulants (Bozejko, Leinert and Speicher, 1996).  The block-centering
+evaluation of the two-pair state, a route independent of this sum, lives
+in the tests as its reference.
 
 ``*_state`` factories return memoizing callables from words to rationals.
 Each holds one :class:`~ncprod.jacobi.MomentSequence` per marginal, so a
@@ -35,70 +34,25 @@ from .ncpoly import MomentMatrix, NCPolynomial, Word, graded_lex_key, word_runs,
 
 MomentFunctional = Callable[[Word], Fraction]
 
-# one-variable polynomials inside block lists are coefficient tuples,
-# lowest degree first
-Coeffs = tuple[Fraction, ...]
-Block = tuple[int, Coeffs]
 
+def _noncrossing_moments(
+    marginals: dict[int, MomentSequence], nested: MomentFunctional | None = None
+) -> MomentFunctional:
+    """Joint moments summed over non-crossing partitions into one-letter blocks.
 
-def _monomial_coeffs(power: int) -> Coeffs:
-    return (Fraction(0),) * power + (Fraction(1),)
+    Recursing on the block S of the first position,
 
-
-def _coeff_mul(p: Coeffs, q: Coeffs) -> Coeffs:
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if not a:
-            continue
-        for j, b in enumerate(q):
-            if b:
-                out[i + j] += a * b
-    return tuple(out)
-
-
-def _coeff_mean(moments: MomentSequence, p: Coeffs) -> Fraction:
-    return sum((c * moments[k] for k, c in enumerate(p) if c), Fraction(0))
-
-
-def _blocks_of_word(word: Word) -> tuple[Block, ...]:
-    return tuple((letter, _monomial_coeffs(length)) for letter, length in word_runs(word))
-
-
-def _delete_block(blocks: tuple[Block, ...], index: int) -> tuple[Block, ...]:
-    """Remove one block, multiplying neighbors together if letters now match."""
-    before = list(blocks[:index])
-    after = list(blocks[index + 1 :])
-    if before and after and before[-1][0] == after[0][0]:
-        letter = before[-1][0]
-        merged = (letter, _coeff_mul(before[-1][1], after[0][1]))
-        return tuple(before[:-1] + [merged] + after[1:])
-    return tuple(before + after)
-
-
-def _center(block: Block, mean: Fraction) -> Block:
-    letter, coeffs = block
-    adjusted = (coeffs[0] - mean,) + coeffs[1:]
-    return (letter, adjusted)
-
-
-def free_state(j1: JacobiData, j2: JacobiData) -> MomentFunctional:
-    """Joint moments of the free product of the two marginals.
-
-    Speicher's moment-cumulant formula sums, over the non-crossing
-    partitions of the positions whose blocks each hold one letter, the
-    product of the blocks' free cumulants.  Recursing on the block S of the
-    first position,
-
-        phi(w) = sum_S kappa_|S|(w_1) * prod over the gaps of phi(gap),
+        phi(w) = sum_S kappa_|S|(w_1) * prod over the inner gaps of nested(gap)
+                 * phi(tail),
 
     where S runs over the position sets that contain the first position and
-    on which w is constant, and the gaps are the stretches between
-    consecutive elements of S plus the tail after the last one.  A
+    on which w is constant, the inner gaps are the stretches between
+    consecutive elements of S, and the tail is the stretch after the last
+    one.  ``nested`` evaluates the inner gaps; it defaults to phi itself.  A
     marginal's kappa_n comes from the same sum on the word a^n, whose value
     m_n is known: kappa_n is m_n minus the terms with |S| < n.  The memo is
     keyed by words.
     """
-    marginals = {1: MomentSequence(j1), 2: MomentSequence(j2)}
     # kappa_n at index n; index 0 is never read
     cumulants: dict[int, list[Fraction]] = {1: [Fraction(0)], 2: [Fraction(0)]}
     cache: dict[Word, Fraction] = {}
@@ -118,7 +72,7 @@ def free_state(j1: JacobiData, j2: JacobiData) -> MomentFunctional:
             else:
                 weights = {}
                 for i, before in chains.items():
-                    gap = phi(word[i + 1 : j])
+                    gap = inner(word[i + 1 : j])
                     if gap:
                         for k, weight in before.items():
                             weights[k + 1] = weights.get(k + 1, 0) + weight * gap
@@ -150,7 +104,18 @@ def free_state(j1: JacobiData, j2: JacobiData) -> MomentFunctional:
             cached = cache[word] = block_sum(word, cumulants_through(letter, count))
         return cached
 
+    inner = phi if nested is None else nested
     return phi
+
+
+def free_state(j1: JacobiData, j2: JacobiData) -> MomentFunctional:
+    """Joint moments of the free product of the two marginals.
+
+    Speicher's moment-cumulant formula: the sum, over the non-crossing
+    partitions of the positions whose blocks each hold one letter, of the
+    product of the blocks' free cumulants.
+    """
+    return _noncrossing_moments({1: MomentSequence(j1), 2: MomentSequence(j2)})
 
 
 def boolean_state(j1: JacobiData, j2: JacobiData) -> MomentFunctional:
@@ -252,53 +217,18 @@ def q_gaussian_state(q: Fraction) -> MomentFunctional:
 def cfree_state(
     mu1: JacobiData, nu1: JacobiData, mu2: JacobiData, nu2: JacobiData
 ) -> MomentFunctional:
-    """Two-pair state: interior blocks center against nu, values come from mu.
+    """Joint moments of the conditionally free product of two (mu, nu) pairs.
 
-    A leading letter-1 block and a trailing letter-2 block are exempt from
-    centering; once every non-exempt block is nu-centered the moment is the
-    product of the mu-means of all blocks.
+    Mixed cumulants vanish, and in each non-crossing partition the outer
+    blocks carry the c-free cumulants of their letter's pair while the
+    nested blocks carry the free cumulants of its nu.  So the inner gaps of
+    the first position's block are evaluated by the free state of
+    (nu1, nu2), and the cumulants the recursion reads off the mu moments
+    are the c-free ones.  With nu = mu this is the free state; with nu the
+    point mass at 0 every inner gap vanishes and it is the Boolean state.
     """
-    mu = {1: MomentSequence(mu1), 2: MomentSequence(mu2)}
-    nu = {1: MomentSequence(nu1), 2: MomentSequence(nu2)}
-    cache: dict[tuple[Block, ...], Fraction] = {}
-
-    def needs_centering(index: int, letter: int, count: int) -> bool:
-        if index == 0 and letter == 1:
-            return False
-        if index == count - 1 and letter == 2:
-            return False
-        return True
-
-    def eval_blocks(blocks: tuple[Block, ...]) -> Fraction:
-        if not blocks:
-            return Fraction(1)
-        if len(blocks) == 1:
-            letter, coeffs = blocks[0]
-            return _coeff_mean(mu[letter], coeffs)
-        cached = cache.get(blocks)
-        if cached is not None:
-            return cached
-        result = None
-        for index, (letter, coeffs) in enumerate(blocks):
-            if not needs_centering(index, letter, len(blocks)):
-                continue
-            mean = _coeff_mean(nu[letter], coeffs)
-            if mean:
-                centered = blocks[:index] + (_center(blocks[index], mean),) + blocks[index + 1 :]
-                result = eval_blocks(centered) + mean * eval_blocks(_delete_block(blocks, index))
-                break
-        if result is None:
-            # every required block is nu-centered: the moment factorizes
-            result = Fraction(1)
-            for letter, coeffs in blocks:
-                result *= _coeff_mean(mu[letter], coeffs)
-        cache[blocks] = result
-        return result
-
-    def phi(word: Word) -> Fraction:
-        return eval_blocks(_blocks_of_word(tuple(word)))
-
-    return phi
+    nested = _noncrossing_moments({1: MomentSequence(nu1), 2: MomentSequence(nu2)})
+    return _noncrossing_moments({1: MomentSequence(mu1), 2: MomentSequence(mu2)}, nested)
 
 
 def functional_eval(phi: MomentFunctional, p: NCPolynomial) -> Fraction:

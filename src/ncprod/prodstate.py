@@ -482,19 +482,6 @@ class StateEvaluator:
             raise ValueError(f"alphabet mismatch: {p.d} vs {self.cm.d}")
         return sum((coeff * self.word_moment(w) for w, coeff in p.terms.items()), Fraction(0))
 
-    def inner(self, p: NCPolynomial, q: NCPolynomial) -> Fraction:
-        return self.eval_poly(p.involution() * q)
-
-
-def state_eval(cm: CoefficientMap, p: NCPolynomial) -> Fraction:
-    """Apply the state to a polynomial (fresh evaluator; see StateEvaluator)."""
-    return StateEvaluator(cm).eval_poly(p)
-
-
-def inner_product(cm: CoefficientMap, p: NCPolynomial, q: NCPolynomial) -> Fraction:
-    """The bilinear form <p, q> = state of involution(p) * q."""
-    return StateEvaluator(cm).inner(p, q)
-
 
 def moment_table(cm: CoefficientMap, order: int) -> list[tuple[Word, Fraction]]:
     """All word moments up to the given order, in graded-lex order."""

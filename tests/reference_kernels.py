@@ -10,8 +10,15 @@ product.  ``fraction_classical_cf``, ``fraction_scalar_branched_cf`` and
 ``fraction_matricial_cf`` are the continued-fraction engines with every
 series in ``Fraction`` coefficients, the classical one with its own chain
 recursion; ``eager_product_type_entries`` and ``eager_cfree_entries`` fill
-every nonzero coefficient-map entry through the depth, word by word.  The
-library's kernels must agree with them exactly.
+every nonzero coefficient-map entry through the depth, word by word.
+``centering_cfree_state`` evaluates the two-pair (conditionally free)
+state by centering blocks: a block polynomial p splits into (p - mean)
+plus its mean, the mean term deletes the block and merges its neighbors,
+and the recursion bottoms out once every block that must be centered is.
+Each step either centers one more block or shortens the list, so the
+recursion terminates.  It shares nothing with the non-crossing cumulant
+sum of the free and two-pair oracles, and with both pairs equal it is the
+free state.  The library's kernels must agree with them exactly.
 """
 
 from fractions import Fraction
@@ -24,7 +31,7 @@ from ncprod.cfrac import (
     _smat_mul,
     block_extract,
 )
-from ncprod.jacobi import JacobiData
+from ncprod.jacobi import JacobiData, MomentSequence
 from ncprod.ncpoly import (
     EMPTY_WORD,
     NCPolynomial,
@@ -32,10 +39,11 @@ from ncprod.ncpoly import (
     Word,
     graded_lex_key,
     leading_run_length,
+    word_runs,
     words_up_to,
 )
 from ncprod.omega import OmegaTree
-from ncprod.oracle import MopsResult, functional_inner
+from ncprod.oracle import MomentFunctional, MopsResult, functional_inner
 from ncprod.prodstate import CoefficientMap, left_multiply
 
 
@@ -233,3 +241,101 @@ def eager_cfree_entries(mu1, nu1, mu2, nu2, depth: int):
             if value:
                 c[u] = value
     return b, c
+
+
+# one-variable polynomials inside block lists are coefficient tuples,
+# lowest degree first
+Coeffs = tuple[Fraction, ...]
+Block = tuple[int, Coeffs]
+
+
+def _monomial_coeffs(power: int) -> Coeffs:
+    return (Fraction(0),) * power + (Fraction(1),)
+
+
+def _coeff_mul(p: Coeffs, q: Coeffs) -> Coeffs:
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if not a:
+            continue
+        for j, b in enumerate(q):
+            if b:
+                out[i + j] += a * b
+    return tuple(out)
+
+
+def _coeff_mean(moments: MomentSequence, p: Coeffs) -> Fraction:
+    return sum((c * moments[k] for k, c in enumerate(p) if c), Fraction(0))
+
+
+def _blocks_of_word(word: Word) -> tuple[Block, ...]:
+    return tuple((letter, _monomial_coeffs(length)) for letter, length in word_runs(word))
+
+
+def _delete_block(blocks: tuple[Block, ...], index: int) -> tuple[Block, ...]:
+    """Remove one block, multiplying neighbors together if letters now match."""
+    before = list(blocks[:index])
+    after = list(blocks[index + 1 :])
+    if before and after and before[-1][0] == after[0][0]:
+        letter = before[-1][0]
+        merged = (letter, _coeff_mul(before[-1][1], after[0][1]))
+        return tuple(before[:-1] + [merged] + after[1:])
+    return tuple(before + after)
+
+
+def _center(block: Block, mean: Fraction) -> Block:
+    letter, coeffs = block
+    adjusted = (coeffs[0] - mean,) + coeffs[1:]
+    return (letter, adjusted)
+
+
+def centering_cfree_state(
+    mu1: JacobiData, nu1: JacobiData, mu2: JacobiData, nu2: JacobiData
+) -> MomentFunctional:
+    """Two-pair state: interior blocks center against nu, values come from mu.
+
+    A leading letter-1 block and a trailing letter-2 block are exempt from
+    centering; once every non-exempt block is nu-centered the moment is the
+    product of the mu-means of all blocks.
+    """
+    mu = {1: MomentSequence(mu1), 2: MomentSequence(mu2)}
+    nu = {1: MomentSequence(nu1), 2: MomentSequence(nu2)}
+    cache: dict[tuple[Block, ...], Fraction] = {}
+
+    def needs_centering(index: int, letter: int, count: int) -> bool:
+        if index == 0 and letter == 1:
+            return False
+        if index == count - 1 and letter == 2:
+            return False
+        return True
+
+    def eval_blocks(blocks: tuple[Block, ...]) -> Fraction:
+        if not blocks:
+            return Fraction(1)
+        if len(blocks) == 1:
+            letter, coeffs = blocks[0]
+            return _coeff_mean(mu[letter], coeffs)
+        cached = cache.get(blocks)
+        if cached is not None:
+            return cached
+        result = None
+        for index, (letter, coeffs) in enumerate(blocks):
+            if not needs_centering(index, letter, len(blocks)):
+                continue
+            mean = _coeff_mean(nu[letter], coeffs)
+            if mean:
+                centered = blocks[:index] + (_center(blocks[index], mean),) + blocks[index + 1 :]
+                result = eval_blocks(centered) + mean * eval_blocks(_delete_block(blocks, index))
+                break
+        if result is None:
+            # every required block is nu-centered: the moment factorizes
+            result = Fraction(1)
+            for letter, coeffs in blocks:
+                result *= _coeff_mean(mu[letter], coeffs)
+        cache[blocks] = result
+        return result
+
+    def phi(word: Word) -> Fraction:
+        return eval_blocks(_blocks_of_word(tuple(word)))
+
+    return phi

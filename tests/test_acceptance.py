@@ -76,7 +76,7 @@ def test_criterion_02_zero_norm_characterization():
             evaluator = StateEvaluator(cm)
             for u in words_up_to(2, 4):
                 p = basis_polynomial(tree, GENERIC_J1, GENERIC_J2, u)
-                norm = evaluator.inner(p, p)
+                norm = functional_inner(evaluator.word_moment, p, p)
                 assert (norm == 0) == (not tree.in_interior(u)), (name, u)
 
 

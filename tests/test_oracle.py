@@ -26,7 +26,7 @@ from ncprod import (
 from ncprod.jacobi import JacobiData, MomentSequence
 from ncprod.oracle import antimonotone_state, boolean_state, factor_into_one_variable_triple
 from ncprod.ncpoly import words_up_to
-from reference_kernels import product_gram_schmidt_mops
+from reference_kernels import centering_cfree_state, product_gram_schmidt_mops
 
 F = Fraction
 
@@ -120,9 +120,35 @@ def test_free_cumulant_sum_equals_centering_route(j1, j2):
     """free_state sums free cumulants over non-crossing partitions; the
     two-pair state with nu = mu reaches the free state by centering blocks."""
     free = free_state(j1, j2)
-    centered = cfree_state(j1, j1, j2, j2)
+    centered = centering_cfree_state(j1, j1, j2, j2)
     for w in words_up_to(2, 8):
         assert free(w) == centered(w), w
+
+
+def _cfree_reference_cases():
+    cases = {}
+    for seed in (61, 62, 63):
+        mu1, mu2 = random_pair(seed)
+        nu1, nu2 = random_pair(seed + 100)
+        cases[f"seed{seed}"] = (mu1, nu1, mu2, nu2)
+    delta0 = preset("point-mass", c=F(0))
+    cases["nu-point-mass-0"] = (GENERIC_J1, delta0, GENERIC_J2, delta0)
+    nu1, nu2 = random_pair(64, centered=True)
+    cases["nu-centered"] = (GENERIC_J1, nu1, GENERIC_J2, nu2)
+    return cases
+
+
+_CFREE_CASES = _cfree_reference_cases()
+
+
+@pytest.mark.parametrize("pairs", list(_CFREE_CASES.values()), ids=list(_CFREE_CASES))
+def test_cfree_cumulant_sum_equals_centering_route(pairs):
+    """cfree_state sums c-free cumulants over the outer blocks and nu's free
+    cumulants over the nested ones; the centering route shares none of it."""
+    phi = cfree_state(*pairs)
+    centered = centering_cfree_state(*pairs)
+    for w in words_up_to(2, 8):
+        assert phi(w) == centered(w), w
 
 
 def test_free_semicircles_sum_non_crossing_pairings():
@@ -190,7 +216,7 @@ def test_mops_on_tree_states_generic_data():
         assert result.is_mops, name
         for u in words_up_to(2, 3):
             diff = result.polynomials[u] - basis_polynomial(tree, GENERIC_J1, GENERIC_J2, u)
-            assert evaluator.inner(diff, diff) == 0, (name, u)
+            assert functional_inner(evaluator.word_moment, diff, diff) == 0, (name, u)
 
 
 def test_mops_q_counterexample():

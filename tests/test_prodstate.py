@@ -19,8 +19,8 @@ from ncprod import (
     cfree_basis_polynomial,
     cfree_map,
     explicit_map,
+    functional_inner,
     gram_matrix,
-    inner_product,
     left_multiply,
     moment,
     omega_from_json,
@@ -28,7 +28,6 @@ from ncprod import (
     product_type_map,
     recursion_basis,
     scalar_branched_cf,
-    state_eval,
 )
 from ncprod.jacobi import JacobiRangeError
 from ncprod.prodstate import DepthExhaustedError
@@ -81,7 +80,7 @@ def test_depth_guard():
         with pytest.raises(DepthExhaustedError):
             cm.integer.c((1, 2, 1))
     with pytest.raises(DepthExhaustedError):
-        state_eval(cm, word_poly((1, 2, 1, 2)))
+        StateEvaluator(cm).eval_poly(word_poly((1, 2, 1, 2)))
 
 
 def test_integer_view_refuses_a_scale_that_leaves_a_denominator():
@@ -228,8 +227,8 @@ def test_left_multiply_general_node():
 def test_single_letter_moment_is_mean():
     for name in BUILTIN_OMEGAS:
         cm = product_type_map(builder(name, 3), GENERIC_J1, GENERIC_J2)
-        assert state_eval(cm, x(1)) == GENERIC_J1.beta_at(0)
-        assert state_eval(cm, x(2)) == GENERIC_J2.beta_at(0)
+        assert StateEvaluator(cm).eval_poly(x(1)) == GENERIC_J1.beta_at(0)
+        assert StateEvaluator(cm).eval_poly(x(2)) == GENERIC_J2.beta_at(0)
 
 
 def test_stochastic_independence():
@@ -263,8 +262,9 @@ def test_state_is_linear():
     cm = product_type_map(builder("monotone", 4), GENERIC_J1, GENERIC_J2)
     p = word_poly((1, 2)) - 3 * word_poly((2, 1, 1))
     q = F(1, 2) * word_poly((2,))
-    assert state_eval(cm, p + q) == state_eval(cm, p) + state_eval(cm, q)
-    assert state_eval(cm, NCPolynomial.one(2)) == 1
+    ev = StateEvaluator(cm)
+    assert ev.eval_poly(p + q) == ev.eval_poly(p) + ev.eval_poly(q)
+    assert ev.eval_poly(NCPolynomial.one(2)) == 1
 
 
 # inner products and Gram matrices -------------------------------------------
@@ -285,14 +285,14 @@ def test_norm_product_free_semicircle():
     cm = product_type_map(builder("free", 4), SEMI, SEMI)
     tree = builder("free", 4)
     p = basis_polynomial(tree, SEMI, SEMI, (1, 2))
-    assert inner_product(cm, p, p) == 1
+    assert functional_inner(StateEvaluator(cm).word_moment, p, p) == 1
 
 
 def test_one_branch_boundary_vector_has_zero_norm():
     tree = builder("one-branch", 4)
     cm = product_type_map(tree, GENERIC_J1, GENERIC_J2)
     p = basis_polynomial(tree, GENERIC_J1, GENERIC_J2, (2, 1))
-    assert inner_product(cm, p, p) == 0
+    assert functional_inner(StateEvaluator(cm).word_moment, p, p) == 0
 
 
 def test_gram_boolean_semicircle_depth_two():
