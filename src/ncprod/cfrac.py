@@ -31,13 +31,13 @@ recursion reaches; the matricial engine takes D from its own data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .jacobi import JacobiData
 from .ncpoly import (
     EMPTY_WORD,
+    FrozenRecord,
     NCSeries,
     Word,
     _make,
@@ -116,34 +116,41 @@ def _as_matrix(rows: Iterable[Iterable[Fraction]]) -> tuple[tuple[Fraction, ...]
     return tuple(tuple(exact_fraction(x) for x in row) for row in rows)
 
 
-@dataclass(frozen=True, eq=False)
-class MatricialData:
+class MatricialData(FrozenRecord):
     """Level-indexed recursion matrices: T_i at levels 0..K, C at levels 1..K.
 
     Level k matrices are d^k x d^k; every C must be diagonal with nonnegative
     entries.  Basis vectors at level k are words of length k ordered with the
     first (leftmost, most recently added) letter most significant.
+    Instances compare by identity.
     """
 
+    __slots__ = ("d", "t", "c")
     d: int
     t: tuple[tuple[tuple[tuple[Fraction, ...], ...], ...], ...]
     c: tuple[tuple[tuple[Fraction, ...], ...], ...]
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "t", tuple(tuple(_as_matrix(m) for m in level) for level in self.t)
-        )
-        object.__setattr__(self, "c", tuple(_as_matrix(m) for m in self.c))
-        if len(self.c) != len(self.t) - 1:
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        d: int,
+        t: Iterable[Iterable[Iterable[Iterable[Fraction]]]],
+        c: Iterable[Iterable[Iterable[Fraction]]],
+    ):
+        t = tuple(tuple(_as_matrix(m) for m in level) for level in t)
+        c = tuple(_as_matrix(m) for m in c)
+        if len(c) != len(t) - 1:
             raise ValueError("need one C matrix per level 1..K and T matrices at 0..K")
-        for k, level in enumerate(self.t):
-            size = self.d**k
-            if len(level) != self.d:
+        for k, level in enumerate(t):
+            size = d**k
+            if len(level) != d:
                 raise ValueError(f"level {k} needs one T matrix per letter")
             for m in level:
                 _check_square(m, size, f"T at level {k}")
-        for k, m in enumerate(self.c, start=1):
-            size = self.d**k
+        for k, m in enumerate(c, start=1):
+            size = d**k
             _check_square(m, size, f"C at level {k}")
             for r, row in enumerate(m):
                 for s, value in enumerate(row):
@@ -151,6 +158,7 @@ class MatricialData:
                         raise ValueError(f"C at level {k} must be diagonal")
                     if r == s and value < 0:
                         raise ValueError(f"C at level {k} has negative entry {value}")
+        super().__init__(d, t, c)
 
     @property
     def levels(self) -> int:

@@ -7,10 +7,16 @@ JSON or pretty text, and CSV for the tables of moments, gram and cfrac,
 deterministic for identical inputs (words in graded-lexicographic order,
 rationals in lowest terms).  --omega picks the tree of a product-type
 state; two-pair mode (--nu1/--nu2) always uses the full tree, so it
-refuses --omega.  Where no coefficient map is built (cfrac --engine
-classical, mops --state tensor or q-gaussian), --omega and --nu1/--nu2 are
-refused rather than ignored, and so are mops --q without --state
-q-gaussian and --jacobi1/--jacobi2 with it.
+refuses --omega; compare --against cfree checks it against the two-pair
+oracle and needs --nu1/--nu2.  Where no coefficient map is built (cfrac
+--engine classical, mops --state tensor or q-gaussian), --omega and
+--nu1/--nu2 are refused rather than ignored, and so are cfrac --engine
+classical's --jacobi2, mops --q without --state q-gaussian and
+--jacobi1/--jacobi2 with it.
+
+The continued-fraction engines and the oracles are imported by the
+subcommands that run them, so a process compiles and loads only what its
+subcommand uses.
 
 Exit codes: 0 on success, 1 on mathematical failure (invalid tree, mismatch
 in a comparison), 2 on input errors, including a negative --order, an
@@ -24,9 +30,9 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
-from . import cfrac, jacobi, omega, oracle, prodstate
+from . import jacobi, omega, prodstate
 from .ncpoly import NCPolynomial, NCSeries, Word, format_rational, parse_rational, words_up_to
 
 
@@ -236,8 +242,14 @@ def cmd_gram(args) -> int:
 
 
 def cmd_cfrac(args) -> int:
+    from . import cfrac
+
     if args.engine == "classical":
         _refuse_map_flags(args, "--engine classical")
+        if args.jacobi2 is not None:
+            raise CliInputError(
+                "--jacobi2 is not read by --engine classical, which takes its one marginal from --jacobi1"
+            )
         data = _load_jacobi(args.jacobi1, "--jacobi1")
         series = cfrac.classical_cf(data, args.order)
         _emit_rows(_series_to_rows(series), args.format)
@@ -262,6 +274,8 @@ def cmd_cfrac(args) -> int:
 
 
 def cmd_mops(args) -> int:
+    from . import oracle
+
     depth = args.order if args.order is not None else 3
     if args.state != "omega":
         _refuse_map_flags(args, f"--state {args.state}")
@@ -309,25 +323,31 @@ def cmd_mops(args) -> int:
     return 0
 
 
-_ORACLES: dict[str, Callable] = {
-    "free": oracle.free_state,
-    "boolean": oracle.boolean_state,
-    "monotone": oracle.monotone_state,
-    "antimonotone": oracle.antimonotone_state,
-    "tensor": oracle.tensor_state,
-}
+# the oracles of one (mu1, mu2) pair: each is oracle.<name>_state(mu1, mu2)
+_ORACLES = ("free", "boolean", "monotone", "antimonotone", "tensor")
 
 
 def cmd_compare(args) -> int:
+    if args.against == "cfree" and args.nu1 is None:
+        raise CliInputError("--against cfree needs --nu1 and --nu2")
     cm = _build_map(args, max(args.order, 1))
     evaluator = prodstate.StateEvaluator(cm)
     if args.against == "cfrac":
-        series = cfrac.scalar_branched_cf(cm, args.order)
-        reference = series.coefficient
+        from . import cfrac
+
+        reference = cfrac.scalar_branched_cf(cm, args.order).coefficient
     else:
+        from . import oracle
+
         j1 = _load_jacobi(args.jacobi1, "--jacobi1")
         j2 = _load_jacobi(args.jacobi2, "--jacobi2")
-        reference = _ORACLES[args.against](j1, j2)
+        if args.against == "cfree":
+            reference = oracle.cfree_state(
+                j1, _load_jacobi(args.nu1, "--nu1"), j2, _load_jacobi(args.nu2, "--nu2")
+            )
+        else:
+            # looked up at call time, so that a replaced factory is the one called
+            reference = getattr(oracle, f"{args.against}_state")(j1, j2)
     mismatches = []
     for w in words_up_to(2, args.order):
         left = evaluator.word_moment(w)
@@ -363,6 +383,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
+    from . import oracle
+
     q = parse_rational(args.q)
     q_phi = oracle.q_gaussian_state(q)
     q_result = oracle.gram_schmidt_mops(q_phi, 3)
@@ -456,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.add_argument(
         "--against",
         required=True,
-        choices=(*_ORACLES, "cfrac"),
+        choices=(*_ORACLES, "cfree", "cfrac"),
     )
     p_compare.set_defaults(func=cmd_compare)
 

@@ -19,11 +19,17 @@ JacobiData is an immutable value type and every operation here is pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping
 
-from .ncpoly import NCPolynomial, exact_fraction, format_rational, parse_rational
+from .ncpoly import (
+    FrozenRecord,
+    NCPolynomial,
+    Rational,
+    exact_fraction,
+    format_rational,
+    parse_rational,
+)
 
 EXTENSION_POLICIES = ("repeat", "zero", "error")
 
@@ -34,29 +40,31 @@ class JacobiRangeError(IndexError):
     """Raised when data under the "error" extension policy is exhausted."""
 
 
-@dataclass(frozen=True)
-class JacobiData:
+class JacobiData(FrozenRecord):
     """Jacobi coefficients (beta_0, beta_1, ...) and (gamma_1, gamma_2, ...)."""
 
+    __slots__ = ("beta", "gamma", "extend")
     beta: tuple[Fraction, ...]
     gamma: tuple[Fraction, ...]
-    extend: str = "repeat"
+    extend: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "beta", tuple(exact_fraction(b) for b in self.beta))
-        object.__setattr__(self, "gamma", tuple(exact_fraction(g) for g in self.gamma))
-        policy = _POLICY_ALIASES.get(self.extend, self.extend)
+    def __init__(
+        self, beta: Iterable[Rational | str], gamma: Iterable[Rational | str], extend: str = "repeat"
+    ):
+        beta = tuple(exact_fraction(b) for b in beta)
+        gamma = tuple(exact_fraction(g) for g in gamma)
+        policy = _POLICY_ALIASES.get(extend, extend)
         if policy not in EXTENSION_POLICIES:
-            raise ValueError(f"unknown extension policy {self.extend!r}")
-        object.__setattr__(self, "extend", policy)
+            raise ValueError(f"unknown extension policy {extend!r}")
         seen_zero = False
-        for g in self.gamma:
+        for g in gamma:
             if g < 0:
                 raise ValueError(f"negative gamma {g} would not define a state")
             if seen_zero and g != 0:
                 raise ValueError("gamma must stay zero after its first zero entry")
             if g == 0:
                 seen_zero = True
+        super().__init__(beta, gamma, policy)
 
     def beta_at(self, n: int) -> Fraction:
         if n < 0:

@@ -115,6 +115,49 @@ def clear_denominator(value: Rational, multiple: int) -> int:
     return value.numerator * quotient
 
 
+class FrozenRecord:
+    """Base of the package's small immutable value types.
+
+    A subclass names its fields in ``__slots__``; its ``__init__`` checks and
+    normalises the arguments and hands the values to this ``__init__`` in
+    slot order.  Instances refuse assignment, compare and hash by their
+    field values, and copy and pickle through their constructor.  Plain
+    classes rather than generated ones: the standard library's class
+    generator imports ``inspect``, which costs a short CLI run more time
+    than its arithmetic.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
 def _clean_terms(terms: Mapping[Word, Rational], d: int) -> dict[Word, Fraction]:
     cleaned: dict[Word, Fraction] = {}
     for word, coeff in terms.items():

@@ -14,10 +14,9 @@ whose extension by their own first letter is not a member.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .ncpoly import Word, check_word, graded_lex_key, words_up_to
+from .ncpoly import FrozenRecord, Word, check_word, graded_lex_key, words_up_to
 
 BUILTIN_OMEGAS = ("free", "boolean", "monotone", "antimonotone", "one-branch")
 
@@ -51,12 +50,15 @@ class OmegaValidationError(ValueError):
         return data
 
 
-@dataclass(frozen=True)
-class OmegaTree:
+class OmegaTree(FrozenRecord):
     """A validated truncated tree; members hold words of length <= depth + 1."""
 
+    __slots__ = ("depth", "members")
     depth: int
     members: frozenset[Word]
+
+    def __init__(self, depth: int, members: frozenset[Word]):
+        super().__init__(depth, members)
 
     def __contains__(self, word) -> bool:
         return tuple(word) in self.members

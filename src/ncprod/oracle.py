@@ -25,7 +25,6 @@ functional and tests the monic-orthogonality property.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -240,15 +239,24 @@ def functional_inner(phi: MomentFunctional, p: NCPolynomial, q: NCPolynomial) ->
     return functional_eval(phi, p.involution() * q)
 
 
-@dataclass
 class MopsResult:
     """Orthogonalized monomial family plus the monic-orthogonality verdict."""
 
-    polynomials: dict[Word, NCPolynomial]
-    norms: dict[Word, Fraction]
-    is_mops: bool
-    witness: tuple[Word, Word] | None = None
-    witness_value: Fraction | None = None
+    __slots__ = ("polynomials", "norms", "is_mops", "witness", "witness_value")
+
+    def __init__(
+        self,
+        polynomials: dict[Word, NCPolynomial],
+        norms: dict[Word, Fraction],
+        is_mops: bool,
+        witness: tuple[Word, Word] | None = None,
+        witness_value: Fraction | None = None,
+    ):
+        self.polynomials = polynomials
+        self.norms = norms
+        self.is_mops = is_mops
+        self.witness = witness
+        self.witness_value = witness_value
 
 
 def gram_schmidt_mops(

@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
@@ -489,12 +488,14 @@ def moment_table(cm: CoefficientMap, order: int) -> list[tuple[Word, Fraction]]:
     return [(w, evaluator.word_moment(w)) for w in words_up_to(cm.d, order)]
 
 
-@dataclass
 class GramMatrix:
     """Inner products of basis polynomials over all words up to a depth."""
 
-    words: tuple[Word, ...]
-    entries: dict[tuple[Word, Word], Fraction] = field(default_factory=dict)
+    __slots__ = ("words", "entries")
+
+    def __init__(self, words: tuple[Word, ...], entries: dict[tuple[Word, Word], Fraction] | None = None):
+        self.words = words
+        self.entries = {} if entries is None else entries
 
     def value(self, u: Word, v: Word) -> Fraction:
         return self.entries.get((tuple(u), tuple(v)), Fraction(0))

@@ -264,6 +264,29 @@ def test_compare_cfree_mode(capsys, generic_files, tmp_path):
     assert json.loads(out)["equal"] is True
 
 
+def test_compare_against_cfree_oracle(capsys):
+    """--against cfree checks the two-pair state against the c-free oracle
+    built from all four marginals; the (mu1, mu2) oracles ignore the nu's,
+    so --against free differs from it on the same inputs."""
+    pairs = [str(GOLDEN / f"{name}.json") for name in ("j1", "nu1", "j2", "nu2")]
+    argv = ["compare", "--jacobi1", pairs[0], "--nu1", pairs[1],
+            "--jacobi2", pairs[2], "--nu2", pairs[3], "--order", "6"]
+    code, out = run(capsys, *argv, "--against", "cfree")
+    assert code == 0
+    assert json.loads(out) == {"equal": True, "order": 6}
+    code, out = run(capsys, *argv, "--against", "free")
+    assert code == 1
+    assert json.loads(out)["first_mismatch"]["word"] == [2, 1, 2]
+
+
+def test_compare_against_cfree_needs_the_nu_files(capsys, generic_files):
+    j1, j2 = generic_files
+    argv = ["compare", "--jacobi1", j1, "--jacobi2", j2, "--against", "cfree", "--order", "4"]
+    _assert_input_error(capsys, argv, "--nu1 and --nu2")
+    _assert_input_error(capsys, [*argv, "--omega", "free"], "--nu1 and --nu2")
+    _assert_input_error(capsys, [*argv, "--nu1", j1], "--nu1 and --nu2")
+
+
 def test_omega_with_two_pair_mode_is_input_error(capsys, generic_files):
     """Two-pair mode always uses the full binary tree, so a tree given with
     --nu1/--nu2 would be ignored; it is refused instead."""
@@ -296,6 +319,15 @@ def test_cfrac_classical_refuses_map_flags(capsys, generic_files):
     _assert_map_flags_refused(
         capsys, ["cfrac", "--engine", "classical", "--jacobi1", j1, "--order", "4"], j1
     )
+
+
+def test_cfrac_classical_refuses_jacobi2(capsys, generic_files):
+    """The classical engine reads one marginal; a second one is refused even
+    when its file does not exist, since it would never be read."""
+    j1, j2 = generic_files
+    for path in (j2, "/nonexistent.json"):
+        _assert_input_error(capsys, ["cfrac", "--engine", "classical", "--jacobi1", j1,
+                                     "--jacobi2", path, "--order", "4"], "--jacobi2")
 
 
 def test_mops_tensor_refuses_map_flags(capsys, generic_files):
