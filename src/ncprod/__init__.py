@@ -64,6 +64,7 @@ _EXPORTS = {
         "matricial_from_map",
         "render_branched_cf",
         "scalar_branched_cf",
+        "scalar_branched_numerators",
     ),
     "oracle": (
         "MopsResult",

@@ -26,7 +26,8 @@ with integer coefficients only, so every series in the recursion has
 integer coefficients and the coefficient of F at a word w is that of F' at
 w over D^|w|: one division per output word.  The scalar engine reads D B and
 D^2 C from the map's integer view, which reads only the entries the
-recursion reaches; the matricial engine takes D from its own data.
+recursion reaches, and :func:`scalar_branched_numerators` hands out its F'
+undivided; the matricial engine takes D from its own data.
 """
 
 from __future__ import annotations
@@ -87,6 +88,14 @@ def scalar_branched_cf(cm: CoefficientMap, order: int) -> NCSeries:
     only their B terms.  It runs on the map's integer view (see the module
     docstring) and divides once per output word.
     """
+    return _over_powers(scalar_branched_numerators(cm, order), cm.scale)
+
+
+def scalar_branched_numerators(cm: CoefficientMap, order: int) -> NCSeries:
+    """The integer series F' of :func:`scalar_branched_cf`, before its one
+    division per word: its coefficient at w is D^|w| times the state at x_w,
+    with D the map's scale, the same integer as
+    :meth:`~ncprod.prodstate.StateEvaluator.word_numerator` gives."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     d = cm.d
@@ -109,7 +118,7 @@ def scalar_branched_cf(cm: CoefficientMap, order: int) -> NCSeries:
                     denom = denom - cval * sub.sandwich(j, j).truncate(budget)
         return denom.inverse()
 
-    return _over_powers(node(EMPTY_WORD, order), cm.scale)
+    return node(EMPTY_WORD, order)
 
 
 def _as_matrix(rows: Iterable[Iterable[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:

@@ -14,9 +14,17 @@ oracle and needs --nu1/--nu2.  Where no coefficient map is built (cfrac
 classical's --jacobi2, mops --q without --state q-gaussian and
 --jacobi1/--jacobi2 with it.
 
-The continued-fraction engines and the oracles are imported by the
-subcommands that run them, so a process compiles and loads only what its
-subcommand uses.
+Every module but ``omega`` is imported by the subcommands that run it, so
+a process compiles and loads only what its subcommand uses: ``validate``
+loads ``omega`` alone.
+
+``compare`` checks each word in integers.  The state's numerator
+D^|w| phi(w), with D the coefficient map's scale, is the integer that
+``moments`` divides once per word; the reference gives its numerator over
+the same D^|w|, the oracles built at that scale and the scalar continued
+fraction from its own integer series on the same map.  Two equal integers
+mean two equal moments, so a ``Fraction`` is built only for the first
+mismatch it reports.
 
 Exit codes: 0 on success, 1 on mathematical failure (invalid tree, mismatch
 in a comparison), 2 on input errors, including a negative --order, an
@@ -30,10 +38,18 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import jacobi, omega, prodstate
+from . import omega
 from .ncpoly import NCPolynomial, NCSeries, Word, format_rational, parse_rational, words_up_to
+
+
+if TYPE_CHECKING:
+    from .jacobi import JacobiData
+    from .prodstate import CoefficientMap
+
+    # (mu1, mu2, nu1, nu2); the nu's are None outside two-pair mode
+    Marginals = tuple[JacobiData, JacobiData, JacobiData | None, JacobiData | None]
 
 
 class CliInputError(Exception):
@@ -70,7 +86,9 @@ def _load_json(path: str) -> dict:
         raise CliInputError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_jacobi(path: str | None, what: str) -> jacobi.JacobiData:
+def _load_jacobi(path: str | None, what: str) -> JacobiData:
+    from . import jacobi
+
     if path is None:
         raise CliInputError(f"missing required jacobi file for {what}")
     try:
@@ -109,7 +127,10 @@ def _load_omega(spec: str | None, depth: int) -> omega.OmegaTree:
     return tree
 
 
-def _build_map(args, depth: int) -> prodstate.CoefficientMap:
+def _load_marginals(args) -> Marginals:
+    """(mu1, mu2, nu1, nu2) from --jacobi1, --jacobi2, --nu1 and --nu2, each
+    file read once; the nu's are None outside two-pair mode, which refuses
+    --omega."""
     nu1 = getattr(args, "nu1", None)
     nu2 = getattr(args, "nu2", None)
     if (nu1 is None) != (nu2 is None):
@@ -121,12 +142,21 @@ def _build_map(args, depth: int) -> prodstate.CoefficientMap:
         )
     j1 = _load_jacobi(args.jacobi1, "--jacobi1")
     j2 = _load_jacobi(args.jacobi2, "--jacobi2")
+    if nu1 is None:
+        return j1, j2, None, None
+    return j1, j2, _load_jacobi(nu1, "--nu1"), _load_jacobi(nu2, "--nu2")
+
+
+def _build_map(args, depth: int, marginals: Marginals | None = None) -> CoefficientMap:
+    """The coefficient map the flags name, on ``marginals`` as
+    :func:`_load_marginals` returns them, read from the files if not given."""
+    from . import prodstate
+
+    mu1, mu2, nu1, nu2 = _load_marginals(args) if marginals is None else marginals
     if nu1 is not None:
-        return prodstate.cfree_map(
-            j1, _load_jacobi(nu1, "--nu1"), j2, _load_jacobi(nu2, "--nu2"), depth
-        )
+        return prodstate.cfree_map(mu1, nu1, mu2, nu2, depth)
     tree = _load_omega(args.omega, depth)
-    return prodstate.product_type_map(tree, j1, j2)
+    return prodstate.product_type_map(tree, mu1, mu2)
 
 
 def _refuse_map_flags(args, mode: str) -> None:
@@ -212,6 +242,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_moments(args) -> int:
+    from . import prodstate
+
     cm = _build_map(args, max(args.order, 1))
     rows = prodstate.moment_table(cm, args.order)
     _emit_rows(rows, args.format)
@@ -219,6 +251,8 @@ def cmd_moments(args) -> int:
 
 
 def cmd_gram(args) -> int:
+    from . import prodstate
+
     depth = args.order
     cm = _build_map(args, max(2 * depth, 1))
     gram = prodstate.gram_matrix(cm, depth)
@@ -292,6 +326,8 @@ def cmd_mops(args) -> int:
     elif args.state == "q-gaussian":
         phi = oracle.q_gaussian_state(parse_rational(args.q if args.q is not None else "1/2"))
     else:
+        from . import prodstate
+
         cm = _build_map(args, max(2 * depth, 1))
         evaluator = prodstate.StateEvaluator(cm)
         phi = evaluator.word_moment
@@ -328,29 +364,30 @@ _ORACLES = ("free", "boolean", "monotone", "antimonotone", "tensor")
 
 
 def cmd_compare(args) -> int:
+    from . import prodstate
+
     if args.against == "cfree" and args.nu1 is None:
         raise CliInputError("--against cfree needs --nu1 and --nu2")
-    cm = _build_map(args, max(args.order, 1))
-    evaluator = prodstate.StateEvaluator(cm)
+    marginals = mu1, mu2, nu1, nu2 = _load_marginals(args)
+    cm = _build_map(args, max(args.order, 1), marginals)
+    # each side gives D^|w| phi(w), with D the map's scale
+    state = prodstate.StateEvaluator(cm).word_numerator
     if args.against == "cfrac":
         from . import cfrac
 
-        reference = cfrac.scalar_branched_cf(cm, args.order).coefficient
+        terms = cfrac.scalar_branched_numerators(cm, args.order).terms
+        reference = lambda w: terms.get(w, 0)
     else:
         from . import oracle
 
-        j1 = _load_jacobi(args.jacobi1, "--jacobi1")
-        j2 = _load_jacobi(args.jacobi2, "--jacobi2")
         if args.against == "cfree":
-            reference = oracle.cfree_state(
-                j1, _load_jacobi(args.nu1, "--nu1"), j2, _load_jacobi(args.nu2, "--nu2")
-            )
+            reference = oracle.cfree_state(mu1, nu1, mu2, nu2, scale=cm.scale)
         else:
             # looked up at call time, so that a replaced factory is the one called
-            reference = getattr(oracle, f"{args.against}_state")(j1, j2)
+            reference = getattr(oracle, f"{args.against}_state")(mu1, mu2, scale=cm.scale)
     mismatches = []
     for w in words_up_to(2, args.order):
-        left = evaluator.word_moment(w)
+        left = state(w)
         right = reference(w)
         if left != right:
             mismatches.append((w, left, right))
@@ -361,29 +398,26 @@ def cmd_compare(args) -> int:
             else f"equal through order {args.order}"
         )
         return 0
-    first = mismatches[0]
+    word, left, right = mismatches[0]
+    power = cm.scale ** len(word)
+    left, right = format_rational(Fraction(left, power)), format_rational(Fraction(right, power))
     if args.format == "json":
         payload = {
             "equal": False,
-            "first_mismatch": {
-                "word": list(first[0]),
-                "state": format_rational(first[1]),
-                "reference": format_rational(first[2]),
-            },
+            "first_mismatch": {"word": list(word), "state": left, "reference": right},
             "mismatch_count": len(mismatches),
         }
         _emit(json.dumps(payload, indent=2))
     else:
         _emit(
-            f"MISMATCH at word {list(first[0])}: state {format_rational(first[1])} "
-            f"vs {args.against} {format_rational(first[2])} "
+            f"MISMATCH at word {list(word)}: state {left} vs {args.against} {right} "
             f"({len(mismatches)} differing words through order {args.order})"
         )
     return 1
 
 
 def cmd_counterexample(args) -> int:
-    from . import oracle
+    from . import jacobi, oracle
 
     q = parse_rational(args.q)
     q_phi = oracle.q_gaussian_state(q)
@@ -500,15 +534,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     except omega.OmegaValidationError as exc:  # a ValueError, so it comes first
         print(f"invalid tree: {exc}", file=sys.stderr)
         return 1
-    except (
-        CliInputError,
-        prodstate.DepthExhaustedError,
-        ValueError,
-        KeyError,
-        jacobi.JacobiRangeError,
-    ) as exc:
+    except _input_errors() as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+
+
+def _input_errors() -> tuple[type[Exception], ...]:
+    """What main reports as an input error.  The map's depth and the Jacobi
+    data's range errors are named only once their modules are loaded: a
+    module never imported raised nothing."""
+    errors = [CliInputError, ValueError, KeyError]
+    for module, name in (("prodstate", "DepthExhaustedError"), ("jacobi", "JacobiRangeError")):
+        loaded = sys.modules.get(f"{__package__}.{module}")
+        if loaded is not None:
+            errors.append(getattr(loaded, name))
+    return tuple(errors)
 
 
 if __name__ == "__main__":

@@ -26,6 +26,8 @@ from .ncpoly import (
     FrozenRecord,
     NCPolynomial,
     Rational,
+    clear_denominator,
+    common_denominator,
     exact_fraction,
     format_rational,
     parse_rational,
@@ -126,44 +128,70 @@ def orthogonal_polynomial(
 class MomentSequence:
     """The moments mu[x^0], mu[x^1], ... of one state, computed on demand.
 
-    One transfer pass on the P-basis serves every index: after n steps the
-    vector holds the P-coefficients of x^n, whose constant coefficient is
-    mu[x^n].  Asking for an index beyond those computed resumes the pass
-    where it stopped, so each moment is computed once.
+    One transfer pass serves every index, and it runs in integers.  With D
+    the ``scale``, an integer that clears every coefficient the pass reads,
+    the scaled variable y = D x and basis Q_m = D^m P_m obey
+
+        y * Q_m = Q_{m+1} + (D beta_m) * Q_m + (D^2 gamma_m) * Q_{m-1},
+
+    with integer coefficients, so after n steps the vector holds the integer
+    Q-coefficients of y^n, whose constant coefficient is D^n mu[x^n]
+    (:meth:`numerator`); ``seq[n]`` divides it once.  D defaults to
+    :func:`coefficient_scale`, which clears every coefficient the data can
+    give.  A coefficient is scaled when the pass first reads it, and one
+    that D does not clear raises ``ValueError`` there.  Asking for an index
+    beyond those computed resumes the pass where it stopped, so each moment
+    is computed once.
     """
 
-    __slots__ = ("data", "_moments", "_vec")
+    __slots__ = ("data", "scale", "_numerators", "_vec", "_beta", "_gamma")
 
-    def __init__(self, data: JacobiData):
+    def __init__(self, data: JacobiData, scale: int | None = None):
         self.data = data
-        self._moments = [Fraction(1)]
-        self._vec = [Fraction(1)]
+        self.scale = coefficient_scale(data) if scale is None else scale
+        self._numerators = [1]
+        self._vec = [1]
+        # D beta_m and D^2 gamma_m, for the indices read so far
+        self._beta: list[int] = []
+        self._gamma: list[int] = []
 
-    def __getitem__(self, n: int) -> Fraction:
+    def numerator(self, n: int) -> int:
+        """D^n mu[x^n], with D the scale."""
         if n < 0:
             raise ValueError("moment index must be nonnegative")
-        moments = self._moments
-        while len(moments) <= n:
+        numerators = self._numerators
+        while len(numerators) <= n:
             self._vec = self._step(self._vec)
-            moments.append(self._vec[0])
-        return moments[n]
+            numerators.append(self._vec[0])
+        return numerators[n]
 
-    def _step(self, vec: list[Fraction]) -> list[Fraction]:
-        """x * sum_m vec[m] P_m in the P-basis, by the three-term recursion."""
-        data = self.data
-        nxt = [Fraction(0)] * (len(vec) + 1)
+    def __getitem__(self, n: int) -> Fraction:
+        return Fraction(self.numerator(n), self.scale**n)
+
+    def _step(self, vec: list[int]) -> list[int]:
+        """y * sum_m vec[m] Q_m in the Q-basis, by the scaled three-term recursion."""
+        beta, gamma = self._beta, self._gamma
+        while len(beta) < len(vec):
+            m = len(beta)
+            beta.append(clear_denominator(self.data.beta_at(m), self.scale))
+            gamma.append(clear_denominator(self.data.gamma_at(m), self.scale * self.scale))
+        nxt = [0] * (len(vec) + 1)
         for m, coeff in enumerate(vec):
             if not coeff:
                 continue
             nxt[m + 1] += coeff
-            b = data.beta_at(m)
-            if b:
-                nxt[m] += coeff * b
-            if m:
-                g = data.gamma_at(m)
-                if g:
-                    nxt[m - 1] += coeff * g
+            if beta[m]:
+                nxt[m] += coeff * beta[m]
+            if gamma[m]:
+                nxt[m - 1] += coeff * gamma[m]
         return nxt
+
+
+def coefficient_scale(data: JacobiData) -> int:
+    """The lcm of the stored coefficients' denominators.  Every beta_n and
+    gamma_n is a stored entry or 0, whatever the extension policy, so it
+    clears them all."""
+    return common_denominator(data.beta + data.gamma)
 
 
 def moment(data: JacobiData, n: int) -> Fraction:

@@ -15,9 +15,22 @@ cumulants (Bozejko, Leinert and Speicher, 1996).  The block-centering
 evaluation of the two-pair state, a route independent of this sum, lives
 in the tests as its reference.
 
-``*_state`` factories return memoizing callables from words to rationals.
-Each holds one :class:`~ncprod.jacobi.MomentSequence` per marginal, so a
-marginal moment is computed once however many words need it.
+The oracles of a marginal pair run in integers.  With D an integer that
+clears every recursion coefficient of the marginals, each one finds
+M(w) = D^|w| phi(w) from the integers D^n m_n of its marginals' moments
+and divides once per word.  The free and two-pair sums scale block by
+block (the block, its gaps and its tail add up to the word); the block
+products of the Boolean, monotone, anti-monotone and tensor states scale
+run by run.  D is the lcm of the marginals' stored coefficient
+denominators.  A factory given ``scale=D`` uses that D instead and returns
+the integers M(w) themselves: ``compare`` builds the oracle at its
+coefficient map's scale and checks each word as two integers over the
+same D^|w|.  A scale that does not clear a coefficient the oracle reads
+raises ``ValueError``.
+
+Each ``*_state`` factory holds one :class:`~ncprod.jacobi.MomentSequence`
+per marginal, so a marginal moment is computed once however many words
+need it, and the non-crossing sums memoize every word they evaluate.
 
 :func:`gram_schmidt_mops` orthogonalizes the monomials under any such
 functional and tests the monic-orthogonality property.
@@ -25,19 +38,25 @@ functional and tests the monic-orthogonality property.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Sequence, Union
 
-from .jacobi import JacobiData, MomentSequence
+from .jacobi import JacobiData, MomentSequence, coefficient_scale
 from .ncpoly import MomentMatrix, NCPolynomial, Word, graded_lex_key, word_runs, words_up_to
 
 MomentFunctional = Callable[[Word], Fraction]
+# w -> D^|w| phi(w), for an integer D fixed with the functional
+NumeratorFunctional = Callable[[Word], int]
+# what a *_state factory returns: a MomentFunctional, or with scale= a NumeratorFunctional
+Functional = Union[MomentFunctional, NumeratorFunctional]
 
 
 def _noncrossing_moments(
-    marginals: dict[int, MomentSequence], nested: MomentFunctional | None = None
-) -> MomentFunctional:
-    """Joint moments summed over non-crossing partitions into one-letter blocks.
+    marginals: dict[int, MomentSequence], nested: NumeratorFunctional | None = None
+) -> NumeratorFunctional:
+    """Joint moments summed over non-crossing partitions into one-letter
+    blocks, as numerators over the marginals' common scale D.
 
     Recursing on the block S of the first position,
 
@@ -49,25 +68,31 @@ def _noncrossing_moments(
     consecutive elements of S, and the tail is the stretch after the last
     one.  ``nested`` evaluates the inner gaps; it defaults to phi itself.  A
     marginal's kappa_n comes from the same sum on the word a^n, whose value
-    m_n is known: kappa_n is m_n minus the terms with |S| < n.  The memo is
-    keyed by words.
-    """
-    # kappa_n at index n; index 0 is never read
-    cumulants: dict[int, list[Fraction]] = {1: [Fraction(0)], 2: [Fraction(0)]}
-    cache: dict[Word, Fraction] = {}
+    m_n is known: kappa_n is m_n minus the terms with |S| < n.
 
-    def block_sum(word: Word, kappa: list[Fraction]) -> Fraction:
+    The lengths of S, the gaps and the tail add up to |w|, so the same sum
+    holds for M(w) = D^|w| phi(w) with K_n = D^n kappa_n in place of the
+    cumulants, and with M_n = D^n m_n read from the marginals
+    (:meth:`~ncprod.jacobi.MomentSequence.numerator`).  It runs on those
+    integers, and ``nested`` must count at the same D.  The memo is keyed by
+    words.
+    """
+    # K_n at index n; index 0 is never read
+    cumulants: dict[int, list[int]] = {1: [0], 2: [0]}
+    cache: dict[Word, int] = {}
+
+    def block_sum(word: Word, kappa: list[int]) -> int:
         """The sum over S, with kappa the first letter's cumulants."""
         letter = word[0]
         # chains[j][k]: sum over the sets S with last element j and |S| = k
         # of the product of their inner gaps' values
-        chains: dict[int, dict[int, Fraction]] = {}
-        total = Fraction(0)
+        chains: dict[int, dict[int, int]] = {}
+        total = 0
         for j, current in enumerate(word):
             if current != letter:
                 continue
             if j == 0:
-                weights = {1: Fraction(1)}
+                weights = {1: 1}
             else:
                 weights = {}
                 for i, before in chains.items():
@@ -82,22 +107,22 @@ def _noncrossing_moments(
                     total += kappa[k] * weight * tail
         return total
 
-    def cumulants_through(letter: int, n: int) -> list[Fraction]:
+    def cumulants_through(letter: int, n: int) -> list[int]:
         kappa = cumulants[letter]
         while len(kappa) <= n:
             m = len(kappa)
-            kappa.append(Fraction(0))  # leaves out S = every position
-            kappa[m] = marginals[letter][m] - block_sum((letter,) * m, kappa)
+            kappa.append(0)  # leaves out S = every position
+            kappa[m] = marginals[letter].numerator(m) - block_sum((letter,) * m, kappa)
         return kappa
 
-    def phi(word: Word) -> Fraction:
+    def phi(word: Word) -> int:
         word = tuple(word)
         if not word:
-            return Fraction(1)
+            return 1
         letter = word[0]
         count = word.count(letter)
         if count == len(word):
-            return marginals[letter][count]
+            return marginals[letter].numerator(count)
         cached = cache.get(word)
         if cached is None:
             cached = cache[word] = block_sum(word, cumulants_through(letter, count))
@@ -107,65 +132,91 @@ def _noncrossing_moments(
     return phi
 
 
-def free_state(j1: JacobiData, j2: JacobiData) -> MomentFunctional:
+def _moment_sequences(scale: int | None, *data: JacobiData) -> list[MomentSequence]:
+    """One moment sequence per marginal, all at one scale: the given one, or
+    else the lcm of the marginals' own (:func:`~ncprod.jacobi.coefficient_scale`)."""
+    if scale is None:
+        scale = math.lcm(*(coefficient_scale(d) for d in data))
+    return [MomentSequence(d, scale) for d in data]
+
+
+def _finish(numerators: NumeratorFunctional, scale: int, scaled: bool) -> Functional:
+    """The numerators themselves if ``scaled``, else phi(w) = numerators(w) /
+    scale^|w|, one division per word."""
+    if scaled:
+        return numerators
+    powers = [1]
+
+    def phi(word: Word) -> Fraction:
+        word = tuple(word)
+        while len(powers) <= len(word):
+            powers.append(powers[-1] * scale)
+        return Fraction(numerators(word), powers[len(word)])
+
+    return phi
+
+
+def free_state(j1: JacobiData, j2: JacobiData, *, scale: int | None = None) -> Functional:
     """Joint moments of the free product of the two marginals.
 
     Speicher's moment-cumulant formula: the sum, over the non-crossing
     partitions of the positions whose blocks each hold one letter, of the
     product of the blocks' free cumulants.
     """
-    return _noncrossing_moments({1: MomentSequence(j1), 2: MomentSequence(j2)})
+    m1, m2 = _moment_sequences(scale, j1, j2)
+    return _finish(_noncrossing_moments({1: m1, 2: m2}), m1.scale, scale is not None)
 
 
-def boolean_state(j1: JacobiData, j2: JacobiData) -> MomentFunctional:
+def boolean_state(j1: JacobiData, j2: JacobiData, *, scale: int | None = None) -> Functional:
     """Each maximal block contributes its own marginal moment."""
-    marginals = {1: MomentSequence(j1), 2: MomentSequence(j2)}
+    m1, m2 = _moment_sequences(scale, j1, j2)
+    marginals = {1: m1, 2: m2}
 
-    def phi(word: Word) -> Fraction:
-        total = Fraction(1)
+    def phi(word: Word) -> int:
+        total = 1
         for letter, length in word_runs(tuple(word)):
-            total *= marginals[letter][length]
+            total *= marginals[letter].numerator(length)
         return total
 
-    return phi
+    return _finish(phi, m1.scale, scale is not None)
 
 
-def monotone_state(j1: JacobiData, j2: JacobiData) -> MomentFunctional:
+def monotone_state(j1: JacobiData, j2: JacobiData, *, scale: int | None = None) -> Functional:
     """All letter-1 blocks merge into one marginal moment; letter-2 blocks factor."""
-    m1, m2 = MomentSequence(j1), MomentSequence(j2)
+    m1, m2 = _moment_sequences(scale, j1, j2)
 
-    def phi(word: Word) -> Fraction:
+    def phi(word: Word) -> int:
         word = tuple(word)
         ones = sum(1 for letter in word if letter == 1)
-        total = m1[ones]
+        total = m1.numerator(ones)
         for letter, length in word_runs(word):
             if letter == 2:
-                total *= m2[length]
+                total *= m2.numerator(length)
         return total
 
-    return phi
+    return _finish(phi, m1.scale, scale is not None)
 
 
-def antimonotone_state(j1: JacobiData, j2: JacobiData) -> MomentFunctional:
+def antimonotone_state(j1: JacobiData, j2: JacobiData, *, scale: int | None = None) -> Functional:
     """Monotone with the letters and marginals interchanged."""
-    mirrored = monotone_state(j2, j1)
+    mirrored = monotone_state(j2, j1, scale=scale)
 
-    def phi(word: Word) -> Fraction:
+    def phi(word: Word):
         return mirrored(tuple(3 - letter for letter in word))
 
     return phi
 
 
-def tensor_state(j1: JacobiData, j2: JacobiData) -> MomentFunctional:
+def tensor_state(j1: JacobiData, j2: JacobiData, *, scale: int | None = None) -> Functional:
     """Product of the two total-power marginal moments."""
-    m1, m2 = MomentSequence(j1), MomentSequence(j2)
+    m1, m2 = _moment_sequences(scale, j1, j2)
 
-    def phi(word: Word) -> Fraction:
+    def phi(word: Word) -> int:
         word = tuple(word)
         ones = sum(1 for letter in word if letter == 1)
-        return m1[ones] * m2[len(word) - ones]
+        return m1.numerator(ones) * m2.numerator(len(word) - ones)
 
-    return phi
+    return _finish(phi, m1.scale, scale is not None)
 
 
 def _pairings(positions: tuple[int, ...], letters: Word):
@@ -214,8 +265,13 @@ def q_gaussian_state(q: Fraction) -> MomentFunctional:
 
 
 def cfree_state(
-    mu1: JacobiData, nu1: JacobiData, mu2: JacobiData, nu2: JacobiData
-) -> MomentFunctional:
+    mu1: JacobiData,
+    nu1: JacobiData,
+    mu2: JacobiData,
+    nu2: JacobiData,
+    *,
+    scale: int | None = None,
+) -> Functional:
     """Joint moments of the conditionally free product of two (mu, nu) pairs.
 
     Mixed cumulants vanish, and in each non-crossing partition the outer
@@ -226,8 +282,9 @@ def cfree_state(
     are the c-free ones.  With nu = mu this is the free state; with nu the
     point mass at 0 every inner gap vanishes and it is the Boolean state.
     """
-    nested = _noncrossing_moments({1: MomentSequence(nu1), 2: MomentSequence(nu2)})
-    return _noncrossing_moments({1: MomentSequence(mu1), 2: MomentSequence(mu2)}, nested)
+    m1, n1, m2, n2 = _moment_sequences(scale, mu1, nu1, mu2, nu2)
+    nested = _noncrossing_moments({1: n1, 2: n2})
+    return _finish(_noncrossing_moments({1: m1, 2: m2}, nested), m1.scale, scale is not None)
 
 
 def functional_eval(phi: MomentFunctional, p: NCPolynomial) -> Fraction:

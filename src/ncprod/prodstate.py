@@ -389,10 +389,11 @@ class StateEvaluator:
 
         phi(x_w) = sum_u A_u B_u ||Q_u||^2 / D^|w|.
 
-    Integer expansions are cached for every suffix built, and so are the
-    norms and, for each left half, its row {u: A_u ||Q_u||^2}, shared by
-    every word that starts with that half.  Word moments are cached as
-    well, so evaluating many polynomials against the same state reuses
+    :meth:`word_numerator` is that integer sum, D^|w| phi(x_w); comparing
+    two of them at one D compares the moments.  Integer expansions are
+    cached for every suffix built, and so are the norms and, for each left
+    half, its row {u: A_u ||Q_u||^2}, shared by every word that starts with
+    that half.  Word moments are cached as well, so evaluating many polynomials against the same state reuses
     work.  Supports polynomials of degree up to ``cm.depth + 1``; a longer
     word raises :class:`DepthExhaustedError`.
 
@@ -456,11 +457,10 @@ class StateEvaluator:
             self._rows[left] = row
         return row
 
-    def word_moment(self, word: Word) -> Fraction:
+    def word_numerator(self, word: Word) -> int:
+        """D^|w| phi(w), with D the map's scale: the integer sum over u of
+        A_u B_u ||Q_u||^2, which :meth:`word_moment` divides once."""
         word = tuple(word)
-        value = self._moments.get(word)
-        if value is not None:
-            return value
         if len(word) > self.cm.depth + 1:
             raise DepthExhaustedError(
                 f"word of length {len(word)} exceeds map depth {self.cm.depth} + 1"
@@ -473,7 +473,15 @@ class StateEvaluator:
             b = right.get(u)
             if b is not None:
                 total += a * b
-        value = self._moments[word] = Fraction(total, self._scale ** len(word))
+        return total
+
+    def word_moment(self, word: Word) -> Fraction:
+        word = tuple(word)
+        value = self._moments.get(word)
+        if value is None:
+            value = self._moments[word] = Fraction(
+                self.word_numerator(word), self._scale ** len(word)
+            )
         return value
 
     def eval_poly(self, p: NCPolynomial) -> Fraction:

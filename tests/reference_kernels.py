@@ -18,7 +18,10 @@ and the recursion bottoms out once every block that must be centered is.
 Each step either centers one more block or shortens the list, so the
 recursion terminates.  It shares nothing with the non-crossing cumulant
 sum of the free and two-pair oracles, and with both pairs equal it is the
-free state.  The library's kernels must agree with them exactly.
+free state.  ``fraction_noncrossing_moments`` is that cumulant sum with
+every moment, cumulant and product a ``Fraction``; the oracles' integer
+sum over one common denominator D must equal it times D^|w|.  The
+library's kernels must agree with them exactly.
 """
 
 from fractions import Fraction
@@ -338,4 +341,77 @@ def centering_cfree_state(
     def phi(word: Word) -> Fraction:
         return eval_blocks(_blocks_of_word(tuple(word)))
 
+    return phi
+
+
+def fraction_noncrossing_moments(
+    marginals: dict[int, MomentSequence], nested: MomentFunctional | None = None
+) -> MomentFunctional:
+    """Joint moments summed over non-crossing partitions into one-letter blocks.
+
+    Recursing on the block S of the first position,
+
+        phi(w) = sum_S kappa_|S|(w_1) * prod over the inner gaps of nested(gap)
+                 * phi(tail),
+
+    where S runs over the position sets that contain the first position and
+    on which w is constant, the inner gaps are the stretches between
+    consecutive elements of S, and the tail is the stretch after the last
+    one.  ``nested`` evaluates the inner gaps; it defaults to phi itself.  A
+    marginal's kappa_n comes from the same sum on the word a^n, whose value
+    m_n is known: kappa_n is m_n minus the terms with |S| < n.  The memo is
+    keyed by words.
+    """
+    # kappa_n at index n; index 0 is never read
+    cumulants: dict[int, list[Fraction]] = {1: [Fraction(0)], 2: [Fraction(0)]}
+    cache: dict[Word, Fraction] = {}
+
+    def block_sum(word: Word, kappa: list[Fraction]) -> Fraction:
+        """The sum over S, with kappa the first letter's cumulants."""
+        letter = word[0]
+        # chains[j][k]: sum over the sets S with last element j and |S| = k
+        # of the product of their inner gaps' values
+        chains: dict[int, dict[int, Fraction]] = {}
+        total = Fraction(0)
+        for j, current in enumerate(word):
+            if current != letter:
+                continue
+            if j == 0:
+                weights = {1: Fraction(1)}
+            else:
+                weights = {}
+                for i, before in chains.items():
+                    gap = inner(word[i + 1 : j])
+                    if gap:
+                        for k, weight in before.items():
+                            weights[k + 1] = weights.get(k + 1, 0) + weight * gap
+            chains[j] = weights
+            tail = phi(word[j + 1 :])
+            if tail:
+                for k, weight in weights.items():
+                    total += kappa[k] * weight * tail
+        return total
+
+    def cumulants_through(letter: int, n: int) -> list[Fraction]:
+        kappa = cumulants[letter]
+        while len(kappa) <= n:
+            m = len(kappa)
+            kappa.append(Fraction(0))  # leaves out S = every position
+            kappa[m] = marginals[letter][m] - block_sum((letter,) * m, kappa)
+        return kappa
+
+    def phi(word: Word) -> Fraction:
+        word = tuple(word)
+        if not word:
+            return Fraction(1)
+        letter = word[0]
+        count = word.count(letter)
+        if count == len(word):
+            return marginals[letter][count]
+        cached = cache.get(word)
+        if cached is None:
+            cached = cache[word] = block_sum(word, cumulants_through(letter, count))
+        return cached
+
+    inner = phi if nested is None else nested
     return phi

@@ -15,6 +15,7 @@ from ncprod import (
     JacobiData,
     NCPolynomial,
     StateEvaluator,
+    antimonotone_state,
     basis_polynomial,
     boolean_state,
     builder,
@@ -140,7 +141,7 @@ def test_criterion_07_tensor_counterexample():
 
 
 def test_criterion_08_cfree_degenerations():
-    with criterion(8, 30.0, "two-pair state degenerations: free, boolean, monotone"):
+    with criterion(8, 30.0, "two-pair state degenerations: free, boolean, monotone, anti-monotone"):
         delta0 = preset("point-mass", c=F(0))
         delta1 = preset("point-mass", c=F(1))
         words = words_up_to(2, 6)
@@ -154,6 +155,12 @@ def test_criterion_08_cfree_degenerations():
         boolean = boolean_state(GENERIC_J1, GENERIC_J2)
         for w in words:
             assert with_d0.word_moment(w) == boolean(w), w
+
+        # nu1 = mu1 and nu2 = delta_0: the mirror image of the monotone case
+        with_mu1_d0 = StateEvaluator(cfree_map(GENERIC_J1, GENERIC_J1, GENERIC_J2, delta0, 7))
+        antimonotone = antimonotone_state(GENERIC_J1, GENERIC_J2)
+        for w in words:
+            assert with_mu1_d0.word_moment(w) == antimonotone(w), w
 
         monotone = monotone_state(GENERIC_J1, GENERIC_J2)
         matches = {}

@@ -4,12 +4,15 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from ncprod.cli import main
 from ncprod.omega import _BUILTIN_ALIASES
+
+F = Fraction
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -285,6 +288,100 @@ def test_compare_against_cfree_needs_the_nu_files(capsys, generic_files):
     _assert_input_error(capsys, argv, "--nu1 and --nu2")
     _assert_input_error(capsys, [*argv, "--omega", "free"], "--nu1 and --nu2")
     _assert_input_error(capsys, [*argv, "--nu1", j1], "--nu1 and --nu2")
+
+
+@pytest.mark.parametrize("against, files", [("free", 2), ("cfree", 4)])
+def test_compare_reads_each_marginal_file_once(capsys, monkeypatch, against, files):
+    """The map and the reference share the marginals compare read."""
+    import ncprod.jacobi
+
+    calls = []
+    parse = ncprod.jacobi.jacobi_from_json
+    monkeypatch.setattr(ncprod.jacobi, "jacobi_from_json", lambda obj: calls.append(obj) or parse(obj))
+    inputs = ["--jacobi1", str(GOLDEN / "j1.json"), "--jacobi2", str(GOLDEN / "j2.json")]
+    if against == "cfree":
+        inputs += ["--nu1", str(GOLDEN / "nu1.json"), "--nu2", str(GOLDEN / "nu2.json")]
+    else:
+        inputs += ["--omega", "free"]
+    code, out = run(capsys, "compare", *inputs, "--against", against, "--order", "4")
+    assert (code, json.loads(out)) == (0, {"equal": True, "order": 4})
+    assert len(calls) == files
+
+
+_TWO_PAIR = ("--nu1", str(GOLDEN / "nu1.json"), "--nu2", str(GOLDEN / "nu2.json"))
+
+
+@pytest.mark.parametrize(
+    "against, flags",
+    [
+        ("free", ("--omega", "one-branch")),
+        ("boolean", ("--omega", "free")),
+        ("monotone", ("--omega", "free")),
+        ("antimonotone", ("--omega", "monotone")),
+        ("tensor", ("--omega", "free")),
+        ("free", _TWO_PAIR),
+        ("cfree", _TWO_PAIR),
+        ("cfrac", ("--omega", "free")),
+    ],
+    ids=["free", "boolean", "monotone", "antimonotone", "tensor", "two-pair-free", "cfree", "cfrac"],
+)
+def test_compare_mismatch_report_equals_fraction_comparison(capsys, monkeypatch, against, flags):
+    """compare checks numerators in integers; its first mismatch, the two
+    reduced values there and the count are those of comparing word_moment
+    with the public reference in Fractions.  Nothing mismatches the c-free
+    oracle or the continued fraction, so those references are made to
+    differ: the c-free oracle gets the two nu's swapped, and the continued
+    fraction's numerators at (2,) and (1, 2, 1) gain 1."""
+    from ncprod import cfrac, oracle, prodstate
+    from ncprod.jacobi import jacobi_from_json
+    from ncprod.ncpoly import _make, format_rational, words_up_to
+    from ncprod.omega import builder
+
+    order = 6
+    mu1, nu1, mu2, nu2 = (jacobi_from_json(json.loads((GOLDEN / f"{name}.json").read_text()))
+                          for name in ("j1", "nu1", "j2", "nu2"))
+    if flags == _TWO_PAIR:
+        cm = prodstate.cfree_map(mu1, nu1, mu2, nu2, order)
+    else:
+        cm = prodstate.product_type_map(builder(flags[1], order), mu1, mu2)
+    evaluator = prodstate.StateEvaluator(cm)
+    if against == "cfree":
+        real = oracle.cfree_state
+        monkeypatch.setattr(oracle, "cfree_state",
+                            lambda m1, n1, m2, n2, **scale: real(m1, n2, m2, n1, **scale))
+        reference = real(mu1, nu2, mu2, nu1)
+    elif against == "cfrac":
+        bumped = {(2,): 1, (1, 2, 1): 1}
+        real = cfrac.scalar_branched_numerators
+
+        def numerators(cm, order):
+            series = real(cm, order)
+            terms = {w: series.terms.get(w, 0) + bumped.get(w, 0) for w in words_up_to(2, order)}
+            return _make(2, order, terms)
+
+        series = cfrac.scalar_branched_cf(cm, order)
+        monkeypatch.setattr(cfrac, "scalar_branched_numerators", numerators)
+        reference = lambda w: series.coefficient(w) + F(bumped.get(w, 0), cm.scale ** len(w))
+    else:
+        reference = getattr(oracle, f"{against}_state")(mu1, mu2)
+    rows = [(w, evaluator.word_moment(w), reference(w)) for w in words_up_to(2, order)]
+    mismatches = [row for row in rows if row[1] != row[2]]
+    word, state, expected = mismatches[0]
+
+    argv = ["compare", "--jacobi1", str(GOLDEN / "j1.json"), "--jacobi2", str(GOLDEN / "j2.json"),
+            *flags, "--against", against, "--order", str(order)]
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert json.loads(out) == {
+        "equal": False,
+        "first_mismatch": {"word": list(word), "state": format_rational(state),
+                           "reference": format_rational(expected)},
+        "mismatch_count": len(mismatches),
+    }
+    code, out = run(capsys, *argv, "--format", "pretty")
+    assert code == 1
+    assert out == (f"MISMATCH at word {list(word)}: state {format_rational(state)} vs {against} "
+                   f"{format_rational(expected)} ({len(mismatches)} differing words through order 6)\n")
 
 
 def test_omega_with_two_pair_mode_is_input_error(capsys, generic_files):

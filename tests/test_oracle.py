@@ -1,6 +1,9 @@
 """Reference states and the monomial orthogonalization machinery."""
 
+import json
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,14 +26,24 @@ from ncprod import (
     q_gaussian_state,
     tensor_state,
 )
-from ncprod.jacobi import JacobiData, MomentSequence
-from ncprod.oracle import antimonotone_state, boolean_state, factor_into_one_variable_triple
+from ncprod.jacobi import JacobiData, MomentSequence, coefficient_scale, jacobi_from_json
+from ncprod.oracle import (
+    _noncrossing_moments,
+    antimonotone_state,
+    boolean_state,
+    factor_into_one_variable_triple,
+)
 from ncprod.ncpoly import words_up_to
-from reference_kernels import centering_cfree_state, product_gram_schmidt_mops
+from reference_kernels import (
+    centering_cfree_state,
+    fraction_noncrossing_moments,
+    product_gram_schmidt_mops,
+)
 
 F = Fraction
 
 SEMI = preset("semicircle")
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_free_semicircle_values():
@@ -184,6 +197,98 @@ def test_cfree_oracle_matches_map():
     phi = cfree_state(GENERIC_J1, nu1, GENERIC_J2, nu2)
     for w in words_up_to(2, 6):
         assert evaluator.word_moment(w) == phi(w), w
+
+
+# the integer core -------------------------------------------------------------
+
+def _golden(name):
+    return jacobi_from_json(json.loads((GOLDEN / f"{name}.json").read_text()))
+
+
+def _integer_core_cases():
+    """(mu1, nu1, mu2, nu2) quadruples; the free sum runs on (mu1, mu2)."""
+    delta0 = preset("point-mass", c=F(0))
+    # coprime denominators: betas over 7, gammas over 11 and 13
+    coprime1 = JacobiData(beta=(F(1, 7), F(-3, 7)), gamma=(F(2, 11), F(5, 13), F(4, 11)))
+    coprime2 = JacobiData(beta=(F(2, 7), F(-1, 7)), gamma=(F(9, 13), F(3, 11)))
+    # supported on three points: every gamma past the stored two is zero
+    finite = JacobiData(beta=(F(1, 3), F(-1, 2), F(1, 5)), gamma=(F(2, 5), F(3, 4)), extend="zero")
+    q_gaussian = preset("q-gaussian", q=F(1, 3))  # gammas over 3^0 .. 3^23
+    j1, j2, nu1, nu2 = (_golden(name) for name in ("j1", "j2", "nu1", "nu2"))
+    return {
+        "golden-nu-mu": (j1, j1, j2, j2),
+        "golden-two-pair": (j1, nu1, j2, nu2),
+        "coprime": (coprime1, coprime2, coprime2, coprime1),
+        "nu-point-mass-0": (GENERIC_J1, delta0, GENERIC_J2, delta0),
+        "zero-extension": (finite, GENERIC_J1, GENERIC_J2, finite),
+        "q-gaussian": (q_gaussian, SEMI, GENERIC_J2, q_gaussian),
+    }
+
+
+_INTEGER_CORE_CASES = _integer_core_cases()
+
+
+@pytest.mark.parametrize("pairs", list(_INTEGER_CORE_CASES.values()), ids=list(_INTEGER_CORE_CASES))
+def test_integer_core_equals_fraction_recursion(pairs):
+    """The non-crossing sum on the numerators D^|w| phi(w) equals the same
+    sum run in Fractions, times D^|w|, on every word through order 8: as
+    the free sum and with nested nu gaps, at the marginals' own D and at a
+    multiple of it; the public factories divide it back exactly."""
+    mu1, nu1, mu2, nu2 = pairs
+
+    def sequences(a, b, scale=None):
+        return {1: MomentSequence(a, scale), 2: MomentSequence(b, scale)}
+
+    free_ref = fraction_noncrossing_moments(sequences(mu1, mu2))
+    cfree_ref = fraction_noncrossing_moments(
+        sequences(mu1, mu2), fraction_noncrossing_moments(sequences(nu1, nu2))
+    )
+    own = math.lcm(*(coefficient_scale(data) for data in pairs))
+    words = words_up_to(2, 8)
+    for scale in (own, 6 * own):
+        free = _noncrossing_moments(sequences(mu1, mu2, scale))
+        cfree = _noncrossing_moments(
+            sequences(mu1, mu2, scale), _noncrossing_moments(sequences(nu1, nu2, scale))
+        )
+        for w in words:
+            assert free(w) == free_ref(w) * scale ** len(w), (scale, w)
+            assert cfree(w) == cfree_ref(w) * scale ** len(w), (scale, w)
+    free_public = free_state(mu1, mu2)
+    cfree_public = cfree_state(*pairs)
+    for w in words:
+        assert free_public(w) == free_ref(w), w
+        assert cfree_public(w) == cfree_ref(w), w
+
+
+@pytest.mark.parametrize(
+    "factory", [free_state, boolean_state, monotone_state, antimonotone_state, tensor_state]
+)
+def test_scaled_oracle_gives_the_numerators(factory):
+    """With scale=D a factory returns D^|w| phi(w) as an int, for any D that
+    clears the marginals' coefficients."""
+    phi = factory(GENERIC_J1, GENERIC_J2)
+    scale = 5 * math.lcm(coefficient_scale(GENERIC_J1), coefficient_scale(GENERIC_J2))
+    numerators = factory(GENERIC_J1, GENERIC_J2, scale=scale)
+    for w in words_up_to(2, 6):
+        value = numerators(w)
+        assert type(value) is int
+        assert value == phi(w) * scale ** len(w), w
+
+
+def test_scale_that_leaves_a_denominator_raises():
+    """A scale that clears beta_0 = 1/7 and gamma_1 = 2/11 but not gamma_2 =
+    5/13 serves the words that read no further and raises, never truncates,
+    at the first that does."""
+    coprime = JacobiData(beta=(F(1, 7),), gamma=(F(2, 11), F(5, 13)))
+    assert MomentSequence(coprime, 77).numerator(2) == 77**2 * moment(coprime, 2)
+    with pytest.raises(ValueError, match="does not clear"):
+        MomentSequence(coprime, 77).numerator(3)
+    pairs = (coprime, coprime, coprime, coprime)
+    for factory in (free_state, boolean_state, monotone_state, antimonotone_state, tensor_state, cfree_state):
+        phi = factory(*pairs[: 4 if factory is cfree_state else 2], scale=77)
+        assert phi((1, 2)) == 77**2 * moment(coprime, 1) ** 2
+        with pytest.raises(ValueError, match="does not clear"):
+            phi((2, 2, 2))
 
 
 # monomial orthogonalization --------------------------------------------------

@@ -61,10 +61,13 @@ print(json.dumps([code, sorted(sys.modules)]))
          {"ncprod.cfrac"}, {"ncprod.oracle", "dataclasses"}),
         (["compare", "--omega", "free", "--against", "free", "--order", "3"],
          {"ncprod.oracle"}, {"ncprod.cfrac", "dataclasses"}),
+        (["validate", "free"], {"ncprod.omega"}, {"ncprod.jacobi", "ncprod.prodstate"}),
     ],
 )
 def test_subcommand_loads_only_what_it_runs(argv, loaded, not_loaded):
-    inputs = ["--jacobi1", str(GOLDEN / "j1.json"), "--jacobi2", str(GOLDEN / "j2.json")]
+    inputs = [] if argv[0] == "validate" else [
+        "--jacobi1", str(GOLDEN / "j1.json"), "--jacobi2", str(GOLDEN / "j2.json")
+    ]
     done = subprocess.run(
         [sys.executable, "-S", "-c", LOADED_MODULES, *argv, *inputs],
         env=ENV, capture_output=True, text=True, check=True, timeout=120,
@@ -73,6 +76,23 @@ def test_subcommand_loads_only_what_it_runs(argv, loaded, not_loaded):
     assert code == 0
     assert loaded <= set(modules)
     assert not not_loaded & set(modules)
+
+
+def test_map_errors_stay_input_errors(capsys, monkeypatch):
+    """main names the map's and the Jacobi data's errors without importing
+    their modules; raised from a subcommand they still exit 2."""
+    from ncprod import jacobi, prodstate
+    from ncprod.cli import main
+
+    inputs = ["--jacobi1", str(GOLDEN / "j1.json"), "--jacobi2", str(GOLDEN / "j2.json")]
+    for error in (prodstate.DepthExhaustedError("too deep"), jacobi.JacobiRangeError("too far")):
+        def raising(*args, error=error):
+            raise error
+
+        monkeypatch.setattr(prodstate, "moment_table", raising)
+        assert main(["moments", *inputs, "--omega", "free", "--order", "2"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"input error: {error}\n")
 
 
 def test_frozen_records_keep_their_contracts():
