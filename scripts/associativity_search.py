@@ -6,32 +6,14 @@ pure runs present, sibling-closed), tests the iterated-product construction
 against its mirror at depth three, and reports the failures.
 """
 
-import itertools
-
 from ncprod.ncpoly import graded_lex_key
-from ncprod.omega import OmegaTree, _omega_squared_mirror, is_associative, omega_squared
-
-
-def enumerate_valid_trees(max_len=3):
-    def child_options(u):
-        same = (u[0],) + u
-        cross = (2 if u[0] == 1 else 1,) + u
-        if len(set(u)) == 1:
-            return [(same,), (same, cross)]
-        return [(), (same,), (same, cross)]
-
-    results = []
-
-    def grow(members, frontier, length):
-        if length > max_len:
-            results.append(frozenset(members))
-            return
-        for combo in itertools.product(*(child_options(u) for u in frontier)):
-            new_frontier = sorted(set(itertools.chain.from_iterable(combo)), key=graded_lex_key)
-            grow(members | set(new_frontier), new_frontier, length + 1)
-
-    grow({(), (1,), (2,)}, [(1,), (2,)], 2)
-    return results
+from ncprod.omega import (
+    OmegaTree,
+    _omega_squared_mirror,
+    enumerate_valid_trees,
+    is_associative,
+    omega_squared,
+)
 
 
 def main() -> None:

@@ -37,6 +37,7 @@ _EXPORTS = {
         "OmegaTree",
         "OmegaValidationError",
         "builder",
+        "enumerate_valid_trees",
         "is_associative",
         "omega_from_json",
         "omega_squared",
@@ -47,7 +48,6 @@ _EXPORTS = {
         "DepthExhaustedError",
         "StateEvaluator",
         "basis_polynomial",
-        "cfree_basis_polynomial",
         "cfree_map",
         "explicit_map",
         "gram_matrix",

@@ -153,10 +153,11 @@ def _build_map(args, depth: int, marginals: Marginals | None = None) -> Coeffici
     from . import prodstate
 
     mu1, mu2, nu1, nu2 = _load_marginals(args) if marginals is None else marginals
-    if nu1 is not None:
-        return prodstate.cfree_map(mu1, nu1, mu2, nu2, depth)
-    tree = _load_omega(args.omega, depth)
-    return prodstate.product_type_map(tree, mu1, mu2)
+    if nu1 is None:
+        tree, nu = _load_omega(args.omega, depth), None
+    else:
+        tree, nu = omega.builder("free", depth), (nu1, nu2)
+    return prodstate.product_type_map(tree, mu1, mu2, nu)
 
 
 def _refuse_map_flags(args, mode: str) -> None:

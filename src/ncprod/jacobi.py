@@ -93,21 +93,6 @@ class JacobiData(FrozenRecord):
             return Fraction(0)
         raise JacobiRangeError(f"gamma_{n} beyond stored prefix of length {len(self.gamma)}")
 
-    def support_size(self) -> int | None:
-        """Number of support points if finite, else None.
-
-        The state is supported on n points exactly when gamma_n is the first
-        vanishing gamma.
-        """
-        for idx, g in enumerate(self.gamma):
-            if g == 0:
-                return idx + 1
-        if self.extend == "zero":
-            return len(self.gamma) + 1
-        if self.extend == "repeat" and not self.gamma:
-            return 1  # every gamma extends to zero
-        return None
-
 
 def orthogonal_polynomial(
     data: JacobiData, n: int, *, letter: int = 1, alphabet: int = 1

@@ -14,6 +14,7 @@ whose extension by their own first letter is not a member.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Mapping
 
 from .ncpoly import FrozenRecord, Word, check_word, graded_lex_key, words_up_to
@@ -246,6 +247,32 @@ def _iterated_membership(
 def is_associative(tree: OmegaTree, depth: int) -> bool:
     """True when the direct and mirrored constructions agree up to depth."""
     return omega_squared(tree, depth) == _omega_squared_mirror(tree, depth)
+
+
+def enumerate_valid_trees(max_len: int = 3) -> list[frozenset[Word]]:
+    """The member sets of every valid tree stored to words of length
+    <= max_len, grown level by level: a pure run keeps its same-letter
+    child, and no node has only its cross-letter child."""
+
+    def child_options(u: Word) -> list[tuple[Word, ...]]:
+        same = (u[0],) + u
+        cross = (2 if u[0] == 1 else 1,) + u
+        if len(set(u)) == 1:
+            return [(same,), (same, cross)]
+        return [(), (same,), (same, cross)]
+
+    results: list[frozenset[Word]] = []
+
+    def grow(members: set[Word], frontier: list[Word], length: int) -> None:
+        if length > max_len:
+            results.append(frozenset(members))
+            return
+        for combo in itertools.product(*(child_options(u) for u in frontier)):
+            new_frontier = sorted(set(itertools.chain.from_iterable(combo)), key=graded_lex_key)
+            grow(members | set(new_frontier), new_frontier, length + 1)
+
+    grow({(), (1,), (2,)}, [(1,), (2,)], 2)
+    return results
 
 
 def omega_from_json(obj: Mapping) -> OmegaTree:

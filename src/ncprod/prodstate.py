@@ -32,25 +32,27 @@ A :class:`CoefficientMap` answers B(i, u) and C(u) on demand and keeps each
 answer, so a query touches only the entries it reads (``cfrac --order 13``
 reads a few hundred of the 49,148 entries of depth 13), and so does its
 integer view of B' and C'.  D is fixed at construction.  Coefficient maps
-come from three constructions, each of which also supplies the basis
+come from two constructions, each of which also supplies the basis
 polynomials P_u:
 
-* ``product_type_map(tree, j1, j2)``: B(i, u) is beta_k of marginal i (k the
-  leading i-run length of u) when (i, u) is a tree member, else 0; C(u) is
-  gamma_k of the first letter's marginal when u is an interior member
-  (member with its same-letter extension present), else 0.  P_u is
-  :func:`basis_polynomial`.
-* ``cfree_map(mu1, nu1, mu2, nu2, depth)``: the two-marginal-pair state on
-  the full binary tree; a node whose leading run is the whole word draws its
-  coefficients from mu, every other node from nu.  P_u is
-  :func:`cfree_basis_polynomial`.
+* ``product_type_map(tree, j1, j2, nu=None)``: at a node u = i^k v, B(i, u)
+  and C(u) are beta_k and gamma_k of the leading run's marginal, mu_i
+  (``j1``, ``j2``) when the run is the whole word and nu_i otherwise (nu
+  defaults to mu).  B(i, u) is 0 unless (i, u) is a tree member, and C(u)
+  is 0 unless u is an interior member (member with its same-letter
+  extension present).  P_u is :func:`basis_polynomial`: for a member u, a
+  product of one-variable orthogonal polynomials over the runs of u.
+  ``cfree_map(mu1, nu1, mu2, nu2, depth)``, the two-marginal-pair state, is
+  this map on the full binary tree.
 * ``explicit_map``: arbitrary diagonal data, for exercising the continued
   fraction machinery beyond the product-type case.  P_u is
   :func:`recursion_basis`.
 
-The first two take D from the marginals: the lcm over every coefficient
-the map can hold, all read at construction, so Jacobi data that run out
-under the "error" policy raise there and not at some later query.
+The first takes D from the marginals: the lcm over every coefficient the
+map can hold, all read at construction, so Jacobi data that run out under
+the "error" policy raise there and not at some later query.  A finitely
+supported marginal (some gamma_n = 0) is accepted on any tree: the basis
+polynomials that its zero reaches have norm 0, as on the tree's boundary.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ from .ncpoly import (
     word_runs,
     words_up_to,
 )
-from .omega import OmegaTree
+from .omega import OmegaTree, builder
 
 BasisExpansion = Mapping[Word, Fraction]
 
@@ -165,10 +167,6 @@ class CoefficientMap:
         return total
 
 
-def _marginal_pair(j1: JacobiData, j2: JacobiData) -> dict[int, JacobiData]:
-    return {1: j1, 2: j2}
-
-
 def _jacobi_lcm(data: JacobiData, depth: int) -> int:
     """lcm of the denominators of beta_0..beta_depth and gamma_1..gamma_depth;
     reading them raises JacobiRangeError where the data run out."""
@@ -176,79 +174,54 @@ def _jacobi_lcm(data: JacobiData, depth: int) -> int:
     return common_denominator(betas + [data.gamma_at(k) for k in range(1, depth + 1)])
 
 
-def _check_finite_support(tree: OmegaTree, marginals: dict[int, JacobiData]) -> None:
-    # Every valid tree holds the pure runs i^n through depth + 1, and a
-    # marginal supported on n points cannot meet a run of its letter longer
-    # than n.
-    for letter, data in marginals.items():
-        limit = data.support_size()
-        if limit is not None and limit < tree.depth + 1:
-            run = (letter,) * (limit + 1)
-            raise ValueError(
-                f"marginal {letter} is supported on {limit} points but the tree "
-                f"contains a run of {limit + 1} letter-{letter}s (word {list(run)})"
-            )
-
-
-def product_type_map(tree: OmegaTree, j1: JacobiData, j2: JacobiData) -> CoefficientMap:
+def product_type_map(
+    tree: OmegaTree,
+    j1: JacobiData,
+    j2: JacobiData,
+    nu: tuple[JacobiData, JacobiData] | None = None,
+) -> CoefficientMap:
     """Coefficient map of the product-type state attached to a tree.
 
-    D is the lcm over beta_0..beta_depth and gamma_1..gamma_depth of both
-    marginals, every coefficient an entry can take.
+    At a node u = i^k v the leading run's beta_k and gamma_k give B(i, u)
+    and C(u): from mu_i (``j1``, ``j2``) when v is empty, and from nu_i
+    otherwise, with ``nu`` defaulting to the mu pair.  B is 0 where (i, u)
+    is not a member, and C where u is not an interior member.  D is the lcm
+    over each mu's coefficients through index depth and each nu's through
+    depth - 1, every coefficient an entry can take.
     """
-    marginals = _marginal_pair(j1, j2)
-    _check_finite_support(tree, marginals)
+    mu = (j1, j2)
+    inner = mu if nu is None else nu
     depth = tree.depth
-    scale = math.lcm(_jacobi_lcm(j1, depth), _jacobi_lcm(j2, depth))
+    scale = math.lcm(
+        *(_jacobi_lcm(data, depth) for data in mu),
+        *(_jacobi_lcm(data, depth - 1) for data in inner),
+    )
     members = tree.members
 
     def b_rule(letter: int, word: Word) -> Fraction:
         if (letter,) + word not in members:
             return ZERO
-        return marginals[letter].beta_at(leading_run_length(word, letter))
+        k = leading_run_length(word, letter)
+        return (mu if len(word) == k else inner)[letter - 1].beta_at(k)
 
     def c_rule(word: Word) -> Fraction:
         if not word or not tree.in_interior(word):
             return ZERO
-        return marginals[word[0]].gamma_at(leading_run_length(word, word[0]))
+        letter = word[0]
+        k = leading_run_length(word, letter)
+        return (mu if len(word) == k else inner)[letter - 1].gamma_at(k)
 
     return CoefficientMap(
-        2, depth, b_rule, c_rule, scale, lambda u: basis_polynomial(tree, j1, j2, u)
+        2, depth, b_rule, c_rule, scale, lambda u: basis_polynomial(tree, j1, j2, u, nu)
     )
 
 
 def cfree_map(
     mu1: JacobiData, nu1: JacobiData, mu2: JacobiData, nu2: JacobiData, depth: int
 ) -> CoefficientMap:
-    """Two-marginal-pair coefficient map on the full binary tree.
-
-    At a node u = i^k v: the leading run's coefficients come from mu_i when
-    v is empty (the run is the rightmost block of u) and from nu_i otherwise.
-    D is the lcm over the coefficients that can occur: each mu's through
-    index depth, each nu's through depth - 1.
-    """
-    mu = _marginal_pair(mu1, mu2)
-    nu = _marginal_pair(nu1, nu2)
-    scale = math.lcm(
-        *(_jacobi_lcm(m, depth) for m in (mu1, mu2)),
-        *(_jacobi_lcm(n, depth - 1) for n in (nu1, nu2)),
-    )
-
-    def b_rule(letter: int, word: Word) -> Fraction:
-        k = leading_run_length(word, letter)
-        return (mu[letter] if len(word) == k else nu[letter]).beta_at(k)
-
-    def c_rule(word: Word) -> Fraction:
-        if not word:
-            return ZERO
-        letter = word[0]
-        k = leading_run_length(word, letter)
-        return (mu[letter] if len(word) == k else nu[letter]).gamma_at(k)
-
-    return CoefficientMap(
-        2, depth, b_rule, c_rule, scale,
-        lambda u: cfree_basis_polynomial(mu1, nu1, mu2, nu2, u),
-    )
+    """The two-marginal-pair (c-free) map: the product-type map of the
+    full binary tree with nu = (nu1, nu2)."""
+    return product_type_map(builder("free", depth), mu1, mu2, (nu1, nu2))
 
 
 def explicit_map(
@@ -279,45 +252,36 @@ def explicit_map(
     )
 
 
-def basis_polynomial(tree: OmegaTree, j1: JacobiData, j2: JacobiData, u: Word) -> NCPolynomial:
+def basis_polynomial(
+    tree: OmegaTree,
+    j1: JacobiData,
+    j2: JacobiData,
+    u: Word,
+    nu: tuple[JacobiData, JacobiData] | None = None,
+) -> NCPolynomial:
     """The basis polynomial P_u, straight from its defining formula.
 
-    For a member word, the product of one-variable orthogonal polynomials
-    over the maximal runs of u, in order.  For a non-member, x_v * P_w where
-    w is the longest right-suffix of u that is a member.
+    For a member word, the product over the maximal runs of u, in order, of
+    one-variable orthogonal polynomials: the rightmost run's from mu
+    (``j1``, ``j2``), every other run's from ``nu``, which defaults to mu.
+    For a non-member, x_v * P_w where w is the longest right-suffix of u
+    that is a member.
     """
     u = tuple(u)
-    marginals = _marginal_pair(j1, j2)
     if u in tree.members:
+        mu = (j1, j2)
+        inner = mu if nu is None else nu
+        runs = word_runs(u)
         result = NCPolynomial.one(2)
-        for letter, length in word_runs(u):
-            result = result * orthogonal_polynomial(
-                marginals[letter], length, letter=letter, alphabet=2
-            )
+        for idx, (letter, length) in enumerate(runs):
+            source = (mu if idx == len(runs) - 1 else inner)[letter - 1]
+            result = result * orthogonal_polynomial(source, length, letter=letter, alphabet=2)
         return result
     for suffix in word_postfixes(u)[1:]:
         if suffix in tree.members:
             prefix = u[: len(u) - len(suffix)]
-            return NCPolynomial.monomial(prefix, 2) * basis_polynomial(tree, j1, j2, suffix)
+            return NCPolynomial.monomial(prefix, 2) * basis_polynomial(tree, j1, j2, suffix, nu)
     raise ValueError("tree does not contain the empty word")
-
-
-def cfree_basis_polynomial(
-    mu1: JacobiData, nu1: JacobiData, mu2: JacobiData, nu2: JacobiData, u: Word
-) -> NCPolynomial:
-    """Alternating-product basis for the two-pair state.
-
-    The rightmost run of u contributes the mu-orthogonal polynomial of its
-    letter; every other run contributes the nu-orthogonal polynomial.
-    """
-    mu = _marginal_pair(mu1, mu2)
-    nu = _marginal_pair(nu1, nu2)
-    runs = word_runs(tuple(u))
-    result = NCPolynomial.one(2)
-    for idx, (letter, length) in enumerate(runs):
-        source = mu[letter] if idx == len(runs) - 1 else nu[letter]
-        result = result * orthogonal_polynomial(source, length, letter=letter, alphabet=2)
-    return result
 
 
 def recursion_basis(cm: CoefficientMap, u: Word) -> NCPolynomial:
@@ -393,9 +357,10 @@ class StateEvaluator:
     two of them at one D compares the moments.  Integer expansions are
     cached for every suffix built, and so are the norms and, for each left
     half, its row {u: A_u ||Q_u||^2}, shared by every word that starts with
-    that half.  Word moments are cached as well, so evaluating many polynomials against the same state reuses
-    work.  Supports polynomials of degree up to ``cm.depth + 1``; a longer
-    word raises :class:`DepthExhaustedError`.
+    that half.  Word moments are cached as well, so evaluating many
+    polynomials against the same state reuses work.  Supports polynomials of
+    degree up to ``cm.depth + 1``; a longer word raises
+    :class:`DepthExhaustedError`.
 
     The caches make instances single-threaded; share the map and
     give each thread its own evaluator.

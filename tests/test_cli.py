@@ -267,6 +267,24 @@ def test_compare_cfree_mode(capsys, generic_files, tmp_path):
     assert json.loads(out)["equal"] is True
 
 
+def test_finitely_supported_marginal_is_accepted(capsys, generic_files, tmp_path):
+    """A two-point marginal builds a state on a tree with longer runs of its
+    letter: the pure runs give the atoms' moments, and the Boolean state
+    agrees with its oracle."""
+    _, j2 = generic_files
+    two_points = tmp_path / "bernoulli.json"
+    two_points.write_text(json.dumps({"preset": "bernoulli", "p": "1/3", "a": "2", "b": "-1"}))
+    argv = ["--omega", "boolean", "--jacobi1", str(two_points), "--jacobi2", j2]
+    code, out = run(capsys, "moments", *argv, "--order", "4")
+    assert code == 0
+    rows = {tuple(row["word"]): row["value"] for row in json.loads(out)}
+    assert len(rows) == 31
+    assert rows[(1, 1, 1)] == "2" and rows[(1, 1, 1, 1)] == "6"  # (1/3) 2^n + (2/3) (-1)^n
+    code, out = run(capsys, "compare", *argv, "--against", "boolean", "--order", "6")
+    assert code == 0
+    assert json.loads(out) == {"equal": True, "order": 6}
+
+
 def test_compare_against_cfree_oracle(capsys):
     """--against cfree checks the two-pair state against the c-free oracle
     built from all four marginals; the (mu1, mu2) oracles ignore the nu's,

@@ -91,7 +91,7 @@ def test_bernoulli_moments_match_atoms():
     j = preset("bernoulli", p=p, a=a, b=b)
     for n in range(7):
         assert moment(j, n) == p * a**n + (1 - p) * b**n
-    assert j.support_size() == 2
+    assert j.gamma_at(1) and not j.gamma_at(2)  # on two points
 
 
 def test_moment_zero_is_one():
@@ -169,21 +169,13 @@ def test_gamma_validation():
 def test_extension_policies():
     j = JacobiData(beta=(F(1), F(2)), gamma=(F(3),), extend="zero")
     assert j.beta_at(5) == 0 and j.gamma_at(5) == 0
-    assert j.support_size() == 2
+    assert j.gamma_at(1) and not j.gamma_at(2)
     strict = JacobiData(beta=(F(1),), gamma=(F(1),), extend="error")
     assert strict.beta_at(0) == 1
     with pytest.raises(JacobiRangeError):
         strict.beta_at(1)
     with pytest.raises(JacobiRangeError):
         strict.gamma_at(2)
-
-
-def test_support_size():
-    assert preset("semicircle").support_size() is None
-    assert preset("point-mass", c=F(0)).support_size() == 1
-    assert JacobiData(beta=(F(0),), gamma=(F(2), F(1)), extend="zero").support_size() == 3
-    # empty gamma extends to all zeros: a point mass
-    assert JacobiData(beta=(F(2),), gamma=()).support_size() == 1
 
 
 def test_json_round_trip():

@@ -1,7 +1,5 @@
 """Tree validation, boundaries, builders, and the two-alphabet closure test."""
 
-import itertools
-
 import pytest
 
 from ncprod.ncpoly import graded_lex_key, words_up_to
@@ -11,6 +9,7 @@ from ncprod.omega import (
     OmegaValidationError,
     _omega_squared_mirror,
     builder,
+    enumerate_valid_trees,
     is_associative,
     omega_from_json,
     omega_squared,
@@ -20,34 +19,6 @@ from ncprod.omega import (
 
 def runs(limit, letters=(1, 2)):
     return {(letter,) * n for letter in letters for n in range(limit + 1)}
-
-
-def enumerate_valid_trees(max_len=3):
-    """Every valid tree stored to words of length <= max_len.
-
-    Built level by level: pure-run nodes must keep their same-letter child,
-    and no node may have only its cross-letter child.
-    """
-
-    def child_options(u):
-        same = (u[0],) + u
-        cross = (2 if u[0] == 1 else 1,) + u
-        if len(set(u)) == 1:
-            return [(same,), (same, cross)]
-        return [(), (same,), (same, cross)]
-
-    results = []
-
-    def grow(members, frontier, length):
-        if length > max_len:
-            results.append(frozenset(members))
-            return
-        for combo in itertools.product(*(child_options(u) for u in frontier)):
-            new_frontier = sorted(set(itertools.chain.from_iterable(combo)), key=graded_lex_key)
-            grow(members | set(new_frontier), new_frontier, length + 1)
-
-    grow({(), (1,), (2,)}, [(1,), (2,)], 2)
-    return results
 
 
 def test_validate_boolean_runs():

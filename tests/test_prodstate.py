@@ -14,15 +14,18 @@ from ncprod import (
     JacobiData,
     NCPolynomial,
     StateEvaluator,
+    antimonotone_state,
     basis_polynomial,
+    boolean_state,
     builder,
-    cfree_basis_polynomial,
     cfree_map,
     explicit_map,
+    free_state,
     functional_inner,
     gram_matrix,
     left_multiply,
     moment,
+    monotone_state,
     omega_from_json,
     preset,
     product_type_map,
@@ -89,26 +92,51 @@ def test_integer_view_refuses_a_scale_that_leaves_a_denominator():
         scalar_branched_cf(cm, 2)
 
 
+ORACLES = {
+    "free": free_state,
+    "boolean": boolean_state,
+    "monotone": monotone_state,
+    "antimonotone": antimonotone_state,
+}
+
+
+def _assert_map_matches_references(name, depth, j1, j2):
+    """The built-in tree's map builds, and its moments through order
+    depth + 1 equal the scalar continued fraction and, on the four universal
+    trees, the tree's direct-definition oracle."""
+    cm = product_type_map(builder(name, depth), j1, j2)
+    evaluator = StateEvaluator(cm)
+    series = scalar_branched_cf(cm, depth + 1)
+    oracle = ORACLES[name](j1, j2) if name in ORACLES else None
+    for w in words_up_to(2, depth + 1):
+        value = evaluator.word_moment(w)
+        assert value == series.coefficient(w), (name, depth, w)
+        if oracle is not None:
+            assert value == oracle(w), (name, depth, w)
+
+
 def test_finite_support_guard():
+    """There is no finite-support guard: a two-point marginal builds a map
+    on a tree with runs longer than two, and so does a point mass on every
+    built-in tree."""
     two_points = preset("bernoulli", p=F(1, 2), a=F(1), b=F(-1))
-    with pytest.raises(ValueError, match="supported on 2 points"):
-        product_type_map(builder("boolean", 4), two_points, GENERIC_J2)
-    # runs of length <= 2 are allowed for a two-point state
-    product_type_map(builder("boolean", 1), two_points, GENERIC_J2)
+    _assert_map_matches_references("boolean", 4, two_points, GENERIC_J2)
+    _assert_map_matches_references("boolean", 1, two_points, GENERIC_J2)
+    point_mass = preset("point-mass", c=F(-1, 2))
+    for name in BUILTIN_OMEGAS:
+        _assert_map_matches_references(name, 4, GENERIC_J1, point_mass)
 
 
 @pytest.mark.parametrize("name", BUILTIN_OMEGAS)
 def test_finite_support_guard_names_the_shortest_pure_run(name):
-    """A tree of depth N holds the pure runs through N + 1, so a marginal on
-    n points fails exactly when n < N + 1, with the run of n + 1 letters as
-    witness, whichever letter it is."""
+    """A tree of depth N holds the pure runs through N + 1.  A marginal on n
+    points is accepted whether or not n < N + 1, for either letter, and the
+    state still matches its references."""
     three_points = JacobiData(beta=(F(1, 2), F(0)), gamma=(F(1), F(2, 3)), extend="zero")
-    assert three_points.support_size() == 3
-    product_type_map(builder(name, 2), GENERIC_J1, three_points)
-    with pytest.raises(ValueError, match=r"supported on 3 points.*word \[2, 2, 2, 2\]"):
-        product_type_map(builder(name, 3), GENERIC_J1, three_points)
-    with pytest.raises(ValueError, match=r"marginal 1 .*word \[1, 1, 1, 1\]"):
-        product_type_map(builder(name, 5), three_points, GENERIC_J2)
+    assert three_points.gamma_at(2) and not three_points.gamma_at(3)  # on three points
+    _assert_map_matches_references(name, 2, GENERIC_J1, three_points)
+    _assert_map_matches_references(name, 3, GENERIC_J1, three_points)
+    _assert_map_matches_references(name, 5, three_points, GENERIC_J2)
 
 
 def test_error_policy_marginal_raises_at_map_construction():
@@ -178,21 +206,27 @@ def test_basis_polynomial_monic_with_leading_word():
 
 
 def test_recursion_basis_matches_definition():
+    """With or without nu, on every built-in tree, the rewrite rules rebuild
+    the run-product basis."""
+    nu = (random_pair(3)[0], random_pair(4)[1])
     for name in BUILTIN_OMEGAS:
         tree = builder(name, 6)
-        cm = product_type_map(tree, GENERIC_J1, GENERIC_J2)
-        for u in words_up_to(2, 4):
-            assert recursion_basis(cm, u) == basis_polynomial(tree, GENERIC_J1, GENERIC_J2, u)
+        for pair in (None, nu):
+            cm = product_type_map(tree, GENERIC_J1, GENERIC_J2, pair)
+            for u in words_up_to(2, 4):
+                expected = basis_polynomial(tree, GENERIC_J1, GENERIC_J2, u, pair)
+                assert recursion_basis(cm, u) == expected, (name, pair is None, u)
 
 
-def test_cfree_basis_polynomial_rightmost_block():
+def test_basis_polynomial_takes_the_rightmost_run_from_mu():
     mu1, nu1, mu2, nu2 = GENERIC_J1, random_pair(3)[0], GENERIC_J2, random_pair(4)[1]
-    p = cfree_basis_polynomial(mu1, nu1, mu2, nu2, (1, 2))
-    expected = (x(1) - nu1.beta_at(0)) * (x(2) - mu2.beta_at(0))
-    assert p == expected
+    free = builder("free", 6)
+    p = basis_polynomial(free, mu1, mu2, (1, 2), (nu1, nu2))
+    assert p == (x(1) - nu1.beta_at(0)) * (x(2) - mu2.beta_at(0))
     cm = cfree_map(mu1, nu1, mu2, nu2, 6)
     for u in words_up_to(2, 4):
-        assert recursion_basis(cm, u) == cfree_basis_polynomial(mu1, nu1, mu2, nu2, u)
+        assert cm.basis(u) == basis_polynomial(free, mu1, mu2, u, (nu1, nu2))
+        assert recursion_basis(cm, u) == cm.basis(u)
 
 
 # left multiplication --------------------------------------------------------
