@@ -28,6 +28,15 @@ w over D^|w|: one division per output word.  The scalar engine reads D B and
 D^2 C from the map's integer view, which reads only the entries the
 recursion reaches, and :func:`scalar_branched_numerators` hands out its F'
 undivided; the matricial engine takes D from its own data.
+
+The scalar engine keeps each node's F'_u dense and graded: one list of ints
+per degree m, holding the d^m words of length m at their base-d values
+(leftmost letter most significant), which is ``words_up_to`` order.  A
+node's denominator is never formed; F'_u = 1 + r F'_u is solved degree by
+degree, and each product of a branch's series with a lower degree of F'_u
+is a few slice updates of one of those lists, so the recursion builds no
+word tuple and no dict until the root's coefficients become one series.
+The matricial engine runs on :class:`~ncprod.ncpoly.NCSeries` matrices.
 """
 
 from __future__ import annotations
@@ -46,6 +55,7 @@ from .ncpoly import (
     common_denominator,
     exact_fraction,
     words_of_length,
+    words_up_to,
 )
 from .prodstate import CoefficientMap, explicit_map
 
@@ -100,25 +110,60 @@ def scalar_branched_numerators(cm: CoefficientMap, order: int) -> NCSeries:
         raise ValueError("order must be nonnegative")
     d = cm.d
     scaled = cm.integer
+    size = [d**m for m in range(order + 1)]
 
-    def node(u: Word, budget: int) -> NCSeries:
-        terms: dict[Word, int] = {EMPTY_WORD: 1}
-        if budget >= 1:
-            for i in range(1, d + 1):
-                bval = scaled.b(i, u)
-                if bval:
-                    terms[(i,)] = -bval
-        denom = _make(d, budget, terms)
+    def node(u: Word, budget: int) -> list[list[int]]:
+        """F'_u by degree: parts[m] lists the coefficients of the d^m words
+        of length m, m = 0..budget, in graded-lex order (a word's index is
+        its base-d value, leftmost letter most significant).  F'_u = t
+        solves t = 1 + r t with r = sum_i B'(i, u) z_i + sum_i C'(iu) z_i
+        F'_(iu) z_i, one degree at a time; the words of length m that start
+        with letter i form block i of parts[m]."""
+        b = [scaled.b(i, u) for i in range(1, d + 1)] if budget >= 1 else [0] * d
+        # C'(iu) F'_(iu) by degree, or None where C'(iu) is 0
+        branches: list[list[list[int]] | None] = [None] * d
         if budget >= 2:
-            for j in range(1, d + 1):
-                child = (j,) + u
+            for i in range(1, d + 1):
+                child = (i,) + u
                 cval = scaled.c(child)
                 if cval:
-                    sub = node(child, budget - 2)
-                    denom = denom - cval * sub.sandwich(j, j).truncate(budget)
-        return denom.inverse()
+                    branches[i - 1] = [[cval * g for g in part] for part in node(child, budget - 2)]
+        parts = [[1]]
+        for m in range(1, budget + 1):
+            prev = parts[m - 1]
+            level: list[int] = []
+            for i in range(1, d + 1):
+                bval = b[i - 1]
+                block = [bval * y for y in prev] if bval else [0] * size[m - 1]
+                cg = branches[i - 1]
+                # z_i G[k] z_i T_(m-2-k) puts the word i a i w at index
+                # idx(a) d^(m-1-k) + (i-1) d^(m-2-k) + idx(w) of block i: loop
+                # over the shorter of G[k] and T_(m-2-k) and take the other as
+                # one slice, contiguous for T, strided for G
+                for k in range(m - 1 if cg else 0):
+                    gk, tail = cg[k], parts[m - 2 - k]
+                    inner = size[m - 2 - k]
+                    stride = inner * d
+                    offset = (i - 1) * inner
+                    if size[k] <= inner:
+                        for a, g in enumerate(gk):
+                            if g:
+                                lo = a * stride + offset
+                                hi = lo + inner
+                                block[lo:hi] = [x + g * y for x, y in zip(block[lo:hi], tail)]
+                    else:
+                        for w, t in enumerate(tail):
+                            if t:
+                                start = offset + w
+                                block[start::stride] = [
+                                    x + t * g for x, g in zip(block[start::stride], gk)
+                                ]
+                level += block
+            parts.append(level)
+        return parts
 
-    return node(EMPTY_WORD, order)
+    flat = [x for part in node(EMPTY_WORD, order) for x in part]
+    return _make(d, order, dict(zip(words_up_to(d, order), flat)))
 
 
 def _as_matrix(rows: Iterable[Iterable[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:

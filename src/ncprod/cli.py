@@ -24,7 +24,9 @@ D^|w| phi(w), with D the coefficient map's scale, is the integer that
 the same D^|w|, the oracles built at that scale and the scalar continued
 fraction from its own integer series on the same map.  Two equal integers
 mean two equal moments, so a ``Fraction`` is built only for the first
-mismatch it reports.
+mismatch it reports.  Tables are written the same way, from integer
+numerators and denominators reduced with one gcd per row: ``cfrac --engine
+scalar`` prints the scalar engine's numerators over D^|w|.
 
 Exit codes: 0 on success, 1 on mathematical failure (invalid tree, mismatch
 in a comparison), 2 on input errors, including a negative --order, an
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
@@ -174,35 +177,54 @@ def _emit(text: str) -> None:
         sys.stdout.write("\n")
 
 
-def _json_rows(rows: list[tuple[Word, Fraction]]) -> str:
+def _ratio(n: int, q: int) -> str:
+    """n / q in lowest terms for q > 0, as ``str(Fraction(n, q))`` prints it."""
+    g = math.gcd(n, q)
+    return str(n // g) if g == q else f"{n // g}/{q // g}"
+
+
+def _json_rows(words: list[Word], values: list[str]) -> str:
     """The text of json.dumps([{"word": [...], "value": "p/q"}, ...], indent=2),
     built directly: the pure-Python indenting encoder is slower than the
-    table it prints.  A letter is an int and format_rational writes only
-    digits, "-" and "/", so nothing needs escaping."""
-    if not rows:
+    table it prints.  A letter is an int and a value holds only digits, "-"
+    and "/", so nothing needs escaping."""
+    if not words:
         return "[]"
     items = []
-    for w, v in rows:
+    for w, v in zip(words, values):
         word = "[\n      " + ",\n      ".join(map(str, w)) + "\n    ]" if w else "[]"
-        items.append(f'  {{\n    "word": {word},\n    "value": "{format_rational(v)}"\n  }}')
+        items.append(f'  {{\n    "word": {word},\n    "value": "{v}"\n  }}')
     return "[\n" + ",\n".join(items) + "\n]"
 
 
-def _emit_rows(rows: list[tuple[Word, Fraction]], fmt: str, header: str = "word,value") -> None:
+def _emit_rows(rows: list[tuple[Word, int, int]], fmt: str, header: str = "word,value") -> None:
+    """A table of (word, n, q) rows, each value n / q written in lowest terms."""
+    words = [w for w, _, _ in rows]
+    values = [_ratio(n, q) for _, n, q in rows]
     if fmt == "json":
-        _emit(_json_rows(rows))
+        _emit(_json_rows(words, values))
     elif fmt == "csv":
         lines = [header]
-        lines += [f"{_word_key(w)},{format_rational(v)}" for w, v in rows]
+        lines += [f"{_word_key(w)},{v}" for w, v in zip(words, values)]
         _emit("\n".join(lines))
     else:
-        width = max((len(_word_key(w)) for w, _ in rows), default=4)
-        lines = [f"{_word_key(w) or '()':<{width + 2}} {format_rational(v)}" for w, v in rows]
+        width = max((len(_word_key(w)) for w in words), default=4)
+        lines = [f"{_word_key(w) or '()':<{width + 2}} {v}" for w, v in zip(words, values)]
         _emit("\n".join(lines))
 
 
-def _series_to_rows(series: NCSeries) -> list[tuple[Word, Fraction]]:
-    return [(w, series.coefficient(w)) for w in words_up_to(series.d, series.order)]
+def _series_rows(series: NCSeries, scale: int = 1) -> list[tuple[Word, int, int]]:
+    """(word, n, q) for every word through the series' order, graded-lex: the
+    coefficient c at w over scale^|w| is n / q with n = c.numerator and
+    q = c.denominator * scale^|w|, not reduced.  An int coefficient has
+    denominator 1, so an integer series over its scale builds no Fraction."""
+    powers = [scale**n for n in range(series.order + 1)]
+    terms = series.terms
+    rows = []
+    for w in words_up_to(series.d, series.order):
+        c = terms.get(w, 0)
+        rows.append((w, c.numerator, c.denominator * powers[len(w)]))
+    return rows
 
 
 def _poly_json(p: NCPolynomial) -> dict:
@@ -246,7 +268,7 @@ def cmd_moments(args) -> int:
     from . import prodstate
 
     cm = _build_map(args, max(args.order, 1))
-    rows = prodstate.moment_table(cm, args.order)
+    rows = [(w, v.numerator, v.denominator) for w, v in prodstate.moment_table(cm, args.order)]
     _emit_rows(rows, args.format)
     return 0
 
@@ -286,8 +308,7 @@ def cmd_cfrac(args) -> int:
                 "--jacobi2 is not read by --engine classical, which takes its one marginal from --jacobi1"
             )
         data = _load_jacobi(args.jacobi1, "--jacobi1")
-        series = cfrac.classical_cf(data, args.order)
-        _emit_rows(_series_to_rows(series), args.format)
+        _emit_rows(_series_rows(cfrac.classical_cf(data, args.order)), args.format)
         return 0
     if args.engine == "matricial" and args.order > 2 * MATRICIAL_MAX_LEVELS:
         raise CliInputError(
@@ -298,13 +319,14 @@ def cmd_cfrac(args) -> int:
     if args.engine == "matricial":
         # the fewest levels exact through the order; never deeper than the map
         levels = (args.order + 1) // 2
-        series = cfrac.matricial_cf(cfrac.matricial_from_map(cm, levels), args.order)
+        rows = _series_rows(cfrac.matricial_cf(cfrac.matricial_from_map(cm, levels), args.order))
     else:
-        series = cfrac.scalar_branched_cf(cm, args.order)
+        # integer numerators over D^|w|: no Fraction per row
+        rows = _series_rows(cfrac.scalar_branched_numerators(cm, args.order), cm.scale)
     if args.format == "pretty":
         _emit(cfrac.render_branched_cf(cm, min(args.order, 4)))
         _emit("")
-    _emit_rows(_series_to_rows(series), args.format)
+    _emit_rows(rows, args.format)
     return 0
 
 

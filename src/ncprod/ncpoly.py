@@ -84,7 +84,7 @@ def graded_lex_key(word: Word) -> tuple[int, Word]:
 
 
 def words_of_length(d: int, length: int) -> list[Word]:
-    return [tuple(w) for w in itertools.product(range(1, d + 1), repeat=length)]
+    return list(itertools.product(range(1, d + 1), repeat=length))
 
 
 def words_up_to(d: int, max_length: int) -> list[Word]:

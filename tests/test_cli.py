@@ -182,6 +182,40 @@ def test_cfrac_scalar_matches_moments(capsys, generic_files):
     assert series_rows == json.loads(out)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "pretty"])
+def test_cfrac_scalar_rows_equal_fraction_series(capsys, generic_files, fmt):
+    """The scalar engine's rows are written from integer numerators over
+    D^|w|; each value is the reduced Fraction of the public series."""
+    from ncprod import cfrac, prodstate
+    from ncprod.jacobi import jacobi_from_json
+    from ncprod.ncpoly import words_up_to
+    from ncprod.omega import builder
+
+    j1, j2 = generic_files
+    code, out = run(capsys, "cfrac", "--jacobi1", j1, "--jacobi2", j2, "--omega", "one-branch",
+                    "--order", "7", "--format", fmt)
+    assert code == 0
+    mu1, mu2 = (jacobi_from_json(json.loads(Path(path).read_text())) for path in (j1, j2))
+    series = cfrac.scalar_branched_cf(prodstate.product_type_map(builder("one-branch", 7), mu1, mu2), 7)
+    values = [str(series.coefficient(w)) for w in words_up_to(2, 7)]
+    lines = out.splitlines()
+    table = lines[1:] if fmt == "csv" else lines[lines.index("") + 1:]
+    assert [line.split(",")[1] if fmt == "csv" else line.split()[1] for line in table] == values
+
+
+def test_row_values_are_reduced_like_fraction():
+    """_ratio reduces n / q with one gcd; it must print what str(Fraction)
+    prints for signed big numerators, zero, q = 1 and n = +-q."""
+    from ncprod.cli import _ratio
+
+    big = 3**90 * 7**11
+    q = 420**13
+    cases = [(0, 1), (0, q), (5, 1), (-5, 1), (1, 1), (-1, 1), (q, q), (-q, q),
+             (big, q), (-big, q), (big * q, q), (-big * q, q), (2**200 + 1, 2**64), (-(6**50), 10**40)]
+    for n, q in cases:
+        assert _ratio(n, q) == str(Fraction(n, q)), (n, q)
+
+
 def test_cfrac_classical_engine(capsys, semicircle_file):
     code, out = run(
         capsys,
@@ -651,11 +685,11 @@ def test_traced_benchmark_finds_every_wrap_point(tmp_path):
     reads its moment sequences and makes none; rebuilding every moment from
     scratch took 3,602).  The mops run pins its moment matrix: the 7 words
     through length 2 give 7 x 7 = 49 word moments (pair-by-pair polynomial
-    products took 328).  The scalar continued fraction through order 3 on
-    the free tree inverts one series per node it reaches: the root and its
-    two children, 3 inverses, on integer series as on Fraction ones.  Only
-    the counterexample run still multiplies polynomials, in
-    functional_inner."""
+    products took 328).  No command inverts an NCSeries: the scalar
+    continued fraction solves each node on dense integer lists (it took one
+    inverse per node it reached, 3 through order 3), and the matricial one
+    runs Neumann steps, so it alone multiplies series.  Only the
+    counterexample run still multiplies polynomials, in functional_inner."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     inputs = ["--jacobi1", str(GOLDEN / "j1.json"), "--jacobi2", str(GOLDEN / "j2.json")]
     recorded = set()
@@ -663,25 +697,29 @@ def test_traced_benchmark_finds_every_wrap_point(tmp_path):
     moment_calls = {}
     word_moments = {}
     inverses = {}
-    for argv in (["cfrac", *inputs, "--omega", "free", "--order", "3"],
-                 ["mops", *inputs, "--omega", "free", "--order", "2"],
-                 ["moments", *inputs, "--omega", "free", "--order", "6"],
-                 ["compare", *inputs, "--omega", "free", "--against", "free", "--order", "6"],
-                 ["counterexample", "--q", "1/2"]):
+    runs = {
+        "cfrac": ["cfrac", *inputs, "--omega", "free", "--order", "3"],
+        "cfrac-matricial": ["cfrac", *inputs, "--omega", "free", "--engine", "matricial", "--order", "3"],
+        "mops": ["mops", *inputs, "--omega", "free", "--order", "2"],
+        "moments": ["moments", *inputs, "--omega", "free", "--order", "6"],
+        "compare": ["compare", *inputs, "--omega", "free", "--against", "free", "--order", "6"],
+        "counterexample": ["counterexample", "--q", "1/2"],
+    }
+    for name, argv in runs.items():
         spans = tmp_path / "spans.json"
         subprocess.run(
             [sys.executable, str(ROOT / "perfbench" / "traced.py"), str(spans), *argv],
             env=env, stdout=subprocess.DEVNULL, check=True, timeout=120,
         )
         dump = json.loads(spans.read_text())
-        assert dump["missing"] == []
+        assert dump["missing"] == [], name
         recorded |= {span[0] for span in dump["spans"]}
-        left_multiplies[argv[0]] = sum(span[0] == "prodstate.left_multiply" for span in dump["spans"])
-        moment_calls[argv[0]] = dump["totals"]["jacobi.moment"][0]
-        word_moments[argv[0]] = sum(span[0] == "prodstate.word_moment" for span in dump["spans"])
-        inverses[argv[0]] = sum(span[0] == "ncpoly.series_inverse" for span in dump["spans"])
-    assert {"ncpoly.series_mul", "ncpoly.series_inverse", "ncpoly.poly_mul"} <= recorded
+        left_multiplies[name] = sum(span[0] == "prodstate.left_multiply" for span in dump["spans"])
+        moment_calls[name] = dump["totals"]["jacobi.moment"][0]
+        word_moments[name] = sum(span[0] == "prodstate.word_moment" for span in dump["spans"])
+        inverses[name] = sum(span[0] == "ncpoly.series_inverse" for span in dump["spans"])
+    assert {"ncpoly.series_mul", "ncpoly.poly_mul"} <= recorded
     assert left_multiplies["moments"] == 14
     assert word_moments["mops"] == 49
-    assert inverses["cfrac"] == 3
+    assert inverses == dict.fromkeys(runs, 0)
     assert moment_calls["compare"] <= 14

@@ -1,9 +1,10 @@
 """Exact kernels against their plain references, and what every result holds.
 
 ``NCSeries.inverse``, ``StateEvaluator`` and the two continued-fraction
-engines run on integers over a common denominator, and
-``cfrac._smat_inverse`` truncates each Neumann step; each must equal the
-plain ``Fraction`` version in ``reference_kernels`` exactly.
+engines run on integers over a common denominator, the scalar one on dense
+per-degree lists, and ``cfrac._smat_inverse`` truncates each Neumann step;
+each must equal the plain ``Fraction`` version in ``reference_kernels``
+exactly, and the scalar engine also the transfer operator.
 Arithmetic results skip the constructors' checks, so the invariants those
 checks gave are asserted here on every operation.  The CLI's JSON rows are
 written by hand and must be the bytes ``json.dumps`` would give.
@@ -25,9 +26,15 @@ from reference_kernels import (
 )
 
 from ncprod import BUILTIN_OMEGAS, JacobiData, builder, preset
-from ncprod.cfrac import MatricialData, _smat_inverse, matricial_cf, scalar_branched_cf
+from ncprod.cfrac import (
+    MatricialData,
+    _smat_inverse,
+    matricial_cf,
+    scalar_branched_cf,
+    scalar_branched_numerators,
+)
 from ncprod.cli import _emit_rows
-from ncprod.ncpoly import NCPolynomial, NCSeries, _make, format_rational, words_up_to
+from ncprod.ncpoly import NCPolynomial, NCSeries, _make, words_up_to
 from ncprod.prodstate import StateEvaluator, cfree_map, explicit_map, product_type_map
 
 F = Fraction
@@ -242,6 +249,45 @@ def test_integer_scalar_cf_equals_fraction_engine(name):
         assert_clean(series)
 
 
+@pytest.mark.parametrize("name,order", [("free", 13), ("one-branch", 12)])
+def test_dense_scalar_numerators_equal_transfer_operator(name, order):
+    """The dense graded engine and the transfer operator are independent
+    routes to D^|w| phi(w); on the benchmark's largest continued-fraction
+    cases they agree on every word."""
+    cm = product_type_map(builder(name, order), GENERIC_J1, GENERIC_J2)
+    terms = scalar_branched_numerators(cm, order).terms
+    evaluator = StateEvaluator(cm)
+    for w in words_up_to(2, order):
+        assert terms.get(w, 0) == evaluator.word_numerator(w), (name, w)
+
+
+def sparse_explicit_map(seed: int):
+    """Random data on d = 1, 2 or 3 letters with about a third of the B and
+    C entries zero: B signed over 5, 7 or 9, C over 4 or 11."""
+    rng = random.Random(seed)
+    d = 1 + seed % 3
+    depth = {1: 8, 2: 4, 3: 2}[d]
+    words = words_up_to(d, depth)
+    b = {(i, u): 0 if rng.random() < 1 / 3 else F(rng.choice((-1, 1)) * rng.randint(1, 6), rng.choice((5, 7, 9)))
+         for u in words for i in range(1, d + 1)}
+    c = {u: 0 if rng.random() < 1 / 3 else F(rng.randint(1, 5), rng.choice((4, 11))) for u in words if u}
+    return explicit_map(d, depth, b, c)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_dense_scalar_numerators_equal_fraction_engine(seed):
+    """Every order the map reaches, 2 depth + 1: the integer numerators are
+    the Fraction recursion's coefficients times D^|w|, with sparse branches
+    and both the contiguous and the strided slice updates in play."""
+    cm = sparse_explicit_map(900 + seed)
+    order = 2 * cm.depth + 1
+    series = scalar_branched_numerators(cm, order)
+    reference = fraction_scalar_branched_cf(cm, order)
+    assert (series.d, series.order) == (cm.d, order)
+    assert all(type(value) is int for value in series.terms.values())
+    assert series.terms == {w: value * cm.scale ** len(w) for w, value in reference.terms.items()}
+
+
 def random_matricial_data(rng: random.Random, d: int, levels: int) -> MatricialData:
     """T entries over 7 or 11 with either sign, off the diagonal too, about
     a third of them zero; diagonal C over 13, about a quarter zero."""
@@ -280,11 +326,12 @@ def test_integer_matricial_cf_equals_fraction_engine(d):
 def test_json_rows_are_the_bytes_of_json_dumps(capsys):
     rows_cases = [
         [],
-        [((), F(1))],
-        [((), F(1)), ((1,), F(3)), ((2,), F(-5, 12)), ((1, 2, 1), F(-7))],
-        [((2, 2, 1), F(4, 9)), ((1,), F(0))],
+        [((), 1, 1)],
+        [((), 1, 1), ((1,), 3, 1), ((2,), -5, 12), ((1, 2, 1), -7, 1)],
+        [((2, 2, 1), 4, 9), ((1,), 0, 1)],
+        [((1, 2), 10, 4), ((2, 1), -6, 3), ((1, 1, 2), 0, 420**3)],
     ]
     for rows in rows_cases:
         _emit_rows(rows, "json")
-        payload = [{"word": list(w), "value": format_rational(v)} for w, v in rows]
+        payload = [{"word": list(w), "value": str(F(n, q))} for w, n, q in rows]
         assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
