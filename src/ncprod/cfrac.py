@@ -381,7 +381,7 @@ def render_branched_cf(cm: CoefficientMap, depth: int, var: str = "z") -> str:
         for i in range(1, cm.d + 1):
             bval = cm.b(i, u)
             if bval:
-                parts.append(f"- {bval}*{var}{i}")
+                parts.append(f"{'-' if bval > 0 else '+'} {abs(bval)}*{var}{i}")
         children = []
         if len(u) < depth:
             for j in range(1, cm.d + 1):

@@ -196,3 +196,12 @@ def test_render_branched_cf_boundary_is_bare_term():
     assert "z2|z2" not in node_one
     assert "z1|z1" in node_one  # the letter-1 branch continues
     assert text.splitlines()[0].startswith("():")
+
+
+def test_render_branched_cf_signs_each_b_term_once():
+    """A node's denominator 1 - B z writes a negative B as "+ |B|", never
+    as "- -|B|"; C is nonnegative and keeps its "-"."""
+    cm = product_type_map(builder("free", 2), GENERIC_J1, GENERIC_J2)
+    text = render_branched_cf(cm, 1)
+    assert text.splitlines()[0] == "(): 1 / ( 1 - 1/2*z1 + 1/2*z2 - 1*z1|z1 -> (1) - 3/2*z2|z2 -> (2) )"
+    assert "- -" not in text
