@@ -182,27 +182,6 @@ def test_cfrac_scalar_matches_moments(capsys, generic_files):
     assert series_rows == json.loads(out)
 
 
-@pytest.mark.parametrize("fmt", ["csv", "pretty"])
-def test_cfrac_scalar_rows_equal_fraction_series(capsys, generic_files, fmt):
-    """The scalar engine's rows are written from integer numerators over
-    D^|w|; each value is the reduced Fraction of the public series."""
-    from ncprod import cfrac, prodstate
-    from ncprod.jacobi import jacobi_from_json
-    from ncprod.ncpoly import words_up_to
-    from ncprod.omega import builder
-
-    j1, j2 = generic_files
-    code, out = run(capsys, "cfrac", "--jacobi1", j1, "--jacobi2", j2, "--omega", "one-branch",
-                    "--order", "7", "--format", fmt)
-    assert code == 0
-    mu1, mu2 = (jacobi_from_json(json.loads(Path(path).read_text())) for path in (j1, j2))
-    series = cfrac.scalar_branched_cf(prodstate.product_type_map(builder("one-branch", 7), mu1, mu2), 7)
-    values = [str(series.coefficient(w)) for w in words_up_to(2, 7)]
-    lines = out.splitlines()
-    table = lines[1:] if fmt == "csv" else lines[lines.index("") + 1:]
-    assert [line.split(",")[1] if fmt == "csv" else line.split()[1] for line in table] == values
-
-
 def test_row_values_are_reduced_like_fraction():
     """_ratio reduces n / q with one gcd; it must print what str(Fraction)
     prints for signed big numerators, zero, q = 1 and n = +-q."""
