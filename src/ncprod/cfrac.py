@@ -35,7 +35,8 @@ per degree m, holding the d^m words of length m at their base-d values
 node's denominator is never formed; F'_u = 1 + r F'_u is solved degree by
 degree, and each product of a branch's series with a lower degree of F'_u
 is a few slice updates of one of those lists, so the recursion builds no
-word tuple and no dict until the root's coefficients become one series.
+word tuple per coefficient and no dict until the root's coefficients become
+one series.
 The matricial engine runs on :class:`~ncprod.ncpoly.NCSeries` matrices.
 """
 

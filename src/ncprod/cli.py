@@ -24,9 +24,10 @@ D^|w| phi(w), with D the coefficient map's scale, is the integer that
 the same D^|w|, the oracles built at that scale and the scalar continued
 fraction from its own integer series on the same map.  Two equal integers
 mean two equal moments, so a ``Fraction`` is built only for the first
-mismatch it reports.  Tables are written the same way, from integer
-numerators and denominators reduced with one gcd per row: ``cfrac --engine
-scalar`` prints the scalar engine's numerators over D^|w|.
+mismatch it reports.  The moments and cfrac tables are written the same
+way, from integer numerators and denominators reduced with one gcd per
+row: ``cfrac --engine scalar`` prints the scalar engine's numerators over
+D^|w|.
 
 Exit codes: 0 on success, 1 on mathematical failure (invalid tree, mismatch
 in a comparison), 2 on input errors, including a negative --order, an
