@@ -29,15 +29,17 @@ D^2 C from the map's integer view, which reads only the entries the
 recursion reaches, and :func:`scalar_branched_numerators` hands out its F'
 undivided; the matricial engine takes D from its own data.
 
-The scalar engine keeps each node's F'_u dense and graded: one list of ints
-per degree m, holding the d^m words of length m at their base-d values
-(leftmost letter most significant), which is ``words_up_to`` order.  A
-node's denominator is never formed; F'_u = 1 + r F'_u is solved degree by
-degree, and each product of a branch's series with a lower degree of F'_u
-is a few slice updates of one of those lists, so the recursion builds no
-word tuple per coefficient and no dict until the root's coefficients become
-one series.
-The matricial engine runs on :class:`~ncprod.ncpoly.NCSeries` matrices.
+Both keep every series dense and graded: one list of ints per degree m,
+holding the d^m words of length m at their base-d values (leftmost letter
+most significant), which is ``words_up_to`` order.  A product of two such
+series, the sandwich z_j F z_l and a truncation are slice updates of those
+lists (:func:`_add_outer`), so the recursions build no word tuple per
+coefficient and no dict until the root's coefficients become one series;
+:func:`scalar_branched_parts` and :func:`matricial_parts` hand out the
+lists themselves.  The scalar engine never forms a node's denominator:
+F'_u = 1 + r F'_u is solved degree by degree.  The matricial engine keeps
+each level's denominator as a sparse matrix of dense entries and inverts
+it column by column, degree by degree (:func:`_dense_inverse`).
 """
 
 from __future__ import annotations
@@ -56,12 +58,43 @@ from .ncpoly import (
     common_denominator,
     exact_fraction,
     words_of_length,
-    words_up_to,
 )
 from .prodstate import CoefficientMap, explicit_map
 
-Matrix = list[list[Fraction]]
-SeriesMatrix = list[list[NCSeries]]
+# a sparse matrix of dense series: (row, column) -> parts by degree, None for a zero degree
+DenseMatrix = dict[tuple[int, int], list]
+
+
+def _add_outer(out: list, a: Sequence, b: Sequence, stride: int, offset: int = 0) -> None:
+    """out[offset + x stride + y] += a[x] b[y] for every x and y, with
+    stride >= len(b): one slice update per entry of the shorter factor, a
+    contiguous slice of out per entry of a or a strided one per entry of b."""
+    inner = len(b)
+    if len(a) <= inner:
+        for x, g in enumerate(a):
+            if g:
+                lo = offset + x * stride
+                out[lo : lo + inner] = [y + g * t for y, t in zip(out[lo : lo + inner], b)]
+    else:
+        span = len(a) * stride
+        for y, t in enumerate(b):
+            if t:
+                lo = offset + y
+                out[lo : lo + span : stride] = [v + t * g for v, g in zip(out[lo : lo + span : stride], a)]
+
+
+def _series(d: int, parts: Sequence[Sequence | None], scale: int | None = None) -> NCSeries:
+    """Dense parts as one series of order len(parts) - 1: entry x of parts[m]
+    is the coefficient of the x-th word of length m, over scale^m when a
+    scale is given (a Fraction), as it is otherwise; None is a zero degree."""
+    terms = {}
+    for m, part in enumerate(parts):
+        if part:
+            power = None if scale is None else scale**m
+            for w, g in zip(words_of_length(d, m), part):
+                if g:
+                    terms[w] = g if power is None else Fraction(g, power)
+    return _make(d, len(parts) - 1, terms)
 
 
 def classical_cf(data: JacobiData, order: int) -> NCSeries:
@@ -80,17 +113,6 @@ def classical_cf(data: JacobiData, order: int) -> NCSeries:
     return scalar_branched_cf(chain, order)
 
 
-def _over_powers(series: NCSeries, scale: int) -> NCSeries:
-    """The series with each integer coefficient g at a word w replaced by
-    the Fraction g / scale^|w|."""
-    powers = [scale**n for n in range(series.order + 1)]
-    return _make(
-        series.d,
-        series.order,
-        {w: Fraction(g, powers[len(w)]) for w, g in series.terms.items()},
-    )
-
-
 def scalar_branched_cf(cm: CoefficientMap, order: int) -> NCSeries:
     """Branched continued fraction of a diagonal coefficient map.
 
@@ -99,7 +121,7 @@ def scalar_branched_cf(cm: CoefficientMap, order: int) -> NCSeries:
     only their B terms.  It runs on the map's integer view (see the module
     docstring) and divides once per output word.
     """
-    return _over_powers(scalar_branched_numerators(cm, order), cm.scale)
+    return _series(cm.d, scalar_branched_parts(cm, order), cm.scale)
 
 
 def scalar_branched_numerators(cm: CoefficientMap, order: int) -> NCSeries:
@@ -107,6 +129,12 @@ def scalar_branched_numerators(cm: CoefficientMap, order: int) -> NCSeries:
     division per word: its coefficient at w is D^|w| times the state at x_w,
     with D the map's scale, the same integer as
     :meth:`~ncprod.prodstate.StateEvaluator.word_numerator` gives."""
+    return _series(cm.d, scalar_branched_parts(cm, order))
+
+
+def scalar_branched_parts(cm: CoefficientMap, order: int) -> list[list[int]]:
+    """The numerators of :func:`scalar_branched_numerators` by degree:
+    parts[m] lists the d^m words of length m in graded-lex order."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     d = cm.d
@@ -138,33 +166,15 @@ def scalar_branched_numerators(cm: CoefficientMap, order: int) -> NCSeries:
                 block = [bval * y for y in prev] if bval else [0] * size[m - 1]
                 cg = branches[i - 1]
                 # z_i G[k] z_i T_(m-2-k) puts the word i a i w at index
-                # idx(a) d^(m-1-k) + (i-1) d^(m-2-k) + idx(w) of block i: loop
-                # over the shorter of G[k] and T_(m-2-k) and take the other as
-                # one slice, contiguous for T, strided for G
+                # idx(a) d^(m-1-k) + (i-1) d^(m-2-k) + idx(w) of block i
                 for k in range(m - 1 if cg else 0):
-                    gk, tail = cg[k], parts[m - 2 - k]
                     inner = size[m - 2 - k]
-                    stride = inner * d
-                    offset = (i - 1) * inner
-                    if size[k] <= inner:
-                        for a, g in enumerate(gk):
-                            if g:
-                                lo = a * stride + offset
-                                hi = lo + inner
-                                block[lo:hi] = [x + g * y for x, y in zip(block[lo:hi], tail)]
-                    else:
-                        for w, t in enumerate(tail):
-                            if t:
-                                start = offset + w
-                                block[start::stride] = [
-                                    x + t * g for x, g in zip(block[start::stride], gk)
-                                ]
+                    _add_outer(block, cg[k], parts[m - 2 - k], inner * d, (i - 1) * inner)
                 level += block
             parts.append(level)
         return parts
 
-    flat = [x for part in node(EMPTY_WORD, order) for x in part]
-    return _make(d, order, dict(zip(words_up_to(d, order), flat)))
+    return node(EMPTY_WORD, order)
 
 
 def _as_matrix(rows: Iterable[Iterable[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
@@ -265,57 +275,98 @@ def block_extract(matrix: Sequence[Sequence], i: int, j: int, d: int) -> list[li
     return [list(row[(j - 1) * m : j * m]) for row in matrix[(i - 1) * m : i * m]]
 
 
-def _smat_identity(n: int, d: int, order: int, one: Fraction | int = Fraction(1)) -> SeriesMatrix:
-    """The n x n identity; ``one`` is int 1 for a matrix of integer series."""
-    return [
-        [_make(d, order, {EMPTY_WORD: one} if r == s else {}) for s in range(n)]
-        for r in range(n)
-    ]
+def _dense_inverse(matrix: DenseMatrix, n: int, d: int, order: int) -> DenseMatrix:
+    """The inverse of an n x n matrix of dense series with identity constant
+    term, through ``order``.
 
-
-def _smat_mul(a: SeriesMatrix, b: SeriesMatrix) -> SeriesMatrix:
-    n = len(a)
-    out = []
-    for r in range(n):
-        row = []
-        for s in range(n):
-            acc = None
-            for t in range(n):
-                if not a[r][t].terms or not b[t][s].terms:
-                    continue
-                term = a[r][t] * b[t][s]
-                acc = term if acc is None else acc + term
-            if acc is None:
-                acc = NCSeries.zero(a[0][0].d, a[0][0].order)
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def _smat_inverse(mat: SeriesMatrix, order: int) -> SeriesMatrix:
-    """Inverse of a series matrix with identity constant term.
-
-    Neumann iteration x_(k+1) = 1 + u*x_k from x_0 = 1, with u = 1 - mat.  As
-    u has no constant term, x_k is exact through degree k, and so is
-    x_(k+1) through degree k + 1 when u multiplies only the part of x_k of
-    degree <= k, as a series of order k + 1: step k works at order k + 1.
+    An entry is its parts by degree (parts[m] the d^m coefficients of the
+    words of length m, None for a zero degree); an absent entry is 0.  Each
+    column x of X solves X = 1 + (1 - matrix) X degree by degree, the fixed
+    point of the Neumann iteration: x_r[m] = -sum_(t, p >= 1) matrix_rt[p]
+    (x) x_t[m - p], each product a slice update.
     """
-    n = len(mat)
-    d = mat[0][0].d
     for r in range(n):
         for s in range(n):
-            expected = Fraction(1) if r == s else Fraction(0)
-            if mat[r][s].constant_term() != expected:
+            parts = matrix.get((r, s))
+            constant = parts[0][0] if parts and parts[0] else 0
+            if constant != (r == s):
                 raise ValueError("matrix inverse requires identity constant term")
-    # the unit of the entries' own type, so an integer matrix stays integer
-    identity = _smat_identity(n, d, order, mat[0][0].constant_term())
-    u = [[identity[r][s] - mat[r][s] for s in range(n)] for r in range(n)]
-    x = identity
-    for k in range(order):
-        # x holds only degrees <= k (x_0 = 1, then x_k has order k)
-        ux = _smat_mul(u, [[entry.truncate(k + 1) for entry in row] for row in x])
-        x = [[identity[r][s] + ux[r][s] for s in range(n)] for r in range(n)]
-    return x
+    rows: list[list[tuple[int, list]]] = [[] for _ in range(n)]
+    for (r, t), parts in matrix.items():
+        if any(parts[1 : order + 1]):
+            rows[r].append((t, parts))
+    inverse: DenseMatrix = {}
+    for s in range(n):
+        column: dict[int, list] = {s: [[1]] + [None] * order}
+        for m in range(1, order + 1):
+            for r, row in enumerate(rows):
+                acc = None
+                for t, parts in row:
+                    x = column.get(t)
+                    if x is None:
+                        continue
+                    for p in range(1, min(m, len(parts) - 1) + 1):
+                        if parts[p] and x[m - p]:
+                            if acc is None:
+                                acc = [0] * d**m
+                            _add_outer(acc, parts[p], x[m - p], d ** (m - p))
+                if acc is not None:
+                    column.setdefault(r, [None] * (order + 1))[m] = [-v for v in acc]
+        inverse.update(((r, s), x) for r, x in column.items())
+    return inverse
+
+
+def matricial_parts(md: MatricialData, order: int) -> tuple[list[list[int]], int]:
+    """The dense integer series of :func:`matricial_cf` before its one
+    division per word, with its scale D: parts[m] lists D^m times the
+    coefficients of the d^m words of length m, m = 0..min(order, 2K), in
+    graded-lex order.
+
+    Level k's denominator 1 - sum_i T'_i z_i - sum_(j,l) z_j block_(j,l)(C'
+    F_(k+1)) z_l is a sparse dict of dense entries: T'_i adds to the degree-1
+    part at letter i, and a sandwich places C'_RR F_(k+1)[R][S] at every
+    second slot of degree m + 2, from (j - 1) d^(m+1) + (l - 1).
+    """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    d = md.d
+    top = md.levels
+    effective = min(order, 2 * top)
+    matrices = [m for level in md.t for m in level] + list(md.c)
+    scale = common_denominator(value for m in matrices for row in m for value in row)
+    f: DenseMatrix | None = None
+    for k in range(top, -1, -1):
+        budget = max(effective - 2 * k, 0)
+        n = d**k
+        denom: DenseMatrix = {(r, r): [[1]] + [None] * budget for r in range(n)}
+
+        def entry(r: int, s: int, m: int) -> list[int]:
+            parts = denom.setdefault((r, s), [None] * (budget + 1))
+            if parts[m] is None:
+                parts[m] = [0] * d**m
+            return parts[m]
+
+        if budget >= 1:
+            for i, t_matrix in enumerate(md.t[k]):
+                for r, row in enumerate(t_matrix):
+                    for s, value in enumerate(row):
+                        if value:
+                            entry(r, s, 1)[i] = -clear_denominator(value, scale)
+        if budget >= 2 and f is not None:
+            c_matrix = md.c[k]  # C at level k + 1 (c is indexed from level 1)
+            for (big_r, big_s), x in f.items():
+                cval = c_matrix[big_r][big_r]
+                if not cval:
+                    continue
+                factor = [-clear_denominator(cval, scale * scale)]
+                j, r = divmod(big_r, n)
+                l, s = divmod(big_s, n)
+                for m, part in enumerate(x[: budget - 1]):
+                    if part:
+                        _add_outer(entry(r, s, m + 2), part, factor, d, j * d ** (m + 1) + l)
+        f = _dense_inverse(denom, n, d, budget)
+    assert f is not None
+    return [part or [0] * d**m for m, part in enumerate(f[(0, 0)])], scale
 
 
 def matricial_cf(md: MatricialData, order: int) -> NCSeries:
@@ -325,45 +376,10 @@ def matricial_cf(md: MatricialData, order: int) -> NCSeries:
     so the returned series is truncated there.  Like the scalar engine it
     runs on integers: T' = D T and C' = D^2 C with D the data's own
     common denominator (T need not be diagonal), one division per output
-    word.
+    word; see :func:`matricial_parts`.
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    d = md.d
-    top = md.levels
-    effective = min(order, 2 * top)
-    matrices = [m for level in md.t for m in level] + list(md.c)
-    scale = common_denominator(value for m in matrices for row in m for value in row)
-    f: SeriesMatrix | None = None
-    for k in range(top, -1, -1):
-        budget = max(effective - 2 * k, 0)
-        n = d**k
-        denom = _smat_identity(n, d, budget, 1)
-        for i in range(1, d + 1):
-            t_matrix = md.t[k][i - 1]
-            for r in range(n):
-                for s in range(n):
-                    value = t_matrix[r][s]
-                    if value and budget >= 1:
-                        term = _make(d, budget, {(i,): clear_denominator(value, scale)})
-                        denom[r][s] = denom[r][s] - term
-        if k < top and budget >= 2 and f is not None:
-            c_matrix = md.c[k]  # C at level k + 1 (c is indexed from level 1)
-            scaled = [
-                [clear_denominator(c_matrix[r][r], scale * scale) * f[r][s].truncate(budget - 2)
-                 for s in range(d * n)]
-                for r in range(d * n)
-            ]
-            for j in range(1, d + 1):
-                for l in range(1, d + 1):
-                    block = block_extract(scaled, j, l, d)
-                    for r in range(n):
-                        for s in range(n):
-                            if block[r][s].terms:
-                                denom[r][s] = denom[r][s] - block[r][s].sandwich(j, l).truncate(budget)
-        f = _smat_inverse(denom, budget)
-    assert f is not None
-    return _over_powers(f[0][0], scale)
+    parts, scale = matricial_parts(md, order)
+    return _series(md.d, parts, scale)
 
 
 def render_branched_cf(cm: CoefficientMap, depth: int, var: str = "z") -> str:

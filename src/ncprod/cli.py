@@ -24,28 +24,34 @@ D^|w| phi(w), with D the coefficient map's scale, is the integer that
 the same D^|w|, the oracles built at that scale and the scalar continued
 fraction from its own integer series on the same map.  Two equal integers
 mean two equal moments, so a ``Fraction`` is built only for the first
-mismatch it reports.  The moments and cfrac tables are written the same
-way, from integer numerators and denominators reduced with one gcd per
-row: ``cfrac --engine scalar`` prints the scalar engine's numerators over
-D^|w|.
+mismatch it reports.  The moments and cfrac tables go through one writer
+that takes a value list per degree: ``cfrac --engine scalar`` and
+``--engine matricial`` hand it their engines' dense integer numerators over
+D^m, and ``moments`` and ``cfrac --engine classical`` their Fractions.  It
+builds each degree's word texts from the previous degree's, reduces each
+value with one gcd and writes one degree at a time.
 
 Exit codes: 0 on success, 1 on mathematical failure (invalid tree, mismatch
 in a comparison), 2 on input errors, including a negative --order, an
 order beyond what the chosen engine can deliver, and Jacobi data under the
-"error" extension policy too short for the order.
+"error" extension policy too short for the order, and 141 (128 + SIGPIPE)
+with nothing on stderr when the reader closes stdout early, as ``| head``
+does.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from . import omega
-from .ncpoly import NCPolynomial, NCSeries, Word, format_rational, parse_rational, words_up_to
+from .ncpoly import NCPolynomial, Word, format_rational, parse_rational, words_up_to
 
 
 if TYPE_CHECKING:
@@ -184,48 +190,50 @@ def _ratio(n: int, q: int) -> str:
     return str(n // g) if g == q else f"{n // g}/{q // g}"
 
 
-def _json_rows(words: list[Word], values: list[str]) -> str:
-    """The text of json.dumps([{"word": [...], "value": "p/q"}, ...], indent=2),
-    built directly: the pure-Python indenting encoder is slower than the
-    table it prints.  A letter is an int and a value holds only digits, "-"
-    and "/", so nothing needs escaping."""
-    if not words:
-        return "[]"
-    items = []
-    for w, v in zip(words, values):
-        word = "[\n      " + ",\n      ".join(map(str, w)) + "\n    ]" if w else "[]"
-        items.append(f'  {{\n    "word": {word},\n    "value": "{v}"\n  }}')
-    return "[\n" + ",\n".join(items) + "\n]"
+# how a table is framed: its opening, the head of the empty word's row (in
+# pretty its key, padded like the others), the text before a key, between
+# two letters and between the key and the value, the text between two rows
+# and the closing
+_TABLE_FRAMES = {
+    "json": ("[\n", '  {\n    "word": [],\n    "value": "', '  {\n    "word": [\n      ',
+             ",\n      ", '\n    ],\n    "value": "', '"\n  },\n', '"\n  }\n]\n'),
+    "csv": ("word,value\n", ",", "", ".", ",", "\n", "\n"),
+    "pretty": ("", "()", "", ".", " ", "\n", "\n"),
+}
 
 
-def _emit_rows(rows: list[tuple[Word, int, int]], fmt: str, header: str = "word,value") -> None:
-    """A table of (word, n, q) rows, each value n / q written in lowest terms."""
-    words = [w for w, _, _ in rows]
-    values = [_ratio(n, q) for _, n, q in rows]
-    if fmt == "json":
-        _emit(_json_rows(words, values))
-    elif fmt == "csv":
-        lines = [header]
-        lines += [f"{_word_key(w)},{v}" for w, v in zip(words, values)]
-        _emit("\n".join(lines))
-    else:
-        width = max((len(_word_key(w)) for w in words), default=4)
-        lines = [f"{_word_key(w) or '()':<{width + 2}} {v}" for w, v in zip(words, values)]
-        _emit("\n".join(lines))
-
-
-def _series_rows(series: NCSeries, scale: int = 1) -> list[tuple[Word, int, int]]:
-    """(word, n, q) for every word through the series' order, graded-lex: the
-    coefficient c at w over scale^|w| is n / q with n = c.numerator and
-    q = c.denominator * scale^|w|, not reduced.  An int coefficient has
-    denominator 1, so an integer series over its scale builds no Fraction."""
-    powers = [scale**n for n in range(series.order + 1)]
-    terms = series.terms
-    rows = []
-    for w in words_up_to(series.d, series.order):
-        c = terms.get(w, 0)
-        rows.append((w, c.numerator, c.denominator * powers[len(w)]))
-    return rows
+def _emit_table(parts: Sequence[Sequence], d: int, fmt: str, scale: int = 1) -> None:
+    """The table of every word's value through order len(parts) - 1, in
+    graded-lex order: parts[m] holds the values of the d^m words of length
+    m at their base-d indices, int numerators over scale^m, or at scale 1
+    ints or Fractions.  Each value is written in lowest terms with one gcd
+    against its degree's denominator.  A degree's keys are built once from
+    the previous degree's, and the table is written one degree at a time.
+    The json is the text of json.dumps([{"word": [...], "value": "p/q"},
+    ...], indent=2), built directly: a letter is an int and a value holds
+    only digits, "-" and "/", so nothing needs escaping."""
+    opening, empty, before, sep, between, row_sep, closing = _TABLE_FRAMES[fmt]
+    letters = [str(i) for i in range(1, d + 1)]
+    width = 0
+    if fmt == "pretty":
+        # every key padded to the longest one's length plus 2
+        top = len(parts) - 1
+        width = top * (len(letters[-1]) + 1) + 1 if top else 2
+        empty = empty.ljust(width) + between
+    write = sys.stdout.write
+    write(opening)
+    keys = [""]
+    for m, values in enumerate(parts):
+        q = scale**m
+        texts = [_ratio(n, q) for n in values] if q != 1 else list(map(str, values))
+        if m == 0:
+            heads = [empty]
+        else:
+            keys = letters if m == 1 else [k + sep + letter for k in keys for letter in letters]
+            heads = [before + k.ljust(width) + between for k in keys]
+            write(row_sep)
+        write(row_sep.join(map(str.__add__, heads, texts)))
+    write(closing)
 
 
 def _poly_json(p: NCPolynomial) -> dict:
@@ -269,8 +277,8 @@ def cmd_moments(args) -> int:
     from . import prodstate
 
     cm = _build_map(args, max(args.order, 1))
-    rows = [(w, v.numerator, v.denominator) for w, v in prodstate.moment_table(cm, args.order)]
-    _emit_rows(rows, args.format)
+    values = (v for _, v in prodstate.moment_table(cm, args.order))
+    _emit_table([list(itertools.islice(values, cm.d**m)) for m in range(args.order + 1)], cm.d, args.format)
     return 0
 
 
@@ -309,7 +317,8 @@ def cmd_cfrac(args) -> int:
                 "--jacobi2 is not read by --engine classical, which takes its one marginal from --jacobi1"
             )
         data = _load_jacobi(args.jacobi1, "--jacobi1")
-        _emit_rows(_series_rows(cfrac.classical_cf(data, args.order)), args.format)
+        terms = cfrac.classical_cf(data, args.order).terms
+        _emit_table([[terms.get((1,) * m, 0)] for m in range(args.order + 1)], 1, args.format)
         return 0
     if args.engine == "matricial" and args.order > 2 * MATRICIAL_MAX_LEVELS:
         raise CliInputError(
@@ -317,17 +326,17 @@ def cmd_cfrac(args) -> int:
             f"got --order {args.order}"
         )
     cm = _build_map(args, max(args.order, 1))
+    # integer numerators by degree over D^m: no Fraction per row
     if args.engine == "matricial":
         # the fewest levels exact through the order; never deeper than the map
         levels = (args.order + 1) // 2
-        rows = _series_rows(cfrac.matricial_cf(cfrac.matricial_from_map(cm, levels), args.order))
+        parts, scale = cfrac.matricial_parts(cfrac.matricial_from_map(cm, levels), args.order)
     else:
-        # integer numerators over D^|w|: no Fraction per row
-        rows = _series_rows(cfrac.scalar_branched_numerators(cm, args.order), cm.scale)
+        parts, scale = cfrac.scalar_branched_parts(cm, args.order), cm.scale
     if args.format == "pretty":
         _emit(cfrac.render_branched_cf(cm, min(args.order, 4)))
         _emit("")
-    _emit_rows(rows, args.format)
+    _emit_table(parts, cm.d, args.format, scale)
     return 0
 
 
@@ -554,7 +563,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): point the descriptor at the
+        # null device, so that the flush at exit writes nowhere and stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except omega.OmegaValidationError as exc:  # a ValueError, so it comes first
         print(f"invalid tree: {exc}", file=sys.stderr)
         return 1

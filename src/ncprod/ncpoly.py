@@ -2,8 +2,8 @@
 
 Coefficients are exact rationals (``fractions.Fraction``); nothing in this
 package touches floating point, and a float coefficient is refused.  The one
-exception is internal: the continued-fraction engines run on series of
-``int`` coefficients, made only by ``_make``.  Words are tuples of letters from
+exception is internal: the continued-fraction engines hand out series of
+``int`` numerators, made only by ``_make``.  Words are tuples of letters from
 ``{1, ..., d}`` with the empty tuple as the unit monomial.  Words are stored
 leftmost-first, and a "postfix" always means a right-suffix: ``(2, 1)`` is a
 postfix of ``(1, 2, 1)`` but ``(1, 2)`` is not.
@@ -12,13 +12,14 @@ All values are immutable after construction and all operations are pure, so
 everything here is safe to share between threads.
 
 :class:`MomentMatrix` takes the inner products <p, q> = phi(p* q) of a word
-functional phi from one table of its values, instead of from products.
+functional phi from one integer table of its values, not from products.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -462,30 +463,29 @@ class NCSeries(NCPolynomial):
 
 
 class MomentMatrix:
-    """The form <p, q> = phi(p* q) of a word functional, on polynomials over
-    a fixed list of words.
+    """The form <p, q> = phi(p* q) of a word functional, in integers, on
+    polynomials given as dense coefficient vectors over a fixed list of words.
 
-    Each entry M[a][b] = phi(rev(a) + b) is evaluated once, so that
-    <p, q> = sum_(a, b) p_a M[a][b] q_b needs no polynomial product.  A
-    polynomial is its coefficient dict {word: Fraction} over those words;
-    :meth:`row` gives p^T M, which :meth:`pair` closes with q.
-    """
+    Each phi(rev(a) + b) is evaluated once and kept as N[a][b] = L phi(rev(a)
+    + b), L (``scale``) the lcm of their denominators, so <p, q> = p^T N q / L
+    needs no polynomial product: :meth:`row` gives p^T N, :meth:`pair` closes
+    it with q."""
 
     def __init__(self, phi: Callable[[Word], Fraction], words: Iterable[Word]):
         self.words = tuple(words)
-        self._index = {w: i for i, w in enumerate(self.words)}
-        self._entries = [[phi(a[::-1] + b) for b in self.words] for a in self.words]
+        values = [[phi(a[::-1] + b) for b in self.words] for a in self.words]
+        self.scale = common_denominator(value for row in values for value in row)
+        self.entries = [[v.numerator * (self.scale // v.denominator) for v in row] for row in values]
 
-    def row(self, p: Mapping[Word, Fraction]) -> list[Fraction]:
-        """p^T M, one entry per word: the coefficients of q -> <p, q>."""
-        out = [Fraction(0)] * len(self.words)
-        for a, coeff in p.items():
-            for j, value in enumerate(self._entries[self._index[a]]):
-                if value:
-                    out[j] += coeff * value
+    def row(self, p: Sequence[Rational]) -> list[Rational]:
+        """p^T N, one entry per word: the coefficients of q -> L <p, q>."""
+        out = [0] * len(self.words)
+        for coeff, entries in zip(p, self.entries):
+            if coeff:
+                out = [x + coeff * v for x, v in zip(out, entries)]
         return out
 
-    def pair(self, row: Sequence[Fraction], q: Mapping[Word, Fraction]) -> Fraction:
-        """<p, q>, from the row of p."""
-        index = self._index
-        return sum((row[index[b]] * coeff for b, coeff in q.items()), Fraction(0))
+    @staticmethod
+    def pair(row: Sequence[Rational], q: Sequence[Rational]) -> Rational:
+        """L <p, q>, from the row of p."""
+        return sum(map(operator.mul, row, q))

@@ -330,12 +330,18 @@ def gram_schmidt_mops(
     length 2 * depth.  The verdict is True exactly when all distinct pairs up
     to the depth are orthogonal; the first failing pair is reported.
 
-    Every inner product comes from one moment matrix M[a][b] = phi(rev(a) b)
-    over the words up to the depth, so phi is called once per pair of words
-    and no polynomial is multiplied.  Each Q_u is kept as a coefficient dict
-    with its row r_u = Q_u^T M, so <Q_u, q> = r_u . q and ||Q_u||^2 =
-    r_u . Q_u.  The order is that of modified Gram-Schmidt: each overlap is
-    taken against q as already updated by the projections before it, which
+    Every inner product comes from one moment matrix N / L, N[a][b] =
+    L phi(rev(a) b) in integers, over the words up to the depth, so phi is
+    called once per pair of words and no polynomial is multiplied.  Each
+    Q_u is kept as an integer vector c over those words with Q_u = c / c_u
+    (Q_u is monic, so c_u is its denominator), and its integer row
+    r_u = c^T N: <Q_u, q> = r_u . q / (c_u L) and ||Q_u||^2 =
+    n_u / (c_u^2 L) with n_u = r_u . c.  Projecting c onto Q_v takes
+    c <- n_v c - (r_v . c) c_v and divides out the content of c.  Every
+    result is unchanged when c is scaled, by a negative factor too, so no
+    sign is fixed; a Fraction is built only for the results.
+    The order is that of modified Gram-Schmidt: each overlap is taken
+    against c as already updated by the projections before it, which
     matters because lower Q_v of one degree need not be orthogonal to each
     other.
 
@@ -343,43 +349,51 @@ def gram_schmidt_mops(
     target lower degrees; ``within_degree_order`` exists to exercise that.
     """
     words = words_up_to(d, depth)
+    index = {w: i for i, w in enumerate(words)}
     by_degree: list[list[Word]] = [[w for w in words if len(w) == n] for n in range(depth + 1)]
     if within_degree_order is not None:
         by_degree = [within_degree_order(list(level)) for level in by_degree]
 
     matrix = MomentMatrix(phi, words)
-    coeffs: dict[Word, dict[Word, Fraction]] = {}
-    rows: dict[Word, list[Fraction]] = {}
-    norms: dict[Word, Fraction] = {}
+    pair = matrix.pair
+    vectors: dict[Word, list[int]] = {}
+    rows: dict[Word, list[int]] = {}
+    norms: dict[Word, int] = {}  # n_u = c^T N c
     for n, level in enumerate(by_degree):
         lower = [v for m in range(n) for v in by_degree[m] if norms[v]]
         for u in level:
-            q = {u: Fraction(1)}
+            c = [0] * len(words)
+            c[index[u]] = 1
             for v in lower:
-                overlap = matrix.pair(rows[v], q)
+                overlap = pair(rows[v], c)
                 if overlap:
-                    factor = overlap / norms[v]
-                    for w, c in coeffs[v].items():
-                        value = q.get(w, 0) - factor * c
-                        if value:
-                            q[w] = value
-                        else:
-                            del q[w]
-            coeffs[u] = q
-            rows[u] = matrix.row(q)
-            norms[u] = matrix.pair(rows[u], q)
+                    norm = norms[v]
+                    c = [norm * x - overlap * y for x, y in zip(c, vectors[v])]
+                    g = math.gcd(*c)
+                    if g > 1:
+                        c = [x // g for x in c]
+            vectors[u] = c
+            rows[u] = matrix.row(c)
+            norms[u] = pair(rows[u], c)
 
-    polys = {u: NCPolynomial(d, q) for u, q in coeffs.items()}
+    scale = matrix.scale
+    denominator = {u: c[index[u]] for u, c in vectors.items()}
+    polys = {
+        u: NCPolynomial(d, {w: Fraction(x, denominator[u]) for w, x in zip(words, c) if x})
+        for u, c in vectors.items()
+    }
+    norm_values = {u: Fraction(norm, denominator[u] ** 2 * scale) for u, norm in norms.items()}
     ordered = [u for level in by_degree for u in level]
     for u in ordered:
         for v in ordered:
             if u == v:
                 continue
-            value = matrix.pair(rows[u], coeffs[v])
+            value = pair(rows[u], vectors[v])
             if value:
-                pair = (u, v) if graded_lex_key(u) <= graded_lex_key(v) else (v, u)
-                return MopsResult(polys, norms, False, pair, value)
-    return MopsResult(polys, norms, True)
+                pair_uv = (u, v) if graded_lex_key(u) <= graded_lex_key(v) else (v, u)
+                witness = Fraction(value, denominator[u] * denominator[v] * scale)
+                return MopsResult(polys, norm_values, False, pair_uv, witness)
+    return MopsResult(polys, norm_values, True)
 
 
 def factor_into_one_variable_triple(

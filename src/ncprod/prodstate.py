@@ -488,21 +488,21 @@ def gram_matrix(cm: CoefficientMap, depth: int) -> GramMatrix:
     """Gram matrix of {P_u : |u| <= depth} under the state.
 
     Needs 2 * depth <= cm.depth + 1 so that the inner products stay within
-    the supported degree.  Each entry is P_u^T M P_v, with M the state's
-    moment matrix over the words up to the depth.
+    the supported degree.  Each entry is P_u^T N P_v / L, with N / L the
+    state's moment matrix over the words up to the depth.
     """
     if 2 * depth > cm.depth + 1:
         raise DepthExhaustedError(
             f"Gram depth {depth} needs map depth >= {2 * depth - 1}, have {cm.depth}"
         )
     words = tuple(words_up_to(cm.d, depth))
-    polys = {u: cm.basis(u).terms for u in words}
+    vectors = {u: list(map(cm.basis(u).coefficient, words)) for u in words}
     matrix = MomentMatrix(StateEvaluator(cm).word_moment, words)
     entries: dict[tuple[Word, Word], Fraction] = {}
     for u in words:
-        row = matrix.row(polys[u])
+        row = matrix.row(vectors[u])
         for v in words:
-            value = matrix.pair(row, polys[v])
+            value = matrix.pair(row, vectors[v])
             if value:
-                entries[(u, v)] = value
+                entries[(u, v)] = Fraction(value, matrix.scale)
     return GramMatrix(words=words, entries=entries)

@@ -1,8 +1,9 @@
 """Plain reference versions of the exact kernels, for the tests only.
 
 ``fraction_inverse`` is the degree-by-degree inverse with one ``Fraction``
-operation per term pair, ``full_order_neumann_inverse`` runs every Neumann
-step of a series-matrix inverse at the full order, and
+operation per term pair; ``_smat_inverse`` inverts a matrix of ``NCSeries``
+by Neumann steps, each truncated to the degree it makes exact, and
+``full_order_neumann_inverse`` runs every step at the full order;
 ``fraction_expansion`` runs the transfer operator over the whole word on the
 map's own ``Fraction`` entries, and ``product_gram_schmidt_mops`` takes
 every inner product of the monomial orthogonalization from a polynomial
@@ -26,20 +27,14 @@ library's kernels must agree with them exactly.
 
 from fractions import Fraction
 
-from ncprod.cfrac import (
-    MatricialData,
-    SeriesMatrix,
-    _smat_identity,
-    _smat_inverse,
-    _smat_mul,
-    block_extract,
-)
+from ncprod.cfrac import MatricialData, block_extract
 from ncprod.jacobi import JacobiData, MomentSequence
 from ncprod.ncpoly import (
     EMPTY_WORD,
     NCPolynomial,
     NCSeries,
     Word,
+    _make,
     graded_lex_key,
     leading_run_length,
     word_runs,
@@ -48,6 +43,62 @@ from ncprod.ncpoly import (
 from ncprod.omega import OmegaTree
 from ncprod.oracle import MomentFunctional, MopsResult, functional_inner
 from ncprod.prodstate import CoefficientMap, left_multiply
+
+
+SeriesMatrix = list[list[NCSeries]]
+
+
+def _smat_identity(n: int, d: int, order: int, one: Fraction | int = Fraction(1)) -> SeriesMatrix:
+    """The n x n identity; ``one`` is int 1 for a matrix of integer series."""
+    return [
+        [_make(d, order, {EMPTY_WORD: one} if r == s else {}) for s in range(n)]
+        for r in range(n)
+    ]
+
+
+def _smat_mul(a: SeriesMatrix, b: SeriesMatrix) -> SeriesMatrix:
+    n = len(a)
+    out = []
+    for r in range(n):
+        row = []
+        for s in range(n):
+            acc = None
+            for t in range(n):
+                if not a[r][t].terms or not b[t][s].terms:
+                    continue
+                term = a[r][t] * b[t][s]
+                acc = term if acc is None else acc + term
+            if acc is None:
+                acc = NCSeries.zero(a[0][0].d, a[0][0].order)
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def _smat_inverse(mat: SeriesMatrix, order: int) -> SeriesMatrix:
+    """Inverse of a series matrix with identity constant term.
+
+    Neumann iteration x_(k+1) = 1 + u*x_k from x_0 = 1, with u = 1 - mat.  As
+    u has no constant term, x_k is exact through degree k, and so is
+    x_(k+1) through degree k + 1 when u multiplies only the part of x_k of
+    degree <= k, as a series of order k + 1: step k works at order k + 1.
+    """
+    n = len(mat)
+    d = mat[0][0].d
+    for r in range(n):
+        for s in range(n):
+            expected = Fraction(1) if r == s else Fraction(0)
+            if mat[r][s].constant_term() != expected:
+                raise ValueError("matrix inverse requires identity constant term")
+    # the unit of the entries' own type, so an integer matrix stays integer
+    identity = _smat_identity(n, d, order, mat[0][0].constant_term())
+    u = [[identity[r][s] - mat[r][s] for s in range(n)] for r in range(n)]
+    x = identity
+    for k in range(order):
+        # x holds only degrees <= k (x_0 = 1, then x_k has order k)
+        ux = _smat_mul(u, [[entry.truncate(k + 1) for entry in row] for row in x])
+        x = [[identity[r][s] + ux[r][s] for s in range(n)] for r in range(n)]
+    return x
 
 
 def fraction_inverse(series: NCSeries) -> NCSeries:

@@ -664,10 +664,10 @@ def test_traced_benchmark_finds_every_wrap_point(tmp_path):
     reads its moment sequences and makes none; rebuilding every moment from
     scratch took 3,602).  The mops run pins its moment matrix: the 7 words
     through length 2 give 7 x 7 = 49 word moments (pair-by-pair polynomial
-    products took 328).  No command inverts an NCSeries: the scalar
-    continued fraction solves each node on dense integer lists (it took one
-    inverse per node it reached, 3 through order 3), and the matricial one
-    runs Neumann steps, so it alone multiplies series.  Only the
+    products took 328).  No command inverts or multiplies an NCSeries: both
+    continued fractions solve on dense integer lists (the scalar one took
+    one inverse per node it reached, 3 through order 3, and the matricial
+    one multiplied series matrices in its Neumann steps).  Only the
     counterexample run still multiplies polynomials, in functional_inner."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     inputs = ["--jacobi1", str(GOLDEN / "j1.json"), "--jacobi2", str(GOLDEN / "j2.json")]
@@ -676,6 +676,7 @@ def test_traced_benchmark_finds_every_wrap_point(tmp_path):
     moment_calls = {}
     word_moments = {}
     inverses = {}
+    products = {}
     runs = {
         "cfrac": ["cfrac", *inputs, "--omega", "free", "--order", "3"],
         "cfrac-matricial": ["cfrac", *inputs, "--omega", "free", "--engine", "matricial", "--order", "3"],
@@ -697,8 +698,25 @@ def test_traced_benchmark_finds_every_wrap_point(tmp_path):
         moment_calls[name] = dump["totals"]["jacobi.moment"][0]
         word_moments[name] = sum(span[0] == "prodstate.word_moment" for span in dump["spans"])
         inverses[name] = sum(span[0] == "ncpoly.series_inverse" for span in dump["spans"])
-    assert {"ncpoly.series_mul", "ncpoly.poly_mul"} <= recorded
+        products[name] = sum(span[0] == "ncpoly.series_mul" for span in dump["spans"])
+    assert "ncpoly.poly_mul" in recorded
+    assert products == dict.fromkeys(runs, 0)
     assert left_multiplies["moments"] == 14
     assert word_moments["mops"] == 49
     assert inverses == dict.fromkeys(runs, 0)
     assert moment_calls["compare"] <= 14
+
+
+def test_closed_pipe_exits_141_in_silence(tmp_path):
+    """A reader that closes stdout early (``| head``) ends the table with exit
+    code 128 + SIGPIPE and nothing on stderr, not a traceback and exit 1."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = [sys.executable, "-m", "ncprod.cli", "moments", "--omega", "free", "--order", "11",
+            "--jacobi1", str(GOLDEN / "j1.json"), "--jacobi2", str(GOLDEN / "j2.json")]
+    with open(tmp_path / "stderr.txt", "w+b") as errors:
+        child = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=errors, env=env)
+        assert child.stdout.readline() == b"[\n"
+        child.stdout.close()
+        assert child.wait(timeout=120) == 141
+        errors.seek(0)
+        assert errors.read() == b""

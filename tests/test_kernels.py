@@ -1,13 +1,14 @@
 """Exact kernels against their plain references, and what every result holds.
 
 ``NCSeries.inverse``, ``StateEvaluator`` and the two continued-fraction
-engines run on integers over a common denominator, the scalar one on dense
-per-degree lists, and ``cfrac._smat_inverse`` truncates each Neumann step;
-each must equal the plain ``Fraction`` version in ``reference_kernels``
-exactly, and the scalar engine also the transfer operator.
-Arithmetic results skip the constructors' checks, so the invariants those
-checks gave are asserted here on every operation.  The CLI's JSON rows are
-written by hand and must be the bytes ``json.dumps`` would give.
+engines run on integers over a common denominator, both engines on dense
+per-degree lists, and the matricial one inverts each level's matrix degree
+by degree; each must equal the plain ``Fraction`` version in
+``reference_kernels`` exactly, and the scalar engine also the transfer
+operator.  Arithmetic results skip the constructors' checks, so the
+invariants those checks gave are asserted here on every operation.  The
+CLI's tables are written by hand, the json as the bytes ``json.dumps``
+would give and the csv and pretty text as row-by-row formatting would.
 """
 
 import json
@@ -28,13 +29,16 @@ from reference_kernels import (
 from ncprod import BUILTIN_OMEGAS, JacobiData, builder, preset
 from ncprod.cfrac import (
     MatricialData,
-    _smat_inverse,
+    _dense_inverse,
+    _series,
     matricial_cf,
+    matricial_from_map,
+    matricial_parts,
     scalar_branched_cf,
     scalar_branched_numerators,
 )
-from ncprod.cli import _emit_rows
-from ncprod.ncpoly import NCPolynomial, NCSeries, _make, words_up_to
+from ncprod.cli import _emit_table
+from ncprod.ncpoly import NCPolynomial, NCSeries, _make, words_of_length, words_up_to
 from ncprod.prodstate import StateEvaluator, cfree_map, explicit_map, product_type_map
 
 F = Fraction
@@ -116,19 +120,37 @@ def random_series_matrix(rng: random.Random, n: int, d: int, order: int) -> list
     return rows
 
 
+def dense_entry(series: NCSeries) -> list:
+    """A series as the matricial engine's dense parts, None for a zero degree."""
+    parts = [[series.terms.get(w, 0) for w in words_of_length(series.d, m)]
+             for m in range(series.order + 1)]
+    return [part if any(part) else None for part in parts]
+
+
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_truncated_neumann_equals_full_order(n):
+    """The dense inverse solves X = 1 + (1 - M) X degree by degree; it must
+    equal every Neumann step taken at the full order."""
     rng = random.Random(600 + n)
     for d in (1, 2):
         for order in range(7):
             mat = random_series_matrix(rng, n, d, order)
-            fast = _smat_inverse(mat, order)
+            dense = {(r, s): dense_entry(mat[r][s]) for r in range(n) for s in range(n)
+                     if mat[r][s].terms}
+            fast = _dense_inverse(dense, n, d, order)
             slow = full_order_neumann_inverse(mat, order)
-            assert fast == slow
-            for row in fast:
-                for entry in row:
+            for r in range(n):
+                for s in range(n):
+                    entry = _series(d, fast.get((r, s), [None] * (order + 1)))
+                    assert entry == slow[r][s], (d, order, r, s)
                     assert entry.order == order
-                    assert_clean(entry)
+
+
+def test_dense_inverse_requires_identity_constant_term():
+    one, two = [[1], None], [[2], None]
+    for matrix in ({(0, 0): one}, {(0, 0): two, (1, 1): one}, {(0, 0): one, (0, 1): one, (1, 1): one}):
+        with pytest.raises(ValueError, match="identity constant term"):
+            _dense_inverse(matrix, 2, 2, 1)
 
 
 def test_arithmetic_results_hold_only_clean_terms():
@@ -323,15 +345,66 @@ def test_integer_matricial_cf_equals_fraction_engine(d):
                 assert_clean(series)
 
 
+@pytest.mark.parametrize("name", ["free", "boolean", "one-branch"])
+def test_matricial_parts_of_product_maps_equal_both_references(name):
+    """On a product-type map the dense matricial engine must give, at every
+    order through 10, the Fraction series-matrix recursion's coefficients and
+    the scalar engine's numerators, each times D^|w|."""
+    cm = product_type_map(builder(name, 10), GENERIC_J1, GENERIC_J2)
+    md = matricial_from_map(cm, 5)
+    for order in range(11):
+        parts, scale = matricial_parts(md, order)
+        assert scale == cm.scale
+        assert [len(part) for part in parts] == [2**m for m in range(order + 1)]
+        numerators = _series(2, parts)
+        assert numerators == scalar_branched_numerators(cm, order), (name, order)
+        assert _series(2, parts, scale) == fraction_matricial_cf(md, order), (name, order)
+
+
+def graded_tables():
+    """(d, parts, scale) tables: d = 1, 2, 3, orders 0 to 4, ints over 1 and
+    420 and Fractions at scale 1, with zero, negative, unreduced and big
+    values."""
+    rng = random.Random(1100)
+    big = 3**90 * 7**11
+    for d in (1, 2, 3):
+        for order in range(5):
+            for scale, kind in ((1, int), (420, int), (1, F)):
+                parts = []
+                for m in range(order + 1):
+                    part = []
+                    for _ in range(d**m):
+                        n = rng.choice((0, 1, -1, 420**m, -(2 * 420**m), rng.randint(-999, 999),
+                                        rng.choice((1, -1)) * big))
+                        part.append(F(n, rng.choice((1, 3, 420, 2**70))) if kind is F else n)
+                    parts.append(part)
+                yield d, parts, scale
+
+
+def table_rows(d: int, parts, scale: int):
+    """(word, value text) row by row: str(Fraction(n, scale^m))."""
+    for m, part in enumerate(parts):
+        for w, n in zip(words_of_length(d, m), part):
+            yield w, str(F(n, scale**m))
+
+
 def test_json_rows_are_the_bytes_of_json_dumps(capsys):
-    rows_cases = [
-        [],
-        [((), 1, 1)],
-        [((), 1, 1), ((1,), 3, 1), ((2,), -5, 12), ((1, 2, 1), -7, 1)],
-        [((2, 2, 1), 4, 9), ((1,), 0, 1)],
-        [((1, 2), 10, 4), ((2, 1), -6, 3), ((1, 1, 2), 0, 420**3)],
-    ]
-    for rows in rows_cases:
-        _emit_rows(rows, "json")
-        payload = [{"word": list(w), "value": str(F(n, q))} for w, n, q in rows]
-        assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+    for d, parts, scale in graded_tables():
+        _emit_table(parts, d, "json", scale)
+        payload = [{"word": list(w), "value": v} for w, v in table_rows(d, parts, scale)]
+        assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n", (d, parts, scale)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "pretty"])
+def test_table_rows_are_the_row_by_row_format(capsys, fmt):
+    """csv is a header and one "key,value" line per word; pretty pads every
+    key (() for the empty word) to the longest key's length plus 2."""
+    for d, parts, scale in graded_tables():
+        _emit_table(parts, d, fmt, scale)
+        rows = [(".".join(map(str, w)), v) for w, v in table_rows(d, parts, scale)]
+        if fmt == "csv":
+            lines = ["word,value"] + [f"{key},{v}" for key, v in rows]
+        else:
+            width = max(len(key) for key, _ in rows)
+            lines = [f"{key or '()':<{width + 2}} {v}" for key, v in rows]
+        assert capsys.readouterr().out == "\n".join(lines) + "\n", (d, parts, scale)

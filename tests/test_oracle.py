@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -367,22 +368,34 @@ def test_mops_zero_norm_directions_skipped():
 
 
 def _mops_states():
+    """(phi, depth) cases: three product-type states and three q-Gaussian
+    ones at depth 3, the tensor state (a witness), free at depth 4, a free
+    product with a point-mass marginal at depth 4 (26 zero norms) and a
+    functional with negative norms."""
     for name in ("free", "boolean", "one-branch"):
         cm = product_type_map(builder(name, 6), GENERIC_J1, GENERIC_J2)
-        yield name, StateEvaluator(cm).word_moment
-    yield "tensor", tensor_state(GENERIC_J1, GENERIC_J2)
+        yield pytest.param(StateEvaluator(cm).word_moment, 3, id=f"{name}-word_moment")
+    yield pytest.param(tensor_state(GENERIC_J1, GENERIC_J2), 3, id="tensor-phi")
     for q in (F(0), F(1, 3), F(-1, 2)):
-        yield f"q-gaussian {q}", q_gaussian_state(q)
+        yield pytest.param(q_gaussian_state(q), 3, id=f"q-gaussian {q}-phi")
+    cm = product_type_map(builder("free", 8), GENERIC_J1, GENERIC_J2)
+    yield pytest.param(StateEvaluator(cm).word_moment, 4, id="free depth 4-word_moment")
+    cm = product_type_map(builder("free", 8), preset("point-mass", c=F(1, 2)), GENERIC_J2)
+    yield pytest.param(StateEvaluator(cm).word_moment, 4, id="point-mass depth 4-word_moment")
+    # an indefinite functional: random signed values, so some norms are negative
+    rng = random.Random(1200)
+    values = {w: F(rng.randint(-9, 9), rng.randint(1, 5)) for w in words_up_to(2, 6)}
+    yield pytest.param(values.__getitem__, 3, id="indefinite-phi")
 
 
 @pytest.mark.parametrize("reverse", [False, True])
-@pytest.mark.parametrize("name,phi", list(_mops_states()))
-def test_mops_moment_matrix_equals_polynomial_products(name, phi, reverse):
-    """Inner products from the moment matrix give the same family, norms,
-    verdict and witness as inner products from polynomial products."""
+@pytest.mark.parametrize("phi,depth", list(_mops_states()))
+def test_mops_moment_matrix_equals_polynomial_products(phi, depth, reverse):
+    """Inner products from the integer moment matrix give the same family,
+    norms, verdict and witness as inner products from polynomial products."""
     order = (lambda ws: ws[::-1]) if reverse else None
-    got = gram_schmidt_mops(phi, 3, within_degree_order=order)
-    expected = product_gram_schmidt_mops(phi, 3, within_degree_order=order)
+    got = gram_schmidt_mops(phi, depth, within_degree_order=order)
+    expected = product_gram_schmidt_mops(phi, depth, within_degree_order=order)
     assert got.polynomials == expected.polynomials
     assert got.norms == expected.norms
     assert got.is_mops == expected.is_mops
