@@ -27,7 +27,10 @@ integer coefficients and the coefficient of F at a word w is that of F' at
 w over D^|w|: one division per output word.  The scalar engine reads D B and
 D^2 C from the map's integer view, which reads only the entries the
 recursion reaches, and :func:`scalar_branched_numerators` hands out its F'
-undivided; the matricial engine takes D from its own data.
+undivided.  The matricial engine takes D from its own data
+(:func:`matricial_parts`), or runs one level loop on a map's integer view
+(:func:`matricial_map_parts`), whose diagonal T' and C' it reads entry by
+entry without building a matrix.
 
 Both keep every series dense and graded: one list of ints per degree m,
 holding the d^m words of length m at their base-d values (leftmost letter
@@ -45,7 +48,7 @@ it column by column, degree by degree (:func:`_dense_inverse`).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .jacobi import JacobiData
 from .ncpoly import (
@@ -53,6 +56,7 @@ from .ncpoly import (
     FrozenRecord,
     NCSeries,
     Word,
+    _add_outer,
     _make,
     clear_denominator,
     common_denominator,
@@ -63,24 +67,6 @@ from .prodstate import CoefficientMap, explicit_map
 
 # a sparse matrix of dense series: (row, column) -> parts by degree, None for a zero degree
 DenseMatrix = dict[tuple[int, int], list]
-
-
-def _add_outer(out: list, a: Sequence, b: Sequence, stride: int, offset: int = 0) -> None:
-    """out[offset + x stride + y] += a[x] b[y] for every x and y, with
-    stride >= len(b): one slice update per entry of the shorter factor, a
-    contiguous slice of out per entry of a or a strided one per entry of b."""
-    inner = len(b)
-    if len(a) <= inner:
-        for x, g in enumerate(a):
-            if g:
-                lo = offset + x * stride
-                out[lo : lo + inner] = [y + g * t for y, t in zip(out[lo : lo + inner], b)]
-    else:
-        span = len(a) * stride
-        for y, t in enumerate(b):
-            if t:
-                lo = offset + y
-                out[lo : lo + span : stride] = [v + t * g for v, g in zip(out[lo : lo + span : stride], a)]
 
 
 def _series(d: int, parts: Sequence[Sequence | None], scale: int | None = None) -> NCSeries:
@@ -318,9 +304,61 @@ def _dense_inverse(matrix: DenseMatrix, n: int, d: int, order: int) -> DenseMatr
 
 def matricial_parts(md: MatricialData, order: int) -> tuple[list[list[int]], int]:
     """The dense integer series of :func:`matricial_cf` before its one
-    division per word, with its scale D: parts[m] lists D^m times the
-    coefficients of the d^m words of length m, m = 0..min(order, 2K), in
-    graded-lex order.
+    division per word, with its scale D, the data's common denominator:
+    parts[m] lists D^m times the coefficients of the d^m words of length m,
+    m = 0..min(order, 2K), in graded-lex order (see :func:`_matricial_levels`).
+    """
+    matrices = [m for level in md.t for m in level] + list(md.c)
+    scale = common_denominator(value for m in matrices for row in m for value in row)
+
+    def t_entries(k: int) -> Iterator[tuple[int, int, int, int]]:
+        for i, t_matrix in enumerate(md.t[k]):
+            for r, row in enumerate(t_matrix):
+                for s, value in enumerate(row):
+                    if value:
+                        yield i, r, s, clear_denominator(value, scale)
+
+    def c_entry(k: int, r: int) -> int:
+        return clear_denominator(md.c[k - 1][r][r], scale * scale)
+
+    return _matricial_levels(md.d, md.levels, order, t_entries, c_entry), scale
+
+
+def matricial_map_parts(cm: CoefficientMap, levels: int, order: int) -> tuple[list[list[int]], int]:
+    """:func:`matricial_parts` of ``matricial_from_map(cm, levels)``, with
+    the map's scale D, read straight from the map's integer view: level k's
+    T'_i and C' are diagonal, with B'(i, u) and C'(u) at the row of the word
+    u of length k, and only the entries the recursion reaches are read."""
+    if levels > cm.depth:
+        raise ValueError(f"levels {levels} exceed map depth {cm.depth}")
+    d = cm.d
+    scaled = cm.integer
+    words = [words_of_length(d, k) for k in range(levels + 1)]
+
+    def t_entries(k: int) -> Iterator[tuple[int, int, int, int]]:
+        for r, u in enumerate(words[k]):
+            for i in range(d):
+                value = scaled.b(i + 1, u)
+                if value:
+                    yield i, r, r, value
+
+    def c_entry(k: int, r: int) -> int:
+        return scaled.c(words[k][r])
+
+    return _matricial_levels(d, levels, order, t_entries, c_entry), cm.scale
+
+
+def _matricial_levels(
+    d: int,
+    top: int,
+    order: int,
+    t_entries: Callable[[int], Iterable[tuple[int, int, int, int]]],
+    c_entry: Callable[[int, int], int],
+) -> list[list[int]]:
+    """The matricial continued fraction's integer parts through min(order,
+    2 top), from level top up to level 0: ``t_entries(k)`` lists level k's
+    nonzero T' entries as (i, r, s, T'_(i+1)[r][s]) and ``c_entry(k, r)``
+    is C'[r][r] at level k >= 1.
 
     Level k's denominator 1 - sum_i T'_i z_i - sum_(j,l) z_j block_(j,l)(C'
     F_(k+1)) z_l is a sparse dict of dense entries: T'_i adds to the degree-1
@@ -329,11 +367,7 @@ def matricial_parts(md: MatricialData, order: int) -> tuple[list[list[int]], int
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    d = md.d
-    top = md.levels
     effective = min(order, 2 * top)
-    matrices = [m for level in md.t for m in level] + list(md.c)
-    scale = common_denominator(value for m in matrices for row in m for value in row)
     f: DenseMatrix | None = None
     for k in range(top, -1, -1):
         budget = max(effective - 2 * k, 0)
@@ -347,18 +381,14 @@ def matricial_parts(md: MatricialData, order: int) -> tuple[list[list[int]], int
             return parts[m]
 
         if budget >= 1:
-            for i, t_matrix in enumerate(md.t[k]):
-                for r, row in enumerate(t_matrix):
-                    for s, value in enumerate(row):
-                        if value:
-                            entry(r, s, 1)[i] = -clear_denominator(value, scale)
+            for i, r, s, value in t_entries(k):
+                entry(r, s, 1)[i] = -value
         if budget >= 2 and f is not None:
-            c_matrix = md.c[k]  # C at level k + 1 (c is indexed from level 1)
             for (big_r, big_s), x in f.items():
-                cval = c_matrix[big_r][big_r]
+                cval = c_entry(k + 1, big_r)
                 if not cval:
                     continue
-                factor = [-clear_denominator(cval, scale * scale)]
+                factor = [-cval]
                 j, r = divmod(big_r, n)
                 l, s = divmod(big_s, n)
                 for m, part in enumerate(x[: budget - 1]):
@@ -366,7 +396,7 @@ def matricial_parts(md: MatricialData, order: int) -> tuple[list[list[int]], int
                         _add_outer(entry(r, s, m + 2), part, factor, d, j * d ** (m + 1) + l)
         f = _dense_inverse(denom, n, d, budget)
     assert f is not None
-    return [part or [0] * d**m for m, part in enumerate(f[(0, 0)])], scale
+    return [part or [0] * d**m for m, part in enumerate(f[(0, 0)])]
 
 
 def matricial_cf(md: MatricialData, order: int) -> NCSeries:

@@ -18,18 +18,19 @@ Every module but ``omega`` is imported by the subcommands that run it, so
 a process compiles and loads only what its subcommand uses: ``validate``
 loads ``omega`` alone.
 
-``compare`` checks each word in integers.  The state's numerator
-D^|w| phi(w), with D the coefficient map's scale, is the integer that
-``moments`` divides once per word; the reference gives its numerator over
-the same D^|w|, the oracles built at that scale and the scalar continued
-fraction from its own integer series on the same map.  Two equal integers
-mean two equal moments, so a ``Fraction`` is built only for the first
-mismatch it reports.  The moments and cfrac tables go through one writer
-that takes a value list per degree: ``cfrac --engine scalar`` and
-``--engine matricial`` hand it their engines' dense integer numerators over
-D^m, and ``moments`` and ``cfrac --engine classical`` their Fractions.  It
-builds each degree's word texts from the previous degree's, reduces each
-value with one gcd and writes one degree at a time.
+``compare`` checks each word in integers.  The state's numerators
+D^|w| phi(w), with D the coefficient map's scale, are the transfer
+operator's dense table (``prodstate.moment_parts``), the integers that
+``moments`` divides once per word; the reference gives its numerators over
+the same D^|w|, the oracles built at that scale word by word and the scalar
+continued fraction as its own dense integer table on the same map, compared
+list to list.  Two equal integers mean two equal moments, so a ``Fraction``
+is built only for the first mismatch it reports.  The moments and cfrac
+tables go through one writer that takes a value list per degree:
+``moments``, ``cfrac --engine scalar`` and ``--engine matricial`` hand it
+dense integer numerators over D^m, and ``cfrac --engine classical`` its
+Fractions.  It builds each degree's word texts from the previous degree's,
+reduces each value with one gcd and writes one degree at a time.
 
 Exit codes: 0 on success, 1 on mathematical failure (invalid tree, mismatch
 in a comparison), 2 on input errors, including a negative --order, an
@@ -42,7 +43,6 @@ does.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -51,7 +51,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from . import omega
-from .ncpoly import NCPolynomial, Word, format_rational, parse_rational, words_up_to
+from .ncpoly import NCPolynomial, Word, format_rational, parse_rational, words_of_length
 
 
 if TYPE_CHECKING:
@@ -66,7 +66,7 @@ class CliInputError(Exception):
     """Bad file, bad flag value, or an inconsistent combination of inputs."""
 
 
-# matricial_from_map builds at most this many levels, and matricial_cf is
+# the matricial engine runs on at most this many levels of the map, and is
 # exact only through order 2 * levels
 MATRICIAL_MAX_LEVELS = 5
 
@@ -277,8 +277,7 @@ def cmd_moments(args) -> int:
     from . import prodstate
 
     cm = _build_map(args, max(args.order, 1))
-    values = (v for _, v in prodstate.moment_table(cm, args.order))
-    _emit_table([list(itertools.islice(values, cm.d**m)) for m in range(args.order + 1)], cm.d, args.format)
+    _emit_table(prodstate.moment_parts(cm, args.order), cm.d, args.format, cm.scale)
     return 0
 
 
@@ -330,7 +329,7 @@ def cmd_cfrac(args) -> int:
     if args.engine == "matricial":
         # the fewest levels exact through the order; never deeper than the map
         levels = (args.order + 1) // 2
-        parts, scale = cfrac.matricial_parts(cfrac.matricial_from_map(cm, levels), args.order)
+        parts, scale = cfrac.matricial_map_parts(cm, levels, args.order)
     else:
         parts, scale = cfrac.scalar_branched_parts(cm, args.order), cm.scale
     if args.format == "pretty":
@@ -403,27 +402,27 @@ def cmd_compare(args) -> int:
         raise CliInputError("--against cfree needs --nu1 and --nu2")
     marginals = mu1, mu2, nu1, nu2 = _load_marginals(args)
     cm = _build_map(args, max(args.order, 1), marginals)
-    # each side gives D^|w| phi(w), with D the map's scale
-    state = prodstate.StateEvaluator(cm).word_numerator
+    # each side gives D^|w| phi(w), with D the map's scale, by degree
+    state = prodstate.moment_parts(cm, args.order)
     if args.against == "cfrac":
         from . import cfrac
 
-        terms = cfrac.scalar_branched_numerators(cm, args.order).terms
-        reference = lambda w: terms.get(w, 0)
+        reference = cfrac.scalar_branched_parts(cm, args.order)
     else:
         from . import oracle
 
         if args.against == "cfree":
-            reference = oracle.cfree_state(mu1, nu1, mu2, nu2, scale=cm.scale)
+            phi = oracle.cfree_state(mu1, nu1, mu2, nu2, scale=cm.scale)
         else:
             # looked up at call time, so that a replaced factory is the one called
-            reference = getattr(oracle, f"{args.against}_state")(mu1, mu2, scale=cm.scale)
-    mismatches = []
-    for w in words_up_to(2, args.order):
-        left = state(w)
-        right = reference(w)
-        if left != right:
-            mismatches.append((w, left, right))
+            phi = getattr(oracle, f"{args.against}_state")(mu1, mu2, scale=cm.scale)
+        reference = [list(map(phi, words_of_length(cm.d, m))) for m in range(args.order + 1)]
+    mismatches = [
+        (m, x, left, right)
+        for m, (lefts, rights) in enumerate(zip(state, reference))
+        for x, (left, right) in enumerate(zip(lefts, rights))
+        if left != right
+    ]
     if not mismatches:
         _emit(
             json.dumps({"equal": True, "order": args.order}, indent=2)
@@ -431,8 +430,9 @@ def cmd_compare(args) -> int:
             else f"equal through order {args.order}"
         )
         return 0
-    word, left, right = mismatches[0]
-    power = cm.scale ** len(word)
+    m, x, left, right = mismatches[0]
+    word = words_of_length(cm.d, m)[x]
+    power = cm.scale**m
     left, right = format_rational(Fraction(left, power)), format_rational(Fraction(right, power))
     if args.format == "json":
         payload = {

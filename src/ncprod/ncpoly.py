@@ -13,6 +13,12 @@ everything here is safe to share between threads.
 
 :class:`MomentMatrix` takes the inner products <p, q> = phi(p* q) of a word
 functional phi from one integer table of its values, not from products.
+
+A dense graded series is one list of ints per degree m holding the d^m
+words of length m at their base-d values (leftmost letter most
+significant), which is :func:`words_up_to` order.  :func:`_add_outer` is
+the one product on such lists, shared by the transfer operator's table and
+both continued-fraction engines.
 """
 
 from __future__ import annotations
@@ -94,6 +100,24 @@ def words_up_to(d: int, max_length: int) -> list[Word]:
     for n in range(max_length + 1):
         out.extend(words_of_length(d, n))
     return out
+
+
+def _add_outer(out: list, a: Sequence, b: Sequence, stride: int, offset: int = 0) -> None:
+    """out[offset + x stride + y] += a[x] b[y] for every x and y, with
+    stride >= len(b): one slice update per entry of the shorter factor, a
+    contiguous slice of out per entry of a or a strided one per entry of b."""
+    inner = len(b)
+    if len(a) <= inner:
+        for x, g in enumerate(a):
+            if g:
+                lo = offset + x * stride
+                out[lo : lo + inner] = [y + g * t for y, t in zip(out[lo : lo + inner], b)]
+    else:
+        span = len(a) * stride
+        for y, t in enumerate(b):
+            if t:
+                lo = offset + y
+                out[lo : lo + span : stride] = [v + t * g for v, g in zip(out[lo : lo + span : stride], a)]
 
 
 def exact_fraction(value: Rational) -> Fraction:

@@ -15,7 +15,7 @@ whose extension by their own first letter is not a member.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .ncpoly import FrozenRecord, Word, check_word, graded_lex_key, words_up_to
 
@@ -52,17 +52,47 @@ class OmegaValidationError(ValueError):
 
 
 class OmegaTree(FrozenRecord):
-    """A validated truncated tree; members hold words of length <= depth + 1."""
+    """A validated truncated tree; members hold words of length <= depth + 1.
 
-    __slots__ = ("depth", "members")
+    A tree is given by its member set or, for the built-ins, by a rule that
+    answers membership of a word over {1, 2} of length <= depth + 1.  A
+    rule's member set is built only when something reads ``members``; ``in``
+    asks the rule.  Either way a tree compares and hashes by its depth and
+    member set.
+    """
+
+    __slots__ = ("depth", "_members", "_rule")
     depth: int
-    members: frozenset[Word]
 
-    def __init__(self, depth: int, members: frozenset[Word]):
-        super().__init__(depth, members)
+    def __init__(
+        self,
+        depth: int,
+        members: frozenset[Word] | None = None,
+        rule: Callable[[Word], bool] | None = None,
+    ):
+        if (members is None) == (rule is None):
+            raise ValueError("a tree needs either its members or a membership rule")
+        super().__init__(depth, members, rule)
+
+    @property
+    def members(self) -> frozenset[Word]:
+        members = self._members
+        if members is None:
+            members = frozenset(filter(self._rule, words_up_to(2, self.depth + 1)))
+            object.__setattr__(self, "_members", members)
+        return members
+
+    def _values(self) -> tuple:
+        return self.depth, self.members
+
+    def __repr__(self):
+        return f"OmegaTree(depth={self.depth!r}, members={self.members!r})"
 
     def __contains__(self, word) -> bool:
-        return tuple(word) in self.members
+        u = tuple(word)
+        if self._members is not None:
+            return u in self._members
+        return len(u) <= self.depth + 1 and _BINARY.issuperset(u) and self._rule(u)
 
     def boundary(self) -> frozenset[Word]:
         """Members of length <= depth whose same-letter extension is missing."""
@@ -77,9 +107,9 @@ class OmegaTree(FrozenRecord):
         u = tuple(word)
         if len(u) > self.depth:
             raise ValueError(f"interior query at depth {len(u)} exceeds tree depth {self.depth}")
-        if u not in self.members:
+        if u not in self:
             return False
-        return not u or (u[0],) + u in self.members
+        return not u or (u[0],) + u in self
 
     def restricted(self, depth: int) -> "OmegaTree":
         """The same tree truncated to a smaller depth."""
@@ -139,27 +169,32 @@ def validate(words: Iterable[Iterable[int]], depth: int) -> OmegaTree:
     return OmegaTree(depth, frozenset(members))
 
 
+_BINARY = frozenset((1, 2))
+
+
+def _is_pure_run(word: Word) -> bool:
+    return len(set(word)) <= 1
+
+
+# membership rules of the built-in trees, for words over {1, 2}
+_BUILTIN_RULES = {
+    "free": lambda word: True,
+    "boolean": _is_pure_run,
+    # 2^k 1^n: no letter rises
+    "monotone": lambda word: list(word) == sorted(word, reverse=True),
+    # 1^k 2^n: no letter falls
+    "antimonotone": lambda word: list(word) == sorted(word),
+    "one-branch": lambda word: _is_pure_run(word) or word == (2, 1),
+}
+
+
 def builder(name: str, depth: int) -> OmegaTree:
-    """Construct one of the built-in trees, truncated to depth + 1."""
-    name = _BUILTIN_ALIASES.get(name, name)
-    limit = depth + 1
-    if name == "free":
-        words = set(words_up_to(2, limit))
-    elif name == "boolean":
-        words = _pure_runs(limit)
-    elif name == "monotone":
-        words = {
-            (2,) * k + (1,) * n for k in range(limit + 1) for n in range(limit + 1 - k)
-        }
-    elif name == "antimonotone":
-        words = {
-            (1,) * k + (2,) * n for k in range(limit + 1) for n in range(limit + 1 - k)
-        }
-    elif name == "one-branch":
-        words = _pure_runs(limit) | {(2, 1)}
-    else:
+    """Construct one of the built-in trees, truncated to depth + 1; its
+    members are listed only when read."""
+    rule = _BUILTIN_RULES.get(_BUILTIN_ALIASES.get(name, name))
+    if rule is None:
         raise ValueError(f"unknown builtin tree {name!r}; known: {', '.join(BUILTIN_OMEGAS)}")
-    return OmegaTree(depth, frozenset(words))
+    return OmegaTree(depth, rule=rule)
 
 
 def _pure_runs(limit: int) -> set[Word]:

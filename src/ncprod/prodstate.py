@@ -28,6 +28,14 @@ is an integer, and phi(x_w) = phi(y_w) / D^|w| needs one division per word.
 The continued-fraction engines in :mod:`ncprod.cfrac` run on the same
 integer coefficients.
 
+:func:`moment_parts` gives every word's numerator D^|w| phi(x_w) through an
+order as one dense list of ints per degree, the layout of the
+continued-fraction engines' tables: a degree is a sum of outer products of
+the half-length expansions' columns, one per basis word, with no word tuple
+or ``Fraction`` per word.  The ``moments`` table and :func:`moment_table`
+come from it; :meth:`StateEvaluator.word_numerator` and
+:meth:`StateEvaluator.word_moment` evaluate one word at a time.
+
 A :class:`CoefficientMap` answers B(i, u) and C(u) on demand and keeps each
 answer, so a query touches only the entries it reads (``cfrac --order 13``
 reads a few hundred of the 49,148 entries of depth 13), and so does its
@@ -68,12 +76,14 @@ from .ncpoly import (
     MomentMatrix,
     NCPolynomial,
     Word,
+    _add_outer,
     clear_denominator,
     common_denominator,
     graded_lex_key,
     leading_run_length,
     word_postfixes,
     word_runs,
+    words_of_length,
     words_up_to,
 )
 from .omega import OmegaTree, builder
@@ -196,10 +206,8 @@ def product_type_map(
         *(_jacobi_lcm(data, depth) for data in mu),
         *(_jacobi_lcm(data, depth - 1) for data in inner),
     )
-    members = tree.members
-
     def b_rule(letter: int, word: Word) -> Fraction:
-        if (letter,) + word not in members:
+        if (letter,) + word not in tree:
             return ZERO
         k = leading_run_length(word, letter)
         return (mu if len(word) == k else inner)[letter - 1].beta_at(k)
@@ -268,7 +276,7 @@ def basis_polynomial(
     that is a member.
     """
     u = tuple(u)
-    if u in tree.members:
+    if u in tree:
         mu = (j1, j2)
         inner = mu if nu is None else nu
         runs = word_runs(u)
@@ -278,7 +286,7 @@ def basis_polynomial(
             result = result * orthogonal_polynomial(source, length, letter=letter, alphabet=2)
         return result
     for suffix in word_postfixes(u)[1:]:
-        if suffix in tree.members:
+        if suffix in tree:
             prefix = u[: len(u) - len(suffix)]
             return NCPolynomial.monomial(prefix, 2) * basis_polynomial(tree, j1, j2, suffix, nu)
     raise ValueError("tree does not contain the empty word")
@@ -455,10 +463,63 @@ class StateEvaluator:
         return sum((coeff * self.word_moment(w) for w, coeff in p.terms.items()), Fraction(0))
 
 
-def moment_table(cm: CoefficientMap, order: int) -> list[tuple[Word, Fraction]]:
-    """All word moments up to the given order, in graded-lex order."""
+def moment_parts(cm: CoefficientMap, order: int) -> list[list[int]]:
+    """Every word's numerator D^|w| phi(w) through the order, D the map's
+    scale, as one dense list per degree: parts[n] holds the d^n words of
+    length n at their base-d indices (leftmost letter most significant).
+
+    Degree n splits each word as a.b with |a| = h = n // 2 and |b| = n - h,
+    as :meth:`StateEvaluator.word_numerator` does, and reads the same cached
+    expansions.  Over the basis words u that both halves reach, the column
+    L_u[x] = [y_rev(a_x)]_u ||Q_u||^2 (the left halves a_x in base-d order)
+    and the column R_u[y] = [y_(b_y)]_u (the right halves) give
+
+        parts[n][x d^(n-h) + y] = sum_u L_u[x] R_u[y],
+
+    one outer product per u, and x d^(n-h) + y is the index of a_x.b_y.
+    Raises :class:`DepthExhaustedError` above order ``cm.depth + 1``.
+    """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    if order > cm.depth + 1:
+        raise DepthExhaustedError(f"order {order} exceeds map depth {cm.depth} + 1")
     evaluator = StateEvaluator(cm)
-    return [(w, evaluator.word_moment(w)) for w in words_up_to(cm.d, order)]
+    d = cm.d
+    parts = []
+    for n in range(order + 1):
+        h = n // 2
+        lefts = _columns([evaluator._row(a[::-1]) for a in words_of_length(d, h)])
+        rights = _columns([evaluator._integer_expansion(b) for b in words_of_length(d, n - h)])
+        out = [0] * d**n
+        stride = d ** (n - h)
+        for u, column in lefts.items():
+            right = rights.get(u)
+            if right is not None:
+                _add_outer(out, column, right, stride)
+        parts.append(out)
+    return parts
+
+
+def _columns(vectors: list[Mapping[Word, int]]) -> dict[Word, list[int]]:
+    """{u: [v[u] for v in vectors]} over every u some vector holds."""
+    columns: dict[Word, list[int]] = {}
+    for x, vector in enumerate(vectors):
+        for u, value in vector.items():
+            column = columns.get(u)
+            if column is None:
+                column = columns[u] = [0] * len(vectors)
+            column[x] = value
+    return columns
+
+
+def moment_table(cm: CoefficientMap, order: int) -> list[tuple[Word, Fraction]]:
+    """All word moments up to the given order, in graded-lex order: the
+    numerators of :func:`moment_parts` over D^|w|."""
+    table = []
+    for n, part in enumerate(moment_parts(cm, order)):
+        denominator = cm.scale**n
+        table += zip(words_of_length(cm.d, n), (Fraction(v, denominator) for v in part))
+    return table
 
 
 class GramMatrix:

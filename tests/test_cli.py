@@ -365,7 +365,7 @@ def test_compare_mismatch_report_equals_fraction_comparison(capsys, monkeypatch,
     fraction's numerators at (2,) and (1, 2, 1) gain 1."""
     from ncprod import cfrac, oracle, prodstate
     from ncprod.jacobi import jacobi_from_json
-    from ncprod.ncpoly import _make, format_rational, words_up_to
+    from ncprod.ncpoly import format_rational, words_of_length, words_up_to
     from ncprod.omega import builder
 
     order = 6
@@ -383,15 +383,16 @@ def test_compare_mismatch_report_equals_fraction_comparison(capsys, monkeypatch,
         reference = real(mu1, nu2, mu2, nu1)
     elif against == "cfrac":
         bumped = {(2,): 1, (1, 2, 1): 1}
-        real = cfrac.scalar_branched_numerators
+        real = cfrac.scalar_branched_parts
 
         def numerators(cm, order):
-            series = real(cm, order)
-            terms = {w: series.terms.get(w, 0) + bumped.get(w, 0) for w in words_up_to(2, order)}
-            return _make(2, order, terms)
+            parts = real(cm, order)
+            for w, bump in bumped.items():
+                parts[len(w)][words_of_length(2, len(w)).index(w)] += bump
+            return parts
 
         series = cfrac.scalar_branched_cf(cm, order)
-        monkeypatch.setattr(cfrac, "scalar_branched_numerators", numerators)
+        monkeypatch.setattr(cfrac, "scalar_branched_parts", numerators)
         reference = lambda w: series.coefficient(w) + F(bumped.get(w, 0), cm.scale ** len(w))
     else:
         reference = getattr(oracle, f"{against}_state")(mu1, mu2)

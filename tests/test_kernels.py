@@ -33,6 +33,7 @@ from ncprod.cfrac import (
     _series,
     matricial_cf,
     matricial_from_map,
+    matricial_map_parts,
     matricial_parts,
     scalar_branched_cf,
     scalar_branched_numerators,
@@ -359,6 +360,22 @@ def test_matricial_parts_of_product_maps_equal_both_references(name):
         numerators = _series(2, parts)
         assert numerators == scalar_branched_numerators(cm, order), (name, order)
         assert _series(2, parts, scale) == fraction_matricial_cf(md, order), (name, order)
+
+
+@pytest.mark.parametrize("name", BUILTIN_OMEGAS)
+def test_map_fed_matricial_parts_equal_matricial_data_route(name):
+    """The CLI's matricial route reads the diagonal T' and C' straight from
+    the map's integer view; through the same level loop it must give the
+    series of the Fraction matrices matricial_from_map builds, at every
+    order through 10."""
+    cm = product_type_map(builder(name, 10), GENERIC_J1, GENERIC_J2)
+    md = matricial_from_map(cm, 5)
+    for order in range(11):
+        parts, scale = matricial_map_parts(cm, 5, order)
+        assert scale == cm.scale
+        assert _series(2, parts, scale) == _series(2, *matricial_parts(md, order)), (name, order)
+    with pytest.raises(ValueError):
+        matricial_map_parts(cm, 11, 4)
 
 
 def graded_tables():

@@ -95,6 +95,37 @@ def test_builders_validate():
             assert rebuilt.members == tree.members
 
 
+def _enumerated_builtin(name, limit):
+    """The built-in trees' member sets listed word by word, as the builder
+    once stored them."""
+    if name == "free":
+        return set(words_up_to(2, limit))
+    if name == "boolean":
+        return runs(limit)
+    if name == "monotone":
+        return {(2,) * k + (1,) * n for k in range(limit + 1) for n in range(limit + 1 - k)}
+    if name == "antimonotone":
+        return {(1,) * k + (2,) * n for k in range(limit + 1) for n in range(limit + 1 - k)}
+    return runs(limit) | {(2, 1)}
+
+
+@pytest.mark.parametrize("name", BUILTIN_OMEGAS)
+def test_builtin_rules_equal_their_enumerations(name):
+    """A built-in tree answers membership by rule and lists its members only
+    when read; rule, member set, equality and hash all match the enumerated
+    tree, and words off the alphabet or past depth + 1 are not members."""
+    for depth in range(1, 9):
+        tree = builder(name, depth)
+        expected = _enumerated_builtin(name, depth + 1)
+        assert {w for w in words_up_to(2, depth + 2) if w in tree} == expected, (name, depth)
+        assert (3,) not in tree and (1, 0) not in tree
+        assert tree.members == frozenset(expected)
+        enumerated = validate(expected, depth)
+        assert tree == enumerated and hash(tree) == hash(enumerated)
+        assert builder(name, depth) == enumerated  # compared before its members are read
+        assert builder(name, depth) != builder(name, depth + 1)
+
+
 def test_builder_truncation_consistency():
     for name in BUILTIN_OMEGAS:
         big = builder(name, 5)

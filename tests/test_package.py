@@ -89,7 +89,7 @@ def test_map_errors_stay_input_errors(capsys, monkeypatch):
         def raising(*args, error=error):
             raise error
 
-        monkeypatch.setattr(prodstate, "moment_table", raising)
+        monkeypatch.setattr(prodstate, "moment_parts", raising)
         assert main(["moments", *inputs, "--omega", "free", "--order", "2"]) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"input error: {error}\n")

@@ -25,6 +25,7 @@ from ncprod import (
     gram_matrix,
     left_multiply,
     moment,
+    moment_table,
     monotone_state,
     omega_from_json,
     preset,
@@ -33,8 +34,8 @@ from ncprod import (
     scalar_branched_cf,
 )
 from ncprod.jacobi import JacobiRangeError
-from ncprod.prodstate import DepthExhaustedError
-from ncprod.ncpoly import words_up_to
+from ncprod.prodstate import DepthExhaustedError, moment_parts
+from ncprod.ncpoly import words_of_length, words_up_to
 
 F = Fraction
 
@@ -532,3 +533,32 @@ def test_two_half_moment_equals_full_transfer_expansion():
             assert ev.word_moment(w) == reference.expansion(w).get((), 0), (index, w)
         with pytest.raises(DepthExhaustedError):
             ev.word_moment((1,) * (cm.depth + 2))
+
+
+def test_moment_parts_equal_word_numerators():
+    """The dense table sums the same half-length products as word_numerator,
+    one outer product per basis word, each value at the base-d index of its
+    word: equal on every word through order 8, on every built-in tree, the
+    two-pair map and random three-letter data."""
+    nu1, nu2 = random_pair(11)
+    maps = [product_type_map(builder(name, 7), GENERIC_J1, GENERIC_J2) for name in BUILTIN_OMEGAS]
+    maps.append(cfree_map(GENERIC_J1, nu1, GENERIC_J2, nu2, 7))
+    maps.append(_random_explicit_map(5, 3, 7))
+    for index, cm in enumerate(maps):
+        parts = moment_parts(cm, 8)
+        evaluator = StateEvaluator(cm)
+        assert [len(part) for part in parts] == [cm.d**n for n in range(9)]
+        for n, part in enumerate(parts):
+            assert part == [evaluator.word_numerator(w) for w in words_of_length(cm.d, n)], (index, n)
+        table = moment_table(cm, 8)
+        assert table == [(w, evaluator.word_moment(w)) for w in words_up_to(cm.d, 8)], index
+
+
+def test_moment_parts_edges():
+    cm = product_type_map(builder("free", 3), GENERIC_J1, GENERIC_J2)
+    assert moment_parts(cm, 0) == [[1]]
+    assert len(moment_parts(cm, 4)) == 5
+    with pytest.raises(DepthExhaustedError):
+        moment_parts(cm, 5)
+    with pytest.raises(ValueError):
+        moment_parts(cm, -1)
