@@ -64,7 +64,6 @@ _EXPORTS = {
         "matricial_from_map",
         "render_branched_cf",
         "scalar_branched_cf",
-        "scalar_branched_numerators",
     ),
     "oracle": (
         "MopsResult",

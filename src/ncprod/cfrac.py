@@ -26,7 +26,7 @@ with integer coefficients only, so every series in the recursion has
 integer coefficients and the coefficient of F at a word w is that of F' at
 w over D^|w|: one division per output word.  The scalar engine reads D B and
 D^2 C from the map's integer view, which reads only the entries the
-recursion reaches, and :func:`scalar_branched_numerators` hands out its F'
+recursion reaches, and :func:`scalar_branched_parts` hands out its F'
 undivided.  The matricial engine takes D from its own data
 (:func:`matricial_parts`), or runs one level loop on a map's integer view
 (:func:`matricial_map_parts`), whose diagonal T' and C' it reads entry by
@@ -60,7 +60,7 @@ from .ncpoly import (
     _make,
     clear_denominator,
     common_denominator,
-    exact_fraction,
+    parse_rational,
     words_of_length,
 )
 from .prodstate import CoefficientMap, explicit_map
@@ -110,17 +110,12 @@ def scalar_branched_cf(cm: CoefficientMap, order: int) -> NCSeries:
     return _series(cm.d, scalar_branched_parts(cm, order), cm.scale)
 
 
-def scalar_branched_numerators(cm: CoefficientMap, order: int) -> NCSeries:
-    """The integer series F' of :func:`scalar_branched_cf`, before its one
-    division per word: its coefficient at w is D^|w| times the state at x_w,
+def scalar_branched_parts(cm: CoefficientMap, order: int) -> list[list[int]]:
+    """The integer series F' of :func:`scalar_branched_cf` by degree, before
+    its one division per word: parts[m] lists the d^m words of length m in
+    graded-lex order, and the entry of w is D^|w| times the state at x_w,
     with D the map's scale, the same integer as
     :meth:`~ncprod.prodstate.StateEvaluator.word_numerator` gives."""
-    return _series(cm.d, scalar_branched_parts(cm, order))
-
-
-def scalar_branched_parts(cm: CoefficientMap, order: int) -> list[list[int]]:
-    """The numerators of :func:`scalar_branched_numerators` by degree:
-    parts[m] lists the d^m words of length m in graded-lex order."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     d = cm.d
@@ -164,7 +159,7 @@ def scalar_branched_parts(cm: CoefficientMap, order: int) -> list[list[int]]:
 
 
 def _as_matrix(rows: Iterable[Iterable[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(exact_fraction(x) for x in row) for row in rows)
+    return tuple(tuple(parse_rational(x) for x in row) for row in rows)
 
 
 class MatricialData(FrozenRecord):

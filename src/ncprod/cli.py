@@ -14,6 +14,12 @@ oracle and needs --nu1/--nu2.  Where no coefficient map is built (cfrac
 classical's --jacobi2, mops --q without --state q-gaussian and
 --jacobi1/--jacobi2 with it.
 
+Each file kind has one reader, which refuses a non-object, an unknown key
+and a value of the wrong type: ``jacobi.jacobi_from_json`` for marginals,
+``omega.omega_from_json`` for trees.  A JSON number reaches them as the
+exact Fraction of its literal text.  Every refusal of the inputs is a
+ValueError, so ``main`` reports it as one "input error:" line and exits 2.
+
 Every module but ``omega`` is imported by the subcommands that run it, so
 a process compiles and loads only what its subcommand uses: ``validate``
 loads ``omega`` alone.
@@ -86,13 +92,14 @@ def _word_key(word: Word) -> str:
     return ".".join(str(letter) for letter in word)
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str) -> object:
+    """The file's JSON value, each non-integer number the Fraction of its text."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, parse_float=Fraction)
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON or text that is not UTF-8
         raise CliInputError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -103,7 +110,7 @@ def _load_jacobi(path: str | None, what: str) -> JacobiData:
         raise CliInputError(f"missing required jacobi file for {what}")
     try:
         return jacobi.jacobi_from_json(_load_json(path))
-    except (ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:
         raise CliInputError(f"bad jacobi data in {path}: {exc}") from exc
 
 
@@ -111,16 +118,16 @@ def _load_tree(spec: str, depth: int) -> omega.OmegaTree:
     """A builtin name, or any alias of one, builds a tree of the given depth;
     otherwise the spec names a JSON tree file, read at ``depth`` when it has
     no "depth" of its own."""
-    if spec in omega.BUILTIN_OMEGAS or spec in omega._BUILTIN_ALIASES:
+    if spec in omega.BUILTIN_OMEGAS or spec in omega.BUILTIN_ALIASES:
         return omega.builder(spec, depth)
     obj = _load_json(spec)
+    if isinstance(obj, dict) and "depth" not in obj:
+        obj = {**obj, "depth": depth}
     try:
-        if "depth" not in obj:
-            obj = {**obj, "depth": depth}
         return omega.omega_from_json(obj)
     except omega.OmegaValidationError:
         raise
-    except (ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:
         raise CliInputError(f"bad tree specification in {spec}: {exc}") from exc
 
 
@@ -574,21 +581,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except omega.OmegaValidationError as exc:  # a ValueError, so it comes first
         print(f"invalid tree: {exc}", file=sys.stderr)
         return 1
-    except _input_errors() as exc:
+    except (CliInputError, ValueError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-
-
-def _input_errors() -> tuple[type[Exception], ...]:
-    """What main reports as an input error.  The map's depth and the Jacobi
-    data's range errors are named only once their modules are loaded: a
-    module never imported raised nothing."""
-    errors = [CliInputError, ValueError, KeyError]
-    for module, name in (("prodstate", "DepthExhaustedError"), ("jacobi", "JacobiRangeError")):
-        loaded = sys.modules.get(f"{__package__}.{module}")
-        if loaded is not None:
-            errors.append(getattr(loaded, name))
-    return tuple(errors)
 
 
 if __name__ == "__main__":

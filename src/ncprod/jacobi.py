@@ -28,7 +28,6 @@ from .ncpoly import (
     Rational,
     clear_denominator,
     common_denominator,
-    exact_fraction,
     format_rational,
     parse_rational,
 )
@@ -38,7 +37,7 @@ EXTENSION_POLICIES = ("repeat", "zero", "error")
 _POLICY_ALIASES = {"repeat-last": "repeat", "repeat_last": "repeat"}
 
 
-class JacobiRangeError(IndexError):
+class JacobiRangeError(IndexError, ValueError):
     """Raised when data under the "error" extension policy is exhausted."""
 
 
@@ -53,9 +52,9 @@ class JacobiData(FrozenRecord):
     def __init__(
         self, beta: Iterable[Rational | str], gamma: Iterable[Rational | str], extend: str = "repeat"
     ):
-        beta = tuple(exact_fraction(b) for b in beta)
-        gamma = tuple(exact_fraction(g) for g in gamma)
-        policy = _POLICY_ALIASES.get(extend, extend)
+        beta = tuple(map(parse_rational, beta))
+        gamma = tuple(map(parse_rational, gamma))
+        policy = _POLICY_ALIASES.get(extend, extend) if isinstance(extend, str) else None
         if policy not in EXTENSION_POLICIES:
             raise ValueError(f"unknown extension policy {extend!r}")
         seen_zero = False
@@ -198,18 +197,20 @@ def expectation(data: JacobiData, poly: NCPolynomial) -> Fraction:
 PRESET_NAMES = ("semicircle", "q-gaussian", "gaussian", "point-mass", "bernoulli", "custom")
 
 
-def preset(name: str, *, terms: int = 24, **params) -> JacobiData:
-    """Build common Jacobi data by name.
+def preset(name: str, /, **params) -> JacobiData:
+    """Build common Jacobi data by name, refusing a parameter it does not read.
 
     Presets whose coefficient sequences are not eventually constant
-    (q-gaussian, gaussian) materialize ``terms`` entries and repeat the last
-    one beyond that, so moments are exact up to order ~2*terms.
+    (q-gaussian, gaussian) materialize ``terms`` entries (default 24) and
+    repeat the last one beyond that, so moments are exact up to order
+    ~2*terms.  "custom" reads the lists ``beta`` and ``gamma`` and ``extend``.
     """
     if name == "semicircle":
         _reject_params(name, params)
         return JacobiData(beta=(Fraction(0),), gamma=(Fraction(1),))
     if name == "q-gaussian":
         q = _required_rational(name, params, "q")
+        terms = _terms(name, params)
         _reject_params(name, params)
         if q == 1:
             raise ValueError('q = 1 is not allowed; use preset("gaussian") for that limit')
@@ -222,18 +223,15 @@ def preset(name: str, *, terms: int = 24, **params) -> JacobiData:
             gamma.append(total)
         return JacobiData(beta=(Fraction(0),), gamma=tuple(gamma))
     if name == "gaussian":
+        terms = _terms(name, params)
         _reject_params(name, params)
-        return JacobiData(
-            beta=(Fraction(0),), gamma=tuple(Fraction(n) for n in range(1, terms + 1))
-        )
+        return JacobiData(beta=(Fraction(0),), gamma=tuple(map(Fraction, range(1, terms + 1))))
     if name == "point-mass":
         c = _required_rational(name, params, "c")
         _reject_params(name, params)
         return JacobiData(beta=(c,), gamma=(Fraction(0),))
     if name == "bernoulli":
-        p = _required_rational(name, params, "p")
-        a = _required_rational(name, params, "a")
-        b = _required_rational(name, params, "b")
+        p, a, b = (_required_rational(name, params, key) for key in ("p", "a", "b"))
         _reject_params(name, params)
         if not 0 <= p <= 1:
             raise ValueError("bernoulli weight p must lie in [0, 1]")
@@ -241,10 +239,12 @@ def preset(name: str, *, terms: int = 24, **params) -> JacobiData:
         variance = p * a * a + (1 - p) * b * b - mean * mean
         return JacobiData(beta=(mean, a + b - mean), gamma=(variance, Fraction(0)))
     if name == "custom":
-        beta = tuple(params.pop("beta", ()))
-        gamma = tuple(params.pop("gamma", ()))
+        beta, gamma = params.pop("beta", ()), params.pop("gamma", ())
         extend = params.pop("extend", "repeat")
         _reject_params(name, params)
+        for key, values in (("beta", beta), ("gamma", gamma)):
+            if not isinstance(values, (list, tuple)):
+                raise ValueError(f"preset {name!r} needs {key!r} as a list of rationals, got {values!r}")
         return JacobiData(beta=beta, gamma=gamma, extend=extend)
     raise ValueError(f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")
 
@@ -252,7 +252,14 @@ def preset(name: str, *, terms: int = 24, **params) -> JacobiData:
 def _required_rational(name: str, params: dict, key: str) -> Fraction:
     if key not in params:
         raise ValueError(f"preset {name!r} requires parameter {key!r}")
-    return exact_fraction(params.pop(key))
+    return parse_rational(params.pop(key))
+
+
+def _terms(name: str, params: dict) -> int:
+    terms = params.pop("terms", 24)
+    if type(terms) is not int or terms < 1:
+        raise ValueError(f"preset {name!r} needs 'terms' as a positive integer, got {terms!r}")
+    return terms
 
 
 def _reject_params(name: str, params: Mapping) -> None:
@@ -269,18 +276,9 @@ def jacobi_to_json(data: JacobiData) -> dict:
 
 
 def jacobi_from_json(obj: Mapping) -> JacobiData:
-    """Read {"beta": [...], "gamma": [...], "extend": ...} or {"preset": ...}."""
-    if "preset" in obj:
-        params = {k: v for k, v in obj.items() if k != "preset"}
-        name = obj["preset"]
-        if "terms" in params:
-            params["terms"] = int(params.pop("terms"))
-        for key in list(params):
-            if key in ("q", "c", "p", "a", "b"):
-                params[key] = parse_rational(params[key])
-        return preset(name, **params)
-    return JacobiData(
-        beta=tuple(parse_rational(x) for x in obj.get("beta", [])),
-        gamma=tuple(parse_rational(x) for x in obj.get("gamma", [])),
-        extend=obj.get("extend", "repeat"),
-    )
+    """Read {"preset": name, ...parameters}; without "preset" the object is
+    the "custom" preset's {"beta": [...], "gamma": [...], "extend": ...}."""
+    if not isinstance(obj, Mapping):
+        raise ValueError(f"a marginal is a JSON object, not {type(obj).__name__}")
+    params = dict(obj)
+    return preset(params.pop("preset", "custom"), **params)

@@ -1,9 +1,8 @@
 """Words, non-commutative polynomials, and truncated non-commutative power series.
 
 Coefficients are exact rationals (``fractions.Fraction``); nothing in this
-package touches floating point, and a float coefficient is refused.  The one
-exception is internal: the continued-fraction engines hand out series of
-``int`` numerators, made only by ``_make``.  Words are tuples of letters from
+package touches floating point, and every value from outside passes
+:func:`parse_rational`, which refuses a float.  Words are tuples of letters from
 ``{1, ..., d}`` with the empty tuple as the unit monomial.  Words are stored
 leftmost-first, and a "postfix" always means a right-suffix: ``(2, 1)`` is a
 postfix of ``(1, 2, 1)`` but ``(1, 2)`` is not.
@@ -38,12 +37,19 @@ _ZERO = Fraction(0)
 EMPTY_WORD: Word = ()
 
 
-def parse_rational(text: Union[str, int]) -> Fraction:
-    """Parse a "p/q" or integer string ("3/4", "-1/2", "2") into a Fraction."""
+def parse_rational(value: Union[Rational, str]) -> Fraction:
+    """An int, a Fraction or a "p/q", integer or decimal string ("3/4",
+    "-1/2", "2", "0.1") as an exact Fraction.  A float is refused: 0.1 would
+    become 3602879701896397/2**55.  So is a bool.  Every failure is a
+    ValueError."""
+    if isinstance(value, (float, bool)):
+        raise ValueError(
+            f"{type(value).__name__} {value!r} is not exact; pass an int, a Fraction or a 'p/q' string"
+        )
     try:
-        return Fraction(str(text).strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational: {text!r}") from exc
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        raise ValueError(f"not a rational: {value!r}") from exc
 
 
 def format_rational(value: Rational) -> str:
@@ -55,7 +61,7 @@ def format_rational(value: Rational) -> str:
 def check_word(word: Iterable[int], d: int) -> Word:
     w = tuple(word)
     for letter in w:
-        if not (isinstance(letter, int) and 1 <= letter <= d):
+        if not (type(letter) is int and 1 <= letter <= d):
             raise ValueError(f"letter {letter!r} outside alphabet 1..{d}")
     return w
 
@@ -120,13 +126,6 @@ def _add_outer(out: list, a: Sequence, b: Sequence, stride: int, offset: int = 0
                 out[lo : lo + span : stride] = [v + t * g for v, g in zip(out[lo : lo + span : stride], a)]
 
 
-def exact_fraction(value: Rational) -> Fraction:
-    """``Fraction(value)``, refusing a float: 0.1 would become 3602879701896397/2**55."""
-    if isinstance(value, float):
-        raise ValueError(f"float {value!r} is not exact; pass an int, a Fraction or a 'p/q' string")
-    return Fraction(value)
-
-
 def common_denominator(values: Iterable[Rational]) -> int:
     """The lcm of the values' denominators; 1 for no values."""
     return math.lcm(*(value.denominator for value in values))
@@ -186,7 +185,7 @@ class FrozenRecord:
 def _clean_terms(terms: Mapping[Word, Rational], d: int) -> dict[Word, Fraction]:
     cleaned: dict[Word, Fraction] = {}
     for word, coeff in terms.items():
-        value = exact_fraction(coeff)
+        value = parse_rational(coeff)
         if value:
             cleaned[check_word(word, d)] = value
     return cleaned
@@ -198,8 +197,7 @@ def _make(d: int, order: int | None, terms: Mapping[Word, Rational]) -> "NCPolyn
     Its terms already hold exact coefficients on words over 1..d, so only
     zero coefficients and words longer than ``order`` are dropped.  A
     polynomial when ``order`` is None, a series otherwise.  It is also the
-    one way to make a series of ``int`` coefficients, on which the
-    continued-fraction engines run their arithmetic: sums, products,
+    one way to make a series of ``int`` coefficients: sums, products,
     truncations, sandwiches and inverses of such series, and their int
     multiples, keep int coefficients.
     """

@@ -21,7 +21,8 @@ from .ncpoly import FrozenRecord, Word, check_word, graded_lex_key, words_up_to
 
 BUILTIN_OMEGAS = ("free", "boolean", "monotone", "antimonotone", "one-branch")
 
-_BUILTIN_ALIASES = {
+# other spellings that name a built-in tree
+BUILTIN_ALIASES = {
     "anti-monotone": "antimonotone",
     "one_branch": "one-branch",
     "onebranch": "one-branch",
@@ -191,7 +192,7 @@ _BUILTIN_RULES = {
 def builder(name: str, depth: int) -> OmegaTree:
     """Construct one of the built-in trees, truncated to depth + 1; its
     members are listed only when read."""
-    rule = _BUILTIN_RULES.get(_BUILTIN_ALIASES.get(name, name))
+    rule = _BUILTIN_RULES.get(BUILTIN_ALIASES.get(name, name))
     if rule is None:
         raise ValueError(f"unknown builtin tree {name!r}; known: {', '.join(BUILTIN_OMEGAS)}")
     return OmegaTree(depth, rule=rule)
@@ -311,16 +312,29 @@ def enumerate_valid_trees(max_len: int = 3) -> list[frozenset[Word]]:
 
 
 def omega_from_json(obj: Mapping) -> OmegaTree:
-    """Read {"builtin": name, "depth": n} or an explicit word list.
-
-    Explicit lists may set "implicit_runs": true to have all pure runs (and
-    the empty word) added before validation, so only the extra words need to
-    be listed.
+    """Read {"builtin": name, "depth": n} or {"words": [[1, 2], ...], "depth":
+    n, "implicit_runs": bool}, each value of its JSON type, never coerced,
+    and no other key.  "implicit_runs": true adds all pure runs (and the
+    empty word) before validation, so only the extra words need listing.
     """
-    depth = int(obj["depth"])
+    if not isinstance(obj, Mapping):
+        raise ValueError(f"a tree is a JSON object, not {type(obj).__name__}")
+    if "builtin" in obj:
+        kinds = {"builtin": str, "depth": int}
+    else:
+        kinds = {"words": list, "depth": int, "implicit_runs": bool}
+    for key, value in {"depth": None, **obj}.items():  # "depth" is required
+        if key not in kinds:
+            raise ValueError(f"unknown tree key {key!r}; this form reads {sorted(kinds)}")
+        if type(value) is not kinds[key]:
+            raise ValueError(f"tree {key!r} must be a JSON {kinds[key].__name__}, got {value!r}")
+    depth = obj["depth"]
     if "builtin" in obj:
         return builder(obj["builtin"], depth)
-    words = {tuple(int(letter) for letter in word) for word in obj.get("words", [])}
-    if obj.get("implicit_runs", False):
-        words |= _pure_runs(depth + 1)
-    return validate(words, depth)
+    words = obj.get("words", [])
+    if not all(type(word) is list for word in words):
+        raise ValueError(f"tree 'words' must be a list of letter lists, got {words!r}")
+    members = set(map(tuple, words))
+    if obj.get("implicit_runs"):
+        members |= _pure_runs(depth + 1)
+    return validate(members, depth)

@@ -43,7 +43,7 @@ from fractions import Fraction
 from typing import Callable, Sequence, Union
 
 from .jacobi import JacobiData, MomentSequence, coefficient_scale
-from .ncpoly import MomentMatrix, NCPolynomial, Word, graded_lex_key, word_runs, words_up_to
+from .ncpoly import MomentMatrix, NCPolynomial, Word, graded_lex_key, parse_rational, word_runs, words_up_to
 
 MomentFunctional = Callable[[Word], Fraction]
 # w -> D^|w| phi(w), for an integer D fixed with the functional
@@ -245,7 +245,7 @@ def _crossings(pairing: Sequence[tuple[int, int]]) -> int:
 
 def q_gaussian_state(q: Fraction) -> MomentFunctional:
     """Letter-matching pair partitions weighted by q to the number of crossings."""
-    q = Fraction(q)
+    q = parse_rational(q)
     cache: dict[Word, Fraction] = {}
 
     def phi(word: Word) -> Fraction:

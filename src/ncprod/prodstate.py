@@ -81,6 +81,7 @@ from .ncpoly import (
     common_denominator,
     graded_lex_key,
     leading_run_length,
+    parse_rational,
     word_postfixes,
     word_runs,
     words_of_length,
@@ -91,7 +92,7 @@ from .omega import OmegaTree, builder
 BasisExpansion = Mapping[Word, Fraction]
 
 
-class DepthExhaustedError(RuntimeError):
+class DepthExhaustedError(RuntimeError, ValueError):
     """A coefficient was requested beyond the stored depth of the map."""
 
 
@@ -240,12 +241,9 @@ def explicit_map(
 ) -> CoefficientMap:
     """Arbitrary diagonal recursion data (no tree attached); D is the lcm
     of the entries' denominators, and P_u comes from the rewrite rules."""
-    b = {
-        (letter, tuple(word)): exact
-        for (letter, word), value in b_entries.items()
-        if (exact := Fraction(value))
-    }
-    c = {tuple(word): exact for word, value in c_entries.items() if (exact := Fraction(value))}
+    b = {(letter, tuple(word)): exact for (letter, word), value in b_entries.items()
+         if (exact := parse_rational(value))}
+    c = {tuple(word): exact for word, value in c_entries.items() if (exact := parse_rational(value))}
     for letter, word in b:
         if not 1 <= letter <= d or len(word) > depth:
             raise ValueError(f"bad B entry at letter {letter}, word {list(word)}")

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from ncprod.cli import main
-from ncprod.omega import _BUILTIN_ALIASES
+from ncprod.omega import BUILTIN_ALIASES
 
 F = Fraction
 
@@ -590,7 +590,7 @@ def test_golden_output(capsys, monkeypatch, name):
     assert out == (GOLDEN / f"{name}.out").read_text()
 
 
-@pytest.mark.parametrize("alias,name", sorted(_BUILTIN_ALIASES.items()))
+@pytest.mark.parametrize("alias,name", sorted(BUILTIN_ALIASES.items()))
 def test_tree_aliases_accepted_by_validate_and_omega(capsys, generic_files, alias, name):
     j1, j2 = generic_files
     for argv in (

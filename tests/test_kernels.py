@@ -26,7 +26,15 @@ from reference_kernels import (
     full_order_neumann_inverse,
 )
 
-from ncprod import BUILTIN_OMEGAS, JacobiData, builder, preset
+from ncprod import (
+    BUILTIN_OMEGAS,
+    JacobiData,
+    builder,
+    jacobi_from_json,
+    parse_rational,
+    preset,
+    q_gaussian_state,
+)
 from ncprod.cfrac import (
     MatricialData,
     _dense_inverse,
@@ -36,7 +44,7 @@ from ncprod.cfrac import (
     matricial_map_parts,
     matricial_parts,
     scalar_branched_cf,
-    scalar_branched_numerators,
+    scalar_branched_parts,
 )
 from ncprod.cli import _emit_table
 from ncprod.ncpoly import NCPolynomial, NCSeries, _make, words_of_length, words_up_to
@@ -208,6 +216,10 @@ def test_float_coefficients_are_rejected():
                   lambda: JacobiData(beta=(), gamma=(F(1), 0.5)),
                   lambda: preset("custom", beta=(0.25,), gamma=(1,)),
                   lambda: preset("point-mass", c=0.5),
+                  lambda: parse_rational(0.5),
+                  lambda: jacobi_from_json({"beta": [0.1], "gamma": ["1"]}),
+                  lambda: explicit_map(1, 1, {(1, ()): 0.5}, {}),
+                  lambda: q_gaussian_state(0.5),
                   lambda: MatricialData(d=1, t=((((0.5,),),),), c=())):
         with pytest.raises(ValueError, match="float"):
             build()
@@ -278,7 +290,7 @@ def test_dense_scalar_numerators_equal_transfer_operator(name, order):
     routes to D^|w| phi(w); on the benchmark's largest continued-fraction
     cases they agree on every word."""
     cm = product_type_map(builder(name, order), GENERIC_J1, GENERIC_J2)
-    terms = scalar_branched_numerators(cm, order).terms
+    terms = _series(cm.d, scalar_branched_parts(cm, order)).terms
     evaluator = StateEvaluator(cm)
     for w in words_up_to(2, order):
         assert terms.get(w, 0) == evaluator.word_numerator(w), (name, w)
@@ -304,7 +316,7 @@ def test_dense_scalar_numerators_equal_fraction_engine(seed):
     and both the contiguous and the strided slice updates in play."""
     cm = sparse_explicit_map(900 + seed)
     order = 2 * cm.depth + 1
-    series = scalar_branched_numerators(cm, order)
+    series = _series(cm.d, scalar_branched_parts(cm, order))
     reference = fraction_scalar_branched_cf(cm, order)
     assert (series.d, series.order) == (cm.d, order)
     assert all(type(value) is int for value in series.terms.values())
@@ -358,7 +370,7 @@ def test_matricial_parts_of_product_maps_equal_both_references(name):
         assert scale == cm.scale
         assert [len(part) for part in parts] == [2**m for m in range(order + 1)]
         numerators = _series(2, parts)
-        assert numerators == scalar_branched_numerators(cm, order), (name, order)
+        assert numerators == _series(2, scalar_branched_parts(cm, order)), (name, order)
         assert _series(2, parts, scale) == fraction_matricial_cf(md, order), (name, order)
 
 

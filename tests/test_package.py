@@ -79,8 +79,9 @@ def test_subcommand_loads_only_what_it_runs(argv, loaded, not_loaded):
 
 
 def test_map_errors_stay_input_errors(capsys, monkeypatch):
-    """main names the map's and the Jacobi data's errors without importing
-    their modules; raised from a subcommand they still exit 2."""
+    """The map's depth error and the Jacobi data's range error are
+    ValueErrors, so main reports them without naming them or importing
+    their modules; raised from a subcommand they exit 2."""
     from ncprod import jacobi, prodstate
     from ncprod.cli import main
 
