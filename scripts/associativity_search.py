@@ -6,7 +6,7 @@ pure runs present, sibling-closed), tests the iterated-product construction
 against its mirror at depth three, and reports the failures.
 """
 
-from ncprod.ncpoly import graded_lex_key
+from ncprod.words import graded_lex_key
 from ncprod.omega import (
     OmegaTree,
     _omega_squared_mirror,

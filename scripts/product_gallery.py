@@ -13,7 +13,7 @@ from ncprod import (
     product_type_map,
     render_branched_cf,
 )
-from ncprod.ncpoly import format_rational, words_up_to
+from ncprod.words import format_rational, words_up_to
 
 
 def main() -> None:

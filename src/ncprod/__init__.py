@@ -23,14 +23,16 @@ _EXPORTS = {
         "orthogonal_polynomial",
         "preset",
     ),
-    "ncpoly": (
-        "NCPolynomial",
-        "NCSeries",
+    "words": (
         "Word",
         "format_rational",
         "parse_rational",
         "word_postfixes",
         "words_up_to",
+    ),
+    "ncpoly": (
+        "NCPolynomial",
+        "NCSeries",
     ),
     "omega": (
         "BUILTIN_OMEGAS",
@@ -47,13 +49,15 @@ _EXPORTS = {
         "CoefficientMap",
         "DepthExhaustedError",
         "StateEvaluator",
-        "basis_polynomial",
         "cfree_map",
         "explicit_map",
-        "gram_matrix",
         "left_multiply",
         "moment_table",
         "product_type_map",
+    ),
+    "basis": (
+        "basis_polynomial",
+        "gram_matrix",
         "recursion_basis",
     ),
     "cfrac": (

@@ -48,22 +48,23 @@ it column by column, degree by degree (:func:`_dense_inverse`).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .jacobi import JacobiData
-from .ncpoly import (
+from .prodstate import CoefficientMap, explicit_map
+from .words import (
     EMPTY_WORD,
     FrozenRecord,
-    NCSeries,
     Word,
     _add_outer,
-    _make,
     clear_denominator,
     common_denominator,
     parse_rational,
     words_of_length,
 )
-from .prodstate import CoefficientMap, explicit_map
+
+if TYPE_CHECKING:
+    from .ncpoly import NCSeries
 
 # a sparse matrix of dense series: (row, column) -> parts by degree, None for a zero degree
 DenseMatrix = dict[tuple[int, int], list]
@@ -73,6 +74,8 @@ def _series(d: int, parts: Sequence[Sequence | None], scale: int | None = None) 
     """Dense parts as one series of order len(parts) - 1: entry x of parts[m]
     is the coefficient of the x-th word of length m, over scale^m when a
     scale is given (a Fraction), as it is otherwise; None is a zero degree."""
+    from .ncpoly import _make
+
     terms = {}
     for m, part in enumerate(parts):
         if part:

@@ -20,17 +20,20 @@ JacobiData is an immutable value type and every operation here is pure.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .ncpoly import (
+from .words import (
     FrozenRecord,
-    NCPolynomial,
     Rational,
     clear_denominator,
     common_denominator,
     format_rational,
+    format_value,
     parse_rational,
 )
+
+if TYPE_CHECKING:
+    from .ncpoly import NCPolynomial
 
 EXTENSION_POLICIES = ("repeat", "zero", "error")
 
@@ -52,11 +55,14 @@ class JacobiData(FrozenRecord):
     def __init__(
         self, beta: Iterable[Rational | str], gamma: Iterable[Rational | str], extend: str = "repeat"
     ):
+        for key, values in (("beta", beta), ("gamma", gamma)):
+            if isinstance(values, (str, bytes)):
+                raise ValueError(f"{key} must be a sequence of rationals, not a {type(values).__name__}")
         beta = tuple(map(parse_rational, beta))
         gamma = tuple(map(parse_rational, gamma))
         policy = _POLICY_ALIASES.get(extend, extend) if isinstance(extend, str) else None
         if policy not in EXTENSION_POLICIES:
-            raise ValueError(f"unknown extension policy {extend!r}")
+            raise ValueError(f"unknown extension policy {format_value(extend)}")
         seen_zero = False
         for g in gamma:
             if g < 0:
@@ -97,6 +103,8 @@ def orthogonal_polynomial(
     data: JacobiData, n: int, *, letter: int = 1, alphabet: int = 1
 ) -> NCPolynomial:
     """Monic orthogonal polynomial P_n in the variable x_letter."""
+    from .ncpoly import NCPolynomial
+
     if n < 0:
         raise ValueError("polynomial index must be nonnegative")
     prev = NCPolynomial.one(alphabet)
@@ -244,7 +252,9 @@ def preset(name: str, /, **params) -> JacobiData:
         _reject_params(name, params)
         for key, values in (("beta", beta), ("gamma", gamma)):
             if not isinstance(values, (list, tuple)):
-                raise ValueError(f"preset {name!r} needs {key!r} as a list of rationals, got {values!r}")
+                raise ValueError(
+                    f"preset {name!r} needs {key!r} as a list of rationals, got {format_value(values)}"
+                )
         return JacobiData(beta=beta, gamma=gamma, extend=extend)
     raise ValueError(f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")
 
@@ -258,7 +268,7 @@ def _required_rational(name: str, params: dict, key: str) -> Fraction:
 def _terms(name: str, params: dict) -> int:
     terms = params.pop("terms", 24)
     if type(terms) is not int or terms < 1:
-        raise ValueError(f"preset {name!r} needs 'terms' as a positive integer, got {terms!r}")
+        raise ValueError(f"preset {name!r} needs 'terms' as a positive integer, got {format_value(terms)}")
     return terms
 
 

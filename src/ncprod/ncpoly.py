@@ -1,185 +1,40 @@
-"""Words, non-commutative polynomials, and truncated non-commutative power series.
+"""Non-commutative polynomials, truncated non-commutative power series, and
+the moment matrix of a word functional.
 
-Coefficients are exact rationals (``fractions.Fraction``); nothing in this
-package touches floating point, and every value from outside passes
-:func:`parse_rational`, which refuses a float.  Words are tuples of letters from
-``{1, ..., d}`` with the empty tuple as the unit monomial.  Words are stored
-leftmost-first, and a "postfix" always means a right-suffix: ``(2, 1)`` is a
-postfix of ``(1, 2, 1)`` but ``(1, 2)`` is not.
+Coefficients are exact rationals (``fractions.Fraction``), each from
+outside read by :func:`~ncprod.words.parse_rational`; words and their
+helpers live in :mod:`ncprod.words`.  Only the routes that build a
+polynomial or a series load this module: the basis polynomials, ``gram``,
+``mops``, ``counterexample`` and the engines' public ``NCSeries`` wrappers.
 
 All values are immutable after construction and all operations are pure, so
 everything here is safe to share between threads.
 
 :class:`MomentMatrix` takes the inner products <p, q> = phi(p* q) of a word
 functional phi from one integer table of its values, not from products.
-
-A dense graded series is one list of ints per degree m holding the d^m
-words of length m at their base-d values (leftmost letter most
-significant), which is :func:`words_up_to` order.  :func:`_add_outer` is
-the one product on such lists, shared by the transfer operator's table and
-both continued-fraction engines.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence
 
-Word = tuple[int, ...]
-Rational = Union[Fraction, int]
+from .words import (
+    EMPTY_WORD,
+    Rational,
+    Word,
+    check_word,
+    clear_denominator,
+    common_denominator,
+    format_rational,
+    graded_lex_key,
+    parse_rational,
+)
 
 # the coefficient of an absent word; Fractions are immutable, so one serves all
 _ZERO = Fraction(0)
-
-EMPTY_WORD: Word = ()
-
-
-def parse_rational(value: Union[Rational, str]) -> Fraction:
-    """An int, a Fraction or a "p/q", integer or decimal string ("3/4",
-    "-1/2", "2", "0.1") as an exact Fraction.  A float is refused: 0.1 would
-    become 3602879701896397/2**55.  So is a bool.  Every failure is a
-    ValueError."""
-    if isinstance(value, (float, bool)):
-        raise ValueError(
-            f"{type(value).__name__} {value!r} is not exact; pass an int, a Fraction or a 'p/q' string"
-        )
-    try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise ValueError(f"not a rational: {value!r}") from exc
-
-
-def format_rational(value: Rational) -> str:
-    """Canonical lowest-terms string, integers rendered without a denominator;
-    ``str`` already prints a Fraction or an int that way."""
-    return str(value)
-
-
-def check_word(word: Iterable[int], d: int) -> Word:
-    w = tuple(word)
-    for letter in w:
-        if not (type(letter) is int and 1 <= letter <= d):
-            raise ValueError(f"letter {letter!r} outside alphabet 1..{d}")
-    return w
-
-
-def word_postfixes(word: Word) -> list[Word]:
-    """All right-suffixes of a word, longest first, down to the empty word."""
-    return [word[k:] for k in range(len(word) + 1)]
-
-
-def word_runs(word: Word) -> list[tuple[int, int]]:
-    """Maximal constant runs as (letter, length) pairs, leftmost run first."""
-    runs: list[list[int]] = []
-    for letter in word:
-        if runs and runs[-1][0] == letter:
-            runs[-1][1] += 1
-        else:
-            runs.append([letter, 1])
-    return [(letter, length) for letter, length in runs]
-
-
-def leading_run_length(word: Word, letter: int) -> int:
-    """Length of the initial run of ``letter`` at the left end of the word."""
-    k = 0
-    for current in word:
-        if current != letter:
-            break
-        k += 1
-    return k
-
-
-def graded_lex_key(word: Word) -> tuple[int, Word]:
-    return (len(word), word)
-
-
-def words_of_length(d: int, length: int) -> list[Word]:
-    return list(itertools.product(range(1, d + 1), repeat=length))
-
-
-def words_up_to(d: int, max_length: int) -> list[Word]:
-    """All words of length <= max_length in graded-lexicographic order."""
-    out: list[Word] = []
-    for n in range(max_length + 1):
-        out.extend(words_of_length(d, n))
-    return out
-
-
-def _add_outer(out: list, a: Sequence, b: Sequence, stride: int, offset: int = 0) -> None:
-    """out[offset + x stride + y] += a[x] b[y] for every x and y, with
-    stride >= len(b): one slice update per entry of the shorter factor, a
-    contiguous slice of out per entry of a or a strided one per entry of b."""
-    inner = len(b)
-    if len(a) <= inner:
-        for x, g in enumerate(a):
-            if g:
-                lo = offset + x * stride
-                out[lo : lo + inner] = [y + g * t for y, t in zip(out[lo : lo + inner], b)]
-    else:
-        span = len(a) * stride
-        for y, t in enumerate(b):
-            if t:
-                lo = offset + y
-                out[lo : lo + span : stride] = [v + t * g for v, g in zip(out[lo : lo + span : stride], a)]
-
-
-def common_denominator(values: Iterable[Rational]) -> int:
-    """The lcm of the values' denominators; 1 for no values."""
-    return math.lcm(*(value.denominator for value in values))
-
-
-def clear_denominator(value: Rational, multiple: int) -> int:
-    """value * multiple as an int; the multiple must clear value's denominator."""
-    quotient, remainder = divmod(multiple, value.denominator)
-    if remainder:
-        raise ValueError(f"{multiple} does not clear the denominator of {value}")
-    return value.numerator * quotient
-
-
-class FrozenRecord:
-    """Base of the package's small immutable value types.
-
-    A subclass names its fields in ``__slots__``; its ``__init__`` checks and
-    normalises the arguments and hands the values to this ``__init__`` in
-    slot order.  Instances refuse assignment, compare and hash by their
-    field values, and copy and pickle through their constructor.  Plain
-    classes rather than generated ones: the standard library's class
-    generator imports ``inspect``, which costs a short CLI run more time
-    than its arithmetic.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, *values):
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._values()
 
 
 def _clean_terms(terms: Mapping[Word, Rational], d: int) -> dict[Word, Fraction]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable, Mapping
 
-from .ncpoly import FrozenRecord, Word, check_word, graded_lex_key, words_up_to
+from .words import FrozenRecord, Word, check_word, format_value, graded_lex_key, words_up_to
 
 BUILTIN_OMEGAS = ("free", "boolean", "monotone", "antimonotone", "one-branch")
 
@@ -327,13 +327,13 @@ def omega_from_json(obj: Mapping) -> OmegaTree:
         if key not in kinds:
             raise ValueError(f"unknown tree key {key!r}; this form reads {sorted(kinds)}")
         if type(value) is not kinds[key]:
-            raise ValueError(f"tree {key!r} must be a JSON {kinds[key].__name__}, got {value!r}")
+            raise ValueError(f"tree {key!r} must be a JSON {kinds[key].__name__}, got {format_value(value)}")
     depth = obj["depth"]
     if "builtin" in obj:
         return builder(obj["builtin"], depth)
     words = obj.get("words", [])
     if not all(type(word) is list for word in words):
-        raise ValueError(f"tree 'words' must be a list of letter lists, got {words!r}")
+        raise ValueError(f"tree 'words' must be a list of letter lists, got {format_value(words)}")
     members = set(map(tuple, words))
     if obj.get("implicit_runs"):
         members |= _pure_runs(depth + 1)

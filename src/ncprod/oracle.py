@@ -40,10 +40,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Sequence, Union
 
 from .jacobi import JacobiData, MomentSequence, coefficient_scale
-from .ncpoly import MomentMatrix, NCPolynomial, Word, graded_lex_key, parse_rational, word_runs, words_up_to
+from .words import Word, graded_lex_key, parse_rational, word_runs, words_up_to
+
+if TYPE_CHECKING:
+    from .ncpoly import NCPolynomial
 
 MomentFunctional = Callable[[Word], Fraction]
 # w -> D^|w| phi(w), for an integer D fixed with the functional
@@ -348,6 +351,8 @@ def gram_schmidt_mops(
     Within-degree ordering never affects the result because projections only
     target lower degrees; ``within_degree_order`` exists to exercise that.
     """
+    from .ncpoly import MomentMatrix, NCPolynomial
+
     words = words_up_to(d, depth)
     index = {w: i for i, w in enumerate(words)}
     by_degree: list[list[Word]] = [[w for w in words if len(w) == n] for n in range(depth + 1)]
@@ -405,6 +410,8 @@ def factor_into_one_variable_triple(
     the candidate constants are read off the degree-two coefficients and then
     verified exactly.
     """
+    from .ncpoly import NCPolynomial
+
     a = p.coefficient((2, 1))
     b = p.coefficient((1, 1))
     c = p.coefficient((1, 2))

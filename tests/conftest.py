@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ncprod import JacobiData, moment
-from ncprod.ncpoly import words_up_to
+from ncprod.words import words_up_to
 
 F = Fraction
 

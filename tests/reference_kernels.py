@@ -29,20 +29,18 @@ from fractions import Fraction
 
 from ncprod.cfrac import MatricialData, block_extract
 from ncprod.jacobi import JacobiData, MomentSequence
-from ncprod.ncpoly import (
+from ncprod.ncpoly import NCPolynomial, NCSeries, _make
+from ncprod.omega import OmegaTree
+from ncprod.oracle import MomentFunctional, MopsResult, functional_inner
+from ncprod.prodstate import CoefficientMap, left_multiply
+from ncprod.words import (
     EMPTY_WORD,
-    NCPolynomial,
-    NCSeries,
     Word,
-    _make,
     graded_lex_key,
     leading_run_length,
     word_runs,
     words_up_to,
 )
-from ncprod.omega import OmegaTree
-from ncprod.oracle import MomentFunctional, MopsResult, functional_inner
-from ncprod.prodstate import CoefficientMap, left_multiply
 
 
 SeriesMatrix = list[list[NCSeries]]

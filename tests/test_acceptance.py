@@ -36,7 +36,7 @@ from ncprod import (
     scalar_branched_cf,
     tensor_state,
 )
-from ncprod.ncpoly import words_up_to
+from ncprod.words import words_up_to
 
 F = Fraction
 

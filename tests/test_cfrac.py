@@ -23,7 +23,8 @@ from ncprod import (
     render_branched_cf,
     scalar_branched_cf,
 )
-from ncprod.ncpoly import NCSeries, words_up_to
+from ncprod.ncpoly import NCSeries
+from ncprod.words import words_up_to
 from ncprod.oracle import cfree_state, free_state
 
 F = Fraction

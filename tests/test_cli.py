@@ -365,7 +365,7 @@ def test_compare_mismatch_report_equals_fraction_comparison(capsys, monkeypatch,
     fraction's numerators at (2,) and (1, 2, 1) gain 1."""
     from ncprod import cfrac, oracle, prodstate
     from ncprod.jacobi import jacobi_from_json
-    from ncprod.ncpoly import format_rational, words_of_length, words_up_to
+    from ncprod.words import format_rational, words_of_length, words_up_to
     from ncprod.omega import builder
 
     order = 6

@@ -83,6 +83,8 @@ def expect_input_error(capsys, argv, path):
     lines = captured.err.splitlines()
     assert len(lines) == 1, lines
     assert lines[0].startswith("input error: ") and path in lines[0], lines
+    assert "Fraction(" not in lines[0], lines  # a refused number is shown as the file writes it
+    return lines[0]
 
 
 @pytest.mark.parametrize(
@@ -121,3 +123,87 @@ def test_number_reads_as_its_literal_text(capsys, tmp_path, form):
         assert (code, captured.err) == (0, ""), literal
         tables.append(captured.out)
     assert tables[0] == tables[1]
+
+
+# a valid file of each marginal form and each tree form, with every key it reads
+VALID_MARGINALS = {
+    "q-gaussian": {"preset": "q-gaussian", "q": "1/2", "terms": 4},
+    "gaussian": {"preset": "gaussian", "terms": 4},
+    "point-mass": {"preset": "point-mass", "c": "1/3"},
+    "bernoulli": {"preset": "bernoulli", "p": "1/3", "a": 1, "b": "-1/2"},
+    "custom": {"preset": "custom", "beta": ["1/2"], "gamma": [1], "extend": "zero"},
+    "plain": {"beta": ["1/2"], "gamma": [1], "extend": "repeat"},
+}
+VALID_TREES = {
+    "builtin": {"builtin": "free", "depth": 3},
+    "words": {"words": [[2, 1]], "depth": 3, "implicit_runs": True},
+}
+
+# the JSON type each key takes, and values of other JSON types
+RATIONAL = [True, None, [1], {"p": 1}]
+INTEGER = ["4", 4.5, True, None, [4]]
+WRONG_TYPES = {
+    "q": RATIONAL, "c": RATIONAL, "p": RATIONAL, "a": RATIONAL, "b": RATIONAL,
+    "terms": INTEGER, "depth": INTEGER,
+    "beta": ["12", 1, {"0": 1}, None, True],
+    "gamma": ["12", 1, {"0": 1}, None, True],
+    "extend": [1, 2.5, ["repeat"], None, True],
+    "builtin": [1, ["free"], None, True],
+    "words": ["12", 1, {"0": [1]}, None],
+    "implicit_runs": [1, "true", None],
+}
+
+
+def wrong_type_cases(valid):
+    return [
+        pytest.param(form, key, value, id=f"{form}-{key}-{json.dumps(value)}")
+        for form, obj in valid.items()
+        for key in obj
+        if key != "preset"
+        for value in WRONG_TYPES[key]
+    ]
+
+
+def moments_argv(jacobi1, omega):
+    return ["moments", "--jacobi1", jacobi1, "--jacobi2", J2, "--omega", omega, "--order", "2"]
+
+
+@pytest.mark.parametrize("kind, valid", [("marginal", VALID_MARGINALS), ("tree", VALID_TREES)])
+def test_valid_forms_are_read(capsys, tmp_path, kind, valid):
+    """The sweep below changes one key of these files, so each must pass as is."""
+    for form, obj in valid.items():
+        path = tmp_path / f"{form}.json"
+        path.write_text(json.dumps(obj))
+        argv = moments_argv(str(path), "free") if kind == "marginal" else moments_argv(J1, str(path))
+        assert main(argv) == 0, form
+        assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("form, key, value", wrong_type_cases(VALID_MARGINALS))
+def test_marginal_key_of_wrong_type_is_one_input_error(capsys, tmp_path, form, key, value):
+    path = tmp_path / "marginal.json"
+    path.write_text(json.dumps({**VALID_MARGINALS[form], key: value}))
+    expect_input_error(capsys, moments_argv(str(path), "free"), str(path))
+
+
+@pytest.mark.parametrize("form, key, value", wrong_type_cases(VALID_TREES))
+def test_tree_key_of_wrong_type_is_one_input_error(capsys, tmp_path, form, key, value):
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps({**VALID_TREES[form], key: value}))
+    expect_input_error(capsys, moments_argv(J1, str(path)), str(path))
+
+
+@pytest.mark.parametrize(
+    "probe, slot, shown",
+    [("terms-not-an-integer", "--jacobi1", "got 29/10"),
+     ("depth-not-an-integer", "--omega", "got 39/10"),
+     ("letter-not-an-integer", "--omega", "letter 17/10")],
+)
+def test_refused_number_is_shown_exactly(capsys, tmp_path, probe, slot, shown):
+    """A JSON number is read as the Fraction of its text; a message shows
+    that number in exact form, never as Fraction(29, 10)."""
+    path = tmp_path / f"{probe}.json"
+    path.write_text({**BAD_MARGINALS, **BAD_TREES}[probe])
+    files = {"--jacobi1": J1, "--omega": "free", slot: str(path)}
+    line = expect_input_error(capsys, moments_argv(files["--jacobi1"], files["--omega"]), str(path))
+    assert shown in line, line

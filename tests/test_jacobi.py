@@ -166,6 +166,15 @@ def test_gamma_validation():
     JacobiData(beta=(F(0),), gamma=(F(1), F(0), F(0)))  # trailing zeros fine
 
 
+@pytest.mark.parametrize("text", ["12", b"12"])
+@pytest.mark.parametrize("field", ["beta", "gamma"])
+def test_string_coefficients_are_refused_not_read_letter_by_letter(field, text):
+    """"12" would otherwise iterate to the coefficients 1 and 2."""
+    fields = {"beta": ["0"], "gamma": ["1"], field: text}
+    with pytest.raises(ValueError, match=f"^{field} must be a sequence of rationals"):
+        JacobiData(**fields)
+
+
 def test_extension_policies():
     j = JacobiData(beta=(F(1), F(2)), gamma=(F(3),), extend="zero")
     assert j.beta_at(5) == 0 and j.gamma_at(5) == 0

@@ -47,8 +47,9 @@ from ncprod.cfrac import (
     scalar_branched_parts,
 )
 from ncprod.cli import _emit_table
-from ncprod.ncpoly import NCPolynomial, NCSeries, _make, words_of_length, words_up_to
+from ncprod.ncpoly import NCPolynomial, NCSeries, _make
 from ncprod.prodstate import StateEvaluator, cfree_map, explicit_map, product_type_map
+from ncprod.words import words_of_length, words_up_to
 
 F = Fraction
 

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncprod.ncpoly import (
-    NCPolynomial,
-    NCSeries,
+from ncprod.ncpoly import NCPolynomial, NCSeries
+from ncprod.words import (
     format_rational,
     parse_rational,
     word_postfixes,

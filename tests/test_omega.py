@@ -2,7 +2,7 @@
 
 import pytest
 
-from ncprod.ncpoly import graded_lex_key, words_up_to
+from ncprod.words import graded_lex_key, words_up_to
 from ncprod.omega import (
     BUILTIN_OMEGAS,
     OmegaTree,

@@ -34,7 +34,7 @@ from ncprod.oracle import (
     boolean_state,
     factor_into_one_variable_triple,
 )
-from ncprod.ncpoly import words_up_to
+from ncprod.words import words_up_to
 from reference_kernels import (
     centering_cfree_state,
     fraction_noncrossing_moments,

@@ -52,16 +52,28 @@ print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
+# the polynomial layer, which no table command loads
+POLYNOMIAL = {"ncprod.ncpoly", "ncprod.basis", "ncprod.reports"}
+
+
 @pytest.mark.parametrize(
     "argv, loaded, not_loaded",
     [
         (["moments", "--omega", "free", "--order", "3"],
-         {"ncprod.prodstate"}, {"ncprod.cfrac", "ncprod.oracle", "dataclasses"}),
+         {"ncprod.prodstate"}, {"ncprod.cfrac", "ncprod.oracle", "dataclasses", *POLYNOMIAL}),
         (["cfrac", "--engine", "scalar", "--omega", "free", "--order", "3"],
-         {"ncprod.cfrac"}, {"ncprod.oracle", "dataclasses"}),
+         {"ncprod.cfrac"}, {"ncprod.oracle", "dataclasses", *POLYNOMIAL}),
+        (["cfrac", "--engine", "matricial", "--omega", "free", "--order", "3"],
+         {"ncprod.cfrac"}, {"ncprod.oracle", "dataclasses", *POLYNOMIAL}),
+        (["compare", "--omega", "free", "--against", "cfrac", "--order", "3"],
+         {"ncprod.cfrac"}, {"ncprod.oracle", "dataclasses", *POLYNOMIAL}),
         (["compare", "--omega", "free", "--against", "free", "--order", "3"],
-         {"ncprod.oracle"}, {"ncprod.cfrac", "dataclasses"}),
-        (["validate", "free"], {"ncprod.omega"}, {"ncprod.jacobi", "ncprod.prodstate"}),
+         {"ncprod.oracle"}, {"ncprod.cfrac", "dataclasses", *POLYNOMIAL}),
+        (["mops", "--omega", "free", "--order", "1"],
+         {"ncprod.ncpoly", "ncprod.reports"}, {"ncprod.cfrac", "dataclasses"}),
+        (["gram", "--omega", "free", "--order", "1"],
+         {"ncprod.basis", "ncprod.ncpoly", "ncprod.reports"}, {"ncprod.cfrac", "ncprod.oracle"}),
+        (["validate", "free"], {"ncprod.omega"}, {"ncprod.jacobi", "ncprod.prodstate", *POLYNOMIAL}),
     ],
 )
 def test_subcommand_loads_only_what_it_runs(argv, loaded, not_loaded):

@@ -35,7 +35,7 @@ from ncprod import (
 )
 from ncprod.jacobi import JacobiRangeError
 from ncprod.prodstate import DepthExhaustedError, moment_parts
-from ncprod.ncpoly import words_of_length, words_up_to
+from ncprod.words import words_of_length, words_up_to
 
 F = Fraction
 
