@@ -49,15 +49,13 @@ _EXPORTS = {
         "CoefficientMap",
         "DepthExhaustedError",
         "StateEvaluator",
+        "basis_polynomial",
         "cfree_map",
         "explicit_map",
+        "gram_matrix",
         "left_multiply",
         "moment_table",
         "product_type_map",
-    ),
-    "basis": (
-        "basis_polynomial",
-        "gram_matrix",
         "recursion_basis",
     ),
     "cfrac": (

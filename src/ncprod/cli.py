@@ -24,10 +24,8 @@ Every module but ``omega`` and ``words`` is imported by the subcommands
 that run it, so a process compiles and loads only what its subcommand uses:
 ``validate`` loads ``omega`` and ``words`` alone.  The table commands
 (``moments``, ``cfrac --engine scalar|matricial``, ``compare``) run on the
-integer core and load no polynomial module; ``gram``, ``mops`` and
-``counterexample`` live in :mod:`ncprod.reports`, which
-:func:`build_parser` binds through :func:`_report` and which is imported
-only when one of them runs.
+integer core and load no polynomial module (:mod:`ncprod.ncpoly`); only
+``gram``, ``mops`` and ``counterexample``, which build polynomials, load it.
 
 ``compare`` checks each word in integers.  The state's numerators
 D^|w| phi(w), with D the coefficient map's scale, are the transfer
@@ -62,11 +60,12 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from . import omega
-from .words import Word, format_rational, words_of_length
+from .words import Word, format_rational, parse_rational, words_of_length
 
 
 if TYPE_CHECKING:
     from .jacobi import JacobiData
+    from .ncpoly import NCPolynomial
     from .prodstate import CoefficientMap
 
     # (mu1, mu2, nu1, nu2); the nu's are None outside two-pair mode
@@ -248,6 +247,11 @@ def _emit_table(parts: Sequence[Sequence], d: int, fmt: str, scale: int = 1) -> 
     write(closing)
 
 
+def _poly_json(p: NCPolynomial) -> dict:
+    ordered = sorted(p.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
+    return {_word_key(w): format_rational(c) for w, c in ordered}
+
+
 def cmd_validate(args) -> int:
     depth = args.order if args.order is not None else 6
     try:
@@ -288,6 +292,31 @@ def cmd_moments(args) -> int:
     return 0
 
 
+def cmd_gram(args) -> int:
+    from . import prodstate
+
+    depth = args.order
+    cm = _build_map(args, max(2 * depth, 1))
+    gram = prodstate.gram_matrix(cm, depth)
+    triples = gram.to_triples()
+    if args.format == "json":
+        payload = [
+            {"u": list(u), "v": list(v), "value": format_rational(value)}
+            for u, v, value in triples
+        ]
+        _emit(json.dumps(payload, indent=2))
+    elif args.format == "csv":
+        lines = ["u,v,value"]
+        lines += [f"{_word_key(u)},{_word_key(v)},{format_rational(value)}" for u, v, value in triples]
+        _emit("\n".join(lines))
+    else:
+        lines = [f"<P_{_word_key(u) or '()'}, P_{_word_key(v) or '()'}> = {format_rational(value)}"
+                 for u, v, value in triples]
+        lines.append(f"diagonal: {gram.is_diagonal()}")
+        _emit("\n".join(lines))
+    return 0
+
+
 def cmd_cfrac(args) -> int:
     from . import cfrac
 
@@ -318,6 +347,58 @@ def cmd_cfrac(args) -> int:
         _emit(cfrac.render_branched_cf(cm, min(args.order, 4)))
         _emit("")
     _emit_table(parts, cm.d, args.format, scale)
+    return 0
+
+
+def cmd_mops(args) -> int:
+    from . import oracle
+
+    depth = args.order if args.order is not None else 3
+    if args.state != "omega":
+        _refuse_map_flags(args, f"--state {args.state}")
+    if args.state == "q-gaussian":
+        for flag in ("jacobi1", "jacobi2"):
+            if getattr(args, flag) is not None:
+                raise CliInputError(f"--{flag} is not read by --state q-gaussian, which has fixed marginals")
+    elif args.q is not None:
+        raise CliInputError(f"--q is read only by --state q-gaussian, not by --state {args.state}")
+    if args.state == "tensor":
+        j1 = _load_jacobi(args.jacobi1, "--jacobi1")
+        j2 = _load_jacobi(args.jacobi2, "--jacobi2")
+        phi = oracle.tensor_state(j1, j2)
+    elif args.state == "q-gaussian":
+        phi = oracle.q_gaussian_state(parse_rational(args.q if args.q is not None else "1/2"))
+    else:
+        from . import prodstate
+
+        cm = _build_map(args, max(2 * depth, 1))
+        evaluator = prodstate.StateEvaluator(cm)
+        phi = evaluator.word_moment
+    result = oracle.gram_schmidt_mops(phi, depth)
+    report = {
+        "state": args.state,
+        "depth": depth,
+        "mops": result.is_mops,
+    }
+    if result.witness:
+        u, v = result.witness
+        report["witness"] = [list(u), list(v)]
+        report["witness_value"] = format_rational(result.witness_value)
+    if args.format == "json":
+        report["polynomials"] = {
+            _word_key(w) or "()": _poly_json(p) for w, p in sorted(result.polynomials.items(), key=lambda kv: (len(kv[0]), kv[0]))
+        }
+        _emit(json.dumps(report, indent=2))
+    else:
+        lines = [f"MOPS verdict: {'yes' if result.is_mops else 'no'}"]
+        if result.witness:
+            u, v = result.witness
+            lines.append(
+                f"witness: <Q_{_word_key(u)}, Q_{_word_key(v)}> = {format_rational(result.witness_value)}"
+            )
+        for w, p in sorted(result.polynomials.items(), key=lambda kv: (len(kv[0]), kv[0])):
+            lines.append(f"Q_{_word_key(w) or '()'} = {p.to_str()}")
+        _emit("\n".join(lines))
     return 0
 
 
@@ -379,15 +460,43 @@ def cmd_compare(args) -> int:
     return 1
 
 
-def _report(name: str):
-    """The subcommand function ``reports.<name>``, imported when it runs."""
+def cmd_counterexample(args) -> int:
+    from . import jacobi, oracle
 
-    def run(args) -> int:
-        from . import reports
-
-        return getattr(reports, name)(args)
-
-    return run
+    q = parse_rational(args.q)
+    q_phi = oracle.q_gaussian_state(q)
+    q_result = oracle.gram_schmidt_mops(q_phi, 3)
+    inner = oracle.functional_inner(
+        q_phi, q_result.polynomials[(1, 2)], q_result.polynomials[(2, 1)]
+    )
+    semicircle = jacobi.preset("semicircle")
+    tensor_result = oracle.gram_schmidt_mops(oracle.tensor_state(semicircle, semicircle), 2)
+    report = {
+        "q": format_rational(q),
+        "inner_12_21": format_rational(inner),
+        "q_121": _poly_json(q_result.polynomials[(1, 2, 1)]),
+        "q_mops": q_result.is_mops,
+        "tensor_mops": tensor_result.is_mops,
+    }
+    if q_result.witness:
+        report["q_witness"] = [list(w) for w in q_result.witness]
+    if tensor_result.witness:
+        report["tensor_witness"] = [list(w) for w in tensor_result.witness]
+    if args.format == "json":
+        _emit(json.dumps(report, indent=2))
+    else:
+        lines = [
+            f"q = {format_rational(q)}",
+            f"<Q_1.2, Q_2.1> = {format_rational(inner)}",
+            f"Q_1.2.1 = {q_result.polynomials[(1, 2, 1)].to_str()}",
+            f"q-state MOPS: {'yes' if q_result.is_mops else 'no'}",
+            f"tensor (semicircle marginals) MOPS: {'yes' if tensor_result.is_mops else 'no'}",
+        ]
+        if tensor_result.witness:
+            u, v = tensor_result.witness
+            lines.append(f"tensor witness: ({_word_key(u)}) vs ({_word_key(v)})")
+        _emit("\n".join(lines))
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -423,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gram = sub.add_parser("gram", help="Gram matrix of the basis polynomials")
     add_common(p_gram, order_default=3)
-    p_gram.set_defaults(func=_report("cmd_gram"))
+    p_gram.set_defaults(func=cmd_gram)
 
     p_cfrac = sub.add_parser("cfrac", help="continued-fraction moment series")
     add_common(p_cfrac)
@@ -440,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mops.add_argument(
         "--q", default=None, help="deformation parameter of --state q-gaussian (default 1/2)"
     )
-    p_mops.set_defaults(func=_report("cmd_mops"))
+    p_mops.set_defaults(func=cmd_mops)
 
     p_compare = sub.add_parser("compare", help="diff the state against an oracle or engine")
     add_common(p_compare, formats=("json", "pretty"))
@@ -456,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_counter.add_argument("--q", default="1/2", help="deformation parameter")
     p_counter.add_argument("--format", choices=("json", "pretty"), default="pretty")
-    p_counter.set_defaults(func=_report("cmd_counterexample"))
+    p_counter.set_defaults(func=cmd_counterexample)
 
     return parser
 

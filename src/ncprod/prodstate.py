@@ -1,4 +1,4 @@
-"""Product-type states: coefficient maps and state evaluation, in integers.
+"""Product-type states: basis polynomials, coefficient maps, state evaluation.
 
 A state with a monic orthogonal polynomial family {P_u} indexed by words is
 determined by per-word recursion coefficients: B(i, u) measures the
@@ -40,28 +40,33 @@ A :class:`CoefficientMap` answers B(i, u) and C(u) on demand and keeps each
 answer, so a query touches only the entries it reads (``cfrac --order 13``
 reads a few hundred of the 49,148 entries of depth 13), and so does its
 integer view of B' and C'.  D is fixed at construction.  Coefficient maps
-come from two constructions, each of which also names how its basis
-polynomials P_u are built (by :mod:`ncprod.basis`, which a map loads only
-when ``basis(u)`` is first called):
+come from two constructions, each of which also supplies the basis
+polynomials P_u:
 
 * ``product_type_map(tree, j1, j2, nu=None)``: at a node u = i^k v, B(i, u)
   and C(u) are beta_k and gamma_k of the leading run's marginal, mu_i
   (``j1``, ``j2``) when the run is the whole word and nu_i otherwise (nu
   defaults to mu).  B(i, u) is 0 unless (i, u) is a tree member, and C(u)
   is 0 unless u is an interior member (member with its same-letter
-  extension present).  P_u is ``basis_polynomial``: for a member u, a
+  extension present).  P_u is :func:`basis_polynomial`: for a member u, a
   product of one-variable orthogonal polynomials over the runs of u.
   ``cfree_map(mu1, nu1, mu2, nu2, depth)``, the two-marginal-pair state, is
   this map on the full binary tree.
 * ``explicit_map``: arbitrary diagonal data, for exercising the continued
   fraction machinery beyond the product-type case.  P_u is
-  ``recursion_basis``, rebuilt from the rewrite rules.
+  :func:`recursion_basis`, rebuilt from the rewrite rules.
 
 The first takes D from the marginals: the lcm over every coefficient the
 map can hold, all read at construction, so Jacobi data that run out under
 the "error" policy raise there and not at some later query.  A finitely
 supported marginal (some gamma_n = 0) is accepted on any tree: the basis
 polynomials that its zero reaches have norm 0, as on the tree's boundary.
+
+The maps, the evaluator and the moment tables run on the integer helpers of
+:mod:`ncprod.words` alone.  :func:`basis_polynomial`,
+:func:`recursion_basis` and :func:`gram_matrix` import the polynomial layer
+(:mod:`ncprod.ncpoly`) when they run, so a process that only tabulates
+moments never loads it.
 """
 
 from __future__ import annotations
@@ -79,10 +84,13 @@ from .words import (
     _add_outer,
     clear_denominator,
     common_denominator,
+    graded_lex_key,
     leading_run_length,
     parse_rational,
     word_postfixes,
+    word_runs,
     words_of_length,
+    words_up_to,
 )
 
 if TYPE_CHECKING:
@@ -110,7 +118,7 @@ class CoefficientMap:
     denominator of every entry.  :attr:`integer` is the map of B' = D B and
     C' = D^2 C, whose entries are ints, also kept as they are read.
     ``basis(u)`` is the basis polynomial P_u; by default it is rebuilt from
-    the rewrite rules (``basis.recursion_basis``).
+    the rewrite rules (:func:`recursion_basis`).
 
     The rules are pure, and a memo only ever gains the value its rule
     gives, so threads may share a map.
@@ -128,7 +136,7 @@ class CoefficientMap:
         self.d = d
         self.depth = depth
         self.scale = scale
-        self.basis = basis if basis is not None else functools.partial(_basis, "recursion_basis", self)
+        self.basis = basis if basis is not None else functools.partial(recursion_basis, self)
         self._b_rule = b_rule
         self._c_rule = c_rule
         self._b: dict[tuple[int, Word], Fraction] = {}
@@ -220,16 +228,8 @@ def product_type_map(
         return (mu if len(word) == k else inner)[letter - 1].gamma_at(k)
 
     return CoefficientMap(
-        2, depth, b_rule, c_rule, scale, lambda u: _basis("basis_polynomial", tree, j1, j2, u, nu)
+        2, depth, b_rule, c_rule, scale, lambda u: basis_polynomial(tree, j1, j2, u, nu)
     )
-
-
-def _basis(name: str, *args) -> NCPolynomial:
-    """``basis.<name>(*args)``: the polynomial layer loads when a map first
-    builds a basis polynomial, not with the map."""
-    from . import basis
-
-    return getattr(basis, name)(*args)
 
 
 def cfree_map(
@@ -263,6 +263,61 @@ def explicit_map(
     return CoefficientMap(
         d, depth, lambda letter, word: b.get((letter, word), ZERO), lambda word: c.get(word, ZERO), scale
     )
+
+
+def basis_polynomial(
+    tree: OmegaTree,
+    j1: JacobiData,
+    j2: JacobiData,
+    u: Word,
+    nu: tuple[JacobiData, JacobiData] | None = None,
+) -> NCPolynomial:
+    """The basis polynomial P_u, straight from its defining formula.
+
+    For a member word, the product over the maximal runs of u, in order, of
+    one-variable orthogonal polynomials: the rightmost run's from mu
+    (``j1``, ``j2``), every other run's from ``nu``, which defaults to mu.
+    For a non-member, x_v * P_w where w is the longest right-suffix of u
+    that is a member.
+    """
+    from .jacobi import orthogonal_polynomial
+    from .ncpoly import NCPolynomial
+
+    u = tuple(u)
+    if u in tree:
+        mu = (j1, j2)
+        inner = mu if nu is None else nu
+        runs = word_runs(u)
+        result = NCPolynomial.one(2)
+        for idx, (letter, length) in enumerate(runs):
+            source = (mu if idx == len(runs) - 1 else inner)[letter - 1]
+            result = result * orthogonal_polynomial(source, length, letter=letter, alphabet=2)
+        return result
+    for suffix in word_postfixes(u)[1:]:
+        if suffix in tree:
+            prefix = u[: len(u) - len(suffix)]
+            return NCPolynomial.monomial(prefix, 2) * basis_polynomial(tree, j1, j2, suffix, nu)
+    raise ValueError("tree does not contain the empty word")
+
+
+def recursion_basis(cm: CoefficientMap, u: Word) -> NCPolynomial:
+    """P_u rebuilt from the rewrite rules by prepending letters of u."""
+    from .ncpoly import NCPolynomial
+
+    u = tuple(u)
+    word: Word = EMPTY_WORD
+    prev: NCPolynomial | None = None
+    current = NCPolynomial.one(cm.d)
+    for letter in reversed(u):
+        x = NCPolynomial.variable(letter, cm.d)
+        nxt = x * current - cm.b(letter, word) * current
+        if word and word[0] == letter:
+            cval = cm.c(word)
+            if cval and prev is not None:
+                nxt = nxt - cval * prev
+        prev, current = current, nxt
+        word = (letter,) + word
+    return current
 
 
 def left_multiply(cm: CoefficientMap, letter: int, expansion: BasisExpansion) -> dict[Word, Fraction]:
@@ -475,3 +530,52 @@ def moment_table(cm: CoefficientMap, order: int) -> list[tuple[Word, Fraction]]:
         denominator = cm.scale**n
         table += zip(words_of_length(cm.d, n), (Fraction(v, denominator) for v in part))
     return table
+
+
+class GramMatrix:
+    """Inner products of basis polynomials over all words up to a depth."""
+
+    __slots__ = ("words", "entries")
+
+    def __init__(self, words: tuple[Word, ...], entries: dict[tuple[Word, Word], Fraction] | None = None):
+        self.words = words
+        self.entries = {} if entries is None else entries
+
+    def value(self, u: Word, v: Word) -> Fraction:
+        return self.entries.get((tuple(u), tuple(v)), Fraction(0))
+
+    def is_diagonal(self) -> bool:
+        return all(u == v for (u, v), value in self.entries.items() if value)
+
+    def diagonal(self) -> dict[Word, Fraction]:
+        return {u: self.value(u, u) for u in self.words}
+
+    def to_triples(self) -> list[tuple[Word, Word, Fraction]]:
+        ordered = sorted(self.entries.items(), key=lambda kv: (graded_lex_key(kv[0][0]), graded_lex_key(kv[0][1])))
+        return [(u, v, value) for (u, v), value in ordered if value]
+
+
+def gram_matrix(cm: CoefficientMap, depth: int) -> GramMatrix:
+    """Gram matrix of {P_u : |u| <= depth} under the state.
+
+    Needs 2 * depth <= cm.depth + 1 so that the inner products stay within
+    the supported degree.  Each entry is P_u^T N P_v / L, with N / L the
+    state's moment matrix over the words up to the depth.
+    """
+    from .ncpoly import MomentMatrix
+
+    if 2 * depth > cm.depth + 1:
+        raise DepthExhaustedError(
+            f"Gram depth {depth} needs map depth >= {2 * depth - 1}, have {cm.depth}"
+        )
+    words = tuple(words_up_to(cm.d, depth))
+    vectors = {u: list(map(cm.basis(u).coefficient, words)) for u in words}
+    matrix = MomentMatrix(StateEvaluator(cm).word_moment, words)
+    entries: dict[tuple[Word, Word], Fraction] = {}
+    for u in words:
+        row = matrix.row(vectors[u])
+        for v in words:
+            value = matrix.pair(row, vectors[v])
+            if value:
+                entries[(u, v)] = Fraction(value, matrix.scale)
+    return GramMatrix(words=words, entries=entries)

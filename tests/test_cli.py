@@ -721,3 +721,32 @@ def test_closed_pipe_exits_141_in_silence(tmp_path):
         assert child.wait(timeout=120) == 141
         errors.seek(0)
         assert errors.read() == b""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mops", "--state", "q-gaussian", "--jacobi1", "{good}"],
+        ["mops", "--omega", "free", "--order", "1", "--jacobi1", "{bad}", "--jacobi2", "{good}"],
+        ["gram", "--omega", "free", "--order", "1", "--jacobi1", "{missing}", "--jacobi2", "{good}"],
+        ["gram", "--omega", "free", "--order", "1", "--jacobi1", "{bad}", "--jacobi2", "{good}"],
+        ["counterexample", "--q", "1/0"],
+    ],
+    ids=["mops-refused-flag", "mops-bad-marginal", "gram-missing-file", "gram-bad-marginal",
+         "counterexample-bad-q"],
+)
+def test_module_run_reports_input_errors(tmp_path, argv):
+    """Run as ``python -m ncprod.cli``, the polynomial reports keep the input
+    contract: exit 2, one "input error:" line and nothing on stdout."""
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"beta": [0], "gamma": [1], "colour": 3}')
+    paths = {"good": GOLDEN / "j1.json", "bad": bad, "missing": tmp_path / "missing.json"}
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "ncprod.cli", *(arg.format(**paths) for arg in argv)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("input error: ")

@@ -53,7 +53,7 @@ print(json.dumps([code, sorted(sys.modules)]))
 
 
 # the polynomial layer, which no table command loads
-POLYNOMIAL = {"ncprod.ncpoly", "ncprod.basis", "ncprod.reports"}
+POLYNOMIAL = {"ncprod.ncpoly"}
 
 
 @pytest.mark.parametrize(
@@ -70,9 +70,9 @@ POLYNOMIAL = {"ncprod.ncpoly", "ncprod.basis", "ncprod.reports"}
         (["compare", "--omega", "free", "--against", "free", "--order", "3"],
          {"ncprod.oracle"}, {"ncprod.cfrac", "dataclasses", *POLYNOMIAL}),
         (["mops", "--omega", "free", "--order", "1"],
-         {"ncprod.ncpoly", "ncprod.reports"}, {"ncprod.cfrac", "dataclasses"}),
+         {"ncprod.ncpoly", "ncprod.oracle"}, {"ncprod.cfrac", "dataclasses"}),
         (["gram", "--omega", "free", "--order", "1"],
-         {"ncprod.basis", "ncprod.ncpoly", "ncprod.reports"}, {"ncprod.cfrac", "ncprod.oracle"}),
+         {"ncprod.ncpoly", "ncprod.prodstate"}, {"ncprod.cfrac", "ncprod.oracle"}),
         (["validate", "free"], {"ncprod.omega"}, {"ncprod.jacobi", "ncprod.prodstate", *POLYNOMIAL}),
     ],
 )
