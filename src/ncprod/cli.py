@@ -39,19 +39,22 @@ tables go through one writer that takes a value list per degree:
 ``moments``, ``cfrac --engine scalar`` and ``--engine matricial`` hand it
 dense integer numerators over D^m, and ``cfrac --engine classical`` its
 Fractions.  It builds each degree's word texts from the previous degree's,
-reduces each value with one gcd and writes one degree at a time.
+reduces each distinct value of a degree with one gcd and writes one degree
+at a time.
 
 Exit codes: 0 on success, 1 on mathematical failure (invalid tree, mismatch
 in a comparison), 2 on input errors, including a negative --order, an
 order beyond what the chosen engine can deliver, and Jacobi data under the
 "error" extension policy too short for the order, and 141 (128 + SIGPIPE)
 with nothing on stderr when the reader closes stdout early, as ``| head``
-does.
+does.  A process ends through :func:`run`, which freezes the heap before it
+exits (see there).
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -217,8 +220,10 @@ def _emit_table(parts: Sequence[Sequence], d: int, fmt: str, scale: int = 1) -> 
     """The table of every word's value through order len(parts) - 1, in
     graded-lex order: parts[m] holds the values of the d^m words of length
     m at their base-d indices, int numerators over scale^m, or at scale 1
-    ints or Fractions.  Each value is written in lowest terms with one gcd
-    against its degree's denominator.  A degree's keys are built once from
+    ints or Fractions.  Each distinct value of a degree is written in
+    lowest terms with one gcd against the degree's denominator; the cache is
+    per degree, because one numerator over scale^m and over scale^(m+1)
+    prints differently.  A degree's keys are built once from
     the previous degree's, and the table is written one degree at a time.
     The json is the text of json.dumps([{"word": [...], "value": "p/q"},
     ...], indent=2), built directly: a letter is an int and a value holds
@@ -236,7 +241,15 @@ def _emit_table(parts: Sequence[Sequence], d: int, fmt: str, scale: int = 1) -> 
     keys = [""]
     for m, values in enumerate(parts):
         q = scale**m
-        texts = [_ratio(n, q) for n in values] if q != 1 else list(map(str, values))
+        if q == 1:
+            texts = list(map(str, values))
+        else:
+            # a product-type moment depends on the word's run structure, so
+            # values repeat: each distinct one is reduced and printed once
+            text = dict.fromkeys(values)
+            for n in text:
+                text[n] = _ratio(n, q)
+            texts = list(map(text.__getitem__, values))
         if m == 0:
             heads = [empty]
         else:
@@ -590,5 +603,21 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
 
+def run() -> None:
+    """The process entry point, shared by ``python -m ncprod.cli`` and the
+    installed ``ncprod`` command: exit with :func:`main`'s code.
+
+    ``gc.freeze()`` first moves every object still alive out of the
+    collector's reach, so the interpreter's shut-down skips its full
+    collections over the module graph, which the operating system discards
+    anyway; atexit handlers, the flushes of stdout and stderr and reference
+    teardown still run.  ``main`` never freezes: tests and tracers call it
+    in-process many times, and a freeze there would keep every later cycle
+    of their process alive."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -29,6 +29,7 @@ from .words import (
     common_denominator,
     format_rational,
     format_value,
+    json_type,
     parse_rational,
 )
 
@@ -253,7 +254,7 @@ def preset(name: str, /, **params) -> JacobiData:
         for key, values in (("beta", beta), ("gamma", gamma)):
             if not isinstance(values, (list, tuple)):
                 raise ValueError(
-                    f"preset {name!r} needs {key!r} as a list of rationals, got {format_value(values)}"
+                    f"preset {name!r} needs {key!r} as an array of rationals, got {format_value(values)}"
                 )
         return JacobiData(beta=beta, gamma=gamma, extend=extend)
     raise ValueError(f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")
@@ -289,6 +290,6 @@ def jacobi_from_json(obj: Mapping) -> JacobiData:
     """Read {"preset": name, ...parameters}; without "preset" the object is
     the "custom" preset's {"beta": [...], "gamma": [...], "extend": ...}."""
     if not isinstance(obj, Mapping):
-        raise ValueError(f"a marginal is a JSON object, not {type(obj).__name__}")
+        raise ValueError(f"a marginal is a JSON object, not {json_type(obj)}")
     params = dict(obj)
     return preset(params.pop("preset", "custom"), **params)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable, Mapping
 
-from .words import FrozenRecord, Word, check_word, format_value, graded_lex_key, words_up_to
+from .words import FrozenRecord, Word, check_word, format_value, graded_lex_key, json_type, words_up_to
 
 BUILTIN_OMEGAS = ("free", "boolean", "monotone", "antimonotone", "one-branch")
 
@@ -318,22 +318,22 @@ def omega_from_json(obj: Mapping) -> OmegaTree:
     empty word) before validation, so only the extra words need listing.
     """
     if not isinstance(obj, Mapping):
-        raise ValueError(f"a tree is a JSON object, not {type(obj).__name__}")
+        raise ValueError(f"a tree is a JSON object, not {json_type(obj)}")
     if "builtin" in obj:
-        kinds = {"builtin": str, "depth": int}
+        kinds = {"builtin": "a string", "depth": "an integer"}
     else:
-        kinds = {"words": list, "depth": int, "implicit_runs": bool}
+        kinds = {"words": "an array", "depth": "an integer", "implicit_runs": "a boolean"}
     for key, value in {"depth": None, **obj}.items():  # "depth" is required
         if key not in kinds:
             raise ValueError(f"unknown tree key {key!r}; this form reads {sorted(kinds)}")
-        if type(value) is not kinds[key]:
-            raise ValueError(f"tree {key!r} must be a JSON {kinds[key].__name__}, got {format_value(value)}")
+        if json_type(value) != kinds[key]:
+            raise ValueError(f"tree {key!r} must be {kinds[key]}, got {format_value(value)}")
     depth = obj["depth"]
     if "builtin" in obj:
         return builder(obj["builtin"], depth)
     words = obj.get("words", [])
     if not all(type(word) is list for word in words):
-        raise ValueError(f"tree 'words' must be a list of letter lists, got {format_value(words)}")
+        raise ValueError(f"tree 'words' must be an array of letter arrays, got {format_value(words)}")
     members = set(map(tuple, words))
     if obj.get("implicit_runs"):
         members |= _pure_runs(depth + 1)

@@ -35,11 +35,13 @@ def parse_rational(value: Union[Rational, str]) -> Fraction:
     """An int, a Fraction or a "p/q", integer or decimal string ("3/4",
     "-1/2", "2", "0.1") as an exact Fraction.  A float is refused: 0.1 would
     become 3602879701896397/2**55.  So is a bool.  Every failure is a
-    ValueError."""
-    if isinstance(value, (float, bool)):
+    ValueError, whose message shows the value by :func:`format_value`."""
+    if isinstance(value, float):
         raise ValueError(
-            f"{type(value).__name__} {value!r} is not exact; pass an int, a Fraction or a 'p/q' string"
+            f"float {format_value(value)} is not exact; pass an int, a Fraction or a 'p/q' string"
         )
+    if isinstance(value, bool):
+        raise ValueError(f"not a rational: {format_value(value)}")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
@@ -53,9 +55,14 @@ def format_rational(value: Rational) -> str:
 
 
 def format_value(value: object) -> str:
-    """A value read from JSON as a message shows it: its repr, but with each
-    Fraction (a JSON number that is not an integer) in exact form, 29/10
-    rather than Fraction(29, 10)."""
+    """A value read from JSON as a message shows it: its repr, but with
+    true, false and null as JSON writes them and each Fraction (a JSON
+    number that is not an integer) in exact form, 29/10 rather than
+    Fraction(29, 10)."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
     if isinstance(value, Fraction):
         return format_rational(value)
     if isinstance(value, (list, tuple)):
@@ -63,6 +70,19 @@ def format_value(value: object) -> str:
     if isinstance(value, dict):
         return "{" + ", ".join(f"{key!r}: {format_value(item)}" for key, item in value.items()) + "}"
     return repr(value)
+
+
+# the JSON type of each Python type json.load returns (a number that is not
+# an integer is read as a Fraction), with its article
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+               Fraction: "a number", bool: "a boolean", type(None): "null"}
+
+
+def json_type(value: object) -> str:
+    """The JSON type of a value read from JSON, with its article, as a
+    message names it: "an array", "an integer", "null"."""
+    kind = type(value)
+    return _JSON_TYPES.get(kind) or f"a {kind.__name__}"
 
 
 def check_word(word: Iterable[int], d: int) -> Word:

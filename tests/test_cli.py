@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, formats, determinism."""
 
+import gc
 import json
 import os
 import subprocess
@@ -583,11 +584,46 @@ def test_output_is_deterministic(capsys, generic_files):
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_golden_output(capsys, monkeypatch, name):
     """Stdout and exit code are byte-identical to the frozen outputs in
-    tests/golden (rewrite them with tests/golden/regenerate.py)."""
+    tests/golden (rewrite them with tests/golden/regenerate.py).  main
+    never freezes the heap: tests and tracers call it in-process."""
     monkeypatch.chdir(GOLDEN)
+    frozen = gc.get_freeze_count()
     code, out = run(capsys, *GOLDEN_CASES[name])
+    assert gc.get_freeze_count() == frozen
     assert code == json.loads((GOLDEN / "exit_codes.json").read_text())[name]
     assert out == (GOLDEN / f"{name}.out").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_golden_output_of_the_module_run(name):
+    """``python -m ncprod.cli`` ends through run(): its stdout bytes and exit
+    code are the golden ones too."""
+    child = subprocess.run(
+        [sys.executable, "-m", "ncprod.cli", *GOLDEN_CASES[name]], cwd=GOLDEN, capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=120,
+    )
+    assert child.returncode == json.loads((GOLDEN / "exit_codes.json").read_text())[name]
+    assert child.stdout == (GOLDEN / f"{name}.out").read_bytes()
+
+
+_ATEXIT_CHILD = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0, file=sys.stderr))
+sys.argv = ["ncprod", *sys.argv[1:]]
+runpy.run_module("ncprod.cli", run_name="__main__")
+"""
+
+
+def test_module_run_freezes_the_heap_and_keeps_atexit():
+    """run() freezes the heap after main returns; atexit handlers and the
+    stdout flush still run at exit."""
+    name = "moments-free-csv"
+    child = subprocess.run(
+        [sys.executable, "-c", _ATEXIT_CHILD, *GOLDEN_CASES[name]], cwd=GOLDEN, capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=120,
+    )
+    assert (child.returncode, child.stderr) == (0, b"frozen at exit: True\n")
+    assert child.stdout == (GOLDEN / f"{name}.out").read_bytes()
 
 
 @pytest.mark.parametrize("alias,name", sorted(BUILTIN_ALIASES.items()))

@@ -83,7 +83,9 @@ def expect_input_error(capsys, argv, path):
     lines = captured.err.splitlines()
     assert len(lines) == 1, lines
     assert lines[0].startswith("input error: ") and path in lines[0], lines
-    assert "Fraction(" not in lines[0], lines  # a refused number is shown as the file writes it
+    # a refused value is shown as the file writes it: 29/10, true, null
+    for python_text in ("Fraction(", "True", "False", "None"):
+        assert python_text not in lines[0], lines
     return lines[0]
 
 
@@ -191,6 +193,24 @@ def test_tree_key_of_wrong_type_is_one_input_error(capsys, tmp_path, form, key, 
     path = tmp_path / "tree.json"
     path.write_text(json.dumps({**VALID_TREES[form], key: value}))
     expect_input_error(capsys, moments_argv(J1, str(path)), str(path))
+
+
+@pytest.mark.parametrize(
+    "slot, text, shown",
+    [("--jacobi1", '{"preset": "point-mass", "c": true}', "not a rational: true"),
+     ("--jacobi1", '{"preset": "point-mass", "c": null}', "not a rational: null"),
+     ("--jacobi1", '"semicircle"', "a marginal is a JSON object, not a string"),
+     ("--omega", '{"words": [[2, 1]], "depth": 3, "implicit_runs": null}',
+      "tree 'implicit_runs' must be a boolean, got null"),
+     ("--omega", "[1]", "a tree is a JSON object, not an array")],
+)
+def test_refused_value_is_named_in_json_words(capsys, tmp_path, slot, text, shown):
+    """A message names a value and its type as JSON does, not as Python."""
+    path = tmp_path / "refused.json"
+    path.write_text(text)
+    files = {"--jacobi1": J1, "--omega": "free", slot: str(path)}
+    line = expect_input_error(capsys, moments_argv(files["--jacobi1"], files["--omega"]), str(path))
+    assert line.endswith(shown), line
 
 
 @pytest.mark.parametrize(

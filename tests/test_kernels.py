@@ -394,7 +394,8 @@ def test_map_fed_matricial_parts_equal_matricial_data_route(name):
 def graded_tables():
     """(d, parts, scale) tables: d = 1, 2, 3, orders 0 to 4, ints over 1 and
     420 and Fractions at scale 1, with zero, negative, unreduced and big
-    values."""
+    values; then one numerator in two degrees, which prints differently over
+    420 and 420^2, and a degree whose values are all equal."""
     rng = random.Random(1100)
     big = 3**90 * 7**11
     for d in (1, 2, 3):
@@ -409,6 +410,8 @@ def graded_tables():
                         part.append(F(n, rng.choice((1, 3, 420, 2**70))) if kind is F else n)
                     parts.append(part)
                 yield d, parts, scale
+    yield 2, [[6], [6, 35], [6, 6, 35, 420]], 420
+    yield 3, [[1], [-7] * 3, [-7] * 9], 420
 
 
 def table_rows(d: int, parts, scale: int):
