@@ -410,7 +410,7 @@ def matricial_cf(md: MatricialData, order: int) -> NCSeries:
     return _series(md.d, parts, scale)
 
 
-def render_branched_cf(cm: CoefficientMap, depth: int, var: str = "z") -> str:
+def render_branched_cf(cm: CoefficientMap, depth: int) -> str:
     """Indented text rendering of the branched fraction down to a depth.
 
     Each line shows one node's denominator; a trailing "-> [word]" marks a
@@ -426,7 +426,7 @@ def render_branched_cf(cm: CoefficientMap, depth: int, var: str = "z") -> str:
         for i in range(1, cm.d + 1):
             bval = cm.b(i, u)
             if bval:
-                parts.append(f"{'-' if bval > 0 else '+'} {abs(bval)}*{var}{i}")
+                parts.append(f"{'-' if bval > 0 else '+'} {abs(bval)}*z{i}")
         children = []
         if len(u) < depth:
             for j in range(1, cm.d + 1):
@@ -435,7 +435,7 @@ def render_branched_cf(cm: CoefficientMap, depth: int, var: str = "z") -> str:
                 if cval:
                     children.append((j, child, cval))
         for j, child, cval in children:
-            parts.append(f"- {cval}*{var}{j}|{var}{j} -> {label(child)}")
+            parts.append(f"- {cval}*z{j}|z{j} -> {label(child)}")
         lines.append("  " * indent + f"{label(u)}: 1 / ( " + " ".join(parts) + " )")
         for _, child, _ in children:
             walk(child, indent + 1)

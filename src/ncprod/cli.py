@@ -63,7 +63,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from . import omega
-from .words import Word, format_rational, parse_rational, words_of_length
+from .words import Word, format_rational, graded_lex_key, parse_rational, words_of_length
 
 
 if TYPE_CHECKING:
@@ -277,21 +277,21 @@ def cmd_validate(args) -> int:
               f"INVALID: {exc}")
         return 1
     assoc_depth = min(tree.depth, 4)
+    boundary = [list(w) for w in sorted(tree.boundary(), key=graded_lex_key)]
     report = {
         "valid": True,
         "depth": tree.depth,
-        "boundary": [list(w) for w in sorted(tree.boundary(), key=lambda w: (len(w), w))],
+        "boundary": boundary,
         "associative": omega.is_associative(tree, assoc_depth),
         "associativity_depth": assoc_depth,
     }
     if args.format == "json":
         _emit(json.dumps(report, indent=2))
     else:
-        boundary = ", ".join(str(list(w)) for w in sorted(tree.boundary(), key=lambda w: (len(w), w))) or "(empty)"
         _emit(
             "valid tree\n"
             f"depth: {tree.depth}\n"
-            f"boundary: {boundary}\n"
+            f"boundary: {', '.join(map(str, boundary)) or '(empty)'}\n"
             f"associative (to depth {assoc_depth}): {report['associative']}"
         )
     return 0
@@ -397,10 +397,9 @@ def cmd_mops(args) -> int:
         u, v = result.witness
         report["witness"] = [list(u), list(v)]
         report["witness_value"] = format_rational(result.witness_value)
+    polynomials = sorted(result.polynomials.items(), key=lambda kv: graded_lex_key(kv[0]))
     if args.format == "json":
-        report["polynomials"] = {
-            _word_key(w) or "()": _poly_json(p) for w, p in sorted(result.polynomials.items(), key=lambda kv: (len(kv[0]), kv[0]))
-        }
+        report["polynomials"] = {_word_key(w) or "()": _poly_json(p) for w, p in polynomials}
         _emit(json.dumps(report, indent=2))
     else:
         lines = [f"MOPS verdict: {'yes' if result.is_mops else 'no'}"]
@@ -409,7 +408,7 @@ def cmd_mops(args) -> int:
             lines.append(
                 f"witness: <Q_{_word_key(u)}, Q_{_word_key(v)}> = {format_rational(result.witness_value)}"
             )
-        for w, p in sorted(result.polynomials.items(), key=lambda kv: (len(kv[0]), kv[0])):
+        for w, p in polynomials:
             lines.append(f"Q_{_word_key(w) or '()'} = {p.to_str()}")
         _emit("\n".join(lines))
     return 0

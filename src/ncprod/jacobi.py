@@ -292,4 +292,7 @@ def jacobi_from_json(obj: Mapping) -> JacobiData:
     if not isinstance(obj, Mapping):
         raise ValueError(f"a marginal is a JSON object, not {json_type(obj)}")
     params = dict(obj)
-    return preset(params.pop("preset", "custom"), **params)
+    name = params.pop("preset", "custom")
+    if type(name) is not str:
+        raise ValueError(f"marginal 'preset' must be a string, got {format_value(name)}")
+    return preset(name, **params)

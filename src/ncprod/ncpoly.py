@@ -232,11 +232,9 @@ class NCPolynomial:
     def __hash__(self):
         return hash((self.d, self.order, frozenset(self.terms.items())))
 
-    def to_str(self, var: str | None = None) -> str:
-        """Terms in graded-lexicographic order; the variable defaults to x, or z for a series."""
-        if var is None:
-            var = "x" if self.order is None else "z"
-        return _format_terms(self.terms, var)
+    def to_str(self) -> str:
+        """Terms in graded-lexicographic order, in x for a polynomial and z for a series."""
+        return _format_terms(self.terms, "x" if self.order is None else "z")
 
     def __repr__(self):
         return f"NCPolynomial({self.to_str()})"

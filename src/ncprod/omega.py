@@ -202,43 +202,6 @@ def _pure_runs(limit: int) -> set[Word]:
     return {(letter,) * n for letter in (1, 2) for n in range(limit + 1)}
 
 
-def _split_on_letter(word: Word, separator: int) -> tuple[list[Word], list[int]]:
-    """Blocks between maximal runs of ``separator`` and the run lengths.
-
-    Returns n + 1 blocks (possibly empty) and n run lengths for a word that
-    contains n maximal separator runs.
-    """
-    blocks: list[Word] = []
-    runs: list[int] = []
-    current: list[int] = []
-    run = 0
-    for letter in word:
-        if letter == separator:
-            if run == 0:
-                blocks.append(tuple(current))
-                current = []
-            run += 1
-        else:
-            if run:
-                runs.append(run)
-                run = 0
-            current.append(letter)
-    if run:
-        runs.append(run)
-    blocks.append(tuple(current))
-    return blocks, runs
-
-
-def _interleave(block_letter: int, run_letter: int, block_lengths: list[int], runs: list[int]) -> Word:
-    """Pattern word: block_letter^b1 run_letter^r1 block_letter^b2 ..."""
-    out: list[int] = []
-    for idx, b in enumerate(block_lengths):
-        out.extend([block_letter] * b)
-        if idx < len(runs):
-            out.extend([run_letter] * runs[idx])
-    return tuple(out)
-
-
 def omega_squared(tree: OmegaTree, depth: int) -> frozenset[Word]:
     """Words over {1, 2, 3} passing the two-part iterated-membership test.
 
@@ -265,16 +228,21 @@ def _iterated_membership(
     """Words over {1, 2, 3} up to ``depth`` that split at maximal runs of
     ``separator`` into blocks that are members once each letter is lowered
     by ``shift``, and whose length pattern is a member: letters[0]-runs
-    record the block lengths, letters[1]-runs the separator run lengths."""
+    record the block lengths, letters[1]-runs the separator run lengths.
+
+    The blocks are the maximal stretches of non-separator letters (an empty
+    one is the empty word, which every tree holds).  The length pattern is
+    the word with each separator letter replaced by letters[1] and each
+    other letter by letters[0]."""
     if depth > tree.depth + 1:
         raise ValueError(f"query depth {depth} exceeds stored depth {tree.depth + 1}")
     block_letter, run_letter = letters
     out = set()
     for u in words_up_to(3, depth):
-        blocks, runs = _split_on_letter(u, separator)
+        blocks = (block for is_run, block in itertools.groupby(u, separator.__eq__) if not is_run)
         if any(tuple(letter - shift for letter in block) not in tree.members for block in blocks):
             continue
-        pattern = _interleave(block_letter, run_letter, [len(b) for b in blocks], runs)
+        pattern = tuple(run_letter if letter == separator else block_letter for letter in u)
         if pattern in tree.members:
             out.add(u)
     return frozenset(out)

@@ -290,13 +290,10 @@ def cfree_state(
     return _finish(_noncrossing_moments({1: m1, 2: m2}, nested), m1.scale, scale is not None)
 
 
-def functional_eval(phi: MomentFunctional, p: NCPolynomial) -> Fraction:
-    """Linear extension of a word functional to polynomials."""
-    return sum((coeff * phi(w) for w, coeff in p.terms.items()), Fraction(0))
-
-
 def functional_inner(phi: MomentFunctional, p: NCPolynomial, q: NCPolynomial) -> Fraction:
-    return functional_eval(phi, p.involution() * q)
+    """<p, q> = phi(p* q), with phi extended linearly from words to polynomials."""
+    product = p.involution() * q
+    return sum((coeff * phi(w) for w, coeff in product.terms.items()), Fraction(0))
 
 
 class MopsResult:

@@ -40,27 +40,28 @@ A :class:`CoefficientMap` answers B(i, u) and C(u) on demand and keeps each
 answer, so a query touches only the entries it reads (``cfrac --order 13``
 reads a few hundred of the 49,148 entries of depth 13), and so does its
 integer view of B' and C'.  D is fixed at construction.  Coefficient maps
-come from two constructions, each of which also supplies the basis
-polynomials P_u:
+come from two constructions:
 
 * ``product_type_map(tree, j1, j2, nu=None)``: at a node u = i^k v, B(i, u)
   and C(u) are beta_k and gamma_k of the leading run's marginal, mu_i
   (``j1``, ``j2``) when the run is the whole word and nu_i otherwise (nu
   defaults to mu).  B(i, u) is 0 unless (i, u) is a tree member, and C(u)
   is 0 unless u is an interior member (member with its same-letter
-  extension present).  P_u is :func:`basis_polynomial`: for a member u, a
-  product of one-variable orthogonal polynomials over the runs of u.
-  ``cfree_map(mu1, nu1, mu2, nu2, depth)``, the two-marginal-pair state, is
-  this map on the full binary tree.
+  extension present).  ``cfree_map(mu1, nu1, mu2, nu2, depth)``, the
+  two-marginal-pair state, is this map on the full binary tree.
 * ``explicit_map``: arbitrary diagonal data, for exercising the continued
-  fraction machinery beyond the product-type case.  P_u is
-  :func:`recursion_basis`, rebuilt from the rewrite rules.
+  fraction machinery beyond the product-type case.
 
 The first takes D from the marginals: the lcm over every coefficient the
 map can hold, all read at construction, so Jacobi data that run out under
 the "error" policy raise there and not at some later query.  A finitely
 supported marginal (some gamma_n = 0) is accepted on any tree: the basis
 polynomials that its zero reaches have norm 0, as on the tree's boundary.
+
+Every map's basis polynomial P_u is :func:`recursion_basis`, built from the
+rewrite rules.  On a product-type map that is :func:`basis_polynomial`, the
+definition (for a member u, the product of one-variable orthogonal
+polynomials over the runs of u), which the tests check it against.
 
 The maps, the evaluator and the moment tables run on the integer helpers of
 :mod:`ncprod.words` alone.  :func:`basis_polynomial`,
@@ -116,9 +117,9 @@ class CoefficientMap:
 
     ``scale`` is D, fixed at construction: an integer that clears the
     denominator of every entry.  :attr:`integer` is the map of B' = D B and
-    C' = D^2 C, whose entries are ints, also kept as they are read.
-    ``basis(u)`` is the basis polynomial P_u; by default it is rebuilt from
-    the rewrite rules (:func:`recursion_basis`).
+    C' = D^2 C, whose entries are ints, also kept as they are read.  P_u
+    comes from the rewrite rules (:func:`recursion_basis`) for every map;
+    :func:`basis_polynomial` is the definition the tests check it against.
 
     The rules are pure, and a memo only ever gains the value its rule
     gives, so threads may share a map.
@@ -131,12 +132,10 @@ class CoefficientMap:
         b_rule: Callable[[int, Word], Fraction],
         c_rule: Callable[[Word], Fraction],
         scale: int,
-        basis: Callable[[Word], NCPolynomial] | None = None,
     ):
         self.d = d
         self.depth = depth
         self.scale = scale
-        self.basis = basis if basis is not None else functools.partial(recursion_basis, self)
         self._b_rule = b_rule
         self._c_rule = c_rule
         self._b: dict[tuple[int, Word], Fraction] = {}
@@ -227,9 +226,7 @@ def product_type_map(
         k = leading_run_length(word, letter)
         return (mu if len(word) == k else inner)[letter - 1].gamma_at(k)
 
-    return CoefficientMap(
-        2, depth, b_rule, c_rule, scale, lambda u: basis_polynomial(tree, j1, j2, u, nu)
-    )
+    return CoefficientMap(2, depth, b_rule, c_rule, scale)
 
 
 def cfree_map(
@@ -569,7 +566,7 @@ def gram_matrix(cm: CoefficientMap, depth: int) -> GramMatrix:
             f"Gram depth {depth} needs map depth >= {2 * depth - 1}, have {cm.depth}"
         )
     words = tuple(words_up_to(cm.d, depth))
-    vectors = {u: list(map(cm.basis(u).coefficient, words)) for u in words}
+    vectors = {u: list(map(recursion_basis(cm, u).coefficient, words)) for u in words}
     matrix = MomentMatrix(StateEvaluator(cm).word_moment, words)
     entries: dict[tuple[Word, Word], Fraction] = {}
     for u in words:

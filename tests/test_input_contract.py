@@ -150,6 +150,7 @@ WRONG_TYPES = {
     "beta": ["12", 1, {"0": 1}, None, True],
     "gamma": ["12", 1, {"0": 1}, None, True],
     "extend": [1, 2.5, ["repeat"], None, True],
+    "preset": [1, 2.5, ["semicircle"], None, True],
     "builtin": [1, ["free"], None, True],
     "words": ["12", 1, {"0": [1]}, None],
     "implicit_runs": [1, "true", None],
@@ -161,7 +162,6 @@ def wrong_type_cases(valid):
         pytest.param(form, key, value, id=f"{form}-{key}-{json.dumps(value)}")
         for form, obj in valid.items()
         for key in obj
-        if key != "preset"
         for value in WRONG_TYPES[key]
     ]
 

@@ -1,5 +1,7 @@
 """Tree validation, boundaries, builders, and the two-alphabet closure test."""
 
+import re
+
 import pytest
 
 from ncprod.words import graded_lex_key, words_up_to
@@ -221,6 +223,36 @@ def test_exhaustive_search_finds_the_fixture():
     assert NON_ASSOCIATIVE_FIXTURE in failures
     smallest = min(failures, key=lambda s: (len(s), sorted(s, key=graded_lex_key)))
     assert smallest == NON_ASSOCIATIVE_FIXTURE
+
+
+def reference_iterated_membership(tree, depth, separator, shift, letters):
+    """The words omega_squared's docstring defines, read off the digit string:
+    the blocks between maximal separator runs, each lowered by the shift, must
+    be members, and so must the block lengths interleaved with the run lengths."""
+    block_letter, run_letter = letters
+    out = set()
+    for u in words_up_to(3, depth):
+        text = "".join(map(str, u))
+        blocks = re.split(f"{separator}+", text)
+        run_lengths = [len(run) for run in re.findall(f"{separator}+", text)]
+        if any(tuple(int(c) - shift for c in block) not in tree for block in blocks):
+            continue
+        pattern = (block_letter,) * len(blocks[0])
+        for run, block in zip(run_lengths, blocks[1:]):
+            pattern += (run_letter,) * run + (block_letter,) * len(block)
+        if pattern in tree:
+            out.add(u)
+    return frozenset(out)
+
+
+def test_iterated_membership_matches_its_definition_on_every_small_tree():
+    trees = [validate(members | runs(5), 4) for members in enumerate_valid_trees(3)]
+    assert len(trees) == 64
+    for tree in trees:
+        for depth in (4, 5):
+            assert omega_squared(tree, depth) == reference_iterated_membership(tree, depth, 3, 0, (1, 2))
+            assert _omega_squared_mirror(tree, depth) == reference_iterated_membership(tree, depth, 1, 1, (2, 1))
+    assert sum(not is_associative(tree, 4) for tree in trees) == 54
 
 
 def test_ends_in_one_tree_not_associative():

@@ -34,6 +34,7 @@ from ncprod import (
     scalar_branched_cf,
 )
 from ncprod.jacobi import JacobiRangeError
+from ncprod.omega import enumerate_valid_trees, validate
 from ncprod.prodstate import DepthExhaustedError, moment_parts
 from ncprod.words import words_of_length, words_up_to
 
@@ -226,8 +227,22 @@ def test_basis_polynomial_takes_the_rightmost_run_from_mu():
     assert p == (x(1) - nu1.beta_at(0)) * (x(2) - mu2.beta_at(0))
     cm = cfree_map(mu1, nu1, mu2, nu2, 6)
     for u in words_up_to(2, 4):
-        assert cm.basis(u) == basis_polynomial(free, mu1, mu2, u, (nu1, nu2))
-        assert recursion_basis(cm, u) == cm.basis(u)
+        assert recursion_basis(cm, u) == basis_polynomial(free, mu1, mu2, u, (nu1, nu2))
+
+
+def test_recursion_basis_matches_definition_on_every_small_tree():
+    """Every tree stored to length 3, with its pure runs grown to depth 4,
+    under a generic pair and a finitely supported one: the rewrite rules
+    rebuild the run-product basis at every word through length 4."""
+    pure_runs = {(letter,) * n for letter in (1, 2) for n in range(6)}
+    finite = (preset("bernoulli", p=F(1, 3), a=1, b=-2), preset("point-mass", c=F(1, 2)))
+    trees = [validate(members | pure_runs, 4) for members in enumerate_valid_trees(3)]
+    assert len(trees) == 64
+    for tree in trees:
+        for j1, j2 in ((GENERIC_J1, GENERIC_J2), finite):
+            cm = product_type_map(tree, j1, j2)
+            for u in words_up_to(2, 4):
+                assert recursion_basis(cm, u) == basis_polynomial(tree, j1, j2, u), (tree, u)
 
 
 # left multiplication --------------------------------------------------------
