@@ -60,7 +60,6 @@ _EXPORTS = {
     ),
     "cfrac": (
         "MatricialData",
-        "block_extract",
         "classical_cf",
         "matricial_cf",
         "matricial_from_map",

@@ -4,7 +4,8 @@ Three engines, all producing truncated non-commutative power series whose
 coefficient at a word w is the state applied to the monomial x_w:
 
 * ``classical_cf``: the one-variable chain 1 / (1 - beta_0 z - gamma_1 z^2 /
-  (1 - beta_1 z - ...)), which is the scalar engine on a one-letter map.
+  (1 - beta_1 z - ...)), which is the scalar engine on the one-letter chain
+  map (:func:`chain_map`).
 * ``scalar_branched_cf``: the branched version over a coefficient map; the
   node at word u contributes denominator 1 - sum_i B(i, u) z_i -
   sum_j C(j, u) z_j F_(j,u) z_j, with F_u the inverse of that denominator
@@ -86,20 +87,24 @@ def _series(d: int, parts: Sequence[Sequence | None], scale: int | None = None) 
     return _make(d, len(parts) - 1, terms)
 
 
-def classical_cf(data: JacobiData, order: int) -> NCSeries:
-    """One-variable moment generating function as a truncated series in z:
-    the scalar engine on the one-letter chain map B(1, 1^k) = beta_k,
-    C(1^k) = gamma_k, through the depth order // 2 that the order reaches."""
+def chain_map(data: JacobiData, order: int) -> CoefficientMap:
+    """The one-letter chain map B(1, 1^k) = beta_k, C(1^k) = gamma_k,
+    through the depth order // 2 that the order reaches."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     level = order // 2
-    chain = explicit_map(
+    return explicit_map(
         1,
         level,
         {(1, (1,) * k): data.beta_at(k) for k in range(level + 1)},
         {(1,) * k: data.gamma_at(k) for k in range(1, level + 1)},
     )
-    return scalar_branched_cf(chain, order)
+
+
+def classical_cf(data: JacobiData, order: int) -> NCSeries:
+    """One-variable moment generating function as a truncated series in z:
+    the scalar engine on the chain map (:func:`chain_map`)."""
+    return scalar_branched_cf(chain_map(data, order), order)
 
 
 def scalar_branched_cf(cm: CoefficientMap, order: int) -> NCSeries:
@@ -242,21 +247,6 @@ def matricial_from_map(cm: CoefficientMap, levels: int) -> MatricialData:
                 mc[idx][idx] = cm.c(u)
             c.append(mc)
     return MatricialData(d=d, t=tuple(t), c=tuple(c))
-
-
-def block_extract(matrix: Sequence[Sequence], i: int, j: int, d: int) -> list[list]:
-    """Block (i, j) of a d^k x d^k matrix viewed as d x d blocks.
-
-    Rows whose index word starts with letter i, columns starting with letter
-    j; for a 2 x 2 matrix this is just the (i, j) entry as a 1 x 1 matrix.
-    """
-    n = len(matrix)
-    if n % d != 0 or any(len(row) != n for row in matrix):
-        raise ValueError(f"matrix is not square of size divisible by {d}")
-    m = n // d
-    if not (1 <= i <= d and 1 <= j <= d):
-        raise ValueError(f"block indices must lie in 1..{d}")
-    return [list(row[(j - 1) * m : j * m]) for row in matrix[(i - 1) * m : i * m]]
 
 
 def _dense_inverse(matrix: DenseMatrix, n: int, d: int, order: int) -> DenseMatrix:

@@ -8,11 +8,11 @@ deterministic for identical inputs (words in graded-lexicographic order,
 rationals in lowest terms).  --omega picks the tree of a product-type
 state; two-pair mode (--nu1/--nu2) always uses the full tree, so it
 refuses --omega; compare --against cfree checks it against the two-pair
-oracle and needs --nu1/--nu2.  Where no coefficient map is built (cfrac
---engine classical, mops --state tensor or q-gaussian), --omega and
---nu1/--nu2 are refused rather than ignored, and so are cfrac --engine
-classical's --jacobi2, mops --q without --state q-gaussian and
---jacobi1/--jacobi2 with it.
+oracle and needs --nu1/--nu2.  Where the flags pick no coefficient map
+(cfrac --engine classical, which runs on the chain map of its one marginal,
+mops --state tensor or q-gaussian), --omega and --nu1/--nu2 are refused
+rather than ignored, and so are cfrac --engine classical's --jacobi2, mops
+--q without --state q-gaussian and --jacobi1/--jacobi2 with it.
 
 Each file kind has one reader, which refuses a non-object, an unknown key
 and a value of the wrong type: ``jacobi.jacobi_from_json`` for marginals,
@@ -23,9 +23,9 @@ ValueError, so ``main`` reports it as one "input error:" line and exits 2.
 Every module but ``omega`` and ``words`` is imported by the subcommands
 that run it, so a process compiles and loads only what its subcommand uses:
 ``validate`` loads ``omega`` and ``words`` alone.  The table commands
-(``moments``, ``cfrac --engine scalar|matricial``, ``compare``) run on the
-integer core and load no polynomial module (:mod:`ncprod.ncpoly`); only
-``gram``, ``mops`` and ``counterexample``, which build polynomials, load it.
+(``moments``, ``cfrac`` with each engine, ``compare``) run on the integer
+core and load no polynomial module (:mod:`ncprod.ncpoly`); only ``gram``,
+``mops`` and ``counterexample``, which build polynomials, load it.
 
 ``compare`` checks each word in integers.  The state's numerators
 D^|w| phi(w), with D the coefficient map's scale, are the transfer
@@ -35,12 +35,11 @@ the same D^|w|, the oracles built at that scale word by word and the scalar
 continued fraction as its own dense integer table on the same map, compared
 list to list.  Two equal integers mean two equal moments, so a ``Fraction``
 is built only for the first mismatch it reports.  The moments and cfrac
-tables go through one writer that takes a value list per degree:
-``moments``, ``cfrac --engine scalar`` and ``--engine matricial`` hand it
-dense integer numerators over D^m, and ``cfrac --engine classical`` its
-Fractions.  It builds each degree's word texts from the previous degree's,
-reduces each distinct value of a degree with one gcd and writes one degree
-at a time.
+tables go through one writer that takes dense integer numerators over D^m,
+one list per degree: ``moments`` and every ``cfrac`` engine hand it their
+tables as they come (``classical`` the scalar engine's, on the chain map).
+It builds each degree's word texts from the previous degree's, reduces each
+distinct value of a degree with one gcd and writes one degree at a time.
 
 Exit codes: 0 on success, 1 on mathematical failure (invalid tree, mismatch
 in a comparison), 2 on input errors, including a negative --order, an
@@ -186,7 +185,7 @@ def _build_map(args, depth: int, marginals: Marginals | None = None) -> Coeffici
 
 def _refuse_map_flags(args, mode: str) -> None:
     """--omega and --nu1/--nu2 pick a coefficient map; a mode that builds none
-    refuses them rather than ignore them."""
+    from them refuses them rather than ignore them."""
     for flag in ("omega", "nu1", "nu2"):
         if getattr(args, flag) is not None:
             raise CliInputError(f"--{flag} is not read by {mode}, which builds no coefficient map")
@@ -216,18 +215,17 @@ _TABLE_FRAMES = {
 }
 
 
-def _emit_table(parts: Sequence[Sequence], d: int, fmt: str, scale: int = 1) -> None:
+def _emit_table(parts: Sequence[Sequence[int]], d: int, fmt: str, scale: int) -> None:
     """The table of every word's value through order len(parts) - 1, in
-    graded-lex order: parts[m] holds the values of the d^m words of length
-    m at their base-d indices, int numerators over scale^m, or at scale 1
-    ints or Fractions.  Each distinct value of a degree is written in
-    lowest terms with one gcd against the degree's denominator; the cache is
-    per degree, because one numerator over scale^m and over scale^(m+1)
-    prints differently.  A degree's keys are built once from
-    the previous degree's, and the table is written one degree at a time.
-    The json is the text of json.dumps([{"word": [...], "value": "p/q"},
-    ...], indent=2), built directly: a letter is an int and a value holds
-    only digits, "-" and "/", so nothing needs escaping."""
+    graded-lex order: parts[m] holds the int numerators over scale^m of the
+    d^m words of length m at their base-d indices.  Each distinct value of a
+    degree is written in lowest terms with one gcd against the degree's
+    denominator; the cache is per degree, because one numerator over scale^m
+    and over scale^(m+1) prints differently.  A degree's keys are built once
+    from the previous degree's, and the table is written one degree at a
+    time.  The json is the text of json.dumps([{"word": [...], "value":
+    "p/q"}, ...], indent=2), built directly: a letter is an int and a value
+    holds only digits, "-" and "/", so nothing needs escaping."""
     opening, empty, before, sep, between, row_sep, closing = _TABLE_FRAMES[fmt]
     letters = [str(i) for i in range(1, d + 1)]
     width = 0
@@ -241,15 +239,12 @@ def _emit_table(parts: Sequence[Sequence], d: int, fmt: str, scale: int = 1) -> 
     keys = [""]
     for m, values in enumerate(parts):
         q = scale**m
-        if q == 1:
-            texts = list(map(str, values))
-        else:
-            # a product-type moment depends on the word's run structure, so
-            # values repeat: each distinct one is reduced and printed once
-            text = dict.fromkeys(values)
-            for n in text:
-                text[n] = _ratio(n, q)
-            texts = list(map(text.__getitem__, values))
+        # a product-type moment depends on the word's run structure, so
+        # values repeat: each distinct one is reduced and printed once
+        text = dict.fromkeys(values)
+        for n in text:
+            text[n] = _ratio(n, q)
+        texts = list(map(text.__getitem__, values))
         if m == 0:
             heads = [empty]
         else:
@@ -261,16 +256,13 @@ def _emit_table(parts: Sequence[Sequence], d: int, fmt: str, scale: int = 1) -> 
 
 
 def _poly_json(p: NCPolynomial) -> dict:
-    ordered = sorted(p.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    return {_word_key(w): format_rational(c) for w, c in ordered}
+    return {_word_key(w): format_rational(p.terms[w]) for w in sorted(p.terms, key=graded_lex_key)}
 
 
 def cmd_validate(args) -> int:
     depth = args.order if args.order is not None else 6
     try:
-        loaded = _load_tree(args.spec, depth)
-        # builder does not check its depth; validate rejects one below 1
-        tree = omega.validate(loaded.members, loaded.depth)
+        tree = _load_tree(args.spec, depth)
     except omega.OmegaValidationError as exc:
         report = {"valid": False, "violation": exc.report()}
         _emit(json.dumps(report, indent=2) if args.format == "json" else
@@ -339,16 +331,14 @@ def cmd_cfrac(args) -> int:
             raise CliInputError(
                 "--jacobi2 is not read by --engine classical, which takes its one marginal from --jacobi1"
             )
-        data = _load_jacobi(args.jacobi1, "--jacobi1")
-        terms = cfrac.classical_cf(data, args.order).terms
-        _emit_table([[terms.get((1,) * m, 0)] for m in range(args.order + 1)], 1, args.format)
-        return 0
-    if args.engine == "matricial" and args.order > 2 * MATRICIAL_MAX_LEVELS:
+        cm = cfrac.chain_map(_load_jacobi(args.jacobi1, "--jacobi1"), args.order)
+    elif args.engine == "matricial" and args.order > 2 * MATRICIAL_MAX_LEVELS:
         raise CliInputError(
             f"the matricial engine is exact only through order {2 * MATRICIAL_MAX_LEVELS}; "
             f"got --order {args.order}"
         )
-    cm = _build_map(args, max(args.order, 1))
+    else:
+        cm = _build_map(args, max(args.order, 1))
     # integer numerators by degree over D^m: no Fraction per row
     if args.engine == "matricial":
         # the fewest levels exact through the order; never deeper than the map
@@ -356,7 +346,7 @@ def cmd_cfrac(args) -> int:
         parts, scale = cfrac.matricial_map_parts(cm, levels, args.order)
     else:
         parts, scale = cfrac.scalar_branched_parts(cm, args.order), cm.scale
-    if args.format == "pretty":
+    if args.format == "pretty" and args.engine != "classical":
         _emit(cfrac.render_branched_cf(cm, min(args.order, 4)))
         _emit("")
     _emit_table(parts, cm.d, args.format, scale)
@@ -597,7 +587,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except omega.OmegaValidationError as exc:  # a ValueError, so it comes first
         print(f"invalid tree: {exc}", file=sys.stderr)
         return 1
-    except (CliInputError, ValueError, KeyError) as exc:
+    except (CliInputError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

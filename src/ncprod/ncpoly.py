@@ -272,10 +272,6 @@ class NCSeries(NCPolynomial):
     def variable(cls, letter: int, d: int, order: int) -> "NCSeries":
         return cls(d, order, {(letter,): 1})
 
-    @classmethod
-    def from_polynomial(cls, p: NCPolynomial, order: int) -> "NCSeries":
-        return cls(p.d, order, p.terms)
-
     def constant_term(self) -> Fraction:
         return self.terms.get(EMPTY_WORD, _ZERO)
 

@@ -112,13 +112,6 @@ class OmegaTree(FrozenRecord):
             return False
         return not u or (u[0],) + u in self
 
-    def restricted(self, depth: int) -> "OmegaTree":
-        """The same tree truncated to a smaller depth."""
-        if depth > self.depth:
-            raise ValueError("cannot deepen a truncated tree")
-        limit = depth + 1
-        return OmegaTree(depth, frozenset(u for u in self.members if len(u) <= limit))
-
 
 def validate(words: Iterable[Iterable[int]], depth: int) -> OmegaTree:
     """Check the three conditions and build a tree, or raise the first violation.
@@ -195,6 +188,8 @@ def builder(name: str, depth: int) -> OmegaTree:
     rule = _BUILTIN_RULES.get(BUILTIN_ALIASES.get(name, name))
     if rule is None:
         raise ValueError(f"unknown builtin tree {name!r}; known: {', '.join(BUILTIN_OMEGAS)}")
+    if depth < 1:
+        raise ValueError("tree depth must be at least 1")
     return OmegaTree(depth, rule=rule)
 
 

@@ -319,7 +319,6 @@ class MopsResult:
 def gram_schmidt_mops(
     phi: MomentFunctional,
     depth: int,
-    d: int = 2,
     within_degree_order: Callable[[list[Word]], list[Word]] | None = None,
 ) -> MopsResult:
     """Orthogonalize the monomials degree by degree and test orthogonality.
@@ -350,7 +349,7 @@ def gram_schmidt_mops(
     """
     from .ncpoly import MomentMatrix, NCPolynomial
 
-    words = words_up_to(d, depth)
+    words = words_up_to(2, depth)
     index = {w: i for i, w in enumerate(words)}
     by_degree: list[list[Word]] = [[w for w in words if len(w) == n] for n in range(depth + 1)]
     if within_degree_order is not None:
@@ -381,7 +380,7 @@ def gram_schmidt_mops(
     scale = matrix.scale
     denominator = {u: c[index[u]] for u, c in vectors.items()}
     polys = {
-        u: NCPolynomial(d, {w: Fraction(x, denominator[u]) for w, x in zip(words, c) if x})
+        u: NCPolynomial(2, {w: Fraction(x, denominator[u]) for w, x in zip(words, c) if x})
         for u, c in vectors.items()
     }
     norm_values = {u: Fraction(norm, denominator[u] ** 2 * scale) for u, norm in norms.items()}

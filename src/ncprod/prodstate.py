@@ -534,18 +534,15 @@ class GramMatrix:
 
     __slots__ = ("words", "entries")
 
-    def __init__(self, words: tuple[Word, ...], entries: dict[tuple[Word, Word], Fraction] | None = None):
+    def __init__(self, words: tuple[Word, ...], entries: dict[tuple[Word, Word], Fraction]):
         self.words = words
-        self.entries = {} if entries is None else entries
-
-    def value(self, u: Word, v: Word) -> Fraction:
-        return self.entries.get((tuple(u), tuple(v)), Fraction(0))
+        self.entries = entries
 
     def is_diagonal(self) -> bool:
         return all(u == v for (u, v), value in self.entries.items() if value)
 
     def diagonal(self) -> dict[Word, Fraction]:
-        return {u: self.value(u, u) for u in self.words}
+        return {u: self.entries.get((u, u), ZERO) for u in self.words}
 
     def to_triples(self) -> list[tuple[Word, Word, Fraction]]:
         ordered = sorted(self.entries.items(), key=lambda kv: (graded_lex_key(kv[0][0]), graded_lex_key(kv[0][1])))

@@ -21,6 +21,7 @@ types.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -55,20 +56,18 @@ def format_rational(value: Rational) -> str:
 
 
 def format_value(value: object) -> str:
-    """A value read from JSON as a message shows it: its repr, but with
-    true, false and null as JSON writes them and each Fraction (a JSON
-    number that is not an integer) in exact form, 29/10 rather than
-    Fraction(29, 10)."""
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
+    """A value read from JSON as a message shows it: a string, true, false
+    and null as JSON writes them, each Fraction (a JSON number that is not
+    an integer) in exact form, 29/10 rather than Fraction(29, 10), and any
+    other value by its repr."""
     if isinstance(value, Fraction):
         return format_rational(value)
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(map(format_value, value)) + "]"
     if isinstance(value, dict):
-        return "{" + ", ".join(f"{key!r}: {format_value(item)}" for key, item in value.items()) + "}"
+        return "{" + ", ".join(f"{format_value(key)}: {format_value(item)}" for key, item in value.items()) + "}"
+    if value is None or isinstance(value, (bool, str)):
+        return json.dumps(value)
     return repr(value)
 
 

@@ -10,8 +10,10 @@ every inner product of the monomial orthogonalization from a polynomial
 product.  ``fraction_classical_cf``, ``fraction_scalar_branched_cf`` and
 ``fraction_matricial_cf`` are the continued-fraction engines with every
 series in ``Fraction`` coefficients, the classical one with its own chain
-recursion; ``eager_product_type_entries`` and ``eager_cfree_entries`` fill
-every nonzero coefficient-map entry through the depth, word by word.
+recursion and the matricial one taking each sandwich's block with
+``block_extract``; ``eager_product_type_entries`` and
+``eager_cfree_entries`` fill every nonzero coefficient-map entry through
+the depth, word by word.
 ``centering_cfree_state`` evaluates the two-pair (conditionally free)
 state by centering blocks: a block polynomial p splits into (p - mean)
 plus its mean, the mean term deletes the block and merges its neighbors,
@@ -26,8 +28,9 @@ library's kernels must agree with them exactly.
 """
 
 from fractions import Fraction
+from typing import Sequence
 
-from ncprod.cfrac import MatricialData, block_extract
+from ncprod.cfrac import MatricialData
 from ncprod.jacobi import JacobiData, MomentSequence
 from ncprod.ncpoly import NCPolynomial, NCSeries, _make
 from ncprod.omega import OmegaTree
@@ -220,6 +223,21 @@ def fraction_scalar_branched_cf(cm: CoefficientMap, order: int) -> NCSeries:
         return denom.inverse()
 
     return node(EMPTY_WORD, order)
+
+
+def block_extract(matrix: Sequence[Sequence], i: int, j: int, d: int) -> list[list]:
+    """Block (i, j) of a d^k x d^k matrix viewed as d x d blocks.
+
+    Rows whose index word starts with letter i, columns starting with letter
+    j; for a 2 x 2 matrix this is just the (i, j) entry as a 1 x 1 matrix.
+    """
+    n = len(matrix)
+    if n % d != 0 or any(len(row) != n for row in matrix):
+        raise ValueError(f"matrix is not square of size divisible by {d}")
+    m = n // d
+    if not (1 <= i <= d and 1 <= j <= d):
+        raise ValueError(f"block indices must lie in 1..{d}")
+    return [list(row[(j - 1) * m : j * m]) for row in matrix[(i - 1) * m : i * m]]
 
 
 def fraction_matricial_cf(md: MatricialData, order: int) -> NCSeries:

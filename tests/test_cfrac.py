@@ -5,13 +5,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import GENERIC_J1, GENERIC_J2, random_pair
-from reference_kernels import fraction_classical_cf
+from reference_kernels import block_extract, fraction_classical_cf
 from ncprod import (
     BUILTIN_OMEGAS,
     JacobiData,
     MatricialData,
     StateEvaluator,
-    block_extract,
     builder,
     cfree_map,
     classical_cf,

@@ -34,6 +34,7 @@ BAD_TREES = {
     "depth-not-an-integer": '{"words": [[2, 1]], "depth": 3.9, "implicit_runs": true}',
     "letter-not-an-integer": '{"words": [[2, 1.7]], "depth": 3, "implicit_runs": true}',
     "misspelled-key": '{"words": [[2, 1]], "depth": 3, "implicit_run": true}',
+    "builtin-depth-zero": '{"builtin": "free", "depth": 0}',
 }
 
 # each subcommand (and engine or state) that builds a coefficient map
@@ -166,6 +167,12 @@ def wrong_type_cases(valid):
     ]
 
 
+def holds_string(value) -> bool:
+    if isinstance(value, dict):
+        value = [*value, *value.values()]
+    return isinstance(value, str) or isinstance(value, list) and any(map(holds_string, value))
+
+
 def moments_argv(jacobi1, omega):
     return ["moments", "--jacobi1", jacobi1, "--jacobi2", J2, "--omega", omega, "--order", "2"]
 
@@ -185,14 +192,18 @@ def test_valid_forms_are_read(capsys, tmp_path, kind, valid):
 def test_marginal_key_of_wrong_type_is_one_input_error(capsys, tmp_path, form, key, value):
     path = tmp_path / "marginal.json"
     path.write_text(json.dumps({**VALID_MARGINALS[form], key: value}))
-    expect_input_error(capsys, moments_argv(str(path), "free"), str(path))
+    line = expect_input_error(capsys, moments_argv(str(path), "free"), str(path))
+    if holds_string(value):  # shown as the file writes it: "12", not '12'
+        assert line.endswith(json.dumps(value)), line
 
 
 @pytest.mark.parametrize("form, key, value", wrong_type_cases(VALID_TREES))
 def test_tree_key_of_wrong_type_is_one_input_error(capsys, tmp_path, form, key, value):
     path = tmp_path / "tree.json"
     path.write_text(json.dumps({**VALID_TREES[form], key: value}))
-    expect_input_error(capsys, moments_argv(J1, str(path)), str(path))
+    line = expect_input_error(capsys, moments_argv(J1, str(path)), str(path))
+    if holds_string(value):
+        assert line.endswith(json.dumps(value)), line
 
 
 @pytest.mark.parametrize(

@@ -74,12 +74,16 @@ POLYNOMIAL = {"ncprod.ncpoly"}
         (["gram", "--omega", "free", "--order", "1"],
          {"ncprod.ncpoly", "ncprod.prodstate"}, {"ncprod.cfrac", "ncprod.oracle"}),
         (["validate", "free"], {"ncprod.omega"}, {"ncprod.jacobi", "ncprod.prodstate", *POLYNOMIAL}),
+        (["cfrac", "--engine", "classical", "--order", "3"],
+         {"ncprod.cfrac"}, {"ncprod.oracle", "dataclasses", *POLYNOMIAL}),
     ],
 )
 def test_subcommand_loads_only_what_it_runs(argv, loaded, not_loaded):
-    inputs = [] if argv[0] == "validate" else [
-        "--jacobi1", str(GOLDEN / "j1.json"), "--jacobi2", str(GOLDEN / "j2.json")
-    ]
+    inputs = []
+    if argv[0] != "validate":
+        inputs = ["--jacobi1", str(GOLDEN / "j1.json")]
+        if "classical" not in argv:  # the classical engine reads one marginal
+            inputs += ["--jacobi2", str(GOLDEN / "j2.json")]
     done = subprocess.run(
         [sys.executable, "-S", "-c", LOADED_MODULES, *argv, *inputs],
         env=ENV, capture_output=True, text=True, check=True, timeout=120,
@@ -106,6 +110,21 @@ def test_map_errors_stay_input_errors(capsys, monkeypatch):
         assert main(["moments", *inputs, "--omega", "free", "--order", "2"]) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"input error: {error}\n")
+
+
+def test_key_error_is_not_an_input_error(monkeypatch):
+    """No input is refused by a KeyError, so one raised from a subcommand is
+    a bug: it leaves main as it is, not as an input error with exit 2."""
+    from ncprod import prodstate
+    from ncprod.cli import main
+
+    def raising(*args):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(prodstate, "moment_parts", raising)
+    inputs = ["--jacobi1", str(GOLDEN / "j1.json"), "--jacobi2", str(GOLDEN / "j2.json")]
+    with pytest.raises(KeyError):
+        main(["moments", *inputs, "--omega", "free", "--order", "2"])
 
 
 def test_frozen_records_keep_their_contracts():
