@@ -7,8 +7,8 @@ against its mirror at depth three, and reports the failures.
 """
 
 from ncprod.words import graded_lex_key
-from ncprod.omega import (
-    OmegaTree,
+from ncprod.omega import OmegaTree
+from ncprod.treecheck import (
     _omega_squared_mirror,
     enumerate_valid_trees,
     is_associative,

@@ -39,6 +39,8 @@ _EXPORTS = {
         "OmegaTree",
         "OmegaValidationError",
         "builder",
+    ),
+    "treecheck": (
         "enumerate_valid_trees",
         "is_associative",
         "omega_from_json",
@@ -49,13 +51,15 @@ _EXPORTS = {
         "CoefficientMap",
         "DepthExhaustedError",
         "StateEvaluator",
-        "basis_polynomial",
         "cfree_map",
         "explicit_map",
-        "gram_matrix",
         "left_multiply",
         "moment_table",
         "product_type_map",
+    ),
+    "basis": (
+        "basis_polynomial",
+        "gram_matrix",
         "recursion_basis",
     ),
     "cfrac": (

@@ -71,19 +71,19 @@ if TYPE_CHECKING:
 DenseMatrix = dict[tuple[int, int], list]
 
 
-def _series(d: int, parts: Sequence[Sequence | None], scale: int | None = None) -> NCSeries:
+def _series(d: int, parts: Sequence[Sequence | None], scale: int) -> NCSeries:
     """Dense parts as one series of order len(parts) - 1: entry x of parts[m]
-    is the coefficient of the x-th word of length m, over scale^m when a
-    scale is given (a Fraction), as it is otherwise; None is a zero degree."""
+    over scale^m is the coefficient of the x-th word of length m; None is a
+    zero degree."""
     from .ncpoly import _make
 
     terms = {}
     for m, part in enumerate(parts):
         if part:
-            power = None if scale is None else scale**m
+            power = scale**m
             for w, g in zip(words_of_length(d, m), part):
                 if g:
-                    terms[w] = g if power is None else Fraction(g, power)
+                    terms[w] = Fraction(g, power)
     return _make(d, len(parts) - 1, terms)
 
 

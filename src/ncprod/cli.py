@@ -8,7 +8,7 @@ deterministic for identical inputs (words in graded-lexicographic order,
 rationals in lowest terms).  --omega picks the tree of a product-type
 state; two-pair mode (--nu1/--nu2) always uses the full tree, so it
 refuses --omega; compare --against cfree checks it against the two-pair
-oracle and needs --nu1/--nu2.  Where the flags pick no coefficient map
+oracle and needs --nu1/--nu2.  Where the flags pick no product-type map
 (cfrac --engine classical, which runs on the chain map of its one marginal,
 mops --state tensor or q-gaussian), --omega and --nu1/--nu2 are refused
 rather than ignored, and so are cfrac --engine classical's --jacobi2, mops
@@ -16,16 +16,18 @@ rather than ignored, and so are cfrac --engine classical's --jacobi2, mops
 
 Each file kind has one reader, which refuses a non-object, an unknown key
 and a value of the wrong type: ``jacobi.jacobi_from_json`` for marginals,
-``omega.omega_from_json`` for trees.  A JSON number reaches them as the
+``treecheck.omega_from_json`` for trees.  A JSON number reaches them as the
 exact Fraction of its literal text.  Every refusal of the inputs is a
 ValueError, so ``main`` reports it as one "input error:" line and exits 2.
 
 Every module but ``omega`` and ``words`` is imported by the subcommands
-that run it, so a process compiles and loads only what its subcommand uses:
-``validate`` loads ``omega`` and ``words`` alone.  The table commands
-(``moments``, ``cfrac`` with each engine, ``compare``) run on the integer
-core and load no polynomial module (:mod:`ncprod.ncpoly`); only ``gram``,
-``mops`` and ``counterexample``, which build polynomials, load it.
+that run it, so a process compiles and loads only what its subcommand uses.
+The table commands (``moments``, ``cfrac`` with each engine, ``compare``)
+run on the integer core: they load no polynomial module
+(:mod:`ncprod.ncpoly`, :mod:`ncprod.basis`), no report and, on a built-in
+tree, no tree check (:mod:`ncprod.treecheck`, which only a tree file and
+``validate`` load).  ``validate``, ``gram``, ``mops`` and ``counterexample``
+load their inputs here and print what :mod:`ncprod.reports` computes.
 
 ``compare`` checks each word in integers.  The state's numerators
 D^|w| phi(w), with D the coefficient map's scale, are the transfer
@@ -62,12 +64,11 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from . import omega
-from .words import Word, format_rational, graded_lex_key, parse_rational, words_of_length
+from .words import format_rational, parse_rational, words_of_length
 
 
 if TYPE_CHECKING:
     from .jacobi import JacobiData
-    from .ncpoly import NCPolynomial
     from .prodstate import CoefficientMap
 
     # (mu1, mu2, nu1, nu2); the nu's are None outside two-pair mode
@@ -92,10 +93,6 @@ def _order(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
     return value
-
-
-def _word_key(word: Word) -> str:
-    return ".".join(str(letter) for letter in word)
 
 
 def _load_json(path: str) -> object:
@@ -126,11 +123,13 @@ def _load_tree(spec: str, depth: int) -> omega.OmegaTree:
     no "depth" of its own."""
     if spec in omega.BUILTIN_OMEGAS or spec in omega.BUILTIN_ALIASES:
         return omega.builder(spec, depth)
+    from . import treecheck
+
     obj = _load_json(spec)
     if isinstance(obj, dict) and "depth" not in obj:
         obj = {**obj, "depth": depth}
     try:
-        return omega.omega_from_json(obj)
+        return treecheck.omega_from_json(obj)
     except omega.OmegaValidationError:
         raise
     except ValueError as exc:
@@ -184,11 +183,11 @@ def _build_map(args, depth: int, marginals: Marginals | None = None) -> Coeffici
 
 
 def _refuse_map_flags(args, mode: str) -> None:
-    """--omega and --nu1/--nu2 pick a coefficient map; a mode that builds none
-    from them refuses them rather than ignore them."""
+    """--omega and --nu1/--nu2 pick a product-type map; a mode that builds
+    none refuses them rather than ignore them."""
     for flag in ("omega", "nu1", "nu2"):
         if getattr(args, flag) is not None:
-            raise CliInputError(f"--{flag} is not read by {mode}, which builds no coefficient map")
+            raise CliInputError(f"--{flag} is not read by {mode}, which builds no product-type map")
 
 
 def _emit(text: str) -> None:
@@ -255,37 +254,16 @@ def _emit_table(parts: Sequence[Sequence[int]], d: int, fmt: str, scale: int) ->
     write(closing)
 
 
-def _poly_json(p: NCPolynomial) -> dict:
-    return {_word_key(w): format_rational(p.terms[w]) for w in sorted(p.terms, key=graded_lex_key)}
-
-
 def cmd_validate(args) -> int:
+    from . import reports
+
     depth = args.order if args.order is not None else 6
     try:
         tree = _load_tree(args.spec, depth)
     except omega.OmegaValidationError as exc:
-        report = {"valid": False, "violation": exc.report()}
-        _emit(json.dumps(report, indent=2) if args.format == "json" else
-              f"INVALID: {exc}")
+        _emit(reports.invalid_tree(exc, args.format))
         return 1
-    assoc_depth = min(tree.depth, 4)
-    boundary = [list(w) for w in sorted(tree.boundary(), key=graded_lex_key)]
-    report = {
-        "valid": True,
-        "depth": tree.depth,
-        "boundary": boundary,
-        "associative": omega.is_associative(tree, assoc_depth),
-        "associativity_depth": assoc_depth,
-    }
-    if args.format == "json":
-        _emit(json.dumps(report, indent=2))
-    else:
-        _emit(
-            "valid tree\n"
-            f"depth: {tree.depth}\n"
-            f"boundary: {', '.join(map(str, boundary)) or '(empty)'}\n"
-            f"associative (to depth {assoc_depth}): {report['associative']}"
-        )
+    _emit(reports.valid_tree(tree, args.format))
     return 0
 
 
@@ -298,27 +276,10 @@ def cmd_moments(args) -> int:
 
 
 def cmd_gram(args) -> int:
-    from . import prodstate
+    from . import reports
 
-    depth = args.order
-    cm = _build_map(args, max(2 * depth, 1))
-    gram = prodstate.gram_matrix(cm, depth)
-    triples = gram.to_triples()
-    if args.format == "json":
-        payload = [
-            {"u": list(u), "v": list(v), "value": format_rational(value)}
-            for u, v, value in triples
-        ]
-        _emit(json.dumps(payload, indent=2))
-    elif args.format == "csv":
-        lines = ["u,v,value"]
-        lines += [f"{_word_key(u)},{_word_key(v)},{format_rational(value)}" for u, v, value in triples]
-        _emit("\n".join(lines))
-    else:
-        lines = [f"<P_{_word_key(u) or '()'}, P_{_word_key(v) or '()'}> = {format_rational(value)}"
-                 for u, v, value in triples]
-        lines.append(f"diagonal: {gram.is_diagonal()}")
-        _emit("\n".join(lines))
+    cm = _build_map(args, max(2 * args.order, 1))
+    _emit(reports.gram(cm, args.order, args.format))
     return 0
 
 
@@ -354,7 +315,7 @@ def cmd_cfrac(args) -> int:
 
 
 def cmd_mops(args) -> int:
-    from . import oracle
+    from . import oracle, reports
 
     depth = args.order if args.order is not None else 3
     if args.state != "omega":
@@ -377,30 +338,7 @@ def cmd_mops(args) -> int:
         cm = _build_map(args, max(2 * depth, 1))
         evaluator = prodstate.StateEvaluator(cm)
         phi = evaluator.word_moment
-    result = oracle.gram_schmidt_mops(phi, depth)
-    report = {
-        "state": args.state,
-        "depth": depth,
-        "mops": result.is_mops,
-    }
-    if result.witness:
-        u, v = result.witness
-        report["witness"] = [list(u), list(v)]
-        report["witness_value"] = format_rational(result.witness_value)
-    polynomials = sorted(result.polynomials.items(), key=lambda kv: graded_lex_key(kv[0]))
-    if args.format == "json":
-        report["polynomials"] = {_word_key(w) or "()": _poly_json(p) for w, p in polynomials}
-        _emit(json.dumps(report, indent=2))
-    else:
-        lines = [f"MOPS verdict: {'yes' if result.is_mops else 'no'}"]
-        if result.witness:
-            u, v = result.witness
-            lines.append(
-                f"witness: <Q_{_word_key(u)}, Q_{_word_key(v)}> = {format_rational(result.witness_value)}"
-            )
-        for w, p in polynomials:
-            lines.append(f"Q_{_word_key(w) or '()'} = {p.to_str()}")
-        _emit("\n".join(lines))
+    _emit(reports.mops(phi, args.state, depth, args.format))
     return 0
 
 
@@ -463,41 +401,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    from . import jacobi, oracle
+    from . import reports
 
-    q = parse_rational(args.q)
-    q_phi = oracle.q_gaussian_state(q)
-    q_result = oracle.gram_schmidt_mops(q_phi, 3)
-    inner = oracle.functional_inner(
-        q_phi, q_result.polynomials[(1, 2)], q_result.polynomials[(2, 1)]
-    )
-    semicircle = jacobi.preset("semicircle")
-    tensor_result = oracle.gram_schmidt_mops(oracle.tensor_state(semicircle, semicircle), 2)
-    report = {
-        "q": format_rational(q),
-        "inner_12_21": format_rational(inner),
-        "q_121": _poly_json(q_result.polynomials[(1, 2, 1)]),
-        "q_mops": q_result.is_mops,
-        "tensor_mops": tensor_result.is_mops,
-    }
-    if q_result.witness:
-        report["q_witness"] = [list(w) for w in q_result.witness]
-    if tensor_result.witness:
-        report["tensor_witness"] = [list(w) for w in tensor_result.witness]
-    if args.format == "json":
-        _emit(json.dumps(report, indent=2))
-    else:
-        lines = [
-            f"q = {format_rational(q)}",
-            f"<Q_1.2, Q_2.1> = {format_rational(inner)}",
-            f"Q_1.2.1 = {q_result.polynomials[(1, 2, 1)].to_str()}",
-            f"q-state MOPS: {'yes' if q_result.is_mops else 'no'}",
-            f"tensor (semicircle marginals) MOPS: {'yes' if tensor_result.is_mops else 'no'}",
-        ]
-        if tensor_result.witness:
-            u, v = tensor_result.witness
-            lines.append(f"tensor witness: ({_word_key(u)}) vs ({_word_key(v)})")
-        _emit("\n".join(lines))
+    _emit(reports.counterexample(parse_rational(args.q), args.format))
     return 0
 
 

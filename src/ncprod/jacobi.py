@@ -254,28 +254,31 @@ def preset(name: str, /, **params) -> JacobiData:
         for key, values in (("beta", beta), ("gamma", gamma)):
             if not isinstance(values, (list, tuple)):
                 raise ValueError(
-                    f"preset {name!r} needs {key!r} as an array of rationals, got {format_value(values)}"
+                    f"preset {format_value(name)} needs {format_value(key)} as an array of rationals, "
+                    f"got {format_value(values)}"
                 )
         return JacobiData(beta=beta, gamma=gamma, extend=extend)
-    raise ValueError(f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")
+    raise ValueError(f"unknown preset {format_value(name)}; known: {', '.join(PRESET_NAMES)}")
 
 
 def _required_rational(name: str, params: dict, key: str) -> Fraction:
     if key not in params:
-        raise ValueError(f"preset {name!r} requires parameter {key!r}")
+        raise ValueError(f"preset {format_value(name)} requires parameter {format_value(key)}")
     return parse_rational(params.pop(key))
 
 
 def _terms(name: str, params: dict) -> int:
     terms = params.pop("terms", 24)
     if type(terms) is not int or terms < 1:
-        raise ValueError(f"preset {name!r} needs 'terms' as a positive integer, got {format_value(terms)}")
+        raise ValueError(
+            f'preset {format_value(name)} needs "terms" as a positive integer, got {format_value(terms)}'
+        )
     return terms
 
 
 def _reject_params(name: str, params: Mapping) -> None:
     if params:
-        raise ValueError(f"preset {name!r} got unexpected parameters {sorted(params)}")
+        raise ValueError(f"preset {format_value(name)} got unexpected parameters {format_value(sorted(params))}")
 
 
 def jacobi_to_json(data: JacobiData) -> dict:

@@ -434,14 +434,14 @@ def test_omega_with_two_pair_mode_is_input_error(capsys, generic_files):
 
 def _assert_map_flags_refused(capsys, argv, j1):
     """Each of --omega and --nu1/--nu2 given to a mode that builds no
-    coefficient map exits 2, prints nothing and names the flag."""
+    product-type map exits 2, prints nothing and names the flag."""
     for flags, named in ((("--omega", "nonsense"), "--omega"),
                          (("--nu1", j1, "--nu2", j1), "--nu1")):
         code = main([*argv, *flags])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert named in captured.err and "builds no coefficient map" in captured.err
+        assert named in captured.err and "builds no product-type map" in captured.err
 
 
 def test_cfrac_classical_refuses_map_flags(capsys, generic_files):
@@ -767,13 +767,15 @@ def test_closed_pipe_exits_141_in_silence(tmp_path):
         ["gram", "--omega", "free", "--order", "1", "--jacobi1", "{missing}", "--jacobi2", "{good}"],
         ["gram", "--omega", "free", "--order", "1", "--jacobi1", "{bad}", "--jacobi2", "{good}"],
         ["counterexample", "--q", "1/0"],
+        ["validate", "{bad}"],
     ],
     ids=["mops-refused-flag", "mops-bad-marginal", "gram-missing-file", "gram-bad-marginal",
-         "counterexample-bad-q"],
+         "counterexample-bad-q", "validate-bad-tree"],
 )
 def test_module_run_reports_input_errors(tmp_path, argv):
-    """Run as ``python -m ncprod.cli``, the polynomial reports keep the input
-    contract: exit 2, one "input error:" line and nothing on stdout."""
+    """Run as ``python -m ncprod.cli``, the commands that print through
+    ``ncprod.reports`` keep the input contract: exit 2, one "input error:"
+    line and nothing on stdout."""
     bad = tmp_path / "bad.json"
     bad.write_text('{"beta": [0], "gamma": [1], "colour": 3}')
     paths = {"good": GOLDEN / "j1.json", "bad": bad, "missing": tmp_path / "missing.json"}

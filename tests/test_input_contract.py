@@ -213,7 +213,13 @@ def test_tree_key_of_wrong_type_is_one_input_error(capsys, tmp_path, form, key, 
      ("--jacobi1", '"semicircle"', "a marginal is a JSON object, not a string"),
      ("--omega", '{"words": [[2, 1]], "depth": 3, "implicit_runs": null}',
       "tree 'implicit_runs' must be a boolean, got null"),
-     ("--omega", "[1]", "a tree is a JSON object, not an array")],
+     ("--omega", "[1]", "a tree is a JSON object, not an array"),
+     ("--omega", '{"builtin": "nonsense", "depth": 3}',
+      'unknown builtin tree "nonsense"; known: free, boolean, monotone, antimonotone, one-branch'),
+     ("--omega", '{"words": [], "depth": 3, "implicit_run": true}',
+      'unknown tree key "implicit_run"; this form reads ["depth", "implicit_runs", "words"]'),
+     ("--jacobi1", '{"preset": "nonsense"}',
+      'unknown preset "nonsense"; known: semicircle, q-gaussian, gaussian, point-mass, bernoulli, custom')],
 )
 def test_refused_value_is_named_in_json_words(capsys, tmp_path, slot, text, shown):
     """A message names a value and its type as JSON does, not as Python."""

@@ -5,12 +5,9 @@ import re
 import pytest
 
 from ncprod.words import graded_lex_key, words_up_to
-from ncprod.omega import (
-    BUILTIN_OMEGAS,
-    OmegaTree,
-    OmegaValidationError,
+from ncprod.omega import BUILTIN_OMEGAS, OmegaTree, OmegaValidationError, builder
+from ncprod.treecheck import (
     _omega_squared_mirror,
-    builder,
     enumerate_valid_trees,
     is_associative,
     omega_from_json,

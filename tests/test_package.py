@@ -54,28 +54,35 @@ print(json.dumps([code, sorted(sys.modules)]))
 
 # the polynomial layer, which no table command loads
 POLYNOMIAL = {"ncprod.ncpoly"}
+# the reports, the tree checks and the basis polynomials, which no table
+# command runs
+NOT_TABLES = {"ncprod.reports", "ncprod.treecheck", "ncprod.basis"}
 
 
 @pytest.mark.parametrize(
     "argv, loaded, not_loaded",
     [
         (["moments", "--omega", "free", "--order", "3"],
-         {"ncprod.prodstate"}, {"ncprod.cfrac", "ncprod.oracle", "dataclasses", *POLYNOMIAL}),
+         {"ncprod.prodstate"}, {"ncprod.cfrac", "ncprod.oracle", "dataclasses", *POLYNOMIAL, *NOT_TABLES}),
+        (["moments", "--omega", str(GOLDEN / "two_branch_tree.json"), "--order", "3"],
+         {"ncprod.prodstate", "ncprod.treecheck"}, {"ncprod.reports", "ncprod.basis", *POLYNOMIAL}),
         (["cfrac", "--engine", "scalar", "--omega", "free", "--order", "3"],
-         {"ncprod.cfrac"}, {"ncprod.oracle", "dataclasses", *POLYNOMIAL}),
+         {"ncprod.cfrac"}, {"ncprod.oracle", "dataclasses", *POLYNOMIAL, *NOT_TABLES}),
         (["cfrac", "--engine", "matricial", "--omega", "free", "--order", "3"],
-         {"ncprod.cfrac"}, {"ncprod.oracle", "dataclasses", *POLYNOMIAL}),
+         {"ncprod.cfrac"}, {"ncprod.oracle", "dataclasses", *POLYNOMIAL, *NOT_TABLES}),
         (["compare", "--omega", "free", "--against", "cfrac", "--order", "3"],
-         {"ncprod.cfrac"}, {"ncprod.oracle", "dataclasses", *POLYNOMIAL}),
+         {"ncprod.cfrac"}, {"ncprod.oracle", "dataclasses", *POLYNOMIAL, *NOT_TABLES}),
         (["compare", "--omega", "free", "--against", "free", "--order", "3"],
-         {"ncprod.oracle"}, {"ncprod.cfrac", "dataclasses", *POLYNOMIAL}),
+         {"ncprod.oracle"}, {"ncprod.cfrac", "dataclasses", *POLYNOMIAL, *NOT_TABLES}),
         (["mops", "--omega", "free", "--order", "1"],
-         {"ncprod.ncpoly", "ncprod.oracle"}, {"ncprod.cfrac", "dataclasses"}),
+         {"ncprod.ncpoly", "ncprod.oracle", "ncprod.reports"}, {"ncprod.cfrac", "dataclasses"}),
         (["gram", "--omega", "free", "--order", "1"],
-         {"ncprod.ncpoly", "ncprod.prodstate"}, {"ncprod.cfrac", "ncprod.oracle"}),
-        (["validate", "free"], {"ncprod.omega"}, {"ncprod.jacobi", "ncprod.prodstate", *POLYNOMIAL}),
+         {"ncprod.ncpoly", "ncprod.prodstate", "ncprod.reports", "ncprod.basis"},
+         {"ncprod.cfrac", "ncprod.oracle"}),
+        (["validate", "free"], {"ncprod.omega", "ncprod.reports", "ncprod.treecheck"},
+         {"ncprod.jacobi", "ncprod.prodstate", *POLYNOMIAL}),
         (["cfrac", "--engine", "classical", "--order", "3"],
-         {"ncprod.cfrac"}, {"ncprod.oracle", "dataclasses", *POLYNOMIAL}),
+         {"ncprod.cfrac"}, {"ncprod.oracle", "dataclasses", *POLYNOMIAL, *NOT_TABLES}),
     ],
 )
 def test_subcommand_loads_only_what_it_runs(argv, loaded, not_loaded):

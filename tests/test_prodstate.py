@@ -34,7 +34,7 @@ from ncprod import (
     scalar_branched_cf,
 )
 from ncprod.jacobi import JacobiRangeError
-from ncprod.omega import enumerate_valid_trees, validate
+from ncprod.treecheck import enumerate_valid_trees, validate
 from ncprod.prodstate import DepthExhaustedError, moment_parts
 from ncprod.words import words_of_length, words_up_to
 
