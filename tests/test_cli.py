@@ -788,3 +788,31 @@ def test_module_run_reports_input_errors(tmp_path, argv):
     assert done.stdout == ""
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("input error: ")
+
+
+_ONE_CLI_CHILD = """
+import runpy, sys
+sys.argv = ["ncprod", *sys.argv[1:]]
+try:
+    runpy.run_module("ncprod.cli", run_name="__main__")
+except SystemExit as exc:
+    print(exc.code, "ncprod.cli" in sys.modules, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["validate", "free"], ["gram", "--omega", "free", "--order", "1"],
+     ["mops", "--omega", "free", "--order", "1"], ["counterexample"]],
+    ids=lambda argv: argv[0],
+)
+def test_module_run_loads_one_copy_of_the_cli(argv):
+    """Run as ``python -m ncprod.cli``, the CLI is ``__main__``, and no module
+    a report loads imports ``ncprod.cli``: that would compile and run a
+    second copy, whose input errors the first does not catch."""
+    inputs = ["--jacobi1", str(GOLDEN / "j1.json"), "--jacobi2", str(GOLDEN / "j2.json")]
+    child = subprocess.run(
+        [sys.executable, "-c", _ONE_CLI_CHILD, *argv, *(inputs if "--omega" in argv else [])],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=120,
+    )
+    assert child.stderr == "0 False\n"

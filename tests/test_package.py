@@ -64,8 +64,6 @@ NOT_TABLES = {"ncprod.reports", "ncprod.treecheck", "ncprod.basis"}
     [
         (["moments", "--omega", "free", "--order", "3"],
          {"ncprod.prodstate"}, {"ncprod.cfrac", "ncprod.oracle", "dataclasses", *POLYNOMIAL, *NOT_TABLES}),
-        (["moments", "--omega", str(GOLDEN / "two_branch_tree.json"), "--order", "3"],
-         {"ncprod.prodstate", "ncprod.treecheck"}, {"ncprod.reports", "ncprod.basis", *POLYNOMIAL}),
         (["cfrac", "--engine", "scalar", "--omega", "free", "--order", "3"],
          {"ncprod.cfrac"}, {"ncprod.oracle", "dataclasses", *POLYNOMIAL, *NOT_TABLES}),
         (["cfrac", "--engine", "matricial", "--omega", "free", "--order", "3"],
@@ -83,6 +81,8 @@ NOT_TABLES = {"ncprod.reports", "ncprod.treecheck", "ncprod.basis"}
          {"ncprod.jacobi", "ncprod.prodstate", *POLYNOMIAL}),
         (["cfrac", "--engine", "classical", "--order", "3"],
          {"ncprod.cfrac"}, {"ncprod.oracle", "dataclasses", *POLYNOMIAL, *NOT_TABLES}),
+        (["moments", "--omega", str(GOLDEN / "two_branch_tree.json"), "--order", "3"],
+         {"ncprod.prodstate", "ncprod.treecheck"}, {"ncprod.reports", "ncprod.basis", *POLYNOMIAL}),
     ],
 )
 def test_subcommand_loads_only_what_it_runs(argv, loaded, not_loaded):
