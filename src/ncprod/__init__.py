@@ -11,7 +11,7 @@ its home module only when first asked for (PEP 562), so that a process, a
 one-shot CLI run above all, compiles and imports only the modules it uses.
 """
 
-import importlib
+import sys
 
 # home module -> the public names it exports through the package
 _EXPORTS = {
@@ -90,13 +90,17 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    """A public name, read from its home module on each access; or a submodule."""
-    module = _HOME.get(name)
-    if module is not None:
-        return getattr(importlib.import_module(f"{__name__}.{module}"), name)
-    if name in _EXPORTS:
-        return importlib.import_module(f"{__name__}.{name}")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    """A public name, read from its home module on each access; or a submodule.
+
+    The module is loaded through ``__import__``, which ``python -X
+    importtime`` times, as it does not ``importlib.import_module``.
+    """
+    module = _HOME.get(name, name)
+    if module not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    __import__(f"{__name__}.{module}")
+    loaded = sys.modules[f"{__name__}.{module}"]
+    return getattr(loaded, name) if name in _HOME else loaded
 
 
 def __dir__() -> list[str]:

@@ -18,7 +18,16 @@ from .jacobi import JacobiData, orthogonal_polynomial
 from .ncpoly import MomentMatrix, NCPolynomial
 from .omega import OmegaTree
 from .prodstate import ZERO, CoefficientMap, DepthExhaustedError, StateEvaluator
-from .words import EMPTY_WORD, Word, graded_lex_key, word_postfixes, word_runs, words_up_to
+from .words import (
+    EMPTY_WORD,
+    Word,
+    clear_denominator,
+    common_denominator,
+    graded_lex_key,
+    word_postfixes,
+    word_runs,
+    words_up_to,
+)
 
 
 def basis_polynomial(
@@ -95,21 +104,26 @@ def gram_matrix(cm: CoefficientMap, depth: int) -> GramMatrix:
     """Gram matrix of {P_u : |u| <= depth} under the state.
 
     Needs 2 * depth <= cm.depth + 1 so that the inner products stay within
-    the supported degree.  Each entry is P_u^T N P_v / L, with N / L the
-    state's moment matrix over the words up to the depth.
+    the supported degree.  Each entry is x_u^T N x_v / (L den_u den_v),
+    with N / L the state's moment matrix over the words up to the depth and
+    x_u the int vector den_u P_u, den_u the lcm of P_u's denominators.
     """
     if 2 * depth > cm.depth + 1:
         raise DepthExhaustedError(
             f"Gram depth {depth} needs map depth >= {2 * depth - 1}, have {cm.depth}"
         )
     words = tuple(words_up_to(cm.d, depth))
-    vectors = {u: list(map(recursion_basis(cm, u).coefficient, words)) for u in words}
+    vectors: dict[Word, tuple[list[int], int]] = {}
+    for u in words:
+        coeffs = list(map(recursion_basis(cm, u).coefficient, words))
+        den = common_denominator(coeffs)
+        vectors[u] = [clear_denominator(c, den) for c in coeffs], den
     matrix = MomentMatrix(StateEvaluator(cm).word_moment, words)
     entries: dict[tuple[Word, Word], Fraction] = {}
-    for u in words:
-        row = matrix.row(vectors[u])
-        for v in words:
-            value = matrix.pair(row, vectors[v])
+    for u, (x_u, den_u) in vectors.items():
+        row = matrix.row(x_u)
+        for v, (x_v, den_v) in vectors.items():
+            value = matrix.pair(row, x_v)
             if value:
-                entries[(u, v)] = Fraction(value, matrix.scale)
+                entries[(u, v)] = Fraction(value, matrix.scale * den_u * den_v)
     return GramMatrix(words=words, entries=entries)

@@ -312,13 +312,16 @@ def matricial_parts(md: MatricialData, order: int) -> tuple[list[list[int]], int
     return _matricial_levels(md.d, md.levels, order, t_entries, c_entry), scale
 
 
-def matricial_map_parts(cm: CoefficientMap, levels: int, order: int) -> tuple[list[list[int]], int]:
-    """:func:`matricial_parts` of ``matricial_from_map(cm, levels)``, with
-    the map's scale D, read straight from the map's integer view: level k's
-    T'_i and C' are diagonal, with B'(i, u) and C'(u) at the row of the word
-    u of length k, and only the entries the recursion reaches are read."""
+def matricial_map_parts(cm: CoefficientMap, order: int) -> tuple[list[list[int]], int]:
+    """:func:`matricial_parts` of ``matricial_from_map(cm, levels)`` on the
+    fewest levels exact through the order, (order + 1) // 2, which the map
+    must hold, with the map's scale D, read straight from the map's integer
+    view: level k's T'_i and C' are diagonal, with B'(i, u) and C'(u) at the
+    row of the word u of length k, and only the entries the recursion
+    reaches are read."""
+    levels = (order + 1) // 2
     if levels > cm.depth:
-        raise ValueError(f"levels {levels} exceed map depth {cm.depth}")
+        raise ValueError(f"order {order} needs {levels} levels, beyond map depth {cm.depth}")
     d = cm.d
     scaled = cm.integer
     words = [words_of_length(d, k) for k in range(levels + 1)]

@@ -44,11 +44,10 @@ It builds each degree's word texts from the previous degree's, reduces each
 distinct value of a degree with one gcd and writes one degree at a time.
 
 Exit codes: 0 on success, 1 on mathematical failure (invalid tree, mismatch
-in a comparison), 2 on input errors, including a negative --order, an
-order beyond what the chosen engine can deliver, and Jacobi data under the
-"error" extension policy too short for the order, and 141 (128 + SIGPIPE)
-with nothing on stderr when the reader closes stdout early, as ``| head``
-does.  A process ends through :func:`run`, which freezes the heap before it
+in a comparison), 2 on input errors, including a negative --order and
+Jacobi data under the "error" extension policy too short for the order,
+and 141 (128 + SIGPIPE) with nothing on stderr when the reader closes
+stdout early, as ``| head`` does.  A process ends through :func:`run`, which freezes the heap before it
 exits (see there).
 """
 
@@ -77,11 +76,6 @@ if TYPE_CHECKING:
 
 class CliInputError(Exception):
     """Bad file, bad flag value, or an inconsistent combination of inputs."""
-
-
-# the matricial engine runs on at most this many levels of the map, and is
-# exact only through order 2 * levels
-MATRICIAL_MAX_LEVELS = 5
 
 
 def _order(text: str) -> int:
@@ -257,9 +251,8 @@ def _emit_table(parts: Sequence[Sequence[int]], d: int, fmt: str, scale: int) ->
 def cmd_validate(args) -> int:
     from . import reports
 
-    depth = args.order if args.order is not None else 6
     try:
-        tree = _load_tree(args.spec, depth)
+        tree = _load_tree(args.spec, args.order)
     except omega.OmegaValidationError as exc:
         _emit(reports.invalid_tree(exc, args.format))
         return 1
@@ -293,18 +286,11 @@ def cmd_cfrac(args) -> int:
                 "--jacobi2 is not read by --engine classical, which takes its one marginal from --jacobi1"
             )
         cm = cfrac.chain_map(_load_jacobi(args.jacobi1, "--jacobi1"), args.order)
-    elif args.engine == "matricial" and args.order > 2 * MATRICIAL_MAX_LEVELS:
-        raise CliInputError(
-            f"the matricial engine is exact only through order {2 * MATRICIAL_MAX_LEVELS}; "
-            f"got --order {args.order}"
-        )
     else:
         cm = _build_map(args, max(args.order, 1))
     # integer numerators by degree over D^m: no Fraction per row
     if args.engine == "matricial":
-        # the fewest levels exact through the order; never deeper than the map
-        levels = (args.order + 1) // 2
-        parts, scale = cfrac.matricial_map_parts(cm, levels, args.order)
+        parts, scale = cfrac.matricial_map_parts(cm, args.order)
     else:
         parts, scale = cfrac.scalar_branched_parts(cm, args.order), cm.scale
     if args.format == "pretty" and args.engine != "classical":
@@ -317,7 +303,6 @@ def cmd_cfrac(args) -> int:
 def cmd_mops(args) -> int:
     from . import oracle, reports
 
-    depth = args.order if args.order is not None else 3
     if args.state != "omega":
         _refuse_map_flags(args, f"--state {args.state}")
     if args.state == "q-gaussian":
@@ -335,10 +320,10 @@ def cmd_mops(args) -> int:
     else:
         from . import prodstate
 
-        cm = _build_map(args, max(2 * depth, 1))
+        cm = _build_map(args, max(2 * args.order, 1))
         evaluator = prodstate.StateEvaluator(cm)
         phi = evaluator.word_moment
-    _emit(reports.mops(phi, args.state, depth, args.format))
+    _emit(reports.mops(phi, args.state, args.order, args.format))
     return 0
 
 
@@ -430,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_validate = sub.add_parser("validate", help="check a tree specification")
     p_validate.add_argument("spec", help="builtin tree name or JSON file")
-    p_validate.add_argument("--order", type=_order, default=None, help="depth for builtins")
+    p_validate.add_argument("--order", type=_order, default=6, help="depth for builtins")
     p_validate.add_argument("--format", choices=("json", "pretty"), default="json")
     p_validate.set_defaults(func=cmd_validate)
 
@@ -450,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cfrac.set_defaults(func=cmd_cfrac)
 
     p_mops = sub.add_parser("mops", help="orthogonalize monomials and test the family")
-    add_common(p_mops, order_default=None, formats=("json", "pretty"))
+    add_common(p_mops, order_default=3, formats=("json", "pretty"))
     p_mops.add_argument(
         "--state", choices=("omega", "tensor", "q-gaussian"), default="omega"
     )

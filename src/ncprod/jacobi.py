@@ -297,5 +297,5 @@ def jacobi_from_json(obj: Mapping) -> JacobiData:
     params = dict(obj)
     name = params.pop("preset", "custom")
     if type(name) is not str:
-        raise ValueError(f"marginal 'preset' must be a string, got {format_value(name)}")
+        raise ValueError(f'marginal "preset" must be a string, got {format_value(name)}')
     return preset(name, **params)

@@ -26,7 +26,6 @@ from .words import (
     Rational,
     Word,
     check_word,
-    clear_denominator,
     common_denominator,
     format_rational,
     graded_lex_key,
@@ -194,19 +193,10 @@ class NCPolynomial:
         self._check_compatible(other)
         order = _meet(self.order, other.order)
         limit = math.inf if order is None else order
-        # Bucket the right factor by degree so truncation prunes pair products.
-        buckets: dict[int, list[tuple[Word, Fraction]]] = {}
-        for word, coeff in other.terms.items():
-            buckets.setdefault(len(word), []).append((word, coeff))
         product: dict[Word, Fraction] = {}
         for w1, c1 in self.terms.items():
-            room = limit - len(w1)
-            if room < 0:
-                continue
-            for length, entries in buckets.items():
-                if length > room:
-                    continue
-                for w2, c2 in entries:
+            for w2, c2 in other.terms.items():
+                if len(w1) + len(w2) <= limit:
                     word = w1 + w2
                     prev = product.get(word)
                     product[word] = c1 * c2 if prev is None else prev + c1 * c2
@@ -290,44 +280,23 @@ class NCSeries(NCPolynomial):
         """Multiplicative inverse up to the truncation order.
 
         Requires constant term exactly 1; computed degree by degree from
-        t = 1 - r*t where r is the positive-degree part.  With den the lcm of
-        r's denominators and R = r*den, the degree-m part T_m = t_m*den^m is
-        integral, T_m = -sum_j R_j*T_(m-j)*den^(j-1), so the recursion runs on
-        integers and each output coefficient becomes a Fraction once.  A
-        series of int coefficients (den = 1) keeps its inverse in ints.
+        t = 1 - r*t where r is the positive-degree part, so no coefficient
+        is divided and a series of int coefficients has an int inverse.
         """
         one = self.constant_term()
         if one != 1:
             raise ValueError("series inverse requires constant term 1")
-        integral = type(one) is int
         rest = [(word, coeff) for word, coeff in self.terms.items() if word]
-        den = common_denominator(coeff for _, coeff in rest)
-        # R_j * den^(j-1), grouped by the degree j
-        r_by_degree: dict[int, list[tuple[Word, int]]] = {}
-        for word, coeff in rest:
-            scaled = clear_denominator(coeff, den) * den ** (len(word) - 1)
-            r_by_degree.setdefault(len(word), []).append((word, scaled))
-        parts: list[dict[Word, int]] = [{EMPTY_WORD: 1}]
-        terms: dict[Word, Rational] = {EMPTY_WORD: one}
+        parts: list[dict[Word, Rational]] = [{EMPTY_WORD: one}]
         for m in range(1, self.order + 1):
-            component: dict[Word, int] = {}
-            for j, entries in r_by_degree.items():
-                if j > m:
-                    continue
-                lower = parts[m - j]
-                for wr, cr in entries:
-                    for wt, ct in lower.items():
+            component: dict[Word, Rational] = {}
+            for wr, cr in rest:
+                if len(wr) <= m:
+                    for wt, ct in parts[m - len(wr)].items():
                         word = wr + wt
                         component[word] = component.get(word, 0) - cr * ct
-            component = {w: c for w, c in component.items() if c}
             parts.append(component)
-            if integral:
-                terms.update(component)
-                continue
-            scale = den**m
-            for word, coeff in component.items():
-                terms[word] = Fraction(coeff, scale)
-        return _make(self.d, self.order, terms)
+        return _make(self.d, self.order, {w: c for part in parts for w, c in part.items()})
 
     def __repr__(self):
         return f"NCSeries(order={self.order}, {self.to_str()})"

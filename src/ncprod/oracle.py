@@ -316,11 +316,7 @@ class MopsResult:
         self.witness_value = witness_value
 
 
-def gram_schmidt_mops(
-    phi: MomentFunctional,
-    depth: int,
-    within_degree_order: Callable[[list[Word]], list[Word]] | None = None,
-) -> MopsResult:
+def gram_schmidt_mops(phi: MomentFunctional, depth: int) -> MopsResult:
     """Orthogonalize the monomials degree by degree and test orthogonality.
 
     Q_u is x_u minus its projections onto the nonzero-norm orthogonalized
@@ -343,17 +339,12 @@ def gram_schmidt_mops(
     against c as already updated by the projections before it, which
     matters because lower Q_v of one degree need not be orthogonal to each
     other.
-
-    Within-degree ordering never affects the result because projections only
-    target lower degrees; ``within_degree_order`` exists to exercise that.
     """
     from .ncpoly import MomentMatrix, NCPolynomial
 
     words = words_up_to(2, depth)
     index = {w: i for i, w in enumerate(words)}
     by_degree: list[list[Word]] = [[w for w in words if len(w) == n] for n in range(depth + 1)]
-    if within_degree_order is not None:
-        by_degree = [within_degree_order(list(level)) for level in by_degree]
 
     matrix = MomentMatrix(phi, words)
     pair = matrix.pair
@@ -384,9 +375,8 @@ def gram_schmidt_mops(
         for u, c in vectors.items()
     }
     norm_values = {u: Fraction(norm, denominator[u] ** 2 * scale) for u, norm in norms.items()}
-    ordered = [u for level in by_degree for u in level]
-    for u in ordered:
-        for v in ordered:
+    for u in words:
+        for v in words:
             if u == v:
                 continue
             value = pair(rows[u], vectors[v])

@@ -90,13 +90,13 @@ def omega_from_json(obj: Mapping) -> OmegaTree:
                 f"unknown tree key {format_value(key)}; this form reads {format_value(sorted(kinds))}"
             )
         if json_type(value) != kinds[key]:
-            raise ValueError(f"tree {key!r} must be {kinds[key]}, got {format_value(value)}")
+            raise ValueError(f"tree {format_value(key)} must be {kinds[key]}, got {format_value(value)}")
     depth = obj["depth"]
     if "builtin" in obj:
         return builder(obj["builtin"], depth)
     words = obj.get("words", [])
     if not all(type(word) is list for word in words):
-        raise ValueError(f"tree 'words' must be an array of letter arrays, got {format_value(words)}")
+        raise ValueError(f'tree "words" must be an array of letter arrays, got {format_value(words)}')
     members = set(map(tuple, words))
     if obj.get("implicit_runs"):
         members |= _pure_runs(depth + 1)

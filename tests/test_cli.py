@@ -662,31 +662,24 @@ def test_negative_order_is_input_error(capsys, generic_files, argv):
     assert "--order: must be nonnegative, got -1" in captured.err
 
 
-def test_matricial_order_beyond_its_levels_is_input_error(capsys, tmp_path):
-    # the marginal files do not exist: the order is refused before anything is read
-    absent = str(tmp_path / "absent.json")
-    code = main([
-        "cfrac", "--engine", "matricial", "--jacobi1", absent, "--jacobi2", absent,
-        "--omega", "free", "--order", "11",
-    ])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert "exact only through order 10; got --order 11" in captured.err
-
-
-@pytest.mark.parametrize("omega,orders", [("free", range(5)), ("one-branch", range(11))])
+@pytest.mark.parametrize(
+    "omega,orders",
+    [("free", range(5)), ("one-branch", range(11)), ("free", [12]), ("one-branch", [14])],
+)
 def test_matricial_rows_equal_scalar_rows(capsys, generic_files, omega, orders):
-    """Every order the matricial engine accepts is served, by no more levels
-    than the map built for that order holds."""
+    """Every order is served exactly, by no more levels than the map built
+    for that order holds: the matricial engine prints the scalar engine's
+    output byte for byte in every format, also past order 10, which needs
+    more than 5 levels."""
     j1, j2 = generic_files
     for order in orders:
-        out = {}
-        for engine in ("scalar", "matricial"):
-            code, out[engine] = run(capsys, "cfrac", "--engine", engine, "--jacobi1", j1,
-                                    "--jacobi2", j2, "--omega", omega, "--order", str(order))
-            assert code == 0, (engine, order)
-        assert out["matricial"] == out["scalar"], order
+        for fmt in ("json", "csv", "pretty"):
+            out = {}
+            for engine in ("scalar", "matricial"):
+                code, out[engine] = run(capsys, "cfrac", "--engine", engine, "--jacobi1", j1, "--jacobi2", j2,
+                                        "--omega", omega, "--order", str(order), "--format", fmt)
+                assert code == 0, (engine, order, fmt)
+            assert out["matricial"] == out["scalar"], (order, fmt)
 
 
 def test_traced_benchmark_finds_every_wrap_point(tmp_path):

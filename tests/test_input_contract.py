@@ -211,8 +211,10 @@ def test_tree_key_of_wrong_type_is_one_input_error(capsys, tmp_path, form, key, 
     [("--jacobi1", '{"preset": "point-mass", "c": true}', "not a rational: true"),
      ("--jacobi1", '{"preset": "point-mass", "c": null}', "not a rational: null"),
      ("--jacobi1", '"semicircle"', "a marginal is a JSON object, not a string"),
+     ("--jacobi1", '{"preset": 3}', 'marginal "preset" must be a string, got 3'),
+     ("--omega", '{"words": [3], "depth": 3}', 'tree "words" must be an array of letter arrays, got [3]'),
      ("--omega", '{"words": [[2, 1]], "depth": 3, "implicit_runs": null}',
-      "tree 'implicit_runs' must be a boolean, got null"),
+      'tree "implicit_runs" must be a boolean, got null'),
      ("--omega", "[1]", "a tree is a JSON object, not an array"),
      ("--omega", '{"builtin": "nonsense", "depth": 3}',
       'unknown builtin tree "nonsense"; known: free, boolean, monotone, antimonotone, one-branch'),

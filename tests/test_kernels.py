@@ -98,8 +98,9 @@ def test_integer_inverse_equals_fraction_loop(d):
 
 
 def test_inverse_of_an_int_series_stays_int():
-    """The engines' int series come from _make; their inverse keeps int
-    coefficients and equals the Fraction inverse."""
+    """An int series, which only _make builds, has an inverse of int
+    coefficients, since the recursion divides nothing, equal to the
+    Fraction inverse."""
     rng = random.Random(550)
     for d in (1, 2):
         for order in range(7):
@@ -111,7 +112,7 @@ def test_inverse_of_an_int_series_stays_int():
 
 def test_integer_inverse_without_positive_degree_terms():
     assert NCSeries.one(2, 5).inverse() == NCSeries.one(2, 5)
-    # the lcm of no denominators is 1; a degree may have no terms at all
+    # a degree may have no terms at all
     s = NCSeries(2, 6, {(): 1, (1, 2, 2): F(-3, 4)})
     assert s.inverse() == fraction_inverse(s)
 
@@ -385,11 +386,12 @@ def test_map_fed_matricial_parts_equal_matricial_data_route(name):
     cm = product_type_map(builder(name, 10), GENERIC_J1, GENERIC_J2)
     md = matricial_from_map(cm, 5)
     for order in range(11):
-        parts, scale = matricial_map_parts(cm, 5, order)
+        parts, scale = matricial_map_parts(cm, order)
         assert scale == cm.scale
         assert _series(2, parts, scale) == _series(2, *matricial_parts(md, order)), (name, order)
+    # order 21 needs 11 levels, one beyond the map's depth of 10
     with pytest.raises(ValueError):
-        matricial_map_parts(cm, 11, 4)
+        matricial_map_parts(cm, 21)
 
 
 def graded_tables():

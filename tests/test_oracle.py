@@ -349,14 +349,6 @@ def test_mops_tensor_counterexample():
     assert result.witness_value == 1  # the two orthogonalized monomials coincide
 
 
-def test_mops_verdict_stable_under_within_degree_order():
-    phi = q_gaussian_state(F(1, 2))
-    forward = gram_schmidt_mops(phi, 3)
-    reversed_order = gram_schmidt_mops(phi, 3, within_degree_order=lambda ws: ws[::-1])
-    assert forward.is_mops == reversed_order.is_mops
-    assert forward.polynomials == reversed_order.polynomials
-
-
 def test_mops_zero_norm_directions_skipped():
     # boolean state: mixed monomials have zero norm, yet orthogonalization
     # proceeds and the verdict is clean
@@ -392,10 +384,22 @@ def _mops_states():
 @pytest.mark.parametrize("phi,depth", list(_mops_states()))
 def test_mops_moment_matrix_equals_polynomial_products(phi, depth, reverse):
     """Inner products from the integer moment matrix give the same family,
-    norms, verdict and witness as inner products from polynomial products."""
-    order = (lambda ws: ws[::-1]) if reverse else None
-    got = gram_schmidt_mops(phi, depth, within_degree_order=order)
-    expected = product_gram_schmidt_mops(phi, depth, within_degree_order=order)
+    norms, verdict and witness as inner products from polynomial products.
+
+    Against the reference run with each degree's words reversed, the verdict
+    must still agree, and so must the family and norms when the verdict
+    holds: projecting onto mutually orthogonal Q_v gives the same result in
+    any order.  A failing family may change with the order (the tensor and
+    indefinite cases do), and so may which pair is its witness."""
+    got = gram_schmidt_mops(phi, depth)
+    if reverse:
+        expected = product_gram_schmidt_mops(phi, depth, within_degree_order=lambda ws: ws[::-1])
+        assert got.is_mops == expected.is_mops
+        if got.is_mops:
+            assert got.polynomials == expected.polynomials
+            assert got.norms == expected.norms
+        return
+    expected = product_gram_schmidt_mops(phi, depth)
     assert got.polynomials == expected.polynomials
     assert got.norms == expected.norms
     assert got.is_mops == expected.is_mops

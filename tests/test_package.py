@@ -41,6 +41,17 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(ncprod, "dataclass")
 
 
+def test_lazy_submodule_load_is_timed_by_importtime():
+    """A submodule loaded through the package's __getattr__ gets its own
+    -X importtime line, so its start-up cost shows in the standard tool."""
+    done = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-c", "from ncprod import omega"],
+        env=ENV, capture_output=True, text=True, check=True, timeout=120,
+    )
+    timed = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()]
+    assert "ncprod.omega" in timed, done.stderr
+
+
 # Runs in a fresh process (pytest itself has loaded most of the standard
 # library), without site hooks, so sys.modules holds only what the
 # subcommand loaded.
