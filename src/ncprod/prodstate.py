@@ -30,11 +30,11 @@ integer coefficients.
 
 :func:`moment_parts` gives every word's numerator D^|w| phi(x_w) through an
 order as one dense list of ints per degree, the layout of the
-continued-fraction engines' tables: a degree is a sum of outer products of
-the half-length expansions' columns, one per basis word, with no word tuple
-or ``Fraction`` per word.  The ``moments`` table and :func:`moment_table`
-come from it; :meth:`StateEvaluator.word_numerator` and
-:meth:`StateEvaluator.word_moment` evaluate one word at a time.
+continued-fraction engines' tables, from one full-length sweep of the
+rewrite rule over dense columns, with no word tuple or ``Fraction`` per
+word.  The ``moments`` table and :func:`moment_table` come from it;
+:meth:`StateEvaluator.word_numerator` and :meth:`StateEvaluator.word_moment`
+evaluate one word at a time by pairing half-length expansions instead.
 
 A :class:`CoefficientMap` answers B(i, u) and C(u) on demand and keeps each
 answer, so a query touches only the entries it reads (``cfrac --order 13``
@@ -76,7 +76,6 @@ from .omega import OmegaTree, builder
 from .words import (
     EMPTY_WORD,
     Word,
-    _add_outer,
     clear_denominator,
     common_denominator,
     leading_run_length,
@@ -409,48 +408,49 @@ def moment_parts(cm: CoefficientMap, order: int) -> list[list[int]]:
     scale, as one dense list per degree: parts[n] holds the d^n words of
     length n at their base-d indices (leftmost letter most significant).
 
-    Degree n splits each word as a.b with |a| = h = n // 2 and |b| = n - h,
-    as :meth:`StateEvaluator.word_numerator` does, and reads the same cached
-    expansions.  Over the basis words u that both halves reach, the column
-    L_u[x] = [y_rev(a_x)]_u ||Q_u||^2 (the left halves a_x in base-d order)
-    and the column R_u[y] = [y_(b_y)]_u (the right halves) give
+    One sweep over word length runs the transfer operator on dense
+    columns.  At length j, E[u] lists the integer coefficient [y_w]_u of
+    Q_u in the expansion of y_w over the d^j words w.  Prepending the
+    letter i gives the words iw, block i of the next length, and the
+    rewrite rule read at Q_u gives
 
-        parts[n][x d^(n-h) + y] = sum_u L_u[x] R_u[y],
+        E'[u] block i = [u starts with i] E[tail(u)] + B'(i, u) E[u] + C'(iu) E[iu].
 
-    one outer product per u, and x d^(n-h) + y is the index of a_x.b_y.
-    Raises :class:`DepthExhaustedError` above order ``cm.depth + 1``.
+    parts[j] is E[()], the coefficient of Q_() = 1.  A basis word u is
+    dropped once it can no longer lower to (): when it is longer than
+    order - j, or when C'(u) = 0, since Q_u lowers only through Q_tail(u);
+    so is a u whose column vanishes.  B' and C' are thus read only at words
+    of length at most order // 2.  Raises :class:`DepthExhaustedError`
+    above order ``cm.depth + 1``.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     if order > cm.depth + 1:
         raise DepthExhaustedError(f"order {order} exceeds map depth {cm.depth} + 1")
-    evaluator = StateEvaluator(cm)
-    d = cm.d
-    parts = []
-    for n in range(order + 1):
-        h = n // 2
-        lefts = _columns([evaluator._row(a[::-1]) for a in words_of_length(d, h)])
-        rights = _columns([evaluator._integer_expansion(b) for b in words_of_length(d, n - h)])
-        out = [0] * d**n
-        stride = d ** (n - h)
-        for u, column in lefts.items():
-            right = rights.get(u)
-            if right is not None:
-                _add_outer(out, column, right, stride)
-        parts.append(out)
+    b, c = cm.integer.b, cm.integer.c
+    letters = range(1, cm.d + 1)
+    columns: dict[Word, list[int]] = {EMPTY_WORD: [1]}
+    parts = [[1]]
+    for j in range(order):
+        zeros = [0] * len(parts[-1])
+        reach = order - j - 1
+        grown = {}
+        for u in {v for u in columns for v in (u, u[1:], *((i,) + u for i in letters))}:
+            if len(u) > reach or u and not c(u):
+                continue
+            here = columns.get(u, zeros)
+            column = []
+            for i in letters:
+                raised = columns.get(u[1:], zeros) if u and u[0] == i else zeros
+                stay = b(i, u) if here is not zeros else 0
+                lowered = columns.get((i,) + u, zeros)
+                low = c((i,) + u) if lowered is not zeros else 0
+                column += [r + stay * s + low * t for r, s, t in zip(raised, here, lowered)]
+            if any(column):
+                grown[u] = column
+        columns = grown
+        parts.append(columns.get(EMPTY_WORD, zeros * cm.d))
     return parts
-
-
-def _columns(vectors: list[Mapping[Word, int]]) -> dict[Word, list[int]]:
-    """{u: [v[u] for v in vectors]} over every u some vector holds."""
-    columns: dict[Word, list[int]] = {}
-    for x, vector in enumerate(vectors):
-        for u, value in vector.items():
-            column = columns.get(u)
-            if column is None:
-                column = columns[u] = [0] * len(vectors)
-            column[x] = value
-    return columns
 
 
 def moment_table(cm: CoefficientMap, order: int) -> list[tuple[Word, Fraction]]:

@@ -11,8 +11,8 @@ not.
 A dense graded series is one list of ints per degree m holding the d^m
 words of length m at their base-d values (leftmost letter most
 significant), which is :func:`words_up_to` order.  :func:`_add_outer` is
-the one product on such lists, shared by the transfer operator's table and
-both continued-fraction engines.
+the one product on such lists, shared by both continued-fraction engines;
+the transfer operator's table needs none.
 
 :class:`FrozenRecord` is the base of the package's small immutable value
 types.

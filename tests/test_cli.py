@@ -685,10 +685,10 @@ def test_matricial_rows_equal_scalar_rows(capsys, generic_files, omega, orders):
 def test_traced_benchmark_finds_every_wrap_point(tmp_path):
     """perfbench/traced.py wraps ncpoly's arithmetic by attribute name; a wrap
     point it cannot find would leave its per-layer metrics at zero.  The
-    moments run also pins the transfer operator's work: each word is
-    evaluated from two half-length expansions, so a table through order 6
-    expands each word of length 1 to 3 once, one left_multiply apiece
-    (2 + 4 + 8 = 14; full-length expansions would take 126).  The free
+    moments run also pins the transfer operator's work: the table is one
+    dense sweep over word length, with no expansion of any single word, so
+    it makes no left_multiply call (pairing half-length expansions took 14
+    through order 6, and full-length ones 126).  The free
     oracle's comparison pins the marginal moments: each of the 2 marginals
     is needed at indices 0..6, so at most 14 jacobi.moment calls (the oracle
     reads its moment sequences and makes none; rebuilding every moment from
@@ -731,7 +731,7 @@ def test_traced_benchmark_finds_every_wrap_point(tmp_path):
         products[name] = sum(span[0] == "ncpoly.series_mul" for span in dump["spans"])
     assert "ncpoly.poly_mul" in recorded
     assert products == dict.fromkeys(runs, 0)
-    assert left_multiplies["moments"] == 14
+    assert left_multiplies["moments"] == 0
     assert word_moments["mops"] == 49
     assert inverses == dict.fromkeys(runs, 0)
     assert moment_calls["compare"] <= 14

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import GENERIC_J1, GENERIC_J2, map_entries, p1_coefficient, random_pair
 from reference_kernels import eager_cfree_entries, eager_product_type_entries
@@ -13,6 +15,7 @@ from ncprod import (
     CoefficientMap,
     JacobiData,
     NCPolynomial,
+    OmegaTree,
     StateEvaluator,
     antimonotone_state,
     basis_polynomial,
@@ -33,6 +36,7 @@ from ncprod import (
     recursion_basis,
     scalar_branched_cf,
 )
+from ncprod.cfrac import matricial_map_parts, scalar_branched_parts
 from ncprod.jacobi import JacobiRangeError
 from ncprod.treecheck import enumerate_valid_trees, validate
 from ncprod.prodstate import DepthExhaustedError, moment_parts
@@ -551,14 +555,19 @@ def test_two_half_moment_equals_full_transfer_expansion():
 
 
 def test_moment_parts_equal_word_numerators():
-    """The dense table sums the same half-length products as word_numerator,
-    one outer product per basis word, each value at the base-d index of its
-    word: equal on every word through order 8, on every built-in tree, the
-    two-pair map and random three-letter data."""
+    """Two independent routes: the dense table sweeps the transfer operator
+    over whole words, while word_numerator pairs two half-length expansions
+    through the norms.  They must agree on every word through order 8, each
+    table value at the base-d index of its word, on every built-in tree,
+    the two-pair map, a finitely supported marginal (gamma_2 = 0), random
+    three-letter data and random one-letter data."""
     nu1, nu2 = random_pair(11)
+    finite = JacobiData(beta=(F(1, 2), F(-1, 3)), gamma=(F(2, 5),), extend="zero")
     maps = [product_type_map(builder(name, 7), GENERIC_J1, GENERIC_J2) for name in BUILTIN_OMEGAS]
     maps.append(cfree_map(GENERIC_J1, nu1, GENERIC_J2, nu2, 7))
+    maps.append(product_type_map(builder("free", 7), finite, GENERIC_J2))
     maps.append(_random_explicit_map(5, 3, 7))
+    maps.append(_random_explicit_map(6, 1, 7))
     for index, cm in enumerate(maps):
         parts = moment_parts(cm, 8)
         evaluator = StateEvaluator(cm)
@@ -567,6 +576,77 @@ def test_moment_parts_equal_word_numerators():
             assert part == [evaluator.word_numerator(w) for w in words_of_length(cm.d, n)], (index, n)
         table = moment_table(cm, 8)
         assert table == [(w, evaluator.word_moment(w)) for w in words_up_to(cm.d, 8)], index
+
+
+def _recording_map(inner):
+    """The map of the same entries, with rules that record each word they
+    are asked about, and that record."""
+    asked = []
+
+    def b_rule(letter, word):
+        asked.append(word)
+        return inner.b(letter, word)
+
+    def c_rule(word):
+        asked.append(word)
+        return inner.c(word)
+
+    return CoefficientMap(inner.d, inner.depth, b_rule, c_rule, inner.scale), asked
+
+
+@pytest.mark.parametrize("order", [8, 9])
+def test_moment_parts_reads_coefficients_to_half_the_order(order):
+    """The sweep drops every basis word that can no longer lower to (), so
+    it asks the map about no word longer than order // 2; a sweep that
+    kept every basis word would read past the map's depth, order - 1."""
+    inner = product_type_map(builder("free", order - 1), GENERIC_J1, GENERIC_J2)
+    cm, asked = _recording_map(inner)
+    assert moment_parts(cm, order) == moment_parts(inner, order)
+    assert max(map(len, asked)) == order // 2
+
+
+def test_moment_parts_drops_basis_words_of_norm_zero():
+    """On the boolean tree C vanishes off the pure runs, so Q_u has norm 0
+    and never lowers to () unless u is a pure run.  The sweep drops those
+    u, and asks the map only about words whose tail is a pure run."""
+    inner = product_type_map(builder("boolean", 7), GENERIC_J1, GENERIC_J2)
+    cm, asked = _recording_map(inner)
+    assert moment_parts(cm, 8) == moment_parts(inner, 8)
+    assert all(len(set(word[1:])) <= 1 for word in asked)
+
+
+def _jacobi_data(draw_fraction, gamma_cut):
+    """Signed betas beta_0..beta_2 and positive gammas gamma_1, gamma_2, zero
+    from index gamma_cut on."""
+    beta = [draw_fraction(-2, 2) for _ in range(3)]
+    gamma = [draw_fraction(1, 3) if k < gamma_cut else F(0) for k in range(1, 3)]
+    return JacobiData(beta=beta, gamma=gamma)
+
+
+VALID_TREES_3 = enumerate_valid_trees(3)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.sampled_from(VALID_TREES_3), st.data())
+def test_four_routes_agree_on_valid_trees(members, data):
+    """On a valid tree stored to length 3 and Jacobi data with signed betas
+    and sometimes a zero gamma, the transfer-operator table, the scalar and
+    the matricial continued fractions and the word-by-word evaluator give
+    the same integer numerators through order 3."""
+    tree = OmegaTree(2, members)
+
+    def draw_fraction(low, high):
+        return data.draw(st.fractions(min_value=low, max_value=high, max_denominator=3))
+
+    j1, j2 = (_jacobi_data(draw_fraction, data.draw(st.integers(1, 3))) for _ in range(2))
+    cm = product_type_map(tree, j1, j2)
+    evaluator = StateEvaluator(cm)
+    words = [[evaluator.word_numerator(w) for w in words_of_length(2, n)] for n in range(4)]
+    matricial, scale = matricial_map_parts(cm, 3)
+    assert scale == cm.scale
+    assert matricial == words
+    assert scalar_branched_parts(cm, 3) == words
+    assert moment_parts(cm, 3) == words
 
 
 def test_moment_parts_edges():
