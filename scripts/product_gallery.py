@@ -7,13 +7,13 @@ indented branched-continued-fraction display.
 
 from ncprod import (
     BUILTIN_OMEGAS,
-    StateEvaluator,
     builder,
+    moment_table,
     preset,
     product_type_map,
     render_branched_cf,
 )
-from ncprod.words import format_rational, words_up_to
+from ncprod.words import format_rational
 
 
 def main() -> None:
@@ -21,16 +21,12 @@ def main() -> None:
     for name in BUILTIN_OMEGAS:
         tree = builder(name, 6)
         cm = product_type_map(tree, semicircle, semicircle)
-        evaluator = StateEvaluator(cm)
         print("=" * 64)
         print(f"{name}  (boundary: {sorted(tree.boundary()) or 'empty'})")
         print("-" * 64)
-        nonzero = [
-            (w, evaluator.word_moment(w))
-            for w in words_up_to(2, 4)
-            if evaluator.word_moment(w)
-        ]
-        for w, value in nonzero:
+        for w, value in moment_table(cm, 4):
+            if not value:
+                continue
             label = ".".join(map(str, w)) or "()"
             print(f"  phi[{label:<9}] = {format_rational(value)}")
         print()

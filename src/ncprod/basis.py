@@ -4,7 +4,8 @@
 rules of :mod:`ncprod.prodstate`; on a product-type map that is
 :func:`basis_polynomial`, the definition (for a member u, the product of
 one-variable orthogonal polynomials over the runs of u), which the tests
-check it against.  :func:`gram_matrix` pairs them under the state.
+check it against.  :func:`gram_matrix` pairs them under the state, whose
+moments it reads from :func:`~ncprod.prodstate.moment_table`.
 
 Each of them builds polynomials (:mod:`ncprod.ncpoly`), so the table
 commands, which run on the integer core, never load this module.
@@ -17,7 +18,7 @@ from fractions import Fraction
 from .jacobi import JacobiData, orthogonal_polynomial
 from .ncpoly import MomentMatrix, NCPolynomial
 from .omega import OmegaTree
-from .prodstate import ZERO, CoefficientMap, DepthExhaustedError, StateEvaluator
+from .prodstate import ZERO, CoefficientMap, moment_table
 from .words import (
     EMPTY_WORD,
     Word,
@@ -103,22 +104,21 @@ class GramMatrix:
 def gram_matrix(cm: CoefficientMap, depth: int) -> GramMatrix:
     """Gram matrix of {P_u : |u| <= depth} under the state.
 
-    Needs 2 * depth <= cm.depth + 1 so that the inner products stay within
-    the supported degree.  Each entry is x_u^T N x_v / (L den_u den_v),
-    with N / L the state's moment matrix over the words up to the depth and
-    x_u the int vector den_u P_u, den_u the lcm of P_u's denominators.
+    Each entry is x_u^T N x_v / (L den_u den_v), with N / L the state's
+    moment matrix over the words up to the depth, read from
+    :func:`~ncprod.prodstate.moment_table` through order 2 * depth (which
+    raises :class:`~ncprod.prodstate.DepthExhaustedError` above order
+    cm.depth + 1), and x_u the int vector den_u P_u, den_u the lcm of P_u's
+    denominators.
     """
-    if 2 * depth > cm.depth + 1:
-        raise DepthExhaustedError(
-            f"Gram depth {depth} needs map depth >= {2 * depth - 1}, have {cm.depth}"
-        )
+    phi = dict(moment_table(cm, 2 * depth)).__getitem__
     words = tuple(words_up_to(cm.d, depth))
     vectors: dict[Word, tuple[list[int], int]] = {}
     for u in words:
         coeffs = list(map(recursion_basis(cm, u).coefficient, words))
         den = common_denominator(coeffs)
         vectors[u] = [clear_denominator(c, den) for c in coeffs], den
-    matrix = MomentMatrix(StateEvaluator(cm).word_moment, words)
+    matrix = MomentMatrix(phi, words)
     entries: dict[tuple[Word, Word], Fraction] = {}
     for u, (x_u, den_u) in vectors.items():
         row = matrix.row(x_u)

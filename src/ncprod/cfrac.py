@@ -122,8 +122,8 @@ def scalar_branched_parts(cm: CoefficientMap, order: int) -> list[list[int]]:
     """The integer series F' of :func:`scalar_branched_cf` by degree, before
     its one division per word: parts[m] lists the d^m words of length m in
     graded-lex order, and the entry of w is D^|w| times the state at x_w,
-    with D the map's scale, the same integer as
-    :meth:`~ncprod.prodstate.StateEvaluator.word_numerator` gives."""
+    with D the map's scale, the same table as
+    :func:`~ncprod.prodstate.moment_parts` gives."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     d = cm.d

@@ -27,7 +27,9 @@ run on the integer core: they load no polynomial module
 (:mod:`ncprod.ncpoly`, :mod:`ncprod.basis`), no report and, on a built-in
 tree, no tree check (:mod:`ncprod.treecheck`, which only a tree file and
 ``validate`` load).  ``validate``, ``gram``, ``mops`` and ``counterexample``
-load their inputs here and print what :mod:`ncprod.reports` computes.
+load their inputs here and print what :mod:`ncprod.reports` computes;
+``gram`` and ``mops --state omega`` read every moment of the state from the
+one dense table, ``prodstate.moment_table`` through order 2 * --order.
 
 ``compare`` checks each word in integers.  The state's numerators
 D^|w| phi(w), with D the coefficient map's scale, are the transfer
@@ -321,8 +323,7 @@ def cmd_mops(args) -> int:
         from . import prodstate
 
         cm = _build_map(args, max(2 * args.order, 1))
-        evaluator = prodstate.StateEvaluator(cm)
-        phi = evaluator.word_moment
+        phi = dict(prodstate.moment_table(cm, 2 * args.order)).__getitem__
     _emit(reports.mops(phi, args.state, args.order, args.format))
     return 0
 

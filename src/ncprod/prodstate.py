@@ -32,7 +32,9 @@ integer coefficients.
 order as one dense list of ints per degree, the layout of the
 continued-fraction engines' tables, from one full-length sweep of the
 rewrite rule over dense columns, with no word tuple or ``Fraction`` per
-word.  The ``moments`` table and :func:`moment_table` come from it;
+word.  The ``moments`` and ``compare`` tables come from it, and so does
+:func:`moment_table`, the moments over D^|w| from which ``mops --state
+omega`` and :func:`ncprod.basis.gram_matrix` read every inner product.
 :meth:`StateEvaluator.word_numerator` and :meth:`StateEvaluator.word_moment`
 evaluate one word at a time by pairing half-length expansions instead.
 
@@ -281,7 +283,8 @@ def left_multiply(cm: CoefficientMap, letter: int, expansion: BasisExpansion) ->
 
 
 class StateEvaluator:
-    """Memoizing evaluator of one coefficient map's state.
+    """One word at a time: the library's evaluator of one coefficient map's
+    state, and the tests' route independent of :func:`moment_parts`.
 
     A word w = a.b is evaluated from two half-length expansions, with
     a = w[:len(w) // 2]:
@@ -303,12 +306,10 @@ class StateEvaluator:
 
     :meth:`word_numerator` is that integer sum, D^|w| phi(x_w); comparing
     two of them at one D compares the moments.  Integer expansions are
-    cached for every suffix built, and so are the norms and, for each left
-    half, its row {u: A_u ||Q_u||^2}, shared by every word that starts with
-    that half.  Word moments are cached as well, so evaluating many
-    polynomials against the same state reuses work.  Supports polynomials of
-    degree up to ``cm.depth + 1``; a longer word raises
-    :class:`DepthExhaustedError`.
+    cached for every suffix built, and so are the norms; word moments are
+    not, since many words at once are :func:`moment_table`'s work.
+    Supports polynomials of degree up to ``cm.depth + 1``; a longer word
+    raises :class:`DepthExhaustedError`.
 
     The caches make instances single-threaded; share the map and
     give each thread its own evaluator.
@@ -320,8 +321,6 @@ class StateEvaluator:
         self._integer = cm.integer
         self._expansions: dict[Word, dict[Word, int]] = {EMPTY_WORD: {EMPTY_WORD: 1}}
         self._norms: dict[Word, int] = {EMPTY_WORD: 1}
-        self._rows: dict[Word, dict[Word, int]] = {}
-        self._moments: dict[Word, Fraction] = {}
 
     def _integer_expansion(self, word: Word) -> dict[Word, int]:
         """Expansion of y_word in the Q-basis, built from the longest cached
@@ -358,18 +357,6 @@ class StateEvaluator:
             norm = self._norms[u] = self._integer.c(u) * self._norm(u[1:])
         return norm
 
-    def _row(self, left: Word) -> dict[Word, int]:
-        """{u: A_u ||Q_u||^2} for the expansion A of y_left, zeros dropped."""
-        row = self._rows.get(left)
-        if row is None:
-            row = {}
-            for u, coeff in self._integer_expansion(left).items():
-                norm = self._norm(u)
-                if norm:
-                    row[u] = coeff * norm
-            self._rows[left] = row
-        return row
-
     def word_numerator(self, word: Word) -> int:
         """D^|w| phi(w), with D the map's scale: the integer sum over u of
         A_u B_u ||Q_u||^2, which :meth:`word_moment` divides once."""
@@ -379,23 +366,17 @@ class StateEvaluator:
                 f"word of length {len(word)} exceeds map depth {self.cm.depth} + 1"
             )
         half = len(word) // 2
-        row = self._row(word[:half][::-1])
         right = self._integer_expansion(word[half:])
         total = 0
-        for u, a in row.items():
+        for u, a in self._integer_expansion(word[:half][::-1]).items():
             b = right.get(u)
             if b is not None:
-                total += a * b
+                total += a * b * self._norm(u)
         return total
 
     def word_moment(self, word: Word) -> Fraction:
         word = tuple(word)
-        value = self._moments.get(word)
-        if value is None:
-            value = self._moments[word] = Fraction(
-                self.word_numerator(word), self._scale ** len(word)
-            )
-        return value
+        return Fraction(self.word_numerator(word), self._scale ** len(word))
 
     def eval_poly(self, p: NCPolynomial) -> Fraction:
         if p.d != self.cm.d:

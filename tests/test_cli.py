@@ -692,12 +692,14 @@ def test_traced_benchmark_finds_every_wrap_point(tmp_path):
     oracle's comparison pins the marginal moments: each of the 2 marginals
     is needed at indices 0..6, so at most 14 jacobi.moment calls (the oracle
     reads its moment sequences and makes none; rebuilding every moment from
-    scratch took 3,602).  The mops run pins its moment matrix: the 7 words
-    through length 2 give 7 x 7 = 49 word moments (pair-by-pair polynomial
-    products took 328).  No command inverts or multiplies an NCSeries: both
-    continued fractions solve on dense integer lists (the scalar one took
-    one inverse per node it reached, 3 through order 3, and the matricial
-    one multiplied series matrices in its Neumann steps).  Only the
+    scratch took 3,602).  The mops run pins its moment matrix: it comes from
+    one moment table through order 4, with no word moment evaluated one at
+    a time (one per entry of the 7 x 7 matrix took 49, and pair-by-pair
+    polynomial products 328).  No command inverts or multiplies an
+    NCSeries: both continued fractions solve on dense integer lists (the
+    scalar one took one inverse per node it reached, 3 through order 3, and
+    the matricial one multiplied series matrices in its Neumann steps).
+    Only the
     counterexample run still multiplies polynomials, in functional_inner."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     inputs = ["--jacobi1", str(GOLDEN / "j1.json"), "--jacobi2", str(GOLDEN / "j2.json")]
@@ -705,6 +707,7 @@ def test_traced_benchmark_finds_every_wrap_point(tmp_path):
     left_multiplies = {}
     moment_calls = {}
     word_moments = {}
+    tables = {}
     inverses = {}
     products = {}
     runs = {
@@ -727,12 +730,14 @@ def test_traced_benchmark_finds_every_wrap_point(tmp_path):
         left_multiplies[name] = sum(span[0] == "prodstate.left_multiply" for span in dump["spans"])
         moment_calls[name] = dump["totals"]["jacobi.moment"][0]
         word_moments[name] = sum(span[0] == "prodstate.word_moment" for span in dump["spans"])
+        tables[name] = sum(span[0] == "prodstate.moment_table" for span in dump["spans"])
         inverses[name] = sum(span[0] == "ncpoly.series_inverse" for span in dump["spans"])
         products[name] = sum(span[0] == "ncpoly.series_mul" for span in dump["spans"])
     assert "ncpoly.poly_mul" in recorded
     assert products == dict.fromkeys(runs, 0)
     assert left_multiplies["moments"] == 0
-    assert word_moments["mops"] == 49
+    assert word_moments["mops"] == 0
+    assert tables["mops"] == 1
     assert inverses == dict.fromkeys(runs, 0)
     assert moment_calls["compare"] <= 14
 

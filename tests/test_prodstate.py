@@ -26,6 +26,7 @@ from ncprod import (
     free_state,
     functional_inner,
     gram_matrix,
+    gram_schmidt_mops,
     left_multiply,
     moment,
     moment_table,
@@ -647,6 +648,35 @@ def test_four_routes_agree_on_valid_trees(members, data):
     assert matricial == words
     assert scalar_branched_parts(cm, 3) == words
     assert moment_parts(cm, 3) == words
+
+
+VALID_TREES_4 = enumerate_valid_trees(4)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.sampled_from(VALID_TREES_4), st.data())
+def test_gram_and_mops_on_valid_trees(members, data):
+    """On a valid tree stored to length 4 and Jacobi data with signed betas
+    and sometimes a zero gamma, the P_u through length 2 are orthogonal,
+    ||P_u||^2 is the product of the C's (the map's norm_squared), the
+    monomials orthogonalize to a monic family, and each Q_u differs from
+    P_u by a polynomial of norm 0."""
+    tree = OmegaTree(3, members)
+
+    def draw_fraction(low, high):
+        return data.draw(st.fractions(min_value=low, max_value=high, max_denominator=3))
+
+    j1, j2 = (_jacobi_data(draw_fraction, data.draw(st.integers(1, 3))) for _ in range(2))
+    cm = product_type_map(tree, j1, j2)
+    gram = gram_matrix(cm, 2)
+    assert gram.is_diagonal()
+    assert gram.diagonal() == {u: cm.norm_squared(u) for u in gram.words}
+    phi = dict(moment_table(cm, 4)).__getitem__
+    result = gram_schmidt_mops(phi, 2)
+    assert result.is_mops
+    for u, q in result.polynomials.items():
+        difference = q - recursion_basis(cm, u)
+        assert functional_inner(phi, difference, difference) == 0, u
 
 
 def test_moment_parts_edges():
