@@ -66,7 +66,6 @@ _EXPORTS = {
         "MatricialData",
         "classical_cf",
         "matricial_cf",
-        "matricial_from_map",
         "render_branched_cf",
         "scalar_branched_cf",
     ),

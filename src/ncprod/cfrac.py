@@ -61,6 +61,7 @@ from .words import (
     clear_denominator,
     common_denominator,
     parse_rational,
+    word_values,
     words_of_length,
 )
 
@@ -71,20 +72,12 @@ if TYPE_CHECKING:
 DenseMatrix = dict[tuple[int, int], list]
 
 
-def _series(d: int, parts: Sequence[Sequence | None], scale: int) -> NCSeries:
+def _series(d: int, parts: Sequence[Sequence[int]], scale: int) -> NCSeries:
     """Dense parts as one series of order len(parts) - 1: entry x of parts[m]
-    over scale^m is the coefficient of the x-th word of length m; None is a
-    zero degree."""
+    over scale^m is the coefficient of the x-th word of length m."""
     from .ncpoly import _make
 
-    terms = {}
-    for m, part in enumerate(parts):
-        if part:
-            power = scale**m
-            for w, g in zip(words_of_length(d, m), part):
-                if g:
-                    terms[w] = Fraction(g, power)
-    return _make(d, len(parts) - 1, terms)
+    return _make(d, len(parts) - 1, dict(word_values(d, parts, scale)))
 
 
 def chain_map(data: JacobiData, order: int) -> CoefficientMap:
@@ -224,31 +217,6 @@ def _check_square(m: Sequence[Sequence[Fraction]], size: int, what: str) -> None
         raise ValueError(f"{what} must be {size}x{size}")
 
 
-def matricial_from_map(cm: CoefficientMap, levels: int) -> MatricialData:
-    """Diagonal matricial data induced by a coefficient map."""
-    if levels > cm.depth:
-        raise ValueError(f"levels {levels} exceed map depth {cm.depth}")
-    d = cm.d
-    t = []
-    c = []
-    for k in range(levels + 1):
-        words = words_of_length(d, k)
-        size = len(words)
-        level_t = []
-        for i in range(1, d + 1):
-            m = [[Fraction(0)] * size for _ in range(size)]
-            for idx, u in enumerate(words):
-                m[idx][idx] = cm.b(i, u)
-            level_t.append(m)
-        t.append(tuple(level_t))
-        if k >= 1:
-            mc = [[Fraction(0)] * size for _ in range(size)]
-            for idx, u in enumerate(words):
-                mc[idx][idx] = cm.c(u)
-            c.append(mc)
-    return MatricialData(d=d, t=tuple(t), c=tuple(c))
-
-
 def _dense_inverse(matrix: DenseMatrix, n: int, d: int, order: int) -> DenseMatrix:
     """The inverse of an n x n matrix of dense series with identity constant
     term, through ``order``.
@@ -313,12 +281,13 @@ def matricial_parts(md: MatricialData, order: int) -> tuple[list[list[int]], int
 
 
 def matricial_map_parts(cm: CoefficientMap, order: int) -> tuple[list[list[int]], int]:
-    """:func:`matricial_parts` of ``matricial_from_map(cm, levels)`` on the
-    fewest levels exact through the order, (order + 1) // 2, which the map
-    must hold, with the map's scale D, read straight from the map's integer
-    view: level k's T'_i and C' are diagonal, with B'(i, u) and C'(u) at the
-    row of the word u of length k, and only the entries the recursion
-    reaches are read."""
+    """The integer parts of the matricial continued fraction of the diagonal
+    data a map induces, with the map's scale D: level k's T_i and C are
+    diagonal, with B(i, u) and C(u) at the row of the word u of length k.
+    It runs on the fewest levels exact through the order, (order + 1) // 2,
+    which the map must hold, and reads T' and C' entry by entry from the
+    map's integer view, only the entries the recursion reaches, through
+    the same level loop as :func:`matricial_parts`."""
     levels = (order + 1) // 2
     if levels > cm.depth:
         raise ValueError(f"order {order} needs {levels} levels, beyond map depth {cm.depth}")

@@ -192,17 +192,6 @@ def moment(data: JacobiData, n: int) -> Fraction:
     return MomentSequence(data)[n]
 
 
-def expectation(data: JacobiData, poly: NCPolynomial) -> Fraction:
-    """Apply the state to a polynomial in a single variable."""
-    moments = MomentSequence(data)
-    total = Fraction(0)
-    for word, coeff in poly.terms.items():
-        if len(set(word)) > 1:
-            raise ValueError("expectation only applies to one-variable polynomials")
-        total += coeff * moments[len(word)]
-    return total
-
-
 PRESET_NAMES = ("semicircle", "q-gaussian", "gaussian", "point-mass", "bernoulli", "custom")
 
 

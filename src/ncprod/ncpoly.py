@@ -6,6 +6,8 @@ outside read by :func:`~ncprod.words.parse_rational`; words and their
 helpers live in :mod:`ncprod.words`.  Only the routes that build a
 polynomial or a series load this module: the basis polynomials, ``gram``,
 ``mops``, ``counterexample`` and the engines' public ``NCSeries`` wrappers.
+A series has only the ring arithmetic it shares with polynomials; the
+engines solve their inverses on dense integer lists (:mod:`ncprod.cfrac`).
 
 All values are immutable after construction and all operations are pure, so
 everything here is safe to share between threads.
@@ -51,9 +53,8 @@ def _make(d: int, order: int | None, terms: Mapping[Word, Rational]) -> "NCPolyn
     Its terms already hold exact coefficients on words over 1..d, so only
     zero coefficients and words longer than ``order`` are dropped.  A
     polynomial when ``order`` is None, a series otherwise.  It is also the
-    one way to make a series of ``int`` coefficients: sums, products,
-    truncations, sandwiches and inverses of such series, and their int
-    multiples, keep int coefficients.
+    one way to make a series of ``int`` coefficients: sums and products of
+    such series, and their int multiples, keep int coefficients.
     """
     if order is None:
         out = object.__new__(NCPolynomial)
@@ -261,42 +262,6 @@ class NCSeries(NCPolynomial):
     @classmethod
     def variable(cls, letter: int, d: int, order: int) -> "NCSeries":
         return cls(d, order, {(letter,): 1})
-
-    def constant_term(self) -> Fraction:
-        return self.terms.get(EMPTY_WORD, _ZERO)
-
-    def truncate(self, order: int) -> "NCSeries":
-        if order < 0:
-            raise ValueError("truncation order must be nonnegative")
-        return _make(self.d, order, self.terms)
-
-    def sandwich(self, left: int, right: int) -> "NCSeries":
-        """z_left * self * z_right; exact two orders beyond self, so order grows by 2."""
-        check_word((left, right), self.d)
-        shifted = {(left,) + word + (right,): coeff for word, coeff in self.terms.items()}
-        return _make(self.d, self.order + 2, shifted)
-
-    def inverse(self) -> "NCSeries":
-        """Multiplicative inverse up to the truncation order.
-
-        Requires constant term exactly 1; computed degree by degree from
-        t = 1 - r*t where r is the positive-degree part, so no coefficient
-        is divided and a series of int coefficients has an int inverse.
-        """
-        one = self.constant_term()
-        if one != 1:
-            raise ValueError("series inverse requires constant term 1")
-        rest = [(word, coeff) for word, coeff in self.terms.items() if word]
-        parts: list[dict[Word, Rational]] = [{EMPTY_WORD: one}]
-        for m in range(1, self.order + 1):
-            component: dict[Word, Rational] = {}
-            for wr, cr in rest:
-                if len(wr) <= m:
-                    for wt, ct in parts[m - len(wr)].items():
-                        word = wr + wt
-                        component[word] = component.get(word, 0) - cr * ct
-            parts.append(component)
-        return _make(self.d, self.order, {w: c for part in parts for w, c in part.items()})
 
     def __repr__(self):
         return f"NCSeries(order={self.order}, {self.to_str()})"

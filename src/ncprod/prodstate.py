@@ -71,23 +71,21 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .jacobi import JacobiData
 from .omega import OmegaTree, builder
 from .words import (
     EMPTY_WORD,
     Word,
+    check_word,
     clear_denominator,
     common_denominator,
     leading_run_length,
     parse_rational,
     word_postfixes,
-    words_of_length,
+    word_values,
 )
-
-if TYPE_CHECKING:
-    from .ncpoly import NCPolynomial
 
 BasisExpansion = Mapping[Word, Fraction]
 
@@ -234,22 +232,33 @@ def explicit_map(
     c_entries: Mapping[Iterable[int], Fraction],
 ) -> CoefficientMap:
     """Arbitrary diagonal recursion data (no tree attached); D is the lcm
-    of the entries' denominators, and P_u comes from the rewrite rules."""
+    of the entries' denominators, and P_u comes from the rewrite rules.  A
+    nonzero entry on a word with a letter outside 1..d, or beyond the
+    depth, is refused with a ValueError that names it."""
     b = {(letter, tuple(word)): exact for (letter, word), value in b_entries.items()
          if (exact := parse_rational(value))}
     c = {tuple(word): exact for word, value in c_entries.items() if (exact := parse_rational(value))}
     for letter, word in b:
-        if not 1 <= letter <= d or len(word) > depth:
-            raise ValueError(f"bad B entry at letter {letter}, word {list(word)}")
+        _check_entry(f"B entry at letter {letter}, word {list(word)}", (letter, *word), d, len(word) > depth)
     for word, value in c.items():
-        if not word or len(word) > depth:
-            raise ValueError(f"bad C entry at word {list(word)}")
+        _check_entry(f"C entry at word {list(word)}", word, d, not word or len(word) > depth)
         if value < 0:
             raise ValueError(f"C entry at {list(word)} is negative: {value}")
     scale = common_denominator((*b.values(), *c.values()))
     return CoefficientMap(
         d, depth, lambda letter, word: b.get((letter, word), ZERO), lambda word: c.get(word, ZERO), scale
     )
+
+
+def _check_entry(entry: str, word: Word, d: int, out_of_range: bool) -> None:
+    """Refuse a map entry whose word has a letter outside 1..d or a length
+    out of range."""
+    try:
+        check_word(word, d)
+    except ValueError as exc:
+        raise ValueError(f"bad {entry}: {exc}") from None
+    if out_of_range:
+        raise ValueError(f"bad {entry}")
 
 
 def left_multiply(cm: CoefficientMap, letter: int, expansion: BasisExpansion) -> dict[Word, Fraction]:
@@ -308,8 +317,10 @@ class StateEvaluator:
     two of them at one D compares the moments.  Integer expansions are
     cached for every suffix built, and so are the norms; word moments are
     not, since many words at once are :func:`moment_table`'s work.
-    Supports polynomials of degree up to ``cm.depth + 1``; a longer word
-    raises :class:`DepthExhaustedError`.
+    Supports words of length up to ``cm.depth + 1``; a longer word raises
+    :class:`DepthExhaustedError`.  A polynomial's value is
+    :meth:`word_moment` extended linearly, as
+    :func:`ncprod.oracle.functional_inner` extends any word functional.
 
     The caches make instances single-threaded; share the map and
     give each thread its own evaluator.
@@ -339,17 +350,6 @@ class StateEvaluator:
             self._expansions[word[pos:]] = current
         return current
 
-    def expansion(self, word: Word) -> dict[Word, Fraction]:
-        """Expansion of the monomial x_word in the P-basis:
-        [x_w]_u = [y_w]_u D^|u| / D^|w|."""
-        word = tuple(word)
-        scale = self._scale
-        denominator = scale ** len(word)
-        return {
-            u: Fraction(coeff * scale ** len(u), denominator)
-            for u, coeff in self._integer_expansion(word).items()
-        }
-
     def _norm(self, u: Word) -> int:
         """||Q_u||^2 = C'(u) ||Q_tail(u)||^2."""
         norm = self._norms.get(u)
@@ -377,11 +377,6 @@ class StateEvaluator:
     def word_moment(self, word: Word) -> Fraction:
         word = tuple(word)
         return Fraction(self.word_numerator(word), self._scale ** len(word))
-
-    def eval_poly(self, p: NCPolynomial) -> Fraction:
-        if p.d != self.cm.d:
-            raise ValueError(f"alphabet mismatch: {p.d} vs {self.cm.d}")
-        return sum((coeff * self.word_moment(w) for w, coeff in p.terms.items()), Fraction(0))
 
 
 def moment_parts(cm: CoefficientMap, order: int) -> list[list[int]]:
@@ -437,8 +432,4 @@ def moment_parts(cm: CoefficientMap, order: int) -> list[list[int]]:
 def moment_table(cm: CoefficientMap, order: int) -> list[tuple[Word, Fraction]]:
     """All word moments up to the given order, in graded-lex order: the
     numerators of :func:`moment_parts` over D^|w|."""
-    table = []
-    for n, part in enumerate(moment_parts(cm, order)):
-        denominator = cm.scale**n
-        table += zip(words_of_length(cm.d, n), (Fraction(v, denominator) for v in part))
-    return table
+    return list(word_values(cm.d, moment_parts(cm, order), cm.scale))

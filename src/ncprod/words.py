@@ -12,7 +12,8 @@ A dense graded series is one list of ints per degree m holding the d^m
 words of length m at their base-d values (leftmost letter most
 significant), which is :func:`words_up_to` order.  :func:`_add_outer` is
 the one product on such lists, shared by both continued-fraction engines;
-the transfer operator's table needs none.
+the transfer operator's table needs none.  :func:`word_values` is the one
+walk from such lists, numerators over scale^m, to each word's value.
 
 :class:`FrozenRecord` is the base of the package's small immutable value
 types.
@@ -24,7 +25,7 @@ import itertools
 import json
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 Word = tuple[int, ...]
 Rational = Union[Fraction, int]
@@ -132,6 +133,16 @@ def words_up_to(d: int, max_length: int) -> list[Word]:
     for n in range(max_length + 1):
         out.extend(words_of_length(d, n))
     return out
+
+
+def word_values(d: int, parts: Sequence[Sequence[int]], scale: int) -> Iterator[tuple[Word, Fraction]]:
+    """Each word of dense graded parts with its value, in graded-lex order:
+    entry x of parts[m] over scale^m is the value of the x-th word of
+    length m."""
+    for m, part in enumerate(parts):
+        power = scale**m
+        for word, numerator in zip(words_of_length(d, m), part):
+            yield word, Fraction(numerator, power)
 
 
 def _add_outer(out: list, a: Sequence, b: Sequence, stride: int, offset: int = 0) -> None:

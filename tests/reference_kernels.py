@@ -1,8 +1,10 @@
 """Plain reference versions of the exact kernels, for the tests only.
 
-``fraction_inverse`` is the degree-by-degree inverse with one ``Fraction``
-operation per term pair; ``_smat_inverse`` inverts a matrix of ``NCSeries``
-by Neumann steps, each truncated to the degree it makes exact, and
+``fraction_inverse`` is the one series inverse, degree by degree with one
+operation per term pair, and ``sandwich`` is z_j F z_l at a given order;
+both build their result with ``_make``, the series arithmetic's own
+constructor.  ``_smat_inverse`` inverts a matrix of ``NCSeries`` by Neumann
+steps, each truncated to the degree it makes exact, and
 ``full_order_neumann_inverse`` runs every step at the full order;
 ``fraction_expansion`` runs the transfer operator over the whole word on the
 map's own ``Fraction`` entries, and ``product_gram_schmidt_mops`` takes
@@ -11,7 +13,9 @@ product.  ``fraction_classical_cf``, ``fraction_scalar_branched_cf`` and
 ``fraction_matricial_cf`` are the continued-fraction engines with every
 series in ``Fraction`` coefficients, the classical one with its own chain
 recursion and the matricial one taking each sandwich's block with
-``block_extract``; ``eager_product_type_entries`` and
+``block_extract``; ``matricial_from_map`` builds the diagonal
+``MatricialData`` of a coefficient map as matrices, the reference for the
+engine's map-fed route; ``eager_product_type_entries`` and
 ``eager_cfree_entries`` fill every nonzero coefficient-map entry through
 the depth, word by word.
 ``centering_cfree_state`` evaluates the two-pair (conditionally free)
@@ -42,6 +46,7 @@ from ncprod.words import (
     graded_lex_key,
     leading_run_length,
     word_runs,
+    words_of_length,
     words_up_to,
 )
 
@@ -89,22 +94,22 @@ def _smat_inverse(mat: SeriesMatrix, order: int) -> SeriesMatrix:
     for r in range(n):
         for s in range(n):
             expected = Fraction(1) if r == s else Fraction(0)
-            if mat[r][s].constant_term() != expected:
+            if mat[r][s].terms.get(EMPTY_WORD, 0) != expected:
                 raise ValueError("matrix inverse requires identity constant term")
     # the unit of the entries' own type, so an integer matrix stays integer
-    identity = _smat_identity(n, d, order, mat[0][0].constant_term())
+    identity = _smat_identity(n, d, order, mat[0][0].terms[EMPTY_WORD])
     u = [[identity[r][s] - mat[r][s] for s in range(n)] for r in range(n)]
     x = identity
     for k in range(order):
         # x holds only degrees <= k (x_0 = 1, then x_k has order k)
-        ux = _smat_mul(u, [[entry.truncate(k + 1) for entry in row] for row in x])
+        ux = _smat_mul(u, [[_make(d, k + 1, entry.terms) for entry in row] for row in x])
         x = [[identity[r][s] + ux[r][s] for s in range(n)] for r in range(n)]
     return x
 
 
 def fraction_inverse(series: NCSeries) -> NCSeries:
     """t = 1 - r*t solved degree by degree, r the positive-degree part."""
-    if series.constant_term() != 1:
+    if series.terms.get(EMPTY_WORD, 0) != 1:
         raise ValueError("series inverse requires constant term 1")
     r_by_degree: dict[int, list[tuple[Word, Fraction]]] = {}
     for word, coeff in series.terms.items():
@@ -126,6 +131,13 @@ def fraction_inverse(series: NCSeries) -> NCSeries:
     for component in parts:
         merged.update(component)
     return NCSeries(series.d, series.order, merged)
+
+
+def sandwich(series: NCSeries, left: int, right: int, order: int) -> NCSeries:
+    """z_left * series * z_right, a series of the given order: exact through
+    it when the series is exact through order - 2."""
+    shifted = {(left,) + word + (right,): coeff for word, coeff in series.terms.items()}
+    return _make(series.d, order, shifted)
 
 
 def full_order_neumann_inverse(mat: SeriesMatrix, order: int) -> SeriesMatrix:
@@ -196,8 +208,8 @@ def fraction_classical_cf(data: JacobiData, order: int) -> NCSeries:
         if budget >= 2:
             gamma = data.gamma_at(k + 1)
             if gamma:
-                denom = denom - gamma * f.truncate(budget - 2).sandwich(1, 1).truncate(budget)
-        f = denom.inverse()
+                denom = denom - gamma * sandwich(f, 1, 1, budget)
+        f = fraction_inverse(denom)
     return f
 
 
@@ -219,8 +231,8 @@ def fraction_scalar_branched_cf(cm: CoefficientMap, order: int) -> NCSeries:
                 cval = cm.c(child)
                 if cval:
                     sub = node(child, budget - 2)
-                    denom = denom - cval * sub.sandwich(j, j).truncate(budget)
-        return denom.inverse()
+                    denom = denom - cval * sandwich(sub, j, j, budget)
+        return fraction_inverse(denom)
 
     return node(EMPTY_WORD, order)
 
@@ -238,6 +250,31 @@ def block_extract(matrix: Sequence[Sequence], i: int, j: int, d: int) -> list[li
     if not (1 <= i <= d and 1 <= j <= d):
         raise ValueError(f"block indices must lie in 1..{d}")
     return [list(row[(j - 1) * m : j * m]) for row in matrix[(i - 1) * m : i * m]]
+
+
+def matricial_from_map(cm: CoefficientMap, levels: int) -> MatricialData:
+    """Diagonal matricial data induced by a coefficient map."""
+    if levels > cm.depth:
+        raise ValueError(f"levels {levels} exceed map depth {cm.depth}")
+    d = cm.d
+    t = []
+    c = []
+    for k in range(levels + 1):
+        words = words_of_length(d, k)
+        size = len(words)
+        level_t = []
+        for i in range(1, d + 1):
+            m = [[Fraction(0)] * size for _ in range(size)]
+            for idx, u in enumerate(words):
+                m[idx][idx] = cm.b(i, u)
+            level_t.append(m)
+        t.append(tuple(level_t))
+        if k >= 1:
+            mc = [[Fraction(0)] * size for _ in range(size)]
+            for idx, u in enumerate(words):
+                mc[idx][idx] = cm.c(u)
+            c.append(mc)
+    return MatricialData(d=d, t=tuple(t), c=tuple(c))
 
 
 def fraction_matricial_cf(md: MatricialData, order: int) -> NCSeries:
@@ -259,17 +296,14 @@ def fraction_matricial_cf(md: MatricialData, order: int) -> NCSeries:
                         denom[r][s] = denom[r][s] - NCSeries(d, budget, {(i,): value})
         if k < top and budget >= 2 and f is not None:
             c_matrix = md.c[k]
-            scaled = [
-                [c_matrix[r][r] * f[r][s].truncate(budget - 2) for s in range(d * n)]
-                for r in range(d * n)
-            ]
+            scaled = [[c_matrix[r][r] * f[r][s] for s in range(d * n)] for r in range(d * n)]
             for j in range(1, d + 1):
                 for l in range(1, d + 1):
                     block = block_extract(scaled, j, l, d)
                     for r in range(n):
                         for s in range(n):
                             if block[r][s].terms:
-                                denom[r][s] = denom[r][s] - block[r][s].sandwich(j, l).truncate(budget)
+                                denom[r][s] = denom[r][s] - sandwich(block[r][s], j, l, budget)
         f = _smat_inverse(denom, budget)
     return f[0][0]
 

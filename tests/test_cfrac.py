@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import GENERIC_J1, GENERIC_J2, random_pair
-from reference_kernels import block_extract, fraction_classical_cf
+from reference_kernels import block_extract, fraction_classical_cf, matricial_from_map
 from ncprod import (
     BUILTIN_OMEGAS,
     JacobiData,
@@ -15,7 +15,6 @@ from ncprod import (
     cfree_map,
     classical_cf,
     matricial_cf,
-    matricial_from_map,
     moment,
     preset,
     product_type_map,

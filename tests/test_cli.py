@@ -682,25 +682,36 @@ def test_matricial_rows_equal_scalar_rows(capsys, generic_files, omega, orders):
             assert out["matricial"] == out["scalar"], (order, fmt)
 
 
+# names perfbench/traced.py still wraps that the library no longer has: the
+# series inverse, the full-length expansion, the evaluator's polynomial
+# extension and the map-to-matrices builder moved to the tests' reference
+# kernels or to oracle.functional_inner.  The tracer warns and carries on,
+# and their metrics read 0, as they did before on every workload.
+RETIRED_WRAP_POINTS = [
+    "prodstate.expansion",
+    "prodstate.eval_poly",
+    "ncpoly.series_inverse",
+    "cfrac.matricial_from_map",
+]
+
+
 def test_traced_benchmark_finds_every_wrap_point(tmp_path):
     """perfbench/traced.py wraps ncpoly's arithmetic by attribute name; a wrap
-    point it cannot find would leave its per-layer metrics at zero.  The
-    moments run also pins the transfer operator's work: the table is one
-    dense sweep over word length, with no expansion of any single word, so
-    it makes no left_multiply call (pairing half-length expansions took 14
-    through order 6, and full-length ones 126).  The free
-    oracle's comparison pins the marginal moments: each of the 2 marginals
-    is needed at indices 0..6, so at most 14 jacobi.moment calls (the oracle
-    reads its moment sequences and makes none; rebuilding every moment from
-    scratch took 3,602).  The mops run pins its moment matrix: it comes from
-    one moment table through order 4, with no word moment evaluated one at
-    a time (one per entry of the 7 x 7 matrix took 49, and pair-by-pair
-    polynomial products 328).  No command inverts or multiplies an
-    NCSeries: both continued fractions solve on dense integer lists (the
-    scalar one took one inverse per node it reached, 3 through order 3, and
-    the matricial one multiplied series matrices in its Neumann steps).
-    Only the
-    counterexample run still multiplies polynomials, in functional_inner."""
+    point it cannot find would leave its per-layer metrics at zero, so no
+    name beyond RETIRED_WRAP_POINTS may be missing.  The moments run also
+    pins the transfer operator's work: the table is one dense sweep over
+    word length, with no expansion of any single word, so it makes no
+    left_multiply call (pairing half-length expansions took 14 through
+    order 6, and full-length ones 126).  The free oracle's comparison pins
+    the marginal moments: the oracle reads its moment sequences and makes
+    no jacobi.moment call (rebuilding every moment from scratch took
+    3,602).  The mops run pins its moment matrix: it comes from one moment
+    table through order 4, with no word moment evaluated one at a time (one
+    per entry of the 7 x 7 matrix took 49, and pair-by-pair polynomial
+    products 328).  No command multiplies an NCSeries: both continued
+    fractions solve on dense integer lists (the matricial one multiplied
+    series matrices in its Neumann steps).  Only the counterexample run
+    still multiplies polynomials, in functional_inner."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     inputs = ["--jacobi1", str(GOLDEN / "j1.json"), "--jacobi2", str(GOLDEN / "j2.json")]
     recorded = set()
@@ -708,7 +719,6 @@ def test_traced_benchmark_finds_every_wrap_point(tmp_path):
     moment_calls = {}
     word_moments = {}
     tables = {}
-    inverses = {}
     products = {}
     runs = {
         "cfrac": ["cfrac", *inputs, "--omega", "free", "--order", "3"],
@@ -725,21 +735,19 @@ def test_traced_benchmark_finds_every_wrap_point(tmp_path):
             env=env, stdout=subprocess.DEVNULL, check=True, timeout=120,
         )
         dump = json.loads(spans.read_text())
-        assert dump["missing"] == [], name
+        assert dump["missing"] == RETIRED_WRAP_POINTS, name
         recorded |= {span[0] for span in dump["spans"]}
         left_multiplies[name] = sum(span[0] == "prodstate.left_multiply" for span in dump["spans"])
         moment_calls[name] = dump["totals"]["jacobi.moment"][0]
         word_moments[name] = sum(span[0] == "prodstate.word_moment" for span in dump["spans"])
         tables[name] = sum(span[0] == "prodstate.moment_table" for span in dump["spans"])
-        inverses[name] = sum(span[0] == "ncpoly.series_inverse" for span in dump["spans"])
         products[name] = sum(span[0] == "ncpoly.series_mul" for span in dump["spans"])
     assert "ncpoly.poly_mul" in recorded
     assert products == dict.fromkeys(runs, 0)
     assert left_multiplies["moments"] == 0
     assert word_moments["mops"] == 0
     assert tables["mops"] == 1
-    assert inverses == dict.fromkeys(runs, 0)
-    assert moment_calls["compare"] <= 14
+    assert moment_calls["compare"] == 0
 
 
 def test_closed_pipe_exits_141_in_silence(tmp_path):

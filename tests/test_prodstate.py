@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import GENERIC_J1, GENERIC_J2, map_entries, p1_coefficient, random_pair
-from reference_kernels import eager_cfree_entries, eager_product_type_entries
+from reference_kernels import eager_cfree_entries, eager_product_type_entries, fraction_expansion
 from ncprod import (
     BUILTIN_OMEGAS,
     CoefficientMap,
@@ -56,6 +56,11 @@ def word_poly(w):
     return NCPolynomial.monomial(w, 2)
 
 
+def state_value(ev, p):
+    """The state at a polynomial: word_moment extended linearly."""
+    return functional_inner(ev.word_moment, NCPolynomial.one(2), p)
+
+
 # coefficient maps -----------------------------------------------------------
 
 def test_product_map_assignment_on_boolean_tree():
@@ -82,6 +87,17 @@ def test_explicit_map_rejects_negative_c():
         explicit_map(2, 3, {}, {(1,): F(-1)})
 
 
+def test_explicit_map_rejects_words_outside_the_alphabet():
+    """An entry on a letter outside 1..d is refused and named, never kept
+    in a map whose moment table would read it as no entry at all."""
+    with pytest.raises(ValueError, match=r"bad B entry at letter 1, word \[7\]: letter 7 outside alphabet 1..2"):
+        explicit_map(2, 3, {(1, (7,)): 1}, {(9,): 2})
+    with pytest.raises(ValueError, match=r"bad C entry at word \[1, 0\]: letter 0 outside alphabet 1..2"):
+        explicit_map(2, 3, {}, {(1, 0): 2})
+    with pytest.raises(ValueError, match=r"bad B entry at letter 3, word \[\]"):
+        explicit_map(2, 3, {(3, ()): 1}, {})
+
+
 def test_depth_guard():
     cm = product_type_map(builder("free", 2), SEMI, SEMI)
     for _ in range(2):  # a word beyond the depth is never kept
@@ -90,7 +106,7 @@ def test_depth_guard():
         with pytest.raises(DepthExhaustedError):
             cm.integer.c((1, 2, 1))
     with pytest.raises(DepthExhaustedError):
-        StateEvaluator(cm).eval_poly(word_poly((1, 2, 1, 2)))
+        state_value(StateEvaluator(cm), word_poly((1, 2, 1, 2)))
 
 
 def test_integer_view_refuses_a_scale_that_leaves_a_denominator():
@@ -282,8 +298,8 @@ def test_left_multiply_general_node():
 def test_single_letter_moment_is_mean():
     for name in BUILTIN_OMEGAS:
         cm = product_type_map(builder(name, 3), GENERIC_J1, GENERIC_J2)
-        assert StateEvaluator(cm).eval_poly(x(1)) == GENERIC_J1.beta_at(0)
-        assert StateEvaluator(cm).eval_poly(x(2)) == GENERIC_J2.beta_at(0)
+        assert state_value(StateEvaluator(cm), x(1)) == GENERIC_J1.beta_at(0)
+        assert state_value(StateEvaluator(cm), x(2)) == GENERIC_J2.beta_at(0)
 
 
 def test_stochastic_independence():
@@ -310,7 +326,7 @@ def test_centering():
         ev = StateEvaluator(cm)
         for u in words_up_to(2, 5):
             if u:
-                assert ev.eval_poly(basis_polynomial(tree, GENERIC_J1, GENERIC_J2, u)) == 0
+                assert state_value(ev, basis_polynomial(tree, GENERIC_J1, GENERIC_J2, u)) == 0
 
 
 def test_state_is_linear():
@@ -318,8 +334,8 @@ def test_state_is_linear():
     p = word_poly((1, 2)) - 3 * word_poly((2, 1, 1))
     q = F(1, 2) * word_poly((2,))
     ev = StateEvaluator(cm)
-    assert ev.eval_poly(p + q) == ev.eval_poly(p) + ev.eval_poly(q)
-    assert ev.eval_poly(NCPolynomial.one(2)) == 1
+    assert state_value(ev, p + q) == state_value(ev, p) + state_value(ev, q)
+    assert state_value(ev, NCPolynomial.one(2)) == 1
 
 
 # inner products and Gram matrices -------------------------------------------
@@ -541,16 +557,16 @@ def _random_explicit_map(seed, d, depth):
 def test_two_half_moment_equals_full_transfer_expansion():
     """word_moment evaluates a word from two half-length expansions and the
     norms; it must equal the constant term of the full-length expansion,
-    taken on a separate evaluator, through order depth + 1."""
+    the reference's Fraction transfer operator, through order depth + 1."""
     nu1, nu2 = random_pair(7)
     maps = [product_type_map(builder(name, 7), GENERIC_J1, GENERIC_J2) for name in BUILTIN_OMEGAS]
     maps.append(cfree_map(GENERIC_J1, nu1, GENERIC_J2, nu2, 7))
     for d, depth in ((1, 8), (2, 5), (3, 3)):
         maps += [_random_explicit_map(seed, d, depth) for seed in range(3)]
     for index, cm in enumerate(maps):
-        ev, reference = StateEvaluator(cm), StateEvaluator(cm)
+        ev = StateEvaluator(cm)
         for w in words_up_to(cm.d, cm.depth + 1):
-            assert ev.word_moment(w) == reference.expansion(w).get((), 0), (index, w)
+            assert ev.word_moment(w) == fraction_expansion(cm, w).get((), 0), (index, w)
         with pytest.raises(DepthExhaustedError):
             ev.word_moment((1,) * (cm.depth + 2))
 
@@ -624,6 +640,14 @@ def _jacobi_data(draw_fraction, gamma_cut):
     return JacobiData(beta=beta, gamma=gamma)
 
 
+def _draw_pair(data):
+    """Two draws of _jacobi_data, each with its own gamma cut."""
+    def draw_fraction(low, high):
+        return data.draw(st.fractions(min_value=low, max_value=high, max_denominator=3))
+
+    return tuple(_jacobi_data(draw_fraction, data.draw(st.integers(1, 3))) for _ in range(2))
+
+
 VALID_TREES_3 = enumerate_valid_trees(3)
 
 
@@ -631,16 +655,14 @@ VALID_TREES_3 = enumerate_valid_trees(3)
 @given(st.sampled_from(VALID_TREES_3), st.data())
 def test_four_routes_agree_on_valid_trees(members, data):
     """On a valid tree stored to length 3 and Jacobi data with signed betas
-    and sometimes a zero gamma, the transfer-operator table, the scalar and
-    the matricial continued fractions and the word-by-word evaluator give
-    the same integer numerators through order 3."""
+    and sometimes a zero gamma, with sometimes a nu pair of the same kind
+    for the inner runs, the transfer-operator table, the scalar and the
+    matricial continued fractions and the word-by-word evaluator give the
+    same integer numerators through order 3."""
     tree = OmegaTree(2, members)
-
-    def draw_fraction(low, high):
-        return data.draw(st.fractions(min_value=low, max_value=high, max_denominator=3))
-
-    j1, j2 = (_jacobi_data(draw_fraction, data.draw(st.integers(1, 3))) for _ in range(2))
-    cm = product_type_map(tree, j1, j2)
+    j1, j2 = _draw_pair(data)
+    nu = _draw_pair(data) if data.draw(st.booleans()) else None
+    cm = product_type_map(tree, j1, j2, nu)
     evaluator = StateEvaluator(cm)
     words = [[evaluator.word_numerator(w) for w in words_of_length(2, n)] for n in range(4)]
     matricial, scale = matricial_map_parts(cm, 3)
@@ -662,11 +684,7 @@ def test_gram_and_mops_on_valid_trees(members, data):
     monomials orthogonalize to a monic family, and each Q_u differs from
     P_u by a polynomial of norm 0."""
     tree = OmegaTree(3, members)
-
-    def draw_fraction(low, high):
-        return data.draw(st.fractions(min_value=low, max_value=high, max_denominator=3))
-
-    j1, j2 = (_jacobi_data(draw_fraction, data.draw(st.integers(1, 3))) for _ in range(2))
+    j1, j2 = _draw_pair(data)
     cm = product_type_map(tree, j1, j2)
     gram = gram_matrix(cm, 2)
     assert gram.is_diagonal()
