@@ -22,14 +22,21 @@ ValueError, so ``main`` reports it as one "input error:" line and exits 2.
 
 Every module but ``omega`` and ``words`` is imported by the subcommands
 that run it, so a process compiles and loads only what its subcommand uses.
-The table commands (``moments``, ``cfrac`` with each engine, ``compare``)
-run on the integer core: they load no polynomial module
-(:mod:`ncprod.ncpoly`, :mod:`ncprod.basis`), no report and, on a built-in
-tree, no tree check (:mod:`ncprod.treecheck`, which only a tree file and
-``validate`` load).  ``validate``, ``gram``, ``mops`` and ``counterexample``
-load their inputs here and print what :mod:`ncprod.reports` computes;
-``gram`` and ``mops --state omega`` read every moment of the state from the
-one dense table, ``prodstate.moment_table`` through order 2 * --order.
+That holds for argparse too: each subcommand and its flags are described
+once, in ``_COMMANDS``, and a plain command line (``COMMAND [SPEC] (--flag
+value)...``, as every example and the benchmark write it) is read from that
+table directly.  argparse is imported, and its parser built from the same
+table, only for help and usage errors (and the spellings the plain reader
+leaves to it, such as ``--ord 3`` or ``--order=3``), so its messages and
+exit codes are the only ones.  The table commands (``moments``, ``cfrac``
+with each engine, ``compare``) run on the integer core: they load no
+polynomial module (:mod:`ncprod.ncpoly`, :mod:`ncprod.basis`), no report
+and, on a built-in tree, no tree check (:mod:`ncprod.treecheck`, which only
+a tree file and ``validate`` load).  ``validate``, ``gram``, ``mops`` and
+``counterexample`` load their inputs here and print what
+:mod:`ncprod.reports` computes; ``gram`` and ``mops --state omega`` read
+every moment of the state from the one dense table,
+``prodstate.moment_table`` through order 2 * --order.
 
 ``compare`` checks each word in integers.  The state's numerators
 D^|w| phi(w), with D the coefficient map's scale, are the transfer
@@ -55,13 +62,13 @@ exits (see there).
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import math
 import os
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Sequence
 
 from . import omega
@@ -69,6 +76,8 @@ from .words import format_rational, parse_rational, words_of_length
 
 
 if TYPE_CHECKING:
+    import argparse
+
     from .jacobi import JacobiData
     from .prodstate import CoefficientMap
 
@@ -81,7 +90,12 @@ class CliInputError(Exception):
 
 
 def _order(text: str) -> int:
-    """argparse type of --order: a nonnegative integer."""
+    """argparse type of --order: a nonnegative integer.  It runs only on the
+    argparse path; the plain reader takes --order in ASCII digits alone,
+    which ``int`` reads the same way, and leaves the rest to argparse, so
+    every refusal of --order is this function's message."""
+    import argparse
+
     try:
         value = int(text)
     except ValueError:
@@ -393,7 +407,101 @@ def cmd_counterexample(args) -> int:
     return 0
 
 
+def _map_flags(order: int = 6, formats: tuple[str, ...] = ("json", "csv", "pretty")) -> dict:
+    """The flags of every command that builds a product-type map."""
+    return {
+        "--jacobi1": {"help": "JSON file for the first marginal state"},
+        "--jacobi2": {"help": "JSON file for the second marginal state"},
+        "--omega": {"help": "builtin tree name or JSON file"},
+        "--nu1": {"help": "JSON file for the first secondary state (two-pair mode)"},
+        "--nu2": {"help": "JSON file for the second secondary state (two-pair mode)"},
+        "--order": {"type": _order, "default": order, "help": "order / depth bound"},
+        "--format": {"choices": formats, "default": "json", "help": "output format"},
+    }
+
+
+# Each subcommand once: its help line, its function, its positional
+# argument (name and help) or None, and its flags, each with the keyword
+# arguments of argparse's add_argument, in the order the help lists them.
+# build_parser hands the table to argparse; _read_plain reads the plain
+# command lines from it without argparse.
+_COMMANDS = {
+    "validate": ("check a tree specification", cmd_validate, ("spec", "builtin tree name or JSON file"), {
+        "--order": {"type": _order, "default": 6, "help": "depth for builtins"},
+        "--format": {"choices": ("json", "pretty"), "default": "json"},
+    }),
+    "moments": ("table of all word moments up to an order", cmd_moments, None, _map_flags()),
+    "gram": ("Gram matrix of the basis polynomials", cmd_gram, None, _map_flags(order=3)),
+    "cfrac": ("continued-fraction moment series", cmd_cfrac, None, {
+        **_map_flags(),
+        "--engine": {"choices": ("scalar", "matricial", "classical"), "default": "scalar"},
+    }),
+    "mops": ("orthogonalize monomials and test the family", cmd_mops, None, {
+        **_map_flags(order=3, formats=("json", "pretty")),
+        "--state": {"choices": ("omega", "tensor", "q-gaussian"), "default": "omega"},
+        "--q": {"help": "deformation parameter of --state q-gaussian (default 1/2)"},
+    }),
+    "compare": ("diff the state against an oracle or engine", cmd_compare, None, {
+        **_map_flags(formats=("json", "pretty")),
+        "--against": {"required": True, "choices": (*_ORACLES, "cfree", "cfrac")},
+    }),
+    "counterexample": ("report the states whose monomial families fail orthogonality", cmd_counterexample, None, {
+        "--q": {"default": "1/2", "help": "deformation parameter"},
+        "--format": {"choices": ("json", "pretty"), "default": "pretty"},
+    }),
+}
+
+
+def _read_plain(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace argparse would return for a plain command line, read
+    from ``_COMMANDS`` without argparse; None for every other one.
+
+    A plain command line is ``COMMAND [SPEC] (--flag value)...``: the
+    positional argument right after the command, if it has one; each flag
+    of its table spelled in full and given at most once; no value that
+    starts with "-"; each value among its flag's choices, --order in ASCII
+    digits (which ``int`` reads as ``_order`` does); every required flag
+    given.  This reader never refuses and never prints: help, usage errors,
+    abbreviations, ``--flag=value`` and all else are left to argparse."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, positional, flags = _COMMANDS[argv[0]]
+    values: dict[str, object] = {"command": argv[0]}
+    rest = argv[1:]
+    if positional is not None:
+        if not rest or rest[0].startswith("-"):
+            return None
+        values[positional[0]], rest = rest[0], rest[1:]
+    if len(rest) % 2:
+        return None
+    given: dict[str, str] = {}
+    for flag, text in zip(rest[::2], rest[1::2]):
+        if flag not in flags or flag in given or text.startswith("-"):
+            return None
+        given[flag] = text
+    for flag, spec in flags.items():
+        text = given.get(flag)
+        if text is None:
+            if spec.get("required"):
+                return None
+            value = spec.get("default")
+        elif spec.get("type") is _order:
+            if not (text.isascii() and text.isdigit()):
+                return None
+            value = int(text)
+        elif "choices" in spec and text not in spec["choices"]:
+            return None
+        else:
+            value = text
+        values[flag[2:]] = value
+    values["func"] = func
+    return SimpleNamespace(**values)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """argparse's parser of the subcommands in ``_COMMANDS``."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="ncprod",
         description=(
@@ -402,71 +510,27 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, *, order_default=6, formats=("json", "csv", "pretty")):
-        p.add_argument("--jacobi1", help="JSON file for the first marginal state")
-        p.add_argument("--jacobi2", help="JSON file for the second marginal state")
-        p.add_argument("--omega", help="builtin tree name or JSON file")
-        p.add_argument("--nu1", help="JSON file for the first secondary state (two-pair mode)")
-        p.add_argument("--nu2", help="JSON file for the second secondary state (two-pair mode)")
-        p.add_argument("--order", type=_order, default=order_default, help="order / depth bound")
-        p.add_argument(
-            "--format", choices=formats, default="json", help="output format"
-        )
-
-    p_validate = sub.add_parser("validate", help="check a tree specification")
-    p_validate.add_argument("spec", help="builtin tree name or JSON file")
-    p_validate.add_argument("--order", type=_order, default=6, help="depth for builtins")
-    p_validate.add_argument("--format", choices=("json", "pretty"), default="json")
-    p_validate.set_defaults(func=cmd_validate)
-
-    p_moments = sub.add_parser("moments", help="table of all word moments up to an order")
-    add_common(p_moments)
-    p_moments.set_defaults(func=cmd_moments)
-
-    p_gram = sub.add_parser("gram", help="Gram matrix of the basis polynomials")
-    add_common(p_gram, order_default=3)
-    p_gram.set_defaults(func=cmd_gram)
-
-    p_cfrac = sub.add_parser("cfrac", help="continued-fraction moment series")
-    add_common(p_cfrac)
-    p_cfrac.add_argument(
-        "--engine", choices=("scalar", "matricial", "classical"), default="scalar"
-    )
-    p_cfrac.set_defaults(func=cmd_cfrac)
-
-    p_mops = sub.add_parser("mops", help="orthogonalize monomials and test the family")
-    add_common(p_mops, order_default=3, formats=("json", "pretty"))
-    p_mops.add_argument(
-        "--state", choices=("omega", "tensor", "q-gaussian"), default="omega"
-    )
-    p_mops.add_argument(
-        "--q", default=None, help="deformation parameter of --state q-gaussian (default 1/2)"
-    )
-    p_mops.set_defaults(func=cmd_mops)
-
-    p_compare = sub.add_parser("compare", help="diff the state against an oracle or engine")
-    add_common(p_compare, formats=("json", "pretty"))
-    p_compare.add_argument(
-        "--against",
-        required=True,
-        choices=(*_ORACLES, "cfree", "cfrac"),
-    )
-    p_compare.set_defaults(func=cmd_compare)
-
-    p_counter = sub.add_parser(
-        "counterexample", help="report the states whose monomial families fail orthogonality"
-    )
-    p_counter.add_argument("--q", default="1/2", help="deformation parameter")
-    p_counter.add_argument("--format", choices=("json", "pretty"), default="pretty")
-    p_counter.set_defaults(func=cmd_counterexample)
-
+    for name, (summary, func, positional, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        if positional is not None:
+            p.add_argument(positional[0], help=positional[1])
+        for flag, spec in flags.items():
+            p.add_argument(flag, **spec)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run the subcommand that ``argv`` (default ``sys.argv[1:]``) names and
+    return its exit code.  A plain command line is read by
+    :func:`_read_plain`; argparse is imported and :func:`build_parser`'s
+    parser built only for the rest, so help, usage errors and their exit
+    codes are argparse's own."""
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_plain(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -1,15 +1,23 @@
 """Command-line interface: exit codes, formats, determinism."""
 
+import contextlib
 import gc
+import importlib.util
+import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from ncprod import cli
 from ncprod.cli import main
 from ncprod.omega import BUILTIN_ALIASES
 
@@ -822,3 +830,138 @@ def test_module_run_loads_one_copy_of_the_cli(argv):
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=120,
     )
     assert child.stderr == "0 False\n"
+
+
+# A command line is read by the plain reader or, when that returns None, by
+# argparse; both read cli._COMMANDS.  Junk values: a negative number, a
+# leading zero, a non-ASCII decimal digit, a digit that int refuses, the
+# empty string, a flag as a value, an "=" inside a value.
+_JUNK = ("-1", "07", "٣", "²", "", "--order", "a=b")
+
+
+def _now_and_then(draw):
+    """True once in four draws."""
+    return draw(st.integers(0, 3)) == 0
+
+
+@st.composite
+def _command_lines(draw):
+    """A command line built from the table: flags in any order, values from
+    their choices or junk, and now and then a prefix, a --flag=value, a
+    repeated flag, a stray positional or no command at all."""
+    name = draw(st.sampled_from([*cli._COMMANDS, "nope", "-h"]))
+    if name not in cli._COMMANDS:
+        return draw(st.sampled_from([[], [name]]))
+    _, _, positional, flags = cli._COMMANDS[name]
+    chosen = draw(st.permutations(list(flags)))[: draw(st.integers(0, len(flags)))]
+    if chosen and _now_and_then(draw):
+        chosen.append(draw(st.sampled_from(chosen)))
+    tokens = []
+    for flag in chosen:
+        spec = flags[flag]
+        values = ("0", "3") if spec.get("type") is cli._order else spec.get("choices", ("free", "j1.json"))
+        value = draw(st.sampled_from(_JUNK if _now_and_then(draw) else values))
+        if _now_and_then(draw):
+            if draw(st.booleans()):
+                tokens += [flag[: draw(st.integers(2, len(flag) - 1))], value]
+            else:
+                tokens.append(f"{flag}={value}")
+        else:
+            tokens += [flag, value]
+    if positional is not None and not _now_and_then(draw):
+        tokens.insert(draw(st.sampled_from([0, draw(st.integers(0, len(tokens)))])), "free")
+    if _now_and_then(draw):
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(["stray", "-x", *_JUNK])))
+    return [name, *tokens]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_command_lines())
+@example(["moments", "--format", "xml", "--format", "json"])  # the first of two values is refused
+@example(["moments", "--order", "²"])  # a digit that int refuses
+@example(["counterexample", "--q", "--format"])  # a flag where a value belongs
+def test_plain_reader_returns_what_argparse_returns_or_none(argv):
+    plain = cli._read_plain(argv)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            parsed = cli.build_parser().parse_args(argv)
+        except SystemExit:
+            assert plain is None
+            return
+    assert plain is None or vars(plain) == vars(parsed)
+
+
+def _readme_command_lines():
+    """The argv of every ``ncprod ...`` line in the README's command-line
+    section, continuation lines joined."""
+    section = (ROOT / "README.md").read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("ncprod ")]
+
+
+def _benchmark_command_lines():
+    """The argv of every command the benchmark's workloads run, as its
+    runner builds them."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    runner = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for its dataclasses
+    sys.path.insert(0, str(ROOT / "perfbench"))  # run.py imports its sibling spans
+    try:
+        spec.loader.exec_module(runner)
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+        del sys.modules[spec.name]
+    bench = SimpleNamespace(files=["j1.json", "j2.json"])
+    return [
+        runner.Bench.cli_args(bench, command)
+        for workload in runner.WORKLOADS.values()
+        for command in (*workload.timed, *workload.checks)
+    ]
+
+
+def test_plain_reader_takes_every_documented_and_benchmarked_command_line():
+    """The golden cases, the README's examples and the benchmark's workloads
+    never build the argparse parser."""
+    readme, bench = _readme_command_lines(), _benchmark_command_lines()
+    assert len(readme) == 8 and len(bench) == 9
+    for argv in (*GOLDEN_CASES.values(), *readme, *bench):
+        plain = cli._read_plain(argv)
+        assert plain is not None, argv
+        assert vars(plain) == vars(cli.build_parser().parse_args(argv))
+
+
+def test_help_is_argparse_help():
+    child = subprocess.run(
+        [sys.executable, "-m", "ncprod.cli", "moments", "--help"], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=120,
+    )
+    assert child.returncode == 0
+    assert child.stdout.startswith("usage: ncprod moments")
+    assert child.stderr == ""
+
+
+@pytest.mark.parametrize("spelling", [("--ord", "3"), ("--order=3",)])
+def test_argparse_reads_what_the_plain_reader_leaves(capsys, generic_files, spelling):
+    j1, j2 = generic_files
+    inputs = ("moments", "--jacobi1", j1, "--jacobi2", j2, "--omega", "free")
+    assert cli._read_plain([*inputs, *spelling]) is None
+    assert run(capsys, *inputs, *spelling) == run(capsys, *inputs, "--order", "3")
+
+
+@pytest.mark.parametrize(
+    "argv, usage, error",
+    [
+        ([], "usage: ncprod [-h]", "error: the following arguments are required: command"),
+        (["compare", "--omega", "free"], "usage: ncprod compare [-h]",
+         "error: the following arguments are required: --against"),
+    ],
+    ids=["no-command", "compare-without-against"],
+)
+def test_usage_errors_are_argparse_errors(argv, usage, error):
+    child = subprocess.run(
+        [sys.executable, "-m", "ncprod.cli", *argv], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=120,
+    )
+    assert child.returncode == 2
+    assert child.stdout == ""
+    assert child.stderr.startswith(usage)
+    assert child.stderr.splitlines()[-1] == f"ncprod{' ' + argv[0] if argv else ''}: {error}"

@@ -68,32 +68,37 @@ POLYNOMIAL = {"ncprod.ncpoly"}
 # the reports, the tree checks and the basis polynomials, which no table
 # command runs
 NOT_TABLES = {"ncprod.reports", "ncprod.treecheck", "ncprod.basis"}
+# argparse and the gettext it imports: loaded only for help and usage errors,
+# never for a plain command line
+ARGPARSE = {"argparse", "gettext"}
 
 
 @pytest.mark.parametrize(
     "argv, loaded, not_loaded",
     [
         (["moments", "--omega", "free", "--order", "3"],
-         {"ncprod.prodstate"}, {"ncprod.cfrac", "ncprod.oracle", "dataclasses", *POLYNOMIAL, *NOT_TABLES}),
+         {"ncprod.prodstate"},
+         {"ncprod.cfrac", "ncprod.oracle", "dataclasses", *POLYNOMIAL, *NOT_TABLES, *ARGPARSE}),
         (["cfrac", "--engine", "scalar", "--omega", "free", "--order", "3"],
-         {"ncprod.cfrac"}, {"ncprod.oracle", "dataclasses", *POLYNOMIAL, *NOT_TABLES}),
+         {"ncprod.cfrac"}, {"ncprod.oracle", "dataclasses", *POLYNOMIAL, *NOT_TABLES, *ARGPARSE}),
         (["cfrac", "--engine", "matricial", "--omega", "free", "--order", "3"],
-         {"ncprod.cfrac"}, {"ncprod.oracle", "dataclasses", *POLYNOMIAL, *NOT_TABLES}),
+         {"ncprod.cfrac"}, {"ncprod.oracle", "dataclasses", *POLYNOMIAL, *NOT_TABLES, *ARGPARSE}),
         (["compare", "--omega", "free", "--against", "cfrac", "--order", "3"],
-         {"ncprod.cfrac"}, {"ncprod.oracle", "dataclasses", *POLYNOMIAL, *NOT_TABLES}),
+         {"ncprod.cfrac"}, {"ncprod.oracle", "dataclasses", *POLYNOMIAL, *NOT_TABLES, *ARGPARSE}),
         (["compare", "--omega", "free", "--against", "free", "--order", "3"],
-         {"ncprod.oracle"}, {"ncprod.cfrac", "dataclasses", *POLYNOMIAL, *NOT_TABLES}),
+         {"ncprod.oracle"}, {"ncprod.cfrac", "dataclasses", *POLYNOMIAL, *NOT_TABLES, *ARGPARSE}),
         (["mops", "--omega", "free", "--order", "1"],
-         {"ncprod.ncpoly", "ncprod.oracle", "ncprod.reports"}, {"ncprod.cfrac", "dataclasses"}),
+         {"ncprod.ncpoly", "ncprod.oracle", "ncprod.reports"}, {"ncprod.cfrac", "dataclasses", *ARGPARSE}),
         (["gram", "--omega", "free", "--order", "1"],
          {"ncprod.ncpoly", "ncprod.prodstate", "ncprod.reports", "ncprod.basis"},
-         {"ncprod.cfrac", "ncprod.oracle"}),
+         {"ncprod.cfrac", "ncprod.oracle", *ARGPARSE}),
         (["validate", "free"], {"ncprod.omega", "ncprod.reports", "ncprod.treecheck"},
-         {"ncprod.jacobi", "ncprod.prodstate", *POLYNOMIAL}),
+         {"ncprod.jacobi", "ncprod.prodstate", *POLYNOMIAL, *ARGPARSE}),
         (["cfrac", "--engine", "classical", "--order", "3"],
-         {"ncprod.cfrac"}, {"ncprod.oracle", "dataclasses", *POLYNOMIAL, *NOT_TABLES}),
+         {"ncprod.cfrac"}, {"ncprod.oracle", "dataclasses", *POLYNOMIAL, *NOT_TABLES, *ARGPARSE}),
         (["moments", "--omega", str(GOLDEN / "two_branch_tree.json"), "--order", "3"],
-         {"ncprod.prodstate", "ncprod.treecheck"}, {"ncprod.reports", "ncprod.basis", *POLYNOMIAL}),
+         {"ncprod.prodstate", "ncprod.treecheck"},
+         {"ncprod.reports", "ncprod.basis", *POLYNOMIAL, *ARGPARSE}),
     ],
 )
 def test_subcommand_loads_only_what_it_runs(argv, loaded, not_loaded):
