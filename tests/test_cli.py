@@ -950,9 +950,9 @@ def test_argparse_reads_what_the_plain_reader_leaves(capsys, generic_files, spel
 @pytest.mark.parametrize(
     "argv, usage, error",
     [
-        ([], "usage: ncprod [-h]", "error: the following arguments are required: command"),
+        ([], "usage: ncprod [-h]", "ncprod: error: the following arguments are required: command"),
         (["compare", "--omega", "free"], "usage: ncprod compare [-h]",
-         "error: the following arguments are required: --against"),
+         "ncprod compare: error: the following arguments are required: --against"),
     ],
     ids=["no-command", "compare-without-against"],
 )
@@ -964,4 +964,4 @@ def test_usage_errors_are_argparse_errors(argv, usage, error):
     assert child.returncode == 2
     assert child.stdout == ""
     assert child.stderr.startswith(usage)
-    assert child.stderr.splitlines()[-1] == f"ncprod{' ' + argv[0] if argv else ''}: {error}"
+    assert child.stderr.splitlines()[-1] == error
