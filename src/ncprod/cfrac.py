@@ -52,7 +52,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .jacobi import JacobiData
-from .prodstate import CoefficientMap, explicit_map
+from .prodstate import CoefficientMap, DepthExhaustedError, explicit_map
 from .words import (
     EMPTY_WORD,
     FrozenRecord,
@@ -290,7 +290,7 @@ def matricial_map_parts(cm: CoefficientMap, order: int) -> tuple[list[list[int]]
     the same level loop as :func:`matricial_parts`."""
     levels = (order + 1) // 2
     if levels > cm.depth:
-        raise ValueError(f"order {order} needs {levels} levels, beyond map depth {cm.depth}")
+        raise DepthExhaustedError(f"order {order} needs {levels} levels, beyond map depth {cm.depth}")
     d = cm.d
     scaled = cm.integer
     words = [words_of_length(d, k) for k in range(levels + 1)]

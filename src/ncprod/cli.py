@@ -6,19 +6,21 @@ or presets) and tree specifications (builtin name or JSON file); outputs are
 JSON or pretty text, and CSV for the tables of moments, gram and cfrac,
 deterministic for identical inputs (words in graded-lexicographic order,
 rationals in lowest terms).  --omega picks the tree of a product-type
-state; two-pair mode (--nu1/--nu2) always uses the full tree, so it
-refuses --omega; compare --against cfree checks it against the two-pair
-oracle and needs --nu1/--nu2.  Where the flags pick no product-type map
-(cfrac --engine classical, which runs on the chain map of its one marginal,
-mops --state tensor or q-gaussian), --omega and --nu1/--nu2 are refused
-rather than ignored, and so are cfrac --engine classical's --jacobi2, mops
---q without --state q-gaussian and --jacobi1/--jacobi2 with it.
+state; two-pair mode (--nu1/--nu2) runs on ``prodstate.cfree_map``, whose
+tree is always the full one, so it refuses --omega; compare --against
+cfree checks it against the two-pair oracle and needs --nu1/--nu2.  Where
+the flags pick no product-type map (cfrac --engine classical, which runs on
+the chain map of its one marginal, mops --state tensor or q-gaussian),
+--omega and --nu1/--nu2 are refused rather than ignored, and so are cfrac
+--engine classical's --jacobi2, mops --q without --state q-gaussian and
+--jacobi1/--jacobi2 with it.
 
 Each file kind has one reader, which refuses a non-object, an unknown key
 and a value of the wrong type: ``jacobi.jacobi_from_json`` for marginals,
 ``treecheck.omega_from_json`` for trees.  A JSON number reaches them as the
-exact Fraction of its literal text.  Every refusal of the inputs is a
-ValueError, so ``main`` reports it as one "input error:" line and exits 2.
+exact Fraction of its literal text.  Every refusal of the inputs, here or
+in the library, is a ValueError, the one type ``main`` reports as one
+"input error:" line and exit code 2.
 
 Every module but ``omega`` and ``words`` is imported by the subcommands
 that run it, so a process compiles and loads only what its subcommand uses.
@@ -54,10 +56,10 @@ distinct value of a degree with one gcd and writes one degree at a time.
 
 Exit codes: 0 on success, 1 on mathematical failure (invalid tree, mismatch
 in a comparison), 2 on input errors, including a negative --order and
-Jacobi data under the "error" extension policy too short for the order,
-and 141 (128 + SIGPIPE) with nothing on stderr when the reader closes
-stdout early, as ``| head`` does.  A process ends through :func:`run`, which freezes the heap before it
-exits (see there).
+Jacobi data under the "error" extension policy too short for a coefficient
+the command reads, and 141 (128 + SIGPIPE) with nothing on stderr when the
+reader closes stdout early, as ``| head`` does.  A process ends through
+:func:`run`, which freezes the heap before it exits (see there).
 """
 
 from __future__ import annotations
@@ -85,10 +87,6 @@ if TYPE_CHECKING:
     Marginals = tuple[JacobiData, JacobiData, JacobiData | None, JacobiData | None]
 
 
-class CliInputError(Exception):
-    """Bad file, bad flag value, or an inconsistent combination of inputs."""
-
-
 def _order(text: str) -> int:
     """argparse type of --order: a nonnegative integer.  It runs only on the
     argparse path; the plain reader takes --order in ASCII digits alone,
@@ -111,20 +109,21 @@ def _load_json(path: str) -> object:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle, parse_float=Fraction)
     except OSError as exc:
-        raise CliInputError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:  # malformed JSON or text that is not UTF-8
-        raise CliInputError(f"{path} is not valid JSON: {exc}") from exc
+        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _load_jacobi(path: str | None, what: str) -> JacobiData:
     from . import jacobi
 
     if path is None:
-        raise CliInputError(f"missing required jacobi file for {what}")
+        raise ValueError(f"missing required jacobi file for {what}")
+    obj = _load_json(path)
     try:
-        return jacobi.jacobi_from_json(_load_json(path))
+        return jacobi.jacobi_from_json(obj)
     except ValueError as exc:
-        raise CliInputError(f"bad jacobi data in {path}: {exc}") from exc
+        raise ValueError(f"bad jacobi data in {path}: {exc}") from exc
 
 
 def _load_tree(spec: str, depth: int) -> omega.OmegaTree:
@@ -143,17 +142,17 @@ def _load_tree(spec: str, depth: int) -> omega.OmegaTree:
     except omega.OmegaValidationError:
         raise
     except ValueError as exc:
-        raise CliInputError(f"bad tree specification in {spec}: {exc}") from exc
+        raise ValueError(f"bad tree specification in {spec}: {exc}") from exc
 
 
 def _load_omega(spec: str | None, depth: int) -> omega.OmegaTree:
     """The tree for --omega; a JSON file's own depth, if it has one, must be
     sufficient."""
     if spec is None:
-        raise CliInputError("missing required --omega specification")
+        raise ValueError("missing required --omega specification")
     tree = _load_tree(spec, depth)
     if tree.depth < depth:
-        raise CliInputError(
+        raise ValueError(
             f"tree depth {tree.depth} in {spec} is insufficient; need at least {depth}"
         )
     return tree
@@ -166,9 +165,9 @@ def _load_marginals(args) -> Marginals:
     nu1 = getattr(args, "nu1", None)
     nu2 = getattr(args, "nu2", None)
     if (nu1 is None) != (nu2 is None):
-        raise CliInputError("--nu1 and --nu2 must be given together")
+        raise ValueError("--nu1 and --nu2 must be given together")
     if nu1 is not None and args.omega is not None:
-        raise CliInputError(
+        raise ValueError(
             "--omega cannot be combined with --nu1/--nu2: the two-pair state "
             "always lives on the full binary tree"
         )
@@ -186,10 +185,8 @@ def _build_map(args, depth: int, marginals: Marginals | None = None) -> Coeffici
 
     mu1, mu2, nu1, nu2 = _load_marginals(args) if marginals is None else marginals
     if nu1 is None:
-        tree, nu = _load_omega(args.omega, depth), None
-    else:
-        tree, nu = omega.builder("free", depth), (nu1, nu2)
-    return prodstate.product_type_map(tree, mu1, mu2, nu)
+        return prodstate.product_type_map(_load_omega(args.omega, depth), mu1, mu2)
+    return prodstate.cfree_map(mu1, nu1, mu2, nu2, depth)
 
 
 def _refuse_map_flags(args, mode: str) -> None:
@@ -197,7 +194,7 @@ def _refuse_map_flags(args, mode: str) -> None:
     none refuses them rather than ignore them."""
     for flag in ("omega", "nu1", "nu2"):
         if getattr(args, flag) is not None:
-            raise CliInputError(f"--{flag} is not read by {mode}, which builds no product-type map")
+            raise ValueError(f"--{flag} is not read by {mode}, which builds no product-type map")
 
 
 def _emit(text: str) -> None:
@@ -298,7 +295,7 @@ def cmd_cfrac(args) -> int:
     if args.engine == "classical":
         _refuse_map_flags(args, "--engine classical")
         if args.jacobi2 is not None:
-            raise CliInputError(
+            raise ValueError(
                 "--jacobi2 is not read by --engine classical, which takes its one marginal from --jacobi1"
             )
         cm = cfrac.chain_map(_load_jacobi(args.jacobi1, "--jacobi1"), args.order)
@@ -324,9 +321,9 @@ def cmd_mops(args) -> int:
     if args.state == "q-gaussian":
         for flag in ("jacobi1", "jacobi2"):
             if getattr(args, flag) is not None:
-                raise CliInputError(f"--{flag} is not read by --state q-gaussian, which has fixed marginals")
+                raise ValueError(f"--{flag} is not read by --state q-gaussian, which has fixed marginals")
     elif args.q is not None:
-        raise CliInputError(f"--q is read only by --state q-gaussian, not by --state {args.state}")
+        raise ValueError(f"--q is read only by --state q-gaussian, not by --state {args.state}")
     if args.state == "tensor":
         j1 = _load_jacobi(args.jacobi1, "--jacobi1")
         j2 = _load_jacobi(args.jacobi2, "--jacobi2")
@@ -350,7 +347,7 @@ def cmd_compare(args) -> int:
     from . import prodstate
 
     if args.against == "cfree" and args.nu1 is None:
-        raise CliInputError("--against cfree needs --nu1 and --nu2")
+        raise ValueError("--against cfree needs --nu1 and --nu2")
     marginals = mu1, mu2, nu1, nu2 = _load_marginals(args)
     cm = _build_map(args, max(args.order, 1), marginals)
     # each side gives D^|w| phi(w), with D the map's scale, by degree
@@ -543,7 +540,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except omega.OmegaValidationError as exc:  # a ValueError, so it comes first
         print(f"invalid tree: {exc}", file=sys.stderr)
         return 1
-    except (CliInputError, ValueError) as exc:
+    except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

@@ -54,11 +54,15 @@ come from two constructions:
 * ``explicit_map``: arbitrary diagonal data, for exercising the continued
   fraction machinery beyond the product-type case.
 
-The first takes D from the marginals: the lcm over every coefficient the
-map can hold, all read at construction, so Jacobi data that run out under
-the "error" policy raise there and not at some later query.  A finitely
-supported marginal (some gamma_n = 0) is accepted on any tree: the basis
-polynomials that its zero reaches have norm 0, as on the tree's boundary.
+The first takes D from the marginals' stored prefixes: the lcm over the
+stored coefficients through the indices an entry can take, which clears
+every coefficient the map can hold, since one beyond a prefix is the last
+stored entry or 0.  It reads no coefficient through the extension policy,
+so Jacobi data that run out under the "error" policy raise at the first
+query that reads past them (a ``JacobiRangeError`` naming the index), and
+a route that stays within them runs.  A finitely supported marginal (some
+gamma_n = 0) is accepted on any tree: the basis polynomials that its zero
+reaches have norm 0, as on the tree's boundary.
 
 The maps, the evaluator and the moment tables run on the integer helpers of
 :mod:`ncprod.words` alone, so a process that only tabulates moments loads
@@ -83,7 +87,6 @@ from .words import (
     common_denominator,
     leading_run_length,
     parse_rational,
-    word_postfixes,
     word_values,
 )
 
@@ -108,6 +111,8 @@ class CoefficientMap:
     ``scale`` is D, fixed at construction: an integer that clears the
     denominator of every entry.  :attr:`integer` is the map of B' = D B and
     C' = D^2 C, whose entries are ints, also kept as they are read.
+    :meth:`norm_squared` is the product formula for ||P_u||^2, kept the
+    same way.
 
     The rules are pure, and a memo only ever gains the value its rule
     gives, so threads may share a map.
@@ -128,6 +133,7 @@ class CoefficientMap:
         self._c_rule = c_rule
         self._b: dict[tuple[int, Word], Fraction] = {}
         self._c: dict[Word, Fraction] = {}
+        self._norms: dict[Word, Fraction] = {EMPTY_WORD: 1}
 
     def b(self, letter: int, word: Word) -> Fraction:
         key = (letter, word)
@@ -163,20 +169,22 @@ class CoefficientMap:
         )
 
     def norm_squared(self, word: Word) -> Fraction:
-        """Product of C over all nonempty right-suffixes of the word."""
-        total = Fraction(1)
-        for suffix in word_postfixes(word)[:-1]:
-            total *= self.c(suffix)
-            if not total:
-                return total
-        return total
+        """||P_u||^2 = C(u) ||P_tail(u)||^2: the product of C over the
+        nonempty right-suffixes of the word, kept as it is computed.  It
+        starts from the int 1, so on :attr:`integer` it is the int
+        ||Q_u||^2."""
+        value = self._norms.get(word)
+        if value is None:
+            value = self._norms[word] = self.c(word) * self.norm_squared(word[1:])
+        return value
 
 
 def _jacobi_lcm(data: JacobiData, depth: int) -> int:
-    """lcm of the denominators of beta_0..beta_depth and gamma_1..gamma_depth;
-    reading them raises JacobiRangeError where the data run out."""
-    betas = [data.beta_at(k) for k in range(depth + 1)]
-    return common_denominator(betas + [data.gamma_at(k) for k in range(1, depth + 1)])
+    """lcm of the denominators of the stored beta_0..beta_depth and
+    gamma_1..gamma_depth.  A coefficient beyond the stored prefix is the
+    last stored entry or 0, so this clears every one of those indices
+    without reading any through the extension policy."""
+    return common_denominator(data.beta[: depth + 1] + data.gamma[: max(depth, 0)])
 
 
 def product_type_map(
@@ -191,8 +199,8 @@ def product_type_map(
     and C(u): from mu_i (``j1``, ``j2``) when v is empty, and from nu_i
     otherwise, with ``nu`` defaulting to the mu pair.  B is 0 where (i, u)
     is not a member, and C where u is not an interior member.  D is the lcm
-    over each mu's coefficients through index depth and each nu's through
-    depth - 1, every coefficient an entry can take.
+    over each mu's stored coefficients through index depth and each nu's
+    through depth - 1, which clears every coefficient an entry can take.
     """
     mu = (j1, j2)
     inner = mu if nu is None else nu
@@ -315,8 +323,10 @@ class StateEvaluator:
 
     :meth:`word_numerator` is that integer sum, D^|w| phi(x_w); comparing
     two of them at one D compares the moments.  Integer expansions are
-    cached for every suffix built, and so are the norms; word moments are
-    not, since many words at once are :func:`moment_table`'s work.
+    cached for every suffix built, each from its tail's; ||Q_u||^2 is the
+    integer view's :meth:`CoefficientMap.norm_squared`, which the map keeps.
+    Word moments are not cached, since many words at once are
+    :func:`moment_table`'s work.
     Supports words of length up to ``cm.depth + 1``; a longer word raises
     :class:`DepthExhaustedError`.  A polynomial's value is
     :meth:`word_moment` extended linearly, as
@@ -331,31 +341,16 @@ class StateEvaluator:
         self._scale = cm.scale
         self._integer = cm.integer
         self._expansions: dict[Word, dict[Word, int]] = {EMPTY_WORD: {EMPTY_WORD: 1}}
-        self._norms: dict[Word, int] = {EMPTY_WORD: 1}
 
     def _integer_expansion(self, word: Word) -> dict[Word, int]:
-        """Expansion of y_word in the Q-basis, built from the longest cached
-        suffix outward."""
-        cached = self._expansions.get(word)
-        if cached is not None:
-            return cached
-        start = len(word)
-        for k in range(1, len(word) + 1):
-            if word[k:] in self._expansions:
-                start = k
-                break
-        current = self._expansions[word[start:]]
-        for pos in range(start - 1, -1, -1):
-            current = left_multiply(self._integer, word[pos], current)
-            self._expansions[word[pos:]] = current
-        return current
-
-    def _norm(self, u: Word) -> int:
-        """||Q_u||^2 = C'(u) ||Q_tail(u)||^2."""
-        norm = self._norms.get(u)
-        if norm is None:
-            norm = self._norms[u] = self._integer.c(u) * self._norm(u[1:])
-        return norm
+        """Expansion of y_word in the Q-basis: y_(word[0]) times that of
+        y_tail(word), kept for every suffix built."""
+        expansion = self._expansions.get(word)
+        if expansion is None:
+            expansion = self._expansions[word] = left_multiply(
+                self._integer, word[0], self._integer_expansion(word[1:])
+            )
+        return expansion
 
     def word_numerator(self, word: Word) -> int:
         """D^|w| phi(w), with D the map's scale: the integer sum over u of
@@ -367,11 +362,12 @@ class StateEvaluator:
             )
         half = len(word) // 2
         right = self._integer_expansion(word[half:])
+        norm = self._integer.norm_squared
         total = 0
         for u, a in self._integer_expansion(word[:half][::-1]).items():
             b = right.get(u)
             if b is not None:
-                total += a * b * self._norm(u)
+                total += a * b * norm(u)
         return total
 
     def word_moment(self, word: Word) -> Fraction:

@@ -9,8 +9,9 @@ for orthogonalization), so ``validate`` loads no polynomial code and
 ``gram`` no oracle.  No table command loads this module.
 
 It never imports :mod:`ncprod.cli`: under ``python -m ncprod.cli`` that
-import would load a second copy of the CLI, whose input errors the running
-copy would not catch.
+import would compile and load a second copy of the CLI for nothing.  The
+running copy would still catch the second copy's input errors, since every
+one of them is a ``ValueError``.
 """
 
 from __future__ import annotations

@@ -555,6 +555,43 @@ def test_short_error_policy_data_is_input_error(capsys, generic_files, tmp_path)
     assert code == 0
 
 
+def test_short_error_policy_data_runs_where_no_route_reads_past_it(capsys, generic_files, tmp_path):
+    """The map reads no coefficient at construction, so Jacobi data under
+    the "error" policy refuse a command only when it reads past them: the
+    table through order 3 reads beta_0, beta_1 and gamma_1 alone, the pretty
+    fraction reads to depth min(order, 4) and the free oracle index order - 1."""
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps({"beta": ["1/2", "1/3"], "gamma": ["1", "2"], "extend": "error"}))
+    _, j2 = generic_files
+    inputs = ["--omega", "free", "--jacobi1", str(short), "--jacobi2", j2]
+    for argv in (["moments", "--order", "2"], ["gram", "--order", "1"]):
+        code, out = run(capsys, *argv, *inputs)
+        assert code == 0 and out, argv
+    for argv in (["moments", "--order", "6"], ["cfrac", "--format", "pretty", "--order", "3"],
+                 ["compare", "--against", "free", "--order", "3"]):
+        _assert_input_error(capsys, [*argv, *inputs], "beta_2")
+
+
+@pytest.mark.parametrize(
+    "files",
+    [["--omega", "free", "--jacobi1", "{bad}", "--jacobi2", "{j2}"],
+     ["--jacobi1", "{j1}", "--jacobi2", "{j2}", "--nu1", "{nu1}", "--nu2", "{bad}"]],
+    ids=["jacobi1", "nu2"],
+)
+def test_marginal_that_is_not_json_is_one_plain_input_error(capsys, tmp_path, files):
+    """A marginal file that is not JSON is named once, in the reader's own
+    words, with no prefix of the marginal's parser."""
+    bad = tmp_path / "broken.json"
+    bad.write_text('{"beta": [1/2]}')
+    with pytest.raises(ValueError) as parsed:
+        json.loads(bad.read_text())
+    paths = {name: GOLDEN / f"{name}.json" for name in ("j1", "j2", "nu1")}
+    assert main(["moments", "--order", "2", *(arg.format(bad=bad, **paths) for arg in files)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {bad} is not valid JSON: {parsed.value}\n"
+
+
 def test_mops_q_without_q_gaussian_is_input_error(capsys, generic_files):
     j1, j2 = generic_files
     for state in (("--omega", "free"), ("--state", "tensor")):
@@ -823,7 +860,7 @@ except SystemExit as exc:
 def test_module_run_loads_one_copy_of_the_cli(argv):
     """Run as ``python -m ncprod.cli``, the CLI is ``__main__``, and no module
     a report loads imports ``ncprod.cli``: that would compile and run a
-    second copy, whose input errors the first does not catch."""
+    second copy for nothing."""
     inputs = ["--jacobi1", str(GOLDEN / "j1.json"), "--jacobi2", str(GOLDEN / "j2.json")]
     child = subprocess.run(
         [sys.executable, "-c", _ONE_CLI_CHILD, *argv, *(inputs if "--omega" in argv else [])],

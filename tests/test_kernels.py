@@ -50,7 +50,7 @@ from ncprod.cfrac import (
 )
 from ncprod.cli import _emit_table
 from ncprod.ncpoly import NCPolynomial, NCSeries, _make
-from ncprod.prodstate import StateEvaluator, cfree_map, explicit_map, product_type_map
+from ncprod.prodstate import DepthExhaustedError, StateEvaluator, cfree_map, explicit_map, product_type_map
 from ncprod.words import words_of_length, words_up_to
 
 F = Fraction
@@ -397,7 +397,7 @@ def test_map_fed_matricial_parts_equal_matricial_data_route(name):
         assert scale == cm.scale
         assert _series(2, parts, scale) == _series(2, *matricial_parts(md, order)), (name, order)
     # order 21 needs 11 levels, one beyond the map's depth of 10
-    with pytest.raises(ValueError):
+    with pytest.raises(DepthExhaustedError, match="order 21 needs 11 levels"):
         matricial_map_parts(cm, 21)
 
 

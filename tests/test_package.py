@@ -2,6 +2,7 @@
 import through them."""
 
 import copy
+import importlib.util
 import json
 import os
 import pickle
@@ -185,3 +186,16 @@ def test_script_runs(script):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+
+
+def test_cross_route_sweep_agrees_on_every_tree_with_words_to_length_3():
+    """The small half of ``scripts/cross_route_sweep.py``, in-process: on
+    each of the 64 trees with words to length 3, every route gives the
+    transfer-operator table's numerators through order 3."""
+    spec = importlib.util.spec_from_file_location("cross_route_sweep", ROOT / "scripts" / "cross_route_sweep.py")
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    trees = sweep.enumerate_valid_trees(3)
+    assert len(trees) == 64
+    for members in trees:
+        assert sweep.disagreement(OmegaTree(2, members), 3) is None, sorted(members)

@@ -1,8 +1,10 @@
 """Coefficient maps, basis polynomials, and transfer-operator evaluation."""
 
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from ncprod import (
     functional_inner,
     gram_matrix,
     gram_schmidt_mops,
+    jacobi_from_json,
     left_multiply,
     moment,
     moment_table,
@@ -46,6 +49,8 @@ from ncprod.words import words_of_length, words_up_to
 F = Fraction
 
 SEMI = preset("semicircle")
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def x(i):
@@ -162,21 +167,72 @@ def test_finite_support_guard_names_the_shortest_pure_run(name):
     _assert_map_matches_references(name, 5, three_points, GENERIC_J2)
 
 
-def test_error_policy_marginal_raises_at_map_construction():
-    """Maps answer on demand, but read every marginal coefficient they can
-    use when they fix D, so data that run out fail at construction."""
+def test_error_policy_marginal_raises_at_first_read_past_its_data():
+    """A map takes D from the stored prefixes and reads no coefficient at
+    construction, so data under the "error" policy that run out refuse the
+    first query that reads past them, and a route that stays within them
+    runs."""
     short = JacobiData(beta=(F(1, 2), F(1, 3)), gamma=(F(1), F(2)), extend="error")
-    product_type_map(builder("free", 1), short, GENERIC_J2)
+    cm = product_type_map(builder("free", 2), short, GENERIC_J2)
+    assert len(moment_parts(cm, 3)) == 4  # reads B and C at words of length <= 1
     with pytest.raises(JacobiRangeError, match="beta_2"):
-        product_type_map(builder("free", 2), short, GENERIC_J2)
-    with pytest.raises(JacobiRangeError):
-        product_type_map(builder("boolean", 2), GENERIC_J1, short)
+        cm.b(1, (1, 1))
+    cm = product_type_map(builder("boolean", 2), GENERIC_J1, short)
+    with pytest.raises(JacobiRangeError, match="beta_2"):
+        cm.b(2, (2, 2))
     # the two-pair map reads each nu one index less deep than each mu
-    cfree_map(GENERIC_J1, short, GENERIC_J2, short, 2)
-    with pytest.raises(JacobiRangeError):
-        cfree_map(GENERIC_J1, short, GENERIC_J2, short, 3)
-    with pytest.raises(JacobiRangeError):
-        cfree_map(short, GENERIC_J1, GENERIC_J2, GENERIC_J2, 2)
+    cm = cfree_map(GENERIC_J1, short, GENERIC_J2, short, 3)
+    assert cm.b(1, (1, 2)) == short.beta[1]
+    with pytest.raises(JacobiRangeError, match="beta_2"):
+        cm.b(1, (1, 1, 2))
+
+
+def _old_scale(mus, nus, depth):
+    """D as the map once read it at construction: the lcm of every mu's
+    beta_0..beta_depth and gamma_1..gamma_depth and every nu's through
+    depth - 1, each read through the extension policy."""
+    def lcm(data, top):
+        betas = [data.beta_at(k) for k in range(top + 1)]
+        return math.lcm(*(x.denominator for x in betas + [data.gamma_at(k) for k in range(1, top + 1)]))
+
+    return math.lcm(*(lcm(data, depth) for data in mus), *(lcm(data, depth - 1) for data in nus))
+
+
+def _golden_marginal(name):
+    with open(GOLDEN / f"{name}.json", encoding="utf-8") as handle:
+        return jacobi_from_json(json.load(handle, parse_float=Fraction))
+
+
+def test_scale_from_stored_prefixes_equals_the_lcm_read_through_the_policy():
+    """D taken from the stored prefixes equals the lcm over every
+    coefficient an entry can take, read through the extension policy, for
+    each marginal as a mu and as a nu, at depths 1 to 12; where that read
+    runs out (the "error" policy) the map is still built."""
+    marginals = [_golden_marginal(name) for name in ("j1", "j2", "nu1", "nu2", "q_gaussian")]
+    marginals += [GENERIC_J1, GENERIC_J2, *random_pair(5)]
+    marginals += [
+        preset("semicircle"),
+        preset("q-gaussian", q=F(1, 2), terms=9),
+        preset("gaussian", terms=5),
+        preset("point-mass", c=F(-2, 7)),
+        preset("bernoulli", p=F(1, 3), a=F(1, 2), b=F(-3, 5)),
+        JacobiData(beta=(F(1, 2), F(1, 3)), gamma=(F(1), F(2, 9)), extend="zero"),
+        JacobiData(beta=(F(1, 2), F(1, 3)), gamma=(F(1), F(2, 9)), extend="error"),
+        JacobiData(beta=(), gamma=()),
+    ]
+    for depth in range(1, 13):
+        for data in marginals:
+            # semicircle has D = 1, so the one marginal fixes the scale
+            for role, mus, nus in (("mu", (data, SEMI), (SEMI, SEMI)), ("nu", (SEMI, SEMI), (data, SEMI))):
+                cm = cfree_map(mus[0], nus[0], mus[1], nus[1], depth)
+                try:
+                    expected = _old_scale(mus, nus, depth)
+                except JacobiRangeError:
+                    continue
+                assert cm.scale == expected, (data, depth, role)
+    # a map of depth 0 holds B(i, ()) alone, so no nu coefficient enters D
+    nu = JacobiData(beta=(F(1, 5), F(1, 7)), gamma=(F(1, 3), F(1, 11)))
+    assert product_type_map(OmegaTree(0, frozenset({(1,), (2,)})), SEMI, SEMI, (nu, nu)).scale == 1
 
 
 CUSTOM_TREE = {"words": [[2, 1], [2, 2, 1], [1, 2, 1]], "implicit_runs": True}
@@ -357,6 +413,19 @@ def test_norm_product_free_semicircle():
     tree = builder("free", 4)
     p = basis_polynomial(tree, SEMI, SEMI, (1, 2))
     assert functional_inner(StateEvaluator(cm).word_moment, p, p) == 1
+
+
+def test_integer_view_norms_are_the_scaled_norms_as_ints():
+    """The integer view's norm_squared is the int ||Q_u||^2 = D^(2|u|)
+    ||P_u||^2, the norm the word-by-word evaluator pairs with."""
+    maps = [product_type_map(builder(name, 4), GENERIC_J1, GENERIC_J2) for name in BUILTIN_OMEGAS]
+    nu1, nu2 = random_pair(7)
+    maps.append(cfree_map(GENERIC_J1, nu1, GENERIC_J2, nu2, 4))
+    for cm in maps:
+        for u in words_up_to(2, 4):
+            norm = cm.integer.norm_squared(u)
+            assert type(norm) is int, u
+            assert norm == cm.norm_squared(u) * cm.scale ** (2 * len(u)), u
 
 
 def test_one_branch_boundary_vector_has_zero_norm():
