@@ -9,8 +9,12 @@ checks that the four routes to the numerators D^|w| phi(w) agree on every
 word: the transfer-operator table (``moment_parts``), the scalar and the
 matricial continued fractions (``scalar_branched_parts``,
 ``matricial_map_parts``) and the word-by-word evaluator
-(``StateEvaluator.word_numerator``).  Exits 1 at the first disagreement,
-naming the tree, the route and the word.
+(``StateEvaluator.word_numerator``).  Then, on the full tree at order
+10, it checks the direct definitions against the same table: the free
+oracle (``free_state``) on the map of the mu pair, and the c-free oracle
+(``cfree_state``) on the two-pair map (``cfree_map``), each at the map's
+scale.  Exits 1 at the first disagreement, naming the tree or the oracle,
+the route and the word.
 
 Run from the repository root: ``PYTHONPATH=src python3 scripts/cross_route_sweep.py``.
 """
@@ -19,7 +23,17 @@ import sys
 import time
 from fractions import Fraction as F
 
-from ncprod import JacobiData, OmegaTree, StateEvaluator, enumerate_valid_trees, product_type_map
+from ncprod import (
+    JacobiData,
+    OmegaTree,
+    StateEvaluator,
+    builder,
+    cfree_map,
+    cfree_state,
+    enumerate_valid_trees,
+    free_state,
+    product_type_map,
+)
 from ncprod.cfrac import matricial_map_parts, scalar_branched_parts
 from ncprod.prodstate import moment_parts
 from ncprod.words import graded_lex_key, words_of_length
@@ -37,6 +51,8 @@ NU = (
 
 # (the words' maximal length in the enumeration, the order checked)
 SWEEPS = ((3, 3), (4, 4))
+# the order of the direct-definition check on the full tree
+ORACLE_ORDER = 10
 
 
 def disagreement(tree: OmegaTree, order: int) -> str | None:
@@ -64,6 +80,24 @@ def disagreement(tree: OmegaTree, order: int) -> str | None:
     return None
 
 
+def oracle_disagreement(order: int) -> str | None:
+    """The first direct-definition oracle whose numerators differ from the
+    transfer-operator table's on the full tree, or None."""
+    free = product_type_map(builder("free", order), *MU)
+    two_pair = cfree_map(MU[0], NU[0], MU[1], NU[1], order)
+    checks = {
+        "free_state": (free, free_state(*MU, scale=free.scale)),
+        "cfree_state": (two_pair, cfree_state(MU[0], NU[0], MU[1], NU[1], scale=two_pair.scale)),
+    }
+    for route, (cm, phi) in checks.items():
+        for n, expected in enumerate(moment_parts(cm, order)):
+            for w, a in zip(words_of_length(cm.d, n), expected):
+                b = phi(w)
+                if a != b:
+                    return f"{route} at word {list(w)}: {b}, moment_parts {a}"
+    return None
+
+
 def main() -> int:
     for max_len, order in SWEEPS:
         start = time.perf_counter()
@@ -77,6 +111,13 @@ def main() -> int:
                 return 1
         elapsed = time.perf_counter() - start
         print(f"words to length {max_len}: {len(trees)} trees agree through order {order} ({elapsed:.2f} s)")
+    start = time.perf_counter()
+    found = oracle_disagreement(ORACLE_ORDER)
+    if found is not None:
+        print(f"disagreement on the full tree at order {ORACLE_ORDER}: {found}")
+        return 1
+    elapsed = time.perf_counter() - start
+    print(f"full tree: free_state and cfree_state agree through order {ORACLE_ORDER} ({elapsed:.2f} s)")
     return 0
 
 

@@ -44,15 +44,16 @@ every moment of the state from the one dense table,
 D^|w| phi(w), with D the coefficient map's scale, are the transfer
 operator's dense table (``prodstate.moment_parts``), the integers that
 ``moments`` divides once per word; the reference gives its numerators over
-the same D^|w|, the oracles built at that scale word by word and the scalar
+the same D^|w|, the oracles built at that scale and read word by word
+(the free and c-free ones from a dense table of their own) and the scalar
 continued fraction as its own dense integer table on the same map, compared
 list to list.  Two equal integers mean two equal moments, so a ``Fraction``
 is built only for the first mismatch it reports.  The moments and cfrac
 tables go through one writer that takes dense integer numerators over D^m,
 one list per degree: ``moments`` and every ``cfrac`` engine hand it their
 tables as they come (``classical`` the scalar engine's, on the chain map).
-It builds each degree's word texts from the previous degree's, reduces each
-distinct value of a degree with one gcd and writes one degree at a time.
+It builds each degree's row stems from the previous degree's, reduces each
+distinct value of a degree with one gcd and writes each degree as one join.
 
 Exit codes: 0 on success, 1 on mathematical failure (invalid tree, mismatch
 in a comparison), 2 on input errors, including a negative --order and
@@ -227,22 +228,30 @@ def _emit_table(parts: Sequence[Sequence[int]], d: int, fmt: str, scale: int) ->
     d^m words of length m at their base-d indices.  Each distinct value of a
     degree is written in lowest terms with one gcd against the degree's
     denominator; the cache is per degree, because one numerator over scale^m
-    and over scale^(m+1) prints differently.  A degree's keys are built once
-    from the previous degree's, and the table is written one degree at a
-    time.  The json is the text of json.dumps([{"word": [...], "value":
+    and over scale^(m+1) prints differently.  Each row of a degree starts
+    with its stem: the row separator, the row opening and the key.  The
+    next degree's stems are each stem plus the letter separator plus a
+    letter, and a degree is written as one join of its stems, the text
+    between key and value, which is the same for every row of the degree,
+    and its values.  That holds because the letters 1..d print as one digit
+    each, so every key of a degree has one length and pretty pads them
+    alike.  The json is the text of json.dumps([{"word": [...], "value":
     "p/q"}, ...], indent=2), built directly: a letter is an int and a value
     holds only digits, "-" and "/", so nothing needs escaping."""
+    if d > 9:
+        raise ValueError(f"a table is written for at most 9 letters, not {d}")
     opening, empty, before, sep, between, row_sep, closing = _TABLE_FRAMES[fmt]
     letters = [str(i) for i in range(1, d + 1)]
     width = 0
     if fmt == "pretty":
         # every key padded to the longest one's length plus 2
         top = len(parts) - 1
-        width = top * (len(letters[-1]) + 1) + 1 if top else 2
+        width = 2 * top + 1 if top else 2
         empty = empty.ljust(width) + between
     write = sys.stdout.write
     write(opening)
-    keys = [""]
+    steps = [sep + letter for letter in letters]
+    stems = [row_sep + before]
     for m, values in enumerate(parts):
         q = scale**m
         # a product-type moment depends on the word's run structure, so
@@ -250,14 +259,15 @@ def _emit_table(parts: Sequence[Sequence[int]], d: int, fmt: str, scale: int) ->
         text = dict.fromkeys(values)
         for n in text:
             text[n] = _ratio(n, q)
-        texts = list(map(text.__getitem__, values))
         if m == 0:
-            heads = [empty]
-        else:
-            keys = letters if m == 1 else [k + sep + letter for k in keys for letter in letters]
-            heads = [before + k.ljust(width) + between for k in keys]
-            write(row_sep)
-        write(row_sep.join(map(str.__add__, heads, texts)))
+            write(empty + text[values[0]])
+            continue
+        stems = [stem + step for stem in stems for step in (letters if m == 1 else steps)]
+        # in pretty, a key of m letters is 2m - 1 long; elsewhere width is 0
+        rows = [" " * (width - 2 * m + 1) + between] * (3 * len(stems))
+        rows[::3] = stems
+        rows[2::3] = map(text.__getitem__, values)
+        write("".join(rows))
     write(closing)
 
 

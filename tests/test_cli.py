@@ -322,6 +322,19 @@ def test_compare_against_cfree_oracle(capsys):
     assert json.loads(out)["first_mismatch"]["word"] == [2, 1, 2]
 
 
+def test_compare_against_the_direct_definitions_at_depth(capsys):
+    """On the golden inputs the transfer operator equals the free oracle
+    through order 12 and, on the two-pair map, the c-free oracle through
+    order 11."""
+    files = {name: str(GOLDEN / f"{name}.json") for name in ("j1", "j2", "nu1", "nu2")}
+    marginals = ["--jacobi1", files["j1"], "--jacobi2", files["j2"]]
+    code, out = run(capsys, "compare", *marginals, "--omega", "free", "--against", "free", "--order", "12")
+    assert (code, json.loads(out)) == (0, {"equal": True, "order": 12})
+    code, out = run(capsys, "compare", *marginals, "--nu1", files["nu1"], "--nu2", files["nu2"],
+                    "--against", "cfree", "--order", "11")
+    assert (code, json.loads(out)) == (0, {"equal": True, "order": 11})
+
+
 def test_compare_against_cfree_needs_the_nu_files(capsys, generic_files):
     j1, j2 = generic_files
     argv = ["compare", "--jacobi1", j1, "--jacobi2", j2, "--against", "cfree", "--order", "4"]

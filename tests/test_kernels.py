@@ -435,6 +435,14 @@ def test_json_rows_are_the_bytes_of_json_dumps(capsys):
         assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n", (d, parts, scale)
 
 
+def test_table_of_more_than_nine_letters_is_refused(capsys):
+    """Each degree's rows share one key-to-value text only while every
+    letter prints as one digit; a tenth letter is refused, not misaligned."""
+    with pytest.raises(ValueError, match="at most 9 letters"):
+        _emit_table([[1], [1] * 10], 10, "pretty", 1)
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("fmt", ["csv", "pretty"])
 def test_table_rows_are_the_row_by_row_format(capsys, fmt):
     """csv is a header and one "key,value" line per word; pretty pads every

@@ -27,7 +27,13 @@ from ncprod import (
     q_gaussian_state,
     tensor_state,
 )
-from ncprod.jacobi import JacobiData, MomentSequence, coefficient_scale, jacobi_from_json
+from ncprod.jacobi import (
+    JacobiData,
+    JacobiRangeError,
+    MomentSequence,
+    coefficient_scale,
+    jacobi_from_json,
+)
 from ncprod.oracle import (
     _noncrossing_moments,
     antimonotone_state,
@@ -290,6 +296,46 @@ def test_scale_that_leaves_a_denominator_raises():
         assert phi((1, 2)) == 77**2 * moment(coprime, 1) ** 2
         with pytest.raises(ValueError, match="does not clear"):
             phi((2, 2, 2))
+
+
+@pytest.mark.parametrize("factory", [free_state, cfree_state])
+def test_tables_answer_alike_in_any_query_order(factory):
+    """A functional extends its tables as the words ask: a length-9 word
+    first and then every shorter word, or the shorter words first, longest
+    to shortest, and then the length-9 word, give the same values; so do
+    two functionals built from the same marginals, and the Fraction
+    reference on the long word."""
+    mu1, nu1, mu2, nu2 = _INTEGER_CORE_CASES["golden-two-pair"]
+    marginals = (mu1, nu1, mu2, nu2) if factory is cfree_state else (mu1, mu2)
+    long_word = (1, 2, 2, 1, 1, 2, 1, 2, 1)
+    shorter = words_up_to(2, 8)
+    long_first = factory(*marginals)
+    first = [long_first(long_word), *map(long_first, shorter)]
+    long_last = factory(*marginals)
+    last = [*map(long_last, reversed(shorter)), long_last(long_word)]
+    assert first == [last[-1], *reversed(last[:-1])]
+    sequences = {1: MomentSequence(mu1), 2: MomentSequence(mu2)}
+    if factory is cfree_state:
+        reference = fraction_noncrossing_moments(
+            sequences, fraction_noncrossing_moments({1: MomentSequence(nu1), 2: MomentSequence(nu2)})
+        )
+    else:
+        reference = fraction_noncrossing_moments(sequences)
+    assert first[0] == reference(long_word)
+
+
+def test_one_word_reads_every_marginal_through_its_length():
+    """One word costs its whole table: it reads every letter's moments
+    through index |w|.  Under the "error" policy, data that stop short of
+    m_2 still serve (1,) but refuse (1, 2), naming the first missing
+    coefficient; the refusal leaves the table as it was."""
+    short = JacobiData(beta=(F(1, 2),), gamma=(), extend="error")
+    phi = free_state(short, short)
+    assert phi((1,)) == F(1, 2)
+    for _ in range(2):
+        with pytest.raises(JacobiRangeError, match="beta_1 beyond stored prefix of length 1"):
+            phi((1, 2))
+        assert phi((2,)) == F(1, 2)
 
 
 # monomial orthogonalization --------------------------------------------------
