@@ -338,6 +338,16 @@ def test_one_word_reads_every_marginal_through_its_length():
         assert phi((2,)) == F(1, 2)
 
 
+def test_letter_outside_the_alphabet_is_refused():
+    """A table is read at a word's base-d index, so a letter outside 1..2
+    is refused by name rather than read as another word's entry."""
+    nu1, nu2 = random_pair(44)
+    for phi in (free_state(GENERIC_J1, GENERIC_J2), cfree_state(GENERIC_J1, nu1, GENERIC_J2, nu2)):
+        for word in ((1, 3), (0,), (3, 1)):
+            with pytest.raises(ValueError, match="outside alphabet 1..2"):
+                phi(word)
+
+
 # monomial orthogonalization --------------------------------------------------
 
 def test_mops_reproduces_basis_polynomials_centered():
