@@ -9,12 +9,14 @@ checks that the four routes to the numerators D^|w| phi(w) agree on every
 word: the transfer-operator table (``moment_parts``), the scalar and the
 matricial continued fractions (``scalar_branched_parts``,
 ``matricial_map_parts``) and the word-by-word evaluator
-(``StateEvaluator.word_numerator``).  Then, on the full tree at order
-10, it checks the direct definitions against the same table: the free
-oracle (``free_state``) on the map of the mu pair, and the c-free oracle
-(``cfree_state``) on the two-pair map (``cfree_map``), each at the map's
-scale.  Exits 1 at the first disagreement, naming the tree or the oracle,
-the route and the word.
+(``StateEvaluator.word_numerator``).  Then, at order 10, it checks the
+direct definitions against the same table, each oracle built at its map's
+scale: the free, Boolean, monotone and anti-monotone oracles
+(``free_state``, ``boolean_state``, ``monotone_state``,
+``antimonotone_state``) on the map of the mu pair on their built-in tree,
+and the c-free oracle (``cfree_state``) on the two-pair map
+(``cfree_map``).  Exits 1 at the first disagreement, naming the tree or
+the oracle, the route and the word.
 
 Run from the repository root: ``PYTHONPATH=src python3 scripts/cross_route_sweep.py``.
 """
@@ -27,11 +29,14 @@ from ncprod import (
     JacobiData,
     OmegaTree,
     StateEvaluator,
+    antimonotone_state,
+    boolean_state,
     builder,
     cfree_map,
     cfree_state,
     enumerate_valid_trees,
     free_state,
+    monotone_state,
     product_type_map,
 )
 from ncprod.cfrac import matricial_map_parts, scalar_branched_parts
@@ -51,8 +56,16 @@ NU = (
 
 # (the words' maximal length in the enumeration, the order checked)
 SWEEPS = ((3, 3), (4, 4))
-# the order of the direct-definition check on the full tree
+# the order of the direct-definition checks
 ORACLE_ORDER = 10
+# the oracles of one (mu1, mu2) pair, each under the built-in tree whose
+# product-type state it defines directly
+TREE_ORACLES = {
+    "free": free_state,
+    "boolean": boolean_state,
+    "monotone": monotone_state,
+    "antimonotone": antimonotone_state,
+}
 
 
 def disagreement(tree: OmegaTree, order: int) -> str | None:
@@ -60,12 +73,9 @@ def disagreement(tree: OmegaTree, order: int) -> str | None:
     cm = product_type_map(tree, *MU, NU)
     table = moment_parts(cm, order)
     evaluator = StateEvaluator(cm)
-    matricial, scale = matricial_map_parts(cm, order)
-    if scale != cm.scale:
-        return f"matricial_map_parts: scale {scale}, map scale {cm.scale}"
     routes = {
         "scalar_branched_parts": scalar_branched_parts(cm, order),
-        "matricial_map_parts": matricial,
+        "matricial_map_parts": matricial_map_parts(cm, order),
         "word_numerator": [
             [evaluator.word_numerator(w) for w in words_of_length(cm.d, n)] for n in range(order + 1)
         ],
@@ -82,13 +92,15 @@ def disagreement(tree: OmegaTree, order: int) -> str | None:
 
 def oracle_disagreement(order: int) -> str | None:
     """The first direct-definition oracle whose numerators differ from the
-    transfer-operator table's on the full tree, or None."""
-    free = product_type_map(builder("free", order), *MU)
+    transfer-operator table's, or None: the free, Boolean, monotone and
+    anti-monotone oracles on the map of their built-in tree, the c-free
+    oracle on the two-pair map."""
+    checks = {}
+    for name, factory in TREE_ORACLES.items():
+        cm = product_type_map(builder(name, order), *MU)
+        checks[f"{name}_state"] = (cm, factory(*MU, scale=cm.scale))
     two_pair = cfree_map(MU[0], NU[0], MU[1], NU[1], order)
-    checks = {
-        "free_state": (free, free_state(*MU, scale=free.scale)),
-        "cfree_state": (two_pair, cfree_state(MU[0], NU[0], MU[1], NU[1], scale=two_pair.scale)),
-    }
+    checks["cfree_state"] = (two_pair, cfree_state(MU[0], NU[0], MU[1], NU[1], scale=two_pair.scale))
     for route, (cm, phi) in checks.items():
         for n, expected in enumerate(moment_parts(cm, order)):
             for w, a in zip(words_of_length(cm.d, n), expected):
@@ -114,10 +126,13 @@ def main() -> int:
     start = time.perf_counter()
     found = oracle_disagreement(ORACLE_ORDER)
     if found is not None:
-        print(f"disagreement on the full tree at order {ORACLE_ORDER}: {found}")
+        print(f"disagreement of an oracle at order {ORACLE_ORDER}: {found}")
         return 1
     elapsed = time.perf_counter() - start
-    print(f"full tree: free_state and cfree_state agree through order {ORACLE_ORDER} ({elapsed:.2f} s)")
+    print(
+        "oracles: free_state, boolean_state, monotone_state, antimonotone_state and cfree_state "
+        f"agree through order {ORACLE_ORDER} ({elapsed:.2f} s)"
+    )
     return 0
 
 

@@ -280,10 +280,11 @@ def matricial_parts(md: MatricialData, order: int) -> tuple[list[list[int]], int
     return _matricial_levels(md.d, md.levels, order, t_entries, c_entry), scale
 
 
-def matricial_map_parts(cm: CoefficientMap, order: int) -> tuple[list[list[int]], int]:
-    """The integer parts of the matricial continued fraction of the diagonal
-    data a map induces, with the map's scale D: level k's T_i and C are
-    diagonal, with B(i, u) and C(u) at the row of the word u of length k.
+def matricial_map_parts(cm: CoefficientMap, order: int) -> list[list[int]]:
+    """The integer parts over D^m, D the map's scale, of the matricial
+    continued fraction of the diagonal data a map induces: level k's T_i
+    and C are diagonal, with B(i, u) and C(u) at the row of the word u of
+    length k.
     It runs on the fewest levels exact through the order, (order + 1) // 2,
     which the map must hold, and reads T' and C' entry by entry from the
     map's integer view, only the entries the recursion reaches, through
@@ -305,7 +306,7 @@ def matricial_map_parts(cm: CoefficientMap, order: int) -> tuple[list[list[int]]
     def c_entry(k: int, r: int) -> int:
         return scaled.c(words[k][r])
 
-    return _matricial_levels(d, levels, order, t_entries, c_entry), cm.scale
+    return _matricial_levels(d, levels, order, t_entries, c_entry)
 
 
 def _matricial_levels(

@@ -190,12 +190,16 @@ def _build_map(args, depth: int, marginals: Marginals | None = None) -> Coeffici
     return prodstate.cfree_map(mu1, nu1, mu2, nu2, depth)
 
 
-def _refuse_map_flags(args, mode: str) -> None:
-    """--omega and --nu1/--nu2 pick a product-type map; a mode that builds
-    none refuses them rather than ignore them."""
-    for flag in ("omega", "nu1", "nu2"):
+# --omega and --nu1/--nu2 pick a product-type map
+_MAP_FLAGS = ("omega", "nu1", "nu2")
+
+
+def _refuse(args, flags: Sequence[str], mode: str, why: str) -> None:
+    """Refuse the first of ``flags`` that is given, since ``mode`` does not
+    read it, rather than ignore it."""
+    for flag in flags:
         if getattr(args, flag) is not None:
-            raise ValueError(f"--{flag} is not read by {mode}, which builds no product-type map")
+            raise ValueError(f"--{flag} is not read by {mode}, which {why}")
 
 
 def _emit(text: str) -> None:
@@ -303,23 +307,20 @@ def cmd_cfrac(args) -> int:
     from . import cfrac
 
     if args.engine == "classical":
-        _refuse_map_flags(args, "--engine classical")
-        if args.jacobi2 is not None:
-            raise ValueError(
-                "--jacobi2 is not read by --engine classical, which takes its one marginal from --jacobi1"
-            )
+        _refuse(args, _MAP_FLAGS, "--engine classical", "builds no product-type map")
+        _refuse(args, ("jacobi2",), "--engine classical", "takes its one marginal from --jacobi1")
         cm = cfrac.chain_map(_load_jacobi(args.jacobi1, "--jacobi1"), args.order)
     else:
         cm = _build_map(args, max(args.order, 1))
     # integer numerators by degree over D^m: no Fraction per row
     if args.engine == "matricial":
-        parts, scale = cfrac.matricial_map_parts(cm, args.order)
+        parts = cfrac.matricial_map_parts(cm, args.order)
     else:
-        parts, scale = cfrac.scalar_branched_parts(cm, args.order), cm.scale
+        parts = cfrac.scalar_branched_parts(cm, args.order)
     if args.format == "pretty" and args.engine != "classical":
         _emit(cfrac.render_branched_cf(cm, min(args.order, 4)))
         _emit("")
-    _emit_table(parts, cm.d, args.format, scale)
+    _emit_table(parts, cm.d, args.format, cm.scale)
     return 0
 
 
@@ -327,11 +328,9 @@ def cmd_mops(args) -> int:
     from . import oracle, reports
 
     if args.state != "omega":
-        _refuse_map_flags(args, f"--state {args.state}")
+        _refuse(args, _MAP_FLAGS, f"--state {args.state}", "builds no product-type map")
     if args.state == "q-gaussian":
-        for flag in ("jacobi1", "jacobi2"):
-            if getattr(args, flag) is not None:
-                raise ValueError(f"--{flag} is not read by --state q-gaussian, which has fixed marginals")
+        _refuse(args, ("jacobi1", "jacobi2"), "--state q-gaussian", "has fixed marginals")
     elif args.q is not None:
         raise ValueError(f"--q is read only by --state q-gaussian, not by --state {args.state}")
     if args.state == "tensor":

@@ -75,29 +75,26 @@ class JacobiData(FrozenRecord):
         super().__init__(beta, gamma, policy)
 
     def beta_at(self, n: int) -> Fraction:
-        if n < 0:
-            raise ValueError("beta index must be nonnegative")
-        if n < len(self.beta):
-            return self.beta[n]
-        if self.extend == "repeat":
-            return self.beta[-1] if self.beta else Fraction(0)
-        if self.extend == "zero":
-            return Fraction(0)
-        raise JacobiRangeError(f"beta_{n} beyond stored prefix of length {len(self.beta)}")
+        return self._coefficient("beta", self.beta, n, 0)
 
     def gamma_at(self, n: int) -> Fraction:
         """gamma_n for n >= 1; gamma_0 is identically zero."""
+        return self._coefficient("gamma", self.gamma, n, 1)
+
+    def _coefficient(self, name: str, stored: tuple[Fraction, ...], n: int, first: int) -> Fraction:
+        """Entry n of the sequence whose stored prefix starts at index
+        ``first`` (every index below it is zero), extended by the policy."""
         if n < 0:
-            raise ValueError("gamma index must be nonnegative")
-        if n == 0:
+            raise ValueError(f"{name} index must be nonnegative")
+        if n < first:
             return Fraction(0)
-        if n - 1 < len(self.gamma):
-            return self.gamma[n - 1]
-        if self.extend == "repeat":
-            return self.gamma[-1] if self.gamma else Fraction(0)
-        if self.extend == "zero":
-            return Fraction(0)
-        raise JacobiRangeError(f"gamma_{n} beyond stored prefix of length {len(self.gamma)}")
+        if n - first < len(stored):
+            return stored[n - first]
+        if self.extend == "repeat" and stored:
+            return stored[-1]
+        if self.extend == "error":
+            raise JacobiRangeError(f"{name}_{n} beyond stored prefix of length {len(stored)}")
+        return Fraction(0)
 
 
 def orthogonal_polynomial(

@@ -15,18 +15,27 @@ cumulants (Bozejko, Leinert and Speicher, 1996).  The block-centering
 evaluation of the two-pair state, a route independent of this sum, lives
 in the tests as its reference.
 
+One block rule serves the Boolean, monotone, anti-monotone and tensor
+states; see :func:`_block_product`.  They differ only in which letters
+merge: every occurrence of a merged letter belongs to one block, each
+maximal run of any other letter is a block of its own, and phi(w) is the
+product of the blocks' marginal moments.  No letter merges in the Boolean
+state, letter 1 in the monotone, letter 2 in the anti-monotone and both in
+the tensor state.  Every functional here but the q-deformed Gaussian one
+reads its word through :func:`~ncprod.words.check_word`, so a letter that
+is not an int in 1..2 raises ``ValueError`` naming it.
+
 The oracles of a marginal pair run in integers.  With D an integer that
 clears every recursion coefficient of the marginals, each one finds
 M(w) = D^|w| phi(w) from the integers D^n m_n of its marginals' moments
 and divides once per word.  The free and two-pair sums scale block by
-block (the block, its gaps and its tail add up to the word); the block
-products of the Boolean, monotone, anti-monotone and tensor states scale
-run by run.  D is the lcm of the marginals' stored coefficient
-denominators.  A factory given ``scale=D`` uses that D instead and returns
-the integers M(w) themselves: ``compare`` builds the oracle at its
-coefficient map's scale and checks each word as two integers over the
-same D^|w|.  A scale that does not clear a coefficient the oracle reads
-raises ``ValueError``.
+block (the block, its gaps and its tail add up to the word), and so do
+the block products (the blocks add up to the word).  D is the lcm of the
+marginals' stored coefficient denominators.  A factory given ``scale=D``
+uses that D instead and returns the integers M(w) themselves: ``compare``
+builds the oracle at its coefficient map's scale and checks each word as
+two integers over the same D^|w|.  A scale that does not clear a
+coefficient the oracle reads raises ``ValueError``.
 
 Each ``*_state`` factory holds one :class:`~ncprod.jacobi.MomentSequence`
 per marginal, so a marginal moment is computed once however many words
@@ -56,7 +65,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Sequence, Union
 
 from .jacobi import JacobiData, MomentSequence, coefficient_scale
-from .words import Word, _add_outer, graded_lex_key, parse_rational, word_runs, words_up_to
+from .words import Word, _add_outer, check_word, graded_lex_key, parse_rational, word_runs, words_up_to
 
 if TYPE_CHECKING:
     from .ncpoly import NCPolynomial
@@ -132,12 +141,10 @@ class _noncrossing_moments:
         return self.parts
 
     def __call__(self, word: Word) -> int:
-        word = tuple(word)
         d = len(self._marginals)
+        word = check_word(word, d)
         index = 0
         for letter in word:
-            if not 1 <= letter <= d:
-                raise ValueError(f"letter {letter} outside alphabet 1..{d}")
             index = index * d + letter - 1
         return self.through(len(word))[len(word)][index]
 
@@ -222,56 +229,47 @@ def free_state(j1: JacobiData, j2: JacobiData, *, scale: int | None = None) -> F
     return _finish(_noncrossing_moments({1: m1, 2: m2}), m1.scale, scale is not None)
 
 
-def boolean_state(j1: JacobiData, j2: JacobiData, *, scale: int | None = None) -> Functional:
-    """Each maximal block contributes its own marginal moment."""
+def _block_product(
+    merged: tuple[int, ...], j1: JacobiData, j2: JacobiData, scale: int | None
+) -> Functional:
+    """The block rule shared by the Boolean, monotone, anti-monotone and
+    tensor states: all occurrences of a letter in ``merged`` form one block,
+    each maximal run of any other letter is a block of its own, and M(w) is
+    the product of the blocks' M_n = D^n m_n."""
     m1, m2 = _moment_sequences(scale, j1, j2)
     marginals = {1: m1, 2: m2}
 
     def phi(word: Word) -> int:
+        word = check_word(word, 2)
         total = 1
-        for letter, length in word_runs(tuple(word)):
-            total *= marginals[letter].numerator(length)
+        for letter in merged:
+            total *= marginals[letter].numerator(word.count(letter))
+        for letter, length in word_runs(word):
+            if letter not in merged:
+                total *= marginals[letter].numerator(length)
         return total
 
     return _finish(phi, m1.scale, scale is not None)
+
+
+def boolean_state(j1: JacobiData, j2: JacobiData, *, scale: int | None = None) -> Functional:
+    """Each maximal block contributes its own marginal moment."""
+    return _block_product((), j1, j2, scale)
 
 
 def monotone_state(j1: JacobiData, j2: JacobiData, *, scale: int | None = None) -> Functional:
     """All letter-1 blocks merge into one marginal moment; letter-2 blocks factor."""
-    m1, m2 = _moment_sequences(scale, j1, j2)
-
-    def phi(word: Word) -> int:
-        word = tuple(word)
-        ones = sum(1 for letter in word if letter == 1)
-        total = m1.numerator(ones)
-        for letter, length in word_runs(word):
-            if letter == 2:
-                total *= m2.numerator(length)
-        return total
-
-    return _finish(phi, m1.scale, scale is not None)
+    return _block_product((1,), j1, j2, scale)
 
 
 def antimonotone_state(j1: JacobiData, j2: JacobiData, *, scale: int | None = None) -> Functional:
     """Monotone with the letters and marginals interchanged."""
-    mirrored = monotone_state(j2, j1, scale=scale)
-
-    def phi(word: Word):
-        return mirrored(tuple(3 - letter for letter in word))
-
-    return phi
+    return _block_product((2,), j1, j2, scale)
 
 
 def tensor_state(j1: JacobiData, j2: JacobiData, *, scale: int | None = None) -> Functional:
     """Product of the two total-power marginal moments."""
-    m1, m2 = _moment_sequences(scale, j1, j2)
-
-    def phi(word: Word) -> int:
-        word = tuple(word)
-        ones = sum(1 for letter in word if letter == 1)
-        return m1.numerator(ones) * m2.numerator(len(word) - ones)
-
-    return _finish(phi, m1.scale, scale is not None)
+    return _block_product((1, 2), j1, j2, scale)
 
 
 def _pairings(positions: tuple[int, ...], letters: Word):

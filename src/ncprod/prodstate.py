@@ -276,8 +276,7 @@ def left_multiply(cm: CoefficientMap, letter: int, expansion: BasisExpansion) ->
     coefficients: ``Fraction`` for a map as built, ``int`` for the scaled map
     and integer expansions of :class:`StateEvaluator`.
     """
-    if not 1 <= letter <= cm.d:
-        raise ValueError(f"letter {letter} outside alphabet 1..{cm.d}")
+    check_word((letter,), cm.d)
     out: dict[Word, Fraction] = {}
 
     def add(word: Word, value: Fraction) -> None:
@@ -354,8 +353,10 @@ class StateEvaluator:
 
     def word_numerator(self, word: Word) -> int:
         """D^|w| phi(w), with D the map's scale: the integer sum over u of
-        A_u B_u ||Q_u||^2, which :meth:`word_moment` divides once."""
-        word = tuple(word)
+        A_u B_u ||Q_u||^2, which :meth:`word_moment` divides once.  The word
+        is checked before any cache is read, since ``True`` and ``2.0`` hash
+        as 1 and 2 would."""
+        word = check_word(word, self.cm.d)
         if len(word) > self.cm.depth + 1:
             raise DepthExhaustedError(
                 f"word of length {len(word)} exceeds map depth {self.cm.depth} + 1"

@@ -453,22 +453,30 @@ def test_omega_with_two_pair_mode_is_input_error(capsys, generic_files):
         assert "--omega" in captured.err and "--nu1/--nu2" in captured.err
 
 
-def _assert_map_flags_refused(capsys, argv, j1):
+def _assert_refused(capsys, argv, line):
+    """The command exits 2, prints nothing on stdout and writes exactly one
+    stderr line, "input error: " and then ``line``."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"input error: {line}\n"
+
+
+def _assert_map_flags_refused(capsys, argv, j1, mode):
     """Each of --omega and --nu1/--nu2 given to a mode that builds no
     product-type map exits 2, prints nothing and names the flag."""
     for flags, named in ((("--omega", "nonsense"), "--omega"),
                          (("--nu1", j1, "--nu2", j1), "--nu1")):
-        code = main([*argv, *flags])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert named in captured.err and "builds no product-type map" in captured.err
+        _assert_refused(capsys, [*argv, *flags],
+                        f"{named} is not read by {mode}, which builds no product-type map")
 
 
 def test_cfrac_classical_refuses_map_flags(capsys, generic_files):
     j1, _ = generic_files
     _assert_map_flags_refused(
-        capsys, ["cfrac", "--engine", "classical", "--jacobi1", j1, "--order", "4"], j1
+        capsys, ["cfrac", "--engine", "classical", "--jacobi1", j1, "--order", "4"], j1,
+        "--engine classical",
     )
 
 
@@ -477,20 +485,54 @@ def test_cfrac_classical_refuses_jacobi2(capsys, generic_files):
     when its file does not exist, since it would never be read."""
     j1, j2 = generic_files
     for path in (j2, "/nonexistent.json"):
-        _assert_input_error(capsys, ["cfrac", "--engine", "classical", "--jacobi1", j1,
-                                     "--jacobi2", path, "--order", "4"], "--jacobi2")
+        _assert_refused(
+            capsys,
+            ["cfrac", "--engine", "classical", "--jacobi1", j1, "--jacobi2", path, "--order", "4"],
+            "--jacobi2 is not read by --engine classical, which takes its one marginal from --jacobi1",
+        )
 
 
 def test_mops_tensor_refuses_map_flags(capsys, generic_files):
     j1, j2 = generic_files
     _assert_map_flags_refused(
-        capsys, ["mops", "--state", "tensor", "--jacobi1", j1, "--jacobi2", j2, "--order", "2"], j1
+        capsys, ["mops", "--state", "tensor", "--jacobi1", j1, "--jacobi2", j2, "--order", "2"], j1,
+        "--state tensor",
     )
 
 
 def test_mops_q_gaussian_refuses_map_flags(capsys, generic_files):
     j1, _ = generic_files
-    _assert_map_flags_refused(capsys, ["mops", "--state", "q-gaussian", "--order", "2"], j1)
+    _assert_map_flags_refused(
+        capsys, ["mops", "--state", "q-gaussian", "--order", "2"], j1, "--state q-gaussian"
+    )
+
+
+def test_tree_file_shallower_than_the_order_is_refused(capsys, generic_files, tmp_path):
+    j1, j2 = generic_files
+    tree = tmp_path / "shallow.json"
+    tree.write_text(json.dumps({"words": [[1, 2], [2, 1]], "depth": 2, "implicit_runs": True}))
+    _assert_refused(
+        capsys,
+        ["moments", "--jacobi1", j1, "--jacobi2", j2, "--omega", str(tree), "--order", "3"],
+        f"tree depth 2 in {tree} is insufficient; need at least 3",
+    )
+
+
+def test_moments_without_a_tree_or_a_nu_pair_is_refused(capsys, generic_files):
+    j1, j2 = generic_files
+    _assert_refused(capsys, ["moments", "--jacobi1", j1, "--jacobi2", j2, "--order", "3"],
+                    "missing required --omega specification")
+
+
+def test_unreadable_jacobi_file_is_refused(capsys, generic_files, tmp_path):
+    _, j2 = generic_files
+    absent = tmp_path / "absent.json"
+    code = main(["moments", "--jacobi1", str(absent), "--jacobi2", j2, "--omega", "free", "--order", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"input error: cannot read {absent}: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
 @pytest.mark.parametrize(
@@ -615,8 +657,8 @@ def test_mops_q_without_q_gaussian_is_input_error(capsys, generic_files):
 def test_mops_q_gaussian_refuses_jacobi_files(capsys, generic_files):
     j1, j2 = generic_files
     for flag, path in (("--jacobi1", j1), ("--jacobi2", j2), ("--jacobi1", "/absent.json")):
-        _assert_input_error(capsys, ["mops", "--state", "q-gaussian", flag, path,
-                                     "--order", "2"], flag)
+        _assert_refused(capsys, ["mops", "--state", "q-gaussian", flag, path, "--order", "2"],
+                        f"{flag} is not read by --state q-gaussian, which has fixed marginals")
 
 
 def test_mops_q_gaussian_default_q_is_one_half(capsys):

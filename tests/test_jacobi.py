@@ -177,16 +177,40 @@ def test_string_coefficients_are_refused_not_read_letter_by_letter(field, text):
         JacobiData(**fields)
 
 
+# (beta, gamma, policy, method, index, the value or the exact error)
+EXTENSION_CASES = [
+    ((1, 2), (3,), "zero", "beta_at", 5, F(0)),
+    ((1, 2), (3,), "zero", "gamma_at", 5, F(0)),
+    ((1, 2), (3,), "zero", "gamma_at", 1, F(3)),
+    ((1, 2), (3,), "zero", "gamma_at", 2, F(0)),
+    ((1, 2), (3, 4), "repeat", "beta_at", 7, F(2)),
+    ((1, 2), (3, 4), "repeat", "gamma_at", 7, F(4)),
+    ((), (), "repeat", "beta_at", 0, F(0)),
+    ((), (), "repeat", "gamma_at", 3, F(0)),
+    ((1,), (1,), "error", "beta_at", 0, F(1)),
+    ((1,), (1,), "error", "gamma_at", 1, F(1)),
+    # gamma_0 is zero by convention, stored or not
+    ((1,), (), "error", "gamma_at", 0, F(0)),
+    ((1,), (1,), "error", "beta_at", 1, (JacobiRangeError, "beta_1 beyond stored prefix of length 1")),
+    ((1,), (1,), "error", "gamma_at", 2, (JacobiRangeError, "gamma_2 beyond stored prefix of length 1")),
+    ((), (), "error", "beta_at", 0, (JacobiRangeError, "beta_0 beyond stored prefix of length 0")),
+    ((1,), (), "error", "gamma_at", 1, (JacobiRangeError, "gamma_1 beyond stored prefix of length 0")),
+    ((1,), (1,), "repeat", "beta_at", -1, (ValueError, "beta index must be nonnegative")),
+    ((1,), (1,), "zero", "gamma_at", -1, (ValueError, "gamma index must be nonnegative")),
+]
+
+
 def test_extension_policies():
-    j = JacobiData(beta=(F(1), F(2)), gamma=(F(3),), extend="zero")
-    assert j.beta_at(5) == 0 and j.gamma_at(5) == 0
-    assert j.gamma_at(1) and not j.gamma_at(2)
-    strict = JacobiData(beta=(F(1),), gamma=(F(1),), extend="error")
-    assert strict.beta_at(0) == 1
-    with pytest.raises(JacobiRangeError):
-        strict.beta_at(1)
-    with pytest.raises(JacobiRangeError):
-        strict.gamma_at(2)
+    for beta, gamma, policy, method, n, expected in EXTENSION_CASES:
+        case = (beta, gamma, policy, method, n)
+        read = getattr(JacobiData(beta=beta, gamma=gamma, extend=policy), method)
+        if isinstance(expected, tuple):
+            kind, message = expected
+            with pytest.raises(kind) as caught:
+                read(n)
+            assert type(caught.value) is kind and str(caught.value) == message, case
+        else:
+            assert read(n) == expected, case
 
 
 def test_json_round_trip():

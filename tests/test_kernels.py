@@ -393,9 +393,8 @@ def test_map_fed_matricial_parts_equal_matricial_data_route(name):
     cm = product_type_map(builder(name, 10), GENERIC_J1, GENERIC_J2)
     md = matricial_from_map(cm, 5)
     for order in range(11):
-        parts, scale = matricial_map_parts(cm, order)
-        assert scale == cm.scale
-        assert _series(2, parts, scale) == _series(2, *matricial_parts(md, order)), (name, order)
+        parts = matricial_map_parts(cm, order)
+        assert _series(2, parts, cm.scale) == _series(2, *matricial_parts(md, order)), (name, order)
     # order 21 needs 11 levels, one beyond the map's depth of 10
     with pytest.raises(DepthExhaustedError, match="order 21 needs 11 levels"):
         matricial_map_parts(cm, 21)

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -339,13 +340,30 @@ def test_one_word_reads_every_marginal_through_its_length():
 
 
 def test_letter_outside_the_alphabet_is_refused():
-    """A table is read at a word's base-d index, so a letter outside 1..2
-    is refused by name rather than read as another word's entry."""
+    """Every word functional of a marginal pair, and the evaluator's word
+    moment, refuses a letter that is not an int in 1..2 by name: a table
+    would read it at another word's index, a block product would read some
+    other marginal moment, and True and 2.0 would pass as 1 and 2."""
     nu1, nu2 = random_pair(44)
-    for phi in (free_state(GENERIC_J1, GENERIC_J2), cfree_state(GENERIC_J1, nu1, GENERIC_J2, nu2)):
-        for word in ((1, 3), (0,), (3, 1)):
-            with pytest.raises(ValueError, match="outside alphabet 1..2"):
+    functionals = {
+        "free": free_state(GENERIC_J1, GENERIC_J2),
+        "boolean": boolean_state(GENERIC_J1, GENERIC_J2),
+        "monotone": monotone_state(GENERIC_J1, GENERIC_J2),
+        "antimonotone": antimonotone_state(GENERIC_J1, GENERIC_J2),
+        "tensor": tensor_state(GENERIC_J1, GENERIC_J2),
+        "cfree": cfree_state(GENERIC_J1, nu1, GENERIC_J2, nu2),
+    }
+    cm = product_type_map(builder("free", 4), GENERIC_J1, GENERIC_J2)
+    for word, shown in (((1, 3), "3"), ((0,), "0"), ((3, 1), "3"), ((True, 2), "true"), ((1, 2.0), "2.0")):
+        # a fresh evaluator per word, and one that has already seen (1, 2)
+        used = StateEvaluator(cm)
+        used.word_moment((1, 2))
+        functionals["word_moment"] = StateEvaluator(cm).word_moment
+        functionals["word_moment, warm"] = used.word_moment
+        for name, phi in functionals.items():
+            with pytest.raises(ValueError, match=f"^letter {re.escape(shown)} outside alphabet 1..2$"):
                 phi(word)
+                pytest.fail(f"{name} read {word}")
 
 
 # monomial orthogonalization --------------------------------------------------
