@@ -30,10 +30,7 @@ _EXPORTS = {
         "word_postfixes",
         "words_up_to",
     ),
-    "ncpoly": (
-        "NCPolynomial",
-        "NCSeries",
-    ),
+    "ncpoly": ("NCPolynomial",),
     "omega": (
         "BUILTIN_OMEGAS",
         "OmegaTree",

@@ -1,7 +1,8 @@
 """Continued-fraction engines for moment generating functions.
 
-Three engines, all producing truncated non-commutative power series whose
-coefficient at a word w is the state applied to the monomial x_w:
+Each engine gives what :func:`~ncprod.prodstate.moment_table` gives: the
+state's value on every word through the order, in graded-lex order, zeros
+included, read as the coefficients of a generating function in z_1..z_d:
 
 * ``classical_cf``: the one-variable chain 1 / (1 - beta_0 z - gamma_1 z^2 /
   (1 - beta_1 z - ...)), which is the scalar engine on the one-letter chain
@@ -9,7 +10,7 @@ coefficient at a word w is the state applied to the monomial x_w:
 * ``scalar_branched_cf``: the branched version over a coefficient map; the
   node at word u contributes denominator 1 - sum_i B(i, u) z_i -
   sum_j C(j, u) z_j F_(j,u) z_j, with F_u the inverse of that denominator
-  and the full series being F at the root.
+  and the generating function being F at the root.
 * ``matricial_cf``: the block version where level k carries d^k x d^k
   coefficient matrices; the numerator of each sub-fraction is the matrix
   sandwich sum_{j,l} z_j block_{j,l}(C^(k+1) D^{-1}) z_l with block
@@ -20,12 +21,12 @@ the frontier.  Each level down costs at least total degree 2 per branch, so
 a tree explored while the order budget stays nonnegative yields exact
 coefficients up to the requested order.
 
-Both engines run over one common denominator.  Substituting z_i -> D z_i,
+Both recursions run over one common denominator.  Substituting z_i -> D z_i,
 with D an integer that clears every coefficient's denominator, turns each
 node's denominator into 1 - sum_i (D B) z_i - sum_j (D^2 C) z_j F'_(j,u) z_j,
-with integer coefficients only, so every series in the recursion has
-integer coefficients and the coefficient of F at a word w is that of F' at
-w over D^|w|: one division per output word.  The scalar engine reads D B and
+with integer coefficients only, so every F' in the recursion has integer
+coefficients and the coefficient of F at a word w is that of F' at w over
+D^|w|: one division per output word.  The scalar engine reads D B and
 D^2 C from the map's integer view, which reads only the entries the
 recursion reaches, and :func:`scalar_branched_parts` hands out its F'
 undivided.  The matricial engine takes D from its own data
@@ -33,23 +34,24 @@ undivided.  The matricial engine takes D from its own data
 (:func:`matricial_map_parts`), whose diagonal T' and C' it reads entry by
 entry without building a matrix.
 
-Both keep every series dense and graded: one list of ints per degree m,
-holding the d^m words of length m at their base-d values (leftmost letter
-most significant), which is ``words_up_to`` order.  A product of two such
-series, the sandwich z_j F z_l and a truncation are slice updates of those
-lists (:func:`_add_outer`), so the recursions build no word tuple per
-coefficient and no dict until the root's coefficients become one series;
-:func:`scalar_branched_parts` and :func:`matricial_parts` hand out the
-lists themselves.  The scalar engine never forms a node's denominator:
-F'_u = 1 + r F'_u is solved degree by degree.  The matricial engine keeps
-each level's denominator as a sparse matrix of dense entries and inverts
-it column by column, degree by degree (:func:`_dense_inverse`).
+Both keep every F' dense and graded: one list of ints per degree m, holding
+the d^m words of length m at their base-d values (leftmost letter most
+significant), which is ``words_up_to`` order.  A product of two of them,
+the sandwich z_j F z_l and a truncation are slice updates of those lists
+(:func:`_add_outer`), so the recursions build no word tuple per
+coefficient; :func:`scalar_branched_parts` and :func:`matricial_parts`
+hand out the lists themselves, and the engines divide them into the value
+table with :func:`~ncprod.words.word_values`.  The scalar engine never
+forms a node's denominator: F'_u = 1 + r F'_u is solved degree by degree.
+The matricial engine keeps each level's denominator as a sparse matrix of
+dense entries and inverts it column by column, degree by degree
+(:func:`_dense_inverse`).
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .jacobi import JacobiData
 from .prodstate import CoefficientMap, DepthExhaustedError, explicit_map
@@ -65,19 +67,8 @@ from .words import (
     words_of_length,
 )
 
-if TYPE_CHECKING:
-    from .ncpoly import NCSeries
-
-# a sparse matrix of dense series: (row, column) -> parts by degree, None for a zero degree
+# a sparse matrix of dense entries: (row, column) -> parts by degree, None for a zero degree
 DenseMatrix = dict[tuple[int, int], list]
-
-
-def _series(d: int, parts: Sequence[Sequence[int]], scale: int) -> NCSeries:
-    """Dense parts as one series of order len(parts) - 1: entry x of parts[m]
-    over scale^m is the coefficient of the x-th word of length m."""
-    from .ncpoly import _make
-
-    return _make(d, len(parts) - 1, dict(word_values(d, parts, scale)))
 
 
 def chain_map(data: JacobiData, order: int) -> CoefficientMap:
@@ -94,25 +85,26 @@ def chain_map(data: JacobiData, order: int) -> CoefficientMap:
     )
 
 
-def classical_cf(data: JacobiData, order: int) -> NCSeries:
-    """One-variable moment generating function as a truncated series in z:
-    the scalar engine on the chain map (:func:`chain_map`)."""
+def classical_cf(data: JacobiData, order: int) -> list[tuple[Word, Fraction]]:
+    """The one-variable moments m_0..m_order as the value table of the word
+    1^n: the scalar engine on the chain map (:func:`chain_map`)."""
     return scalar_branched_cf(chain_map(data, order), order)
 
 
-def scalar_branched_cf(cm: CoefficientMap, order: int) -> NCSeries:
-    """Branched continued fraction of a diagonal coefficient map.
+def scalar_branched_cf(cm: CoefficientMap, order: int) -> list[tuple[Word, Fraction]]:
+    """Branched continued fraction of a diagonal coefficient map, as the
+    value table of every word through the order.
 
     Branches follow the nonzero C entries, so for a product-type map the
     recursion runs exactly over the interior of its tree; boundary nodes keep
     only their B terms.  It runs on the map's integer view (see the module
     docstring) and divides once per output word.
     """
-    return _series(cm.d, scalar_branched_parts(cm, order), cm.scale)
+    return list(word_values(cm.d, scalar_branched_parts(cm, order), cm.scale))
 
 
 def scalar_branched_parts(cm: CoefficientMap, order: int) -> list[list[int]]:
-    """The integer series F' of :func:`scalar_branched_cf` by degree, before
+    """The integer F' of :func:`scalar_branched_cf` by degree, before
     its one division per word: parts[m] lists the d^m words of length m in
     graded-lex order, and the entry of w is D^|w| times the state at x_w,
     with D the map's scale, the same table as
@@ -218,7 +210,7 @@ def _check_square(m: Sequence[Sequence[Fraction]], size: int, what: str) -> None
 
 
 def _dense_inverse(matrix: DenseMatrix, n: int, d: int, order: int) -> DenseMatrix:
-    """The inverse of an n x n matrix of dense series with identity constant
+    """The inverse of an n x n matrix of dense entries with identity constant
     term, through ``order``.
 
     An entry is its parts by degree (parts[m] the d^m coefficients of the
@@ -259,7 +251,7 @@ def _dense_inverse(matrix: DenseMatrix, n: int, d: int, order: int) -> DenseMatr
 
 
 def matricial_parts(md: MatricialData, order: int) -> tuple[list[list[int]], int]:
-    """The dense integer series of :func:`matricial_cf` before its one
+    """The dense integer parts of :func:`matricial_cf` before its one
     division per word, with its scale D, the data's common denominator:
     parts[m] lists D^m times the coefficients of the d^m words of length m,
     m = 0..min(order, 2K), in graded-lex order (see :func:`_matricial_levels`).
@@ -360,17 +352,17 @@ def _matricial_levels(
     return [part or [0] * d**m for m, part in enumerate(f[(0, 0)])]
 
 
-def matricial_cf(md: MatricialData, order: int) -> NCSeries:
-    """Moment generating series from level-matrix data, evaluated bottom-up.
+def matricial_cf(md: MatricialData, order: int) -> list[tuple[Word, Fraction]]:
+    """The value table of level-matrix data, evaluated bottom-up.
 
     Coefficients are sound only up to order 2 * K for data with levels 0..K,
-    so the returned series is truncated there.  Like the scalar engine it
+    so the table runs through min(order, 2K).  Like the scalar engine it
     runs on integers: T' = D T and C' = D^2 C with D the data's own
     common denominator (T need not be diagonal), one division per output
     word; see :func:`matricial_parts`.
     """
     parts, scale = matricial_parts(md, order)
-    return _series(md.d, parts, scale)
+    return list(word_values(md.d, parts, scale))
 
 
 def render_branched_cf(cm: CoefficientMap, depth: int) -> str:
@@ -379,6 +371,8 @@ def render_branched_cf(cm: CoefficientMap, depth: int) -> str:
     Each line shows one node's denominator; a trailing "-> [word]" marks a
     sub-fraction continued on the indented lines below.
     """
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
     lines: list[str] = []
 
     def label(u: Word) -> str:

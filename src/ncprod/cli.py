@@ -70,14 +70,15 @@ import json
 import math
 import os
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Sequence
 
 from . import omega
 from .words import format_rational, parse_rational, words_of_length
 
-
+# typing.TYPE_CHECKING without loading typing; type checkers read it as True
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import argparse
 

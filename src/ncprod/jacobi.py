@@ -19,8 +19,8 @@ JacobiData is an immutable value type and every operation here is pure.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .words import (
     FrozenRecord,
@@ -33,6 +33,8 @@ from .words import (
     parse_rational,
 )
 
+# typing.TYPE_CHECKING without loading typing; type checkers read it as True
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .ncpoly import NCPolynomial
 

@@ -20,7 +20,7 @@ in :mod:`ncprod.treecheck`.
 
 from __future__ import annotations
 
-from typing import Callable
+from collections.abc import Callable
 
 from .words import FrozenRecord, Word, format_value, words_up_to
 

@@ -61,12 +61,14 @@ functional and tests the monic-orthogonality property.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Sequence, Union
 
 from .jacobi import JacobiData, MomentSequence, coefficient_scale
 from .words import Word, _add_outer, check_word, graded_lex_key, parse_rational, word_runs, words_up_to
 
+# typing.TYPE_CHECKING without loading typing; type checkers read it as True
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .ncpoly import NCPolynomial
 
@@ -74,7 +76,7 @@ MomentFunctional = Callable[[Word], Fraction]
 # w -> D^|w| phi(w), for an integer D fixed with the functional
 NumeratorFunctional = Callable[[Word], int]
 # what a *_state factory returns: a MomentFunctional, or with scale= a NumeratorFunctional
-Functional = Union[MomentFunctional, NumeratorFunctional]
+Functional = MomentFunctional | NumeratorFunctional
 
 
 class _noncrossing_moments:
@@ -393,6 +395,8 @@ def gram_schmidt_mops(phi: MomentFunctional, depth: int) -> MopsResult:
     matters because lower Q_v of one degree need not be orthogonal to each
     other.
     """
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
     from .ncpoly import MomentMatrix, NCPolynomial
 
     words = words_up_to(2, depth)

@@ -74,8 +74,8 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
 
 from .jacobi import JacobiData
 from .omega import OmegaTree, builder

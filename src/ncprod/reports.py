@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .words import Word, format_rational, graded_lex_key
 
+# typing.TYPE_CHECKING without loading typing; type checkers read it as True
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .ncpoly import NCPolynomial
     from .omega import OmegaTree, OmegaValidationError

@@ -12,7 +12,7 @@ so in the CLI only a tree file (``--omega FILE``, ``validate FILE``) and
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from .omega import OmegaTree, OmegaValidationError, builder
 from .words import Word, check_word, format_value, graded_lex_key, json_type, words_up_to

@@ -24,16 +24,16 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
 
 Word = tuple[int, ...]
-Rational = Union[Fraction, int]
+Rational = Fraction | int
 
 EMPTY_WORD: Word = ()
 
 
-def parse_rational(value: Union[Rational, str]) -> Fraction:
+def parse_rational(value: Rational | str) -> Fraction:
     """An int, a Fraction or a "p/q", integer or decimal string ("3/4",
     "-1/2", "2", "0.1") as an exact Fraction.  A float is refused: 0.1 would
     become 3602879701896397/2**55.  So is a bool.  Every failure is a

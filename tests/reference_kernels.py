@@ -1,10 +1,13 @@
 """Plain reference versions of the exact kernels, for the tests only.
 
-``fraction_inverse`` is the one series inverse, degree by degree with one
-operation per term pair, and ``sandwich`` is z_j F z_l at a given order;
-both build their result with ``_make``, the series arithmetic's own
-constructor.  ``_smat_inverse`` inverts a matrix of ``NCSeries`` by Neumann
-steps, each truncated to the degree it makes exact, and
+A truncated power series is an ``NCPolynomial`` whose order is passed
+explicitly: ``truncate`` cuts one at an order, and ``_smat_mul`` multiplies
+only the term pairs within its order, as a series product must to stay
+cheap.
+``fraction_inverse`` is the one series inverse, degree by degree through a
+given order with one operation per term pair, and ``sandwich`` is z_j F z_l
+cut at a given order.  ``_smat_inverse`` inverts a matrix of series by
+Neumann steps, each truncated to the degree it makes exact, and
 ``full_order_neumann_inverse`` runs every step at the full order;
 ``fraction_expansion`` runs the transfer operator over the whole word on the
 map's own ``Fraction`` entries, and ``product_gram_schmidt_mops`` takes
@@ -13,7 +16,8 @@ product.  ``fraction_classical_cf``, ``fraction_scalar_branched_cf`` and
 ``fraction_matricial_cf`` are the continued-fraction engines with every
 series in ``Fraction`` coefficients, the classical one with its own chain
 recursion and the matricial one taking each sandwich's block with
-``block_extract``; ``matricial_from_map`` builds the diagonal
+``block_extract``; ``value_table`` reads a series as the engines' value
+table.  ``matricial_from_map`` builds the diagonal
 ``MatricialData`` of a coefficient map as matrices, the reference for the
 engine's map-fed route; ``eager_product_type_entries`` and
 ``eager_cfree_entries`` fill every nonzero coefficient-map entry through
@@ -36,7 +40,7 @@ from typing import Sequence
 
 from ncprod.cfrac import MatricialData
 from ncprod.jacobi import JacobiData, MomentSequence
-from ncprod.ncpoly import NCPolynomial, NCSeries, _make
+from ncprod.ncpoly import NCPolynomial, _make
 from ncprod.omega import OmegaTree
 from ncprod.oracle import MomentFunctional, MopsResult, functional_inner
 from ncprod.prodstate import CoefficientMap, left_multiply
@@ -51,43 +55,54 @@ from ncprod.words import (
 )
 
 
-SeriesMatrix = list[list[NCSeries]]
+SeriesMatrix = list[list[NCPolynomial]]
 
 
-def _smat_identity(n: int, d: int, order: int, one: Fraction | int = Fraction(1)) -> SeriesMatrix:
+def truncate(series: NCPolynomial, order: int) -> NCPolynomial:
+    """The terms of the series on words of length <= order."""
+    return _make(series.d, {w: c for w, c in series.terms.items() if len(w) <= order})
+
+
+def value_table(series: NCPolynomial, order: int) -> list[tuple[Word, Fraction]]:
+    """The coefficient of every word through the order, in graded-lex order,
+    zeros included: the table the engines and ``moment_table`` give."""
+    return [(w, series.coefficient(w)) for w in words_up_to(series.d, order)]
+
+
+def _smat_identity(n: int, d: int, one: Fraction | int = Fraction(1)) -> SeriesMatrix:
     """The n x n identity; ``one`` is int 1 for a matrix of integer series."""
-    return [
-        [_make(d, order, {EMPTY_WORD: one} if r == s else {}) for s in range(n)]
-        for r in range(n)
-    ]
+    return [[_make(d, {EMPTY_WORD: one} if r == s else {}) for s in range(n)] for r in range(n)]
 
 
-def _smat_mul(a: SeriesMatrix, b: SeriesMatrix) -> SeriesMatrix:
+def _smat_mul(a: SeriesMatrix, b: SeriesMatrix, order: int) -> SeriesMatrix:
+    """The product of two series matrices cut at the order: only the term
+    pairs within it are multiplied."""
     n = len(a)
+    d = a[0][0].d
     out = []
     for r in range(n):
         row = []
         for s in range(n):
-            acc = None
+            acc: dict[Word, Fraction] = {}
             for t in range(n):
-                if not a[r][t].terms or not b[t][s].terms:
-                    continue
-                term = a[r][t] * b[t][s]
-                acc = term if acc is None else acc + term
-            if acc is None:
-                acc = NCSeries.zero(a[0][0].d, a[0][0].order)
-            row.append(acc)
+                for w1, c1 in a[r][t].terms.items():
+                    room = order - len(w1)
+                    for w2, c2 in b[t][s].terms.items():
+                        if len(w2) <= room:
+                            word = w1 + w2
+                            acc[word] = acc.get(word, 0) + c1 * c2
+            row.append(_make(d, acc))
         out.append(row)
     return out
 
 
 def _smat_inverse(mat: SeriesMatrix, order: int) -> SeriesMatrix:
-    """Inverse of a series matrix with identity constant term.
+    """Inverse of a series matrix with identity constant term, through the order.
 
     Neumann iteration x_(k+1) = 1 + u*x_k from x_0 = 1, with u = 1 - mat.  As
     u has no constant term, x_k is exact through degree k, and so is
     x_(k+1) through degree k + 1 when u multiplies only the part of x_k of
-    degree <= k, as a series of order k + 1: step k works at order k + 1.
+    degree <= k and the product is cut at k + 1: step k works at order k + 1.
     """
     n = len(mat)
     d = mat[0][0].d
@@ -97,18 +112,19 @@ def _smat_inverse(mat: SeriesMatrix, order: int) -> SeriesMatrix:
             if mat[r][s].terms.get(EMPTY_WORD, 0) != expected:
                 raise ValueError("matrix inverse requires identity constant term")
     # the unit of the entries' own type, so an integer matrix stays integer
-    identity = _smat_identity(n, d, order, mat[0][0].terms[EMPTY_WORD])
+    identity = _smat_identity(n, d, mat[0][0].terms[EMPTY_WORD])
     u = [[identity[r][s] - mat[r][s] for s in range(n)] for r in range(n)]
     x = identity
     for k in range(order):
-        # x holds only degrees <= k (x_0 = 1, then x_k has order k)
-        ux = _smat_mul(u, [[_make(d, k + 1, entry.terms) for entry in row] for row in x])
+        # x holds only degrees <= k (x_0 = 1, then x_k is cut at k)
+        ux = _smat_mul(u, x, k + 1)
         x = [[identity[r][s] + ux[r][s] for s in range(n)] for r in range(n)]
     return x
 
 
-def fraction_inverse(series: NCSeries) -> NCSeries:
-    """t = 1 - r*t solved degree by degree, r the positive-degree part."""
+def fraction_inverse(series: NCPolynomial, order: int) -> NCPolynomial:
+    """t = 1 - r*t solved degree by degree through the order, r the
+    positive-degree part."""
     if series.terms.get(EMPTY_WORD, 0) != 1:
         raise ValueError("series inverse requires constant term 1")
     r_by_degree: dict[int, list[tuple[Word, Fraction]]] = {}
@@ -116,7 +132,7 @@ def fraction_inverse(series: NCSeries) -> NCSeries:
         if word:
             r_by_degree.setdefault(len(word), []).append((word, coeff))
     parts: list[dict[Word, Fraction]] = [{EMPTY_WORD: Fraction(1)}]
-    for m in range(1, series.order + 1):
+    for m in range(1, order + 1):
         component: dict[Word, Fraction] = {}
         for j, entries in r_by_degree.items():
             if j > m:
@@ -130,25 +146,25 @@ def fraction_inverse(series: NCSeries) -> NCSeries:
     merged: dict[Word, Fraction] = {}
     for component in parts:
         merged.update(component)
-    return NCSeries(series.d, series.order, merged)
+    return NCPolynomial(series.d, merged)
 
 
-def sandwich(series: NCSeries, left: int, right: int, order: int) -> NCSeries:
-    """z_left * series * z_right, a series of the given order: exact through
-    it when the series is exact through order - 2."""
+def sandwich(series: NCPolynomial, left: int, right: int, order: int) -> NCPolynomial:
+    """z_left * series * z_right cut at the order: exact through it when the
+    series is exact through order - 2."""
     shifted = {(left,) + word + (right,): coeff for word, coeff in series.terms.items()}
-    return _make(series.d, order, shifted)
+    return truncate(_make(series.d, shifted), order)
 
 
 def full_order_neumann_inverse(mat: SeriesMatrix, order: int) -> SeriesMatrix:
     """x_(k+1) = 1 + (1 - mat)*x_k, ``order`` times, every step at ``order``."""
     n = len(mat)
     d = mat[0][0].d
-    identity = _smat_identity(n, d, order)
+    identity = _smat_identity(n, d)
     u = [[identity[r][s] - mat[r][s] for s in range(n)] for r in range(n)]
     x = identity
     for _ in range(order):
-        ux = _smat_mul(u, x)
+        ux = _smat_mul(u, x, order)
         x = [[identity[r][s] + ux[r][s] for s in range(n)] for r in range(n)]
     return x
 
@@ -193,38 +209,39 @@ def product_gram_schmidt_mops(phi, depth, d=2, within_degree_order=None) -> Mops
     return MopsResult(polys, norms, True)
 
 
-def fraction_classical_cf(data: JacobiData, order: int) -> NCSeries:
-    """1 / (1 - beta_0 z - gamma_1 z^2 / (1 - beta_1 z - ...)), level by level
-    from the deepest one the order reaches."""
+def fraction_classical_cf(data: JacobiData, order: int) -> NCPolynomial:
+    """1 / (1 - beta_0 z - gamma_1 z^2 / (1 - beta_1 z - ...)) through the
+    order, level by level from the deepest one the order reaches."""
     level = order // 2
-    f = NCSeries.one(1, max(order - 2 * level, 0))
+    f = NCPolynomial.one(1)
     for k in range(level, -1, -1):
         budget = order - 2 * k
         terms = {EMPTY_WORD: Fraction(1)}
         beta = data.beta_at(k)
         if beta and budget >= 1:
             terms[(1,)] = -beta
-        denom = NCSeries(1, budget, terms)
+        denom = NCPolynomial(1, terms)
         if budget >= 2:
             gamma = data.gamma_at(k + 1)
             if gamma:
                 denom = denom - gamma * sandwich(f, 1, 1, budget)
-        f = fraction_inverse(denom)
+        f = fraction_inverse(denom, budget)
     return f
 
 
-def fraction_scalar_branched_cf(cm: CoefficientMap, order: int) -> NCSeries:
-    """The branched continued fraction on the map's Fraction entries."""
+def fraction_scalar_branched_cf(cm: CoefficientMap, order: int) -> NCPolynomial:
+    """The branched continued fraction on the map's Fraction entries,
+    through the order."""
     d = cm.d
 
-    def node(u: Word, budget: int) -> NCSeries:
+    def node(u: Word, budget: int) -> NCPolynomial:
         terms: dict[Word, Fraction] = {EMPTY_WORD: Fraction(1)}
         if budget >= 1:
             for i in range(1, d + 1):
                 bval = cm.b(i, u)
                 if bval:
                     terms[(i,)] = -bval
-        denom = NCSeries(d, budget, terms)
+        denom = NCPolynomial(d, terms)
         if budget >= 2:
             for j in range(1, d + 1):
                 child = (j,) + u
@@ -232,7 +249,7 @@ def fraction_scalar_branched_cf(cm: CoefficientMap, order: int) -> NCSeries:
                 if cval:
                     sub = node(child, budget - 2)
                     denom = denom - cval * sandwich(sub, j, j, budget)
-        return fraction_inverse(denom)
+        return fraction_inverse(denom, budget)
 
     return node(EMPTY_WORD, order)
 
@@ -277,8 +294,9 @@ def matricial_from_map(cm: CoefficientMap, levels: int) -> MatricialData:
     return MatricialData(d=d, t=tuple(t), c=tuple(c))
 
 
-def fraction_matricial_cf(md: MatricialData, order: int) -> NCSeries:
-    """The matricial continued fraction with Fraction series matrices."""
+def fraction_matricial_cf(md: MatricialData, order: int) -> NCPolynomial:
+    """The matricial continued fraction with Fraction series matrices,
+    through min(order, 2K)."""
     d = md.d
     top = md.levels
     effective = min(order, 2 * top)
@@ -286,14 +304,14 @@ def fraction_matricial_cf(md: MatricialData, order: int) -> NCSeries:
     for k in range(top, -1, -1):
         budget = max(effective - 2 * k, 0)
         n = d**k
-        denom = _smat_identity(n, d, budget)
+        denom = _smat_identity(n, d)
         for i in range(1, d + 1):
             t_matrix = md.t[k][i - 1]
             for r in range(n):
                 for s in range(n):
                     value = t_matrix[r][s]
                     if value and budget >= 1:
-                        denom[r][s] = denom[r][s] - NCSeries(d, budget, {(i,): value})
+                        denom[r][s] = denom[r][s] - NCPolynomial(d, {(i,): value})
         if k < top and budget >= 2 and f is not None:
             c_matrix = md.c[k]
             scaled = [[c_matrix[r][r] * f[r][s] for s in range(d * n)] for r in range(d * n)]

@@ -28,6 +28,7 @@ from ncprod import (
     is_associative,
     matricial_cf,
     moment,
+    moment_table,
     monotone_state,
     omega_squared,
     preset,
@@ -95,16 +96,13 @@ def test_criterion_03_oracle_equivalence():
 
 
 def test_criterion_04_continued_fraction_consistency():
-    with criterion(4, 60.0, "branched CF = state to order 8; block CF = branched to order 6"):
-        for name in BUILTIN_OMEGAS:
-            tree = builder(name, 8)
-            cm = product_type_map(tree, GENERIC_J1, GENERIC_J2)
-            series = scalar_branched_cf(cm, 8)
-            evaluator = StateEvaluator(cm)
-            for w in words_up_to(2, 8):
-                assert series.coefficient(w) == evaluator.word_moment(w), (name, w)
-            block = matricial_cf(matricial_from_map(cm, 3), 6)
-            assert block.terms == scalar_branched_cf(cm, 6).terms, name
+    with criterion(4, 60.0, "branched CF = moment table to order 8; block CF = moment table to order 6"):
+        nu1, nu2 = random_pair(23)
+        maps = {name: product_type_map(builder(name, 8), GENERIC_J1, GENERIC_J2) for name in BUILTIN_OMEGAS}
+        maps["c-free"] = cfree_map(GENERIC_J1, nu1, GENERIC_J2, nu2, 8)
+        for name, cm in maps.items():
+            assert scalar_branched_cf(cm, 8) == moment_table(cm, 8), name
+            assert matricial_cf(matricial_from_map(cm, 3), 6) == moment_table(cm, 6), name
 
 
 def test_criterion_05_stochastic_independence():

@@ -413,9 +413,9 @@ def test_compare_mismatch_report_equals_fraction_comparison(capsys, monkeypatch,
                 parts[len(w)][words_of_length(2, len(w)).index(w)] += bump
             return parts
 
-        series = cfrac.scalar_branched_cf(cm, order)
+        values = dict(cfrac.scalar_branched_cf(cm, order))
         monkeypatch.setattr(cfrac, "scalar_branched_parts", numerators)
-        reference = lambda w: series.coefficient(w) + F(bumped.get(w, 0), cm.scale ** len(w))
+        reference = lambda w: values[w] + F(bumped.get(w, 0), cm.scale ** len(w))
     else:
         reference = getattr(oracle, f"{against}_state")(mu1, mu2)
     rows = [(w, evaluator.word_moment(w), reference(w)) for w in words_up_to(2, order)]
@@ -782,14 +782,17 @@ def test_matricial_rows_equal_scalar_rows(capsys, generic_files, omega, orders):
             assert out["matricial"] == out["scalar"], (order, fmt)
 
 
-# names perfbench/traced.py still wraps that the library no longer has: the
-# series inverse, the full-length expansion, the evaluator's polynomial
-# extension and the map-to-matrices builder moved to the tests' reference
-# kernels or to oracle.functional_inner.  The tracer warns and carries on,
-# and their metrics read 0, as they did before on every workload.
+# names perfbench/traced.py still wraps that the library no longer has, in
+# the order it installs them: the full-length expansion, the evaluator's
+# polynomial extension, the series type's multiply and inverse, and the
+# map-to-matrices builder moved to the tests' reference kernels or to
+# oracle.functional_inner, or left with the series type.  The tracer warns
+# and carries on, and their metrics read 0, as they did before on every
+# workload.
 RETIRED_WRAP_POINTS = [
     "prodstate.expansion",
     "prodstate.eval_poly",
+    "ncpoly.series_mul",
     "ncpoly.series_inverse",
     "cfrac.matricial_from_map",
 ]
@@ -808,10 +811,10 @@ def test_traced_benchmark_finds_every_wrap_point(tmp_path):
     3,602).  The mops run pins its moment matrix: it comes from one moment
     table through order 4, with no word moment evaluated one at a time (one
     per entry of the 7 x 7 matrix took 49, and pair-by-pair polynomial
-    products 328).  No command multiplies an NCSeries: both continued
-    fractions solve on dense integer lists (the matricial one multiplied
-    series matrices in its Neumann steps).  Only the counterexample run
-    still multiplies polynomials, in functional_inner."""
+    products 328).  Both continued fractions solve on dense integer lists
+    and give value tables, so there is no series type left to multiply.
+    Only the counterexample run still multiplies polynomials, in
+    functional_inner."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     inputs = ["--jacobi1", str(GOLDEN / "j1.json"), "--jacobi2", str(GOLDEN / "j2.json")]
     recorded = set()
@@ -819,7 +822,6 @@ def test_traced_benchmark_finds_every_wrap_point(tmp_path):
     moment_calls = {}
     word_moments = {}
     tables = {}
-    products = {}
     runs = {
         "cfrac": ["cfrac", *inputs, "--omega", "free", "--order", "3"],
         "cfrac-matricial": ["cfrac", *inputs, "--omega", "free", "--engine", "matricial", "--order", "3"],
@@ -841,9 +843,7 @@ def test_traced_benchmark_finds_every_wrap_point(tmp_path):
         moment_calls[name] = dump["totals"]["jacobi.moment"][0]
         word_moments[name] = sum(span[0] == "prodstate.word_moment" for span in dump["spans"])
         tables[name] = sum(span[0] == "prodstate.moment_table" for span in dump["spans"])
-        products[name] = sum(span[0] == "ncpoly.series_mul" for span in dump["spans"])
     assert "ncpoly.poly_mul" in recorded
-    assert products == dict.fromkeys(runs, 0)
     assert left_multiplies["moments"] == 0
     assert word_moments["mops"] == 0
     assert tables["mops"] == 1

@@ -6,9 +6,10 @@ matricial one inverts each level's matrix degree by degree
 (``_dense_inverse``, whose 1 x 1 case is the engines' series inverse); each
 must equal the plain ``Fraction`` version in ``reference_kernels`` exactly
 (``fraction_inverse``, ``fraction_expansion``, the ``fraction_*_cf``
-engines, and ``matricial_from_map`` for the map-fed matricial route), and
-the scalar engine also the transfer operator.  Arithmetic results skip the constructors' checks, so the
-invariants those checks gave are asserted here on every operation.  The
+engines read as value tables, and ``matricial_from_map`` for the map-fed
+matricial route), and the scalar engine also the transfer operator.
+Arithmetic results skip the constructors' checks, so the invariants those
+checks gave are asserted here on every operation.  The
 CLI's tables are written by hand, the json as the bytes ``json.dumps``
 would give and the csv and pretty text as row-by-row formatting would.
 """
@@ -27,6 +28,8 @@ from reference_kernels import (
     fraction_scalar_branched_cf,
     full_order_neumann_inverse,
     matricial_from_map,
+    truncate,
+    value_table,
 )
 
 from ncprod import (
@@ -41,7 +44,6 @@ from ncprod import (
 from ncprod.cfrac import (
     MatricialData,
     _dense_inverse,
-    _series,
     matricial_cf,
     matricial_map_parts,
     matricial_parts,
@@ -49,9 +51,9 @@ from ncprod.cfrac import (
     scalar_branched_parts,
 )
 from ncprod.cli import _emit_table
-from ncprod.ncpoly import NCPolynomial, NCSeries, _make
+from ncprod.ncpoly import NCPolynomial, _make
 from ncprod.prodstate import DepthExhaustedError, StateEvaluator, cfree_map, explicit_map, product_type_map
-from ncprod.words import words_of_length, words_up_to
+from ncprod.words import word_values, words_of_length, words_up_to
 
 F = Fraction
 
@@ -69,39 +71,40 @@ def random_terms(rng: random.Random, d: int, max_length: int, count: int) -> dic
     return terms
 
 
-def random_unit_series(rng: random.Random, d: int, order: int) -> NCSeries:
-    """Constant term 1, a few random terms of degree 1..3 and one of degree 1..order."""
+def random_unit_series(rng: random.Random, d: int, order: int) -> NCPolynomial:
+    """Constant term 1, a few random terms of degree 1..3 and one of degree
+    1..order, so no term lies beyond the order."""
     if not order:
-        return NCSeries(d, 0, {(): 1})
+        return NCPolynomial.one(d)
     terms = {**random_terms(rng, d, min(order, 3), rng.randint(0, 5)),
              **random_terms(rng, d, order, 1)}
-    return NCSeries(d, order, {(): 1, **terms})
+    return NCPolynomial(d, {(): 1, **terms})
 
 
 def assert_clean(p: NCPolynomial) -> None:
-    """Only nonzero Fraction coefficients, on valid words within the order."""
+    """Only nonzero Fraction coefficients, on valid words."""
     for word, coeff in p.terms.items():
         assert type(coeff) is Fraction and coeff != 0, (word, coeff)
         assert type(word) is tuple and all(1 <= letter <= p.d for letter in word), word
-        if p.order is not None:
-            assert len(word) <= p.order, (word, p.order)
 
 
-def dense_series(d: int, parts: list) -> NCSeries:
+def dense_series(d: int, parts: list) -> NCPolynomial:
     """Dense parts over scale 1, a zero degree given as None, as a series."""
-    return _series(d, [part or [0] * d**m for m, part in enumerate(parts)], 1)
+    parts = [part or [0] * d**m for m, part in enumerate(parts)]
+    return _make(d, dict(word_values(d, parts, 1)))
 
 
-def dense_entry(series: NCSeries) -> list:
-    """A series as the matricial engine's dense parts, None for a zero degree."""
+def dense_entry(series: NCPolynomial, order: int) -> list:
+    """A series as the matricial engine's dense parts through the order,
+    None for a zero degree."""
     parts = [[series.terms.get(w, 0) for w in words_of_length(series.d, m)]
-             for m in range(series.order + 1)]
+             for m in range(order + 1)]
     return [part if any(part) else None for part in parts]
 
 
-def dense_inverse_parts(series: NCSeries) -> list:
+def dense_inverse_parts(series: NCPolynomial, order: int) -> list:
     """The engines' series inverse: _dense_inverse of the 1 x 1 matrix."""
-    return _dense_inverse({(0, 0): dense_entry(series)}, 1, series.d, series.order)[(0, 0)]
+    return _dense_inverse({(0, 0): dense_entry(series, order)}, 1, series.d, order)[(0, 0)]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -110,10 +113,10 @@ def test_integer_inverse_equals_fraction_loop(d):
     for order in range(9):
         for _ in range(4):
             s = random_unit_series(rng, d, order)
-            t = dense_series(d, dense_inverse_parts(s))
-            assert t == fraction_inverse(s)
+            t = dense_series(d, dense_inverse_parts(s, order))
+            assert t == fraction_inverse(s, order)
             assert_clean(t)
-            assert s * t == NCSeries.one(d, order)
+            assert truncate(s * t, order) == NCPolynomial.one(d)
 
 
 def test_inverse_of_an_int_series_stays_int():
@@ -124,17 +127,17 @@ def test_inverse_of_an_int_series_stays_int():
     for d in (1, 2):
         for order in range(7):
             terms = {w: c.numerator for w, c in random_unit_series(rng, d, order).terms.items()}
-            parts = dense_inverse_parts(_make(d, order, {**terms, (): 1}))
+            parts = dense_inverse_parts(_make(d, {**terms, (): 1}), order)
             assert all(type(coeff) is int for part in parts if part for coeff in part)
-            assert dense_series(d, parts) == fraction_inverse(NCSeries(d, order, {**terms, (): 1}))
+            assert dense_series(d, parts) == fraction_inverse(NCPolynomial(d, {**terms, (): 1}), order)
 
 
 def test_integer_inverse_without_positive_degree_terms():
-    one = NCSeries.one(2, 5)
-    assert dense_series(2, dense_inverse_parts(one)) == one
+    one = NCPolynomial.one(2)
+    assert dense_series(2, dense_inverse_parts(one, 5)) == one
     # a degree may have no terms at all
-    s = NCSeries(2, 6, {(): 1, (1, 2, 2): F(-3, 4)})
-    assert dense_series(2, dense_inverse_parts(s)) == fraction_inverse(s)
+    s = NCPolynomial(2, {(): 1, (1, 2, 2): F(-3, 4)})
+    assert dense_series(2, dense_inverse_parts(s, 6)) == fraction_inverse(s, 6)
 
 
 def random_series_matrix(rng: random.Random, n: int, d: int, order: int) -> list:
@@ -146,7 +149,7 @@ def random_series_matrix(rng: random.Random, n: int, d: int, order: int) -> list
             terms = {(): 1} if r == s else {}
             if order and rng.random() < 2 / 3:
                 terms.update(random_terms(rng, d, min(order, 3), rng.randint(1, 3)))
-            row.append(NCSeries(d, order, terms))
+            row.append(NCPolynomial(d, terms))
         rows.append(row)
     return rows
 
@@ -159,7 +162,7 @@ def test_truncated_neumann_equals_full_order(n):
     for d in (1, 2):
         for order in range(7):
             mat = random_series_matrix(rng, n, d, order)
-            dense = {(r, s): dense_entry(mat[r][s]) for r in range(n) for s in range(n)
+            dense = {(r, s): dense_entry(mat[r][s], order) for r in range(n) for s in range(n)
                      if mat[r][s].terms}
             fast = _dense_inverse(dense, n, d, order)
             slow = full_order_neumann_inverse(mat, order)
@@ -167,7 +170,6 @@ def test_truncated_neumann_equals_full_order(n):
                 for s in range(n):
                     entry = dense_series(d, fast.get((r, s), [None] * (order + 1)))
                     assert entry == slow[r][s], (d, order, r, s)
-                    assert entry.order == order
 
 
 def test_dense_inverse_requires_identity_constant_term():
@@ -180,44 +182,37 @@ def test_dense_inverse_requires_identity_constant_term():
 def test_arithmetic_results_hold_only_clean_terms():
     rng = random.Random(7)
     for d in (1, 2, 3):
-        for order in (None, 0, 1, 3, 5):
-            for _ in range(5):
-                terms_p = random_terms(rng, d, 4, 5)
-                terms_q = random_terms(rng, d, 4, 5)
-                if order is None:
-                    p, q = NCPolynomial(d, terms_p), NCPolynomial(d, terms_q)
-                else:
-                    p, q = NCSeries(d, order, terms_p), NCSeries(d, 4, terms_q)
-                results = [p + q, p - q, p * q, q * p, -p, p.involution(),
-                           p * 2, 2 * p, p + 3, 3 + p, p - 3, 3 - p,
-                           p * F(-2, 3), p * 0, p + (-p), p - p]
-                for result in results:
-                    assert_clean(result)
-                assert (p * 0).is_zero() and (p - p).is_zero()
+        for _ in range(25):
+            p = NCPolynomial(d, random_terms(rng, d, 4, 5))
+            q = NCPolynomial(d, random_terms(rng, d, 4, 5))
+            results = [p + q, p - q, p * q, q * p, -p, p.involution(),
+                       p * 2, 2 * p, p + 3, 3 + p, p - 3, 3 - p,
+                       p * F(-2, 3), p * 0, p + (-p), p - p]
+            for result in results:
+                assert_clean(result)
+            assert (p * 0).is_zero() and (p - p).is_zero()
 
 
 def test_int_scalar_results_are_fractions():
     p = NCPolynomial(2, {(1,): 1, (2, 1): F(1, 2)})
     assert (p * 2).terms == {(1,): F(2), (2, 1): F(1)}
     assert (p + 3).terms == {(): F(3), (1,): F(1), (2, 1): F(1, 2)}
-    s = NCSeries(2, 1, {(1,): 1, (2, 1): 5})
-    assert (s + 3).terms == {(): F(3), (1,): F(1)}
 
 
 def test_public_constructors_keep_their_checks():
     with pytest.raises(ValueError):
         NCPolynomial(2, {(3,): 1})
     with pytest.raises(ValueError):
-        NCSeries(2, 3, {(0, 1): 1})
+        NCPolynomial(2, {(0, 1): 1})
     with pytest.raises(ValueError):
-        NCSeries(2, -1)
+        NCPolynomial(0)
     with pytest.raises(ValueError):
         NCPolynomial.monomial((1, 2, 3), 2)
 
 
 def test_float_coefficients_are_rejected():
     for build in (lambda: NCPolynomial(2, {(1,): 0.1}),
-                  lambda: NCSeries(2, 3, {(): 1.0}),
+                  lambda: NCPolynomial(2, {(): 1.0}),
                   lambda: NCPolynomial.monomial((1,), 2, 0.5),
                   lambda: JacobiData(beta=(0.1,), gamma=()),
                   lambda: JacobiData(beta=(), gamma=(F(1), 0.5)),
@@ -281,16 +276,16 @@ def test_integer_word_moments_equal_fraction_transfer_operator(name):
 
 @pytest.mark.parametrize("name", sorted(KERNEL_MAPS))
 def test_integer_scalar_cf_equals_fraction_engine(name):
-    """scalar_branched_cf runs on the map's integer view; it must equal the
-    same recursion on Fraction series at every order up to a bound: every
-    order the map reaches for one letter, fewer for two and three."""
+    """scalar_branched_cf runs on the map's integer view; its table must
+    equal the same recursion on Fraction series at every order up to a
+    bound: every order the map reaches for one letter, fewer for two and
+    three."""
     cm = KERNEL_MAPS[name]()
     top = {1: 2 * cm.depth + 1, 2: 9, 3: 6}[cm.d]
     for order in range(top + 1):
-        series = scalar_branched_cf(cm, order)
-        assert series == fraction_scalar_branched_cf(cm, order), (name, order)
-        assert series.order == order
-        assert_clean(series)
+        table = scalar_branched_cf(cm, order)
+        assert table == value_table(fraction_scalar_branched_cf(cm, order), order), (name, order)
+        assert all(type(value) is Fraction for _, value in table)
 
 
 @pytest.mark.parametrize("name,order", [("free", 13), ("one-branch", 12)])
@@ -299,10 +294,10 @@ def test_dense_scalar_numerators_equal_transfer_operator(name, order):
     routes to D^|w| phi(w); on the benchmark's largest continued-fraction
     cases they agree on every word."""
     cm = product_type_map(builder(name, order), GENERIC_J1, GENERIC_J2)
-    terms = _series(cm.d, scalar_branched_parts(cm, order), 1).terms
+    numerators = word_values(cm.d, scalar_branched_parts(cm, order), 1)
     evaluator = StateEvaluator(cm)
-    for w in words_up_to(2, order):
-        assert terms.get(w, 0) == evaluator.word_numerator(w), (name, w)
+    for w, numerator in numerators:
+        assert numerator == evaluator.word_numerator(w), (name, w)
 
 
 def sparse_explicit_map(seed: int):
@@ -326,11 +321,10 @@ def test_dense_scalar_numerators_equal_fraction_engine(seed):
     cm = sparse_explicit_map(900 + seed)
     order = 2 * cm.depth + 1
     parts = scalar_branched_parts(cm, order)
-    series = _series(cm.d, parts, 1)
-    reference = fraction_scalar_branched_cf(cm, order)
-    assert (series.d, series.order) == (cm.d, order)
-    assert all(type(value) is int for part in parts if part for value in part)
-    assert series.terms == {w: value * cm.scale ** len(w) for w, value in reference.terms.items()}
+    reference = value_table(fraction_scalar_branched_cf(cm, order), order)
+    assert [len(part) for part in parts] == [cm.d**m for m in range(order + 1)]
+    assert all(type(value) is int for part in parts for value in part)
+    assert list(word_values(cm.d, parts, 1)) == [(w, value * cm.scale ** len(w)) for w, value in reference]
 
 
 def random_matricial_data(rng: random.Random, d: int, levels: int) -> MatricialData:
@@ -354,7 +348,8 @@ def random_matricial_data(rng: random.Random, d: int, levels: int) -> MatricialD
 @pytest.mark.parametrize("d", [1, 2])
 def test_integer_matricial_cf_equals_fraction_engine(d):
     """matricial_cf takes its common denominator from the data, whose T need
-    not be diagonal; it must equal the Fraction series-matrix recursion."""
+    not be diagonal; its table must equal the Fraction series-matrix
+    recursion's through min(order, 2K)."""
     rng = random.Random(800 + d)
     for levels in range(1, 4 if d == 1 else 3):
         for _ in range(3):
@@ -363,9 +358,8 @@ def test_integer_matricial_cf_equals_fraction_engine(d):
                 assert any(value and r != s for level in md.t for m in level
                            for r, row in enumerate(m) for s, value in enumerate(row))
             for order in range(2 * levels + 2):
-                series = matricial_cf(md, order)
-                assert series == fraction_matricial_cf(md, order), (d, levels, order)
-                assert_clean(series)
+                reference = value_table(fraction_matricial_cf(md, order), min(order, 2 * levels))
+                assert matricial_cf(md, order) == reference, (d, levels, order)
 
 
 @pytest.mark.parametrize("name", ["free", "boolean", "one-branch"])
@@ -379,22 +373,22 @@ def test_matricial_parts_of_product_maps_equal_both_references(name):
         parts, scale = matricial_parts(md, order)
         assert scale == cm.scale
         assert [len(part) for part in parts] == [2**m for m in range(order + 1)]
-        numerators = _series(2, parts, 1)
-        assert numerators == _series(2, scalar_branched_parts(cm, order), 1), (name, order)
-        assert _series(2, parts, scale) == fraction_matricial_cf(md, order), (name, order)
+        assert parts == scalar_branched_parts(cm, order), (name, order)
+        reference = value_table(fraction_matricial_cf(md, order), order)
+        assert list(word_values(2, parts, scale)) == reference, (name, order)
 
 
 @pytest.mark.parametrize("name", BUILTIN_OMEGAS)
 def test_map_fed_matricial_parts_equal_matricial_data_route(name):
     """The CLI's matricial route reads the diagonal T' and C' straight from
     the map's integer view; through the same level loop it must give the
-    series of the Fraction matrices matricial_from_map builds, at every
+    table of the Fraction matrices matricial_from_map builds, at every
     order through 10."""
     cm = product_type_map(builder(name, 10), GENERIC_J1, GENERIC_J2)
     md = matricial_from_map(cm, 5)
     for order in range(11):
         parts = matricial_map_parts(cm, order)
-        assert _series(2, parts, cm.scale) == _series(2, *matricial_parts(md, order)), (name, order)
+        assert list(word_values(2, parts, cm.scale)) == list(word_values(2, *matricial_parts(md, order))), (name, order)
     # order 21 needs 11 levels, one beyond the map's depth of 10
     with pytest.raises(DepthExhaustedError, match="order 21 needs 11 levels"):
         matricial_map_parts(cm, 21)

@@ -1,5 +1,7 @@
-"""Free-algebra arithmetic: words, polynomials, truncated series.
+"""Free-algebra arithmetic: words and polynomials, and the reference
+kernels' truncated series.
 
+A series is a polynomial cut at an order passed explicitly (``truncate``).
 The series inverse and the sandwich z_j F z_l are the reference kernels'
 (``fraction_inverse`` and ``sandwich``), which every Fraction
 continued-fraction engine of the tests is built from; the library's
@@ -12,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_kernels import fraction_inverse, sandwich
+from reference_kernels import fraction_inverse, sandwich, truncate
 
-from ncprod.ncpoly import NCPolynomial, NCSeries
+from ncprod.ncpoly import NCPolynomial
 from ncprod.words import (
     format_rational,
     parse_rational,
@@ -118,27 +120,28 @@ def test_involution_antihomomorphism(p, q):
 
 
 def test_geometric_series_inverse():
-    s = NCSeries.one(1, 3) - NCSeries.variable(1, 1, 3)
-    assert fraction_inverse(s).terms == {(): 1, (1,): 1, (1, 1): 1, (1, 1, 1): 1}
+    s = NCPolynomial.one(1) - x(1, d=1)
+    assert fraction_inverse(s, 3).terms == {(): 1, (1,): 1, (1, 1): 1, (1, 1, 1): 1}
 
 
 def test_two_letter_geometric_inverse():
-    s = NCSeries.one(2, 2) - NCSeries.variable(1, 2, 2) - NCSeries.variable(2, 2, 2)
-    inv = fraction_inverse(s)
+    s = NCPolynomial.one(2) - x(1) - x(2)
+    inv = fraction_inverse(s, 2)
     for w in words_up_to(2, 2):
         assert inv.coefficient(w) == 1
+    assert inv.degree() == 2
 
 
 def test_inverse_of_one():
     for order in (0, 3, 7):
-        assert fraction_inverse(NCSeries.one(2, order)) == NCSeries.one(2, order)
+        assert fraction_inverse(NCPolynomial.one(2), order) == NCPolynomial.one(2)
 
 
 def test_inverse_requires_unit_constant_term():
     with pytest.raises(ValueError):
-        fraction_inverse(2 * NCSeries.one(2, 3))
+        fraction_inverse(2 * NCPolynomial.one(2), 3)
     with pytest.raises(ValueError):
-        fraction_inverse(NCSeries.variable(1, 2, 3))
+        fraction_inverse(x(1), 3)
 
 
 series_terms = st.dictionaries(
@@ -149,43 +152,24 @@ series_terms = st.dictionaries(
 @settings(max_examples=100, deadline=None)
 @given(series_terms, st.integers(min_value=1, max_value=8))
 def test_series_inverse_round_trip(terms, order):
-    s = NCSeries.one(2, order) + NCSeries(2, order, terms)
+    s = truncate(NCPolynomial.one(2) + NCPolynomial(2, terms), order)
     assert s.coefficient(()) == 1  # generated words are nonempty
-    t = fraction_inverse(s)
-    assert (s * t).terms == {(): 1}
-    assert (t * s).terms == {(): 1}
-
-
-def test_series_monomial_takes_an_order():
-    assert NCSeries.monomial((1, 2), 2, 3) == NCSeries(2, 3, {(1, 2): 1})
-    assert NCSeries.monomial((2,), 2, 1, F(-3, 4)).terms == {(2,): F(-3, 4)}
-    assert NCSeries.monomial((1, 2, 1), 2, 2).terms == {}
+    t = fraction_inverse(s, order)
+    assert truncate(s * t, order).terms == {(): 1}
+    assert truncate(t * s, order).terms == {(): 1}
 
 
 def test_series_truncation_drops_high_terms():
-    s = NCSeries(2, 2, {(1, 1, 1): 7, (1,): 1})
+    s = truncate(NCPolynomial(2, {(1, 1, 1): 7, (1,): 1}), 2)
     assert s.terms == {(1,): 1}
-    p = NCPolynomial.monomial((1, 2), 2)
-    t = NCSeries(p.d, 4, p.terms)
-    assert (t * t).terms == {(1, 2, 1, 2): 1}
-    assert (t * t * t).terms == {}
-
-
-def test_result_truncates_at_smallest_operand_order():
-    s = NCSeries(2, 4, {(1,): 1, (1, 2): 2})
-    t = NCSeries(2, 2, {(): 1, (2,): 3})
-    p = NCPolynomial.monomial((2, 2, 2), 2)
-    assert s * t == NCSeries(2, 2, {(1,): 1, (1, 2): 5})
-    assert s + p == NCSeries(2, 4, {(1,): 1, (1, 2): 2, (2, 2, 2): 1})
-    assert p * s == NCSeries(2, 4, {(2, 2, 2, 1): 1})
-    assert s * p == NCSeries(2, 4, {(1, 2, 2, 2): 1})
-    assert type(p * p) is NCPolynomial and (p * p).degree() == 6
-    assert NCSeries.one(2, 3) != NCPolynomial.one(2)
-    assert NCSeries.one(2, 3) != NCSeries.one(2, 4)
+    t = NCPolynomial.monomial((1, 2), 2)
+    assert truncate(t * t, 4).terms == {(1, 2, 1, 2): 1}
+    assert truncate(t * t * t, 4).terms == {}
 
 
 def test_sandwich_shifts_and_grows_order():
-    s = NCSeries(2, 1, {(): 1, (1,): 2})
-    wrapped = sandwich(s, 2, 1, s.order + 2)
-    assert wrapped.order == 3
-    assert wrapped.terms == {(2, 1): 1, (2, 1, 1): 2}
+    """A series exact through order 1, wrapped, is exact through order 3;
+    cut lower, it loses its top terms."""
+    s = NCPolynomial(2, {(): 1, (1,): 2})
+    assert sandwich(s, 2, 1, 3).terms == {(2, 1): 1, (2, 1, 1): 2}
+    assert sandwich(s, 2, 1, 2).terms == {(2, 1): 1}

@@ -116,6 +116,65 @@ def test_subcommand_loads_only_what_it_runs(argv, loaded, not_loaded):
     assert code == 0
     assert loaded <= set(modules)
     assert not not_loaded & set(modules)
+    # no module imports typing: annotations are strings, and the aliases
+    # come from collections.abc
+    assert "typing" not in modules
+
+
+# the three engines called from the library, each checked on a value it
+# must give; they return value tables, so no polynomial or series is built
+ENGINE_MODULES = """
+import json, sys
+from ncprod.cfrac import MatricialData, classical_cf, matricial_cf, scalar_branched_cf
+from ncprod.jacobi import preset
+from ncprod.omega import builder
+from ncprod.prodstate import product_type_map
+semi = preset("semicircle")
+assert classical_cf(semi, 4)[4] == ((1, 1, 1, 1), 2)
+assert dict(scalar_branched_cf(product_type_map(builder("free", 4), semi, semi), 4))[(1, 2, 2, 1)] == 1
+assert matricial_cf(MatricialData(d=1, t=(((("0",),),), ((("0",),),)), c=((("1",),),)), 4)[2] == ((1, 1), 1)
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_engines_load_no_polynomial_layer():
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", ENGINE_MODULES],
+        env=ENV, capture_output=True, text=True, check=True, timeout=120,
+    )
+    modules = set(json.loads(done.stdout.splitlines()[-1]))
+    assert "ncprod.cfrac" in modules
+    assert not {"ncprod.ncpoly", "typing"} & modules
+
+
+def _negative_order_calls():
+    """Every library function that takes an order or a depth, called with -1."""
+    from ncprod import cfrac, gram_matrix, gram_schmidt_mops, oracle, prodstate
+
+    semi = ncprod.preset("semicircle")
+    cm = prodstate.product_type_map(ncprod.builder("free", 3), semi, semi)
+    md = cfrac.MatricialData(d=1, t=(((("0",),),), ((("0",),),)), c=((("1",),),))
+    return {
+        "moment_parts": lambda: prodstate.moment_parts(cm, -1),
+        "moment_table": lambda: prodstate.moment_table(cm, -1),
+        "scalar_branched_parts": lambda: cfrac.scalar_branched_parts(cm, -1),
+        "matricial_parts": lambda: cfrac.matricial_parts(md, -1),
+        "matricial_map_parts": lambda: cfrac.matricial_map_parts(cm, -1),
+        "classical_cf": lambda: cfrac.classical_cf(semi, -1),
+        "scalar_branched_cf": lambda: cfrac.scalar_branched_cf(cm, -1),
+        "matricial_cf": lambda: cfrac.matricial_cf(md, -1),
+        "gram_matrix": lambda: gram_matrix(cm, -1),
+        "gram_schmidt_mops": lambda: gram_schmidt_mops(oracle.free_state(semi, semi), -1),
+        "render_branched_cf": lambda: cfrac.render_branched_cf(cm, -1),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_negative_order_calls()))
+def test_negative_order_or_depth_is_refused(name):
+    """A negative order or depth is refused, never read as an empty or a
+    root-only request."""
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        _negative_order_calls()[name]()
 
 
 def test_map_errors_stay_input_errors(capsys, monkeypatch):
