@@ -2,16 +2,18 @@
 """Cross-route sweep over every small valid tree.
 
 For every tree of ``enumerate_valid_trees(3)`` (64 trees, map depth 2,
-order 3) and ``enumerate_valid_trees(4)`` (12,544 trees, map depth 3,
-order 4), at the order the map's depth allows, builds the product-type map
-of fixed generic marginals, with a fixed nu pair for the inner runs, and
-checks that the four routes to the numerators D^|w| phi(w) agree on every
-word: the transfer-operator table (``moment_parts``), the scalar and the
-matricial continued fractions (``scalar_branched_parts``,
-``matricial_map_parts``) and the word-by-word evaluator
-(``StateEvaluator.word_numerator``).  Then, at order 10, it checks the
-direct definitions against the same table, each oracle built at its map's
-scale: the free, Boolean, monotone and anti-monotone oracles
+order 5) and ``enumerate_valid_trees(4)`` (12,544 trees, map depth 3,
+order 7), at 2 * depth + 1, the highest order a map of that depth serves,
+builds the product-type map of fixed generic marginals, with a fixed nu
+pair for the inner runs, and checks that the four routes to the numerators
+D^|w| phi(w) agree on every word: the transfer-operator table
+(``moment_parts``), the scalar and the matricial continued fractions
+(``scalar_branched_parts``, ``matricial_map_parts``) and the word-by-word
+evaluator (``StateEvaluator.word_numerator``).  At these orders every tree
+gives its own table, so a route that misread one tree's entries would show;
+each sweep prints how many distinct tables it saw.  Then, at order 10, it
+checks the direct definitions against the same table, each oracle built at
+its map's scale: the free, Boolean, monotone and anti-monotone oracles
 (``free_state``, ``boolean_state``, ``monotone_state``,
 ``antimonotone_state``) on the map of the mu pair on their built-in tree,
 and the c-free oracle (``cfree_state``) on the two-pair map
@@ -21,11 +23,13 @@ the oracle, the route and the word.
 Run from the repository root: ``PYTHONPATH=src python3 scripts/cross_route_sweep.py``.
 """
 
+import hashlib
 import sys
 import time
 from fractions import Fraction as F
 
 from ncprod import (
+    CoefficientMap,
     JacobiData,
     OmegaTree,
     StateEvaluator,
@@ -54,8 +58,8 @@ NU = (
     JacobiData(beta=(F(-3, 5), F(1, 6), F(2, 9)), gamma=(F(5, 4), F(2, 11))),
 )
 
-# (the words' maximal length in the enumeration, the order checked)
-SWEEPS = ((3, 3), (4, 4))
+# (the words' maximal length in the enumeration, the order checked: 2 * depth + 1)
+SWEEPS = ((3, 5), (4, 7))
 # the order of the direct-definition checks
 ORACLE_ORDER = 10
 # the oracles of one (mu1, mu2) pair, each under the built-in tree whose
@@ -68,10 +72,8 @@ TREE_ORACLES = {
 }
 
 
-def disagreement(tree: OmegaTree, order: int) -> str | None:
-    """The first route whose numerators differ from the table's, or None."""
-    cm = product_type_map(tree, *MU, NU)
-    table = moment_parts(cm, order)
+def disagreement(cm: CoefficientMap, table: list[list[int]], order: int) -> str | None:
+    """The first route whose numerators differ from the map's table, or None."""
     evaluator = StateEvaluator(cm)
     routes = {
         "scalar_branched_parts": scalar_branched_parts(cm, order),
@@ -110,19 +112,36 @@ def oracle_disagreement(order: int) -> str | None:
     return None
 
 
+def sweep(max_len: int, order: int) -> tuple[int, int, str | None]:
+    """Over every valid tree with words to ``max_len``, at the order: the
+    number of trees, the number of distinct tables among them, and the first
+    disagreement, naming its tree, or None."""
+    trees = enumerate_valid_trees(max_len)
+    # a digest of each tree's table: every map has the scale of MU and NU
+    tables = set()
+    for members in trees:
+        cm = product_type_map(OmegaTree(max_len - 1, members), *MU, NU)
+        table = moment_parts(cm, order)
+        tables.add(hashlib.sha256(repr(table).encode()).digest())
+        found = disagreement(cm, table, order)
+        if found is not None:
+            words = " ".join(map(str, (list(w) for w in sorted(members, key=graded_lex_key))))
+            return len(trees), len(tables), f"on the tree {words} at order {order}: {found}"
+    return len(trees), len(tables), None
+
+
 def main() -> int:
     for max_len, order in SWEEPS:
         start = time.perf_counter()
-        trees = enumerate_valid_trees(max_len)
-        for members in trees:
-            tree = OmegaTree(max_len - 1, members)
-            found = disagreement(tree, order)
-            if found is not None:
-                words = " ".join(map(str, (list(w) for w in sorted(members, key=graded_lex_key))))
-                print(f"disagreement on the tree {words} at order {order}: {found}")
-                return 1
+        trees, distinct, found = sweep(max_len, order)
+        if found is not None:
+            print(f"disagreement {found}")
+            return 1
         elapsed = time.perf_counter() - start
-        print(f"words to length {max_len}: {len(trees)} trees agree through order {order} ({elapsed:.2f} s)")
+        print(
+            f"words to length {max_len}: {trees} trees, {distinct} distinct tables, "
+            f"agree through order {order} ({elapsed:.2f} s)"
+        )
     start = time.perf_counter()
     found = oracle_disagreement(ORACLE_ORDER)
     if found is not None:

@@ -106,10 +106,9 @@ def gram_matrix(cm: CoefficientMap, depth: int) -> GramMatrix:
 
     Each entry is x_u^T N x_v / (L den_u den_v), with N / L the state's
     moment matrix over the words up to the depth, read from
-    :func:`~ncprod.prodstate.moment_table` through order 2 * depth (which
-    raises :class:`~ncprod.prodstate.DepthExhaustedError` above order
-    cm.depth + 1), and x_u the int vector den_u P_u, den_u the lcm of P_u's
-    denominators.
+    :func:`~ncprod.prodstate.moment_table` through order 2 * depth (a map of
+    depth N serves every order through 2N + 1), and x_u the int vector
+    den_u P_u, den_u the lcm of P_u's denominators.
     """
     phi = dict(moment_table(cm, 2 * depth)).__getitem__
     words = tuple(words_up_to(cm.d, depth))

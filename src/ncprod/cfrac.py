@@ -54,7 +54,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 
 from .jacobi import JacobiData
-from .prodstate import CoefficientMap, DepthExhaustedError, explicit_map
+from .prodstate import CoefficientMap, explicit_map
 from .words import (
     EMPTY_WORD,
     FrozenRecord,
@@ -72,15 +72,15 @@ DenseMatrix = dict[tuple[int, int], list]
 
 
 def chain_map(data: JacobiData, order: int) -> CoefficientMap:
-    """The one-letter chain map B(1, 1^k) = beta_k, C(1^k) = gamma_k,
-    through the depth order // 2 that the order reaches."""
+    """The one-letter chain map B(1, 1^k) = beta_k, C(1^k) = gamma_k of depth
+    order // 2: m_n reads beta_k for k <= (n - 1) // 2, gamma_k for k <= n // 2."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     level = order // 2
     return explicit_map(
         1,
         level,
-        {(1, (1,) * k): data.beta_at(k) for k in range(level + 1)},
+        {(1, (1,) * k): data.beta_at(k) for k in range((order + 1) // 2)},
         {(1,) * k: data.gamma_at(k) for k in range(1, level + 1)},
     )
 
@@ -278,12 +278,10 @@ def matricial_map_parts(cm: CoefficientMap, order: int) -> list[list[int]]:
     and C are diagonal, with B(i, u) and C(u) at the row of the word u of
     length k.
     It runs on the fewest levels exact through the order, (order + 1) // 2,
-    which the map must hold, and reads T' and C' entry by entry from the
-    map's integer view, only the entries the recursion reaches, through
-    the same level loop as :func:`matricial_parts`."""
+    reading T' and C' entry by entry from the map's integer view, only the
+    entries the recursion reaches, through the same level loop as
+    :func:`matricial_parts`; a map of depth N serves every order through 2N + 1."""
     levels = (order + 1) // 2
-    if levels > cm.depth:
-        raise DepthExhaustedError(f"order {order} needs {levels} levels, beyond map depth {cm.depth}")
     d = cm.d
     scaled = cm.integer
     words = [words_of_length(d, k) for k in range(levels + 1)]

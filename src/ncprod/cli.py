@@ -180,11 +180,14 @@ def _load_marginals(args) -> Marginals:
     return j1, j2, _load_jacobi(nu1, "--nu1"), _load_jacobi(nu2, "--nu2")
 
 
-def _build_map(args, depth: int, marginals: Marginals | None = None) -> CoefficientMap:
+def _build_map(args, marginals: Marginals | None = None) -> CoefficientMap:
     """The coefficient map the flags name, on ``marginals`` as
-    :func:`_load_marginals` returns them, read from the files if not given."""
+    :func:`_load_marginals` returns them, read from the files if not given.
+    Its depth is --order (at least 1) for every command: a map of depth N
+    serves every order through 2N + 1, which covers gram's and mops' 2 * --order."""
     from . import prodstate
 
+    depth = max(args.order, 1)
     mu1, mu2, nu1, nu2 = _load_marginals(args) if marginals is None else marginals
     if nu1 is None:
         return prodstate.product_type_map(_load_omega(args.omega, depth), mu1, mu2)
@@ -291,7 +294,7 @@ def cmd_validate(args) -> int:
 def cmd_moments(args) -> int:
     from . import prodstate
 
-    cm = _build_map(args, max(args.order, 1))
+    cm = _build_map(args)
     _emit_table(prodstate.moment_parts(cm, args.order), cm.d, args.format, cm.scale)
     return 0
 
@@ -299,7 +302,7 @@ def cmd_moments(args) -> int:
 def cmd_gram(args) -> int:
     from . import reports
 
-    cm = _build_map(args, max(2 * args.order, 1))
+    cm = _build_map(args)
     _emit(reports.gram(cm, args.order, args.format))
     return 0
 
@@ -312,7 +315,7 @@ def cmd_cfrac(args) -> int:
         _refuse(args, ("jacobi2",), "--engine classical", "takes its one marginal from --jacobi1")
         cm = cfrac.chain_map(_load_jacobi(args.jacobi1, "--jacobi1"), args.order)
     else:
-        cm = _build_map(args, max(args.order, 1))
+        cm = _build_map(args)
     # integer numerators by degree over D^m: no Fraction per row
     if args.engine == "matricial":
         parts = cfrac.matricial_map_parts(cm, args.order)
@@ -343,7 +346,7 @@ def cmd_mops(args) -> int:
     else:
         from . import prodstate
 
-        cm = _build_map(args, max(2 * args.order, 1))
+        cm = _build_map(args)
         phi = dict(prodstate.moment_table(cm, 2 * args.order)).__getitem__
     _emit(reports.mops(phi, args.state, args.order, args.format))
     return 0
@@ -359,7 +362,7 @@ def cmd_compare(args) -> int:
     if args.against == "cfree" and args.nu1 is None:
         raise ValueError("--against cfree needs --nu1 and --nu2")
     marginals = mu1, mu2, nu1, nu2 = _load_marginals(args)
-    cm = _build_map(args, max(args.order, 1), marginals)
+    cm = _build_map(args, marginals)
     # each side gives D^|w| phi(w), with D the map's scale, by degree
     state = prodstate.moment_parts(cm, args.order)
     if args.against == "cfrac":

@@ -38,6 +38,11 @@ omega`` and :func:`ncprod.basis.gram_matrix` read every inner product.
 :meth:`StateEvaluator.word_numerator` and :meth:`StateEvaluator.word_moment`
 evaluate one word at a time by pairing half-length expansions instead.
 
+Each level down costs two degrees, so a moment of order n reads B and C
+only at words of length at most n // 2: a map of depth N serves every order
+through 2N + 1.  A read past the map's depth raises
+:class:`DepthExhaustedError`, the one depth check of every route.
+
 A :class:`CoefficientMap` answers B(i, u) and C(u) on demand and keeps each
 answer, so a query touches only the entries it reads (``cfrac --order 13``
 reads a few hundred of the 49,148 entries of depth 13), and so does its
@@ -326,9 +331,9 @@ class StateEvaluator:
     integer view's :meth:`CoefficientMap.norm_squared`, which the map keeps.
     Word moments are not cached, since many words at once are
     :func:`moment_table`'s work.
-    Supports words of length up to ``cm.depth + 1``; a longer word raises
-    :class:`DepthExhaustedError`.  A polynomial's value is
-    :meth:`word_moment` extended linearly, as
+    A map of depth N serves every order through 2N + 1; a longer word is
+    refused only if its own expansions read past the map.  A polynomial's
+    value is :meth:`word_moment` extended linearly, as
     :func:`ncprod.oracle.functional_inner` extends any word functional.
 
     The caches make instances single-threaded; share the map and
@@ -357,10 +362,6 @@ class StateEvaluator:
         is checked before any cache is read, since ``True`` and ``2.0`` hash
         as 1 and 2 would."""
         word = check_word(word, self.cm.d)
-        if len(word) > self.cm.depth + 1:
-            raise DepthExhaustedError(
-                f"word of length {len(word)} exceeds map depth {self.cm.depth} + 1"
-            )
         half = len(word) // 2
         right = self._integer_expansion(word[half:])
         norm = self._integer.norm_squared
@@ -393,13 +394,11 @@ def moment_parts(cm: CoefficientMap, order: int) -> list[list[int]]:
     dropped once it can no longer lower to (): when it is longer than
     order - j, or when C'(u) = 0, since Q_u lowers only through Q_tail(u);
     so is a u whose column vanishes.  B' and C' are thus read only at words
-    of length at most order // 2.  Raises :class:`DepthExhaustedError`
-    above order ``cm.depth + 1``.
+    of length at most order // 2: a map of depth N serves every order
+    through 2N + 1.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    if order > cm.depth + 1:
-        raise DepthExhaustedError(f"order {order} exceeds map depth {cm.depth} + 1")
     b, c = cm.integer.b, cm.integer.c
     letters = range(1, cm.d + 1)
     columns: dict[Word, list[int]] = {EMPTY_WORD: [1]}

@@ -518,6 +518,22 @@ def test_tree_file_shallower_than_the_order_is_refused(capsys, generic_files, tm
     )
 
 
+@pytest.mark.parametrize("command", [["gram"], ["mops", "--format", "pretty"]])
+def test_gram_and_mops_read_a_tree_file_of_depth_order(capsys, generic_files, tmp_path, command):
+    """gram and mops read moments through order 2 * --order, which a map of
+    depth --order serves: a tree file of depth 2 gives at --order 2 the
+    bytes of the same tree at depth 4."""
+    j1, j2 = generic_files
+    outputs = []
+    for depth in (2, 4):
+        tree = tmp_path / f"tree{depth}.json"
+        tree.write_text(json.dumps({"words": [[1, 2], [2, 1]], "depth": depth, "implicit_runs": True}))
+        code, out = run(capsys, *command, "--jacobi1", j1, "--jacobi2", j2, "--omega", str(tree), "--order", "2")
+        assert code == 0 and out
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
 def test_moments_without_a_tree_or_a_nu_pair_is_refused(capsys, generic_files):
     j1, j2 = generic_files
     _assert_refused(capsys, ["moments", "--jacobi1", j1, "--jacobi2", j2, "--order", "3"],
@@ -608,6 +624,18 @@ def test_short_error_policy_data_is_input_error(capsys, generic_files, tmp_path)
                                  "--jacobi1", str(short)], "beta_2")
     code, _ = run(capsys, "cfrac", "--engine", "classical", "--order", "3", "--jacobi1", str(short))
     assert code == 0
+
+
+def test_classical_engine_reads_the_betas_its_table_reads(capsys, tmp_path):
+    """m_n reads beta_k only for k <= (n - 1) // 2: one stored beta serves
+    m_2 = beta_0^2 + gamma_1, and m_3 is the first moment that needs beta_1."""
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps({"beta": ["1/2"], "gamma": ["1", "2"], "extend": "error"}))
+    argv = ["cfrac", "--engine", "classical", "--jacobi1", str(short), "--format", "csv"]
+    code, out = run(capsys, *argv, "--order", "2")
+    assert code == 0
+    assert out.splitlines()[-1] == "1.1,5/4"
+    _assert_input_error(capsys, [*argv, "--order", "3"], "beta_1 beyond stored prefix of length 1")
 
 
 def test_short_error_policy_data_runs_where_no_route_reads_past_it(capsys, generic_files, tmp_path):

@@ -389,9 +389,9 @@ def test_map_fed_matricial_parts_equal_matricial_data_route(name):
     for order in range(11):
         parts = matricial_map_parts(cm, order)
         assert list(word_values(2, parts, cm.scale)) == list(word_values(2, *matricial_parts(md, order))), (name, order)
-    # order 21 needs 11 levels, one beyond the map's depth of 10
-    with pytest.raises(DepthExhaustedError, match="order 21 needs 11 levels"):
-        matricial_map_parts(cm, 21)
+    # a map of depth 10 serves through order 21; order 22 reads C at depth 11
+    with pytest.raises(DepthExhaustedError, match="C query at depth 11 exceeds map depth 10"):
+        matricial_map_parts(cm, 22)
 
 
 def graded_tables():

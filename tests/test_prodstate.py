@@ -44,7 +44,7 @@ from ncprod.cfrac import matricial_map_parts, scalar_branched_parts
 from ncprod.jacobi import JacobiRangeError
 from ncprod.treecheck import enumerate_valid_trees, validate
 from ncprod.prodstate import DepthExhaustedError, moment_parts
-from ncprod.words import words_of_length, words_up_to
+from ncprod.words import word_values, words_of_length, words_up_to
 
 F = Fraction
 
@@ -110,8 +110,13 @@ def test_depth_guard():
             cm.b(1, (1, 2, 1))
         with pytest.raises(DepthExhaustedError):
             cm.integer.c((1, 2, 1))
-    with pytest.raises(DepthExhaustedError):
-        state_value(StateEvaluator(cm), word_poly((1, 2, 1, 2)))
+    # a word is refused only where its own expansion reads past the map:
+    # 1^6 needs C(1, 1, 1), while (1, 2)^3 is served exactly
+    evaluator = StateEvaluator(cm)
+    deep = StateEvaluator(product_type_map(builder("free", 9), SEMI, SEMI))
+    assert evaluator.word_moment((1, 2) * 3) == deep.word_moment((1, 2) * 3)
+    with pytest.raises(DepthExhaustedError, match="C query at depth 3 exceeds map depth 2"):
+        state_value(evaluator, word_poly((1,) * 6))
 
 
 def test_integer_view_refuses_a_scale_that_leaves_a_denominator():
@@ -453,9 +458,11 @@ def test_gram_free_semicircle_all_ones():
 
 
 def test_gram_depth_guard():
+    """A depth-3 map serves the Gram matrix through depth 3, which reads
+    moments through order 6, and refuses depth 4."""
     cm = product_type_map(builder("free", 3), SEMI, SEMI)
-    with pytest.raises(DepthExhaustedError):
-        gram_matrix(cm, 3)
+    with pytest.raises(DepthExhaustedError, match="C query at depth 4 exceeds map depth 3"):
+        gram_matrix(cm, 4)
 
 
 def test_zero_norm_characterization_depth_three():
@@ -636,8 +643,63 @@ def test_two_half_moment_equals_full_transfer_expansion():
         ev = StateEvaluator(cm)
         for w in words_up_to(cm.d, cm.depth + 1):
             assert ev.word_moment(w) == fraction_expansion(cm, w).get((), 0), (index, w)
+        # a map of depth N serves through order 2N + 1; 1^(2N + 2) reads C(1^(N + 1))
         with pytest.raises(DepthExhaustedError):
-            ev.word_moment((1,) * (cm.depth + 2))
+            ev.word_moment((1,) * (2 * cm.depth + 2))
+
+
+def _map_pair(kind, depth):
+    """A map of the given depth and a depth-9 map of the same state."""
+    if kind == "cfree":
+        nu1, nu2 = random_pair(7)
+        return [cfree_map(GENERIC_J1, nu1, GENERIC_J2, nu2, n) for n in (depth, 9)]
+    if kind == "explicit":
+        b, c = map_entries(_random_explicit_map(5, 2, 4))
+        return [
+            explicit_map(2, n, {k: v for k, v in b.items() if len(k[1]) <= n},
+                         {u: v for u, v in c.items() if len(u) <= n})
+            for n in (depth, 9)
+        ]
+    return [product_type_map(builder(kind, n), GENERIC_J1, GENERIC_J2) for n in (depth, 9)]
+
+
+def _rule_routes(cm, order):
+    """Every word's value through the order from each map-fed route."""
+    evaluator = StateEvaluator(cm)
+    tables = [route(cm, order) for route in (moment_parts, scalar_branched_parts, matricial_map_parts)]
+    return [list(word_values(cm.d, parts, cm.scale)) for parts in tables] + [
+        [(w, F(evaluator.word_numerator(w), cm.scale ** len(w))) for w in words_up_to(cm.d, order)]
+    ]
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("kind", [*BUILTIN_OMEGAS, "cfree", "explicit"])
+def test_a_map_of_depth_n_serves_every_order_through_2n_plus_1(kind, depth):
+    """Each tree level down costs two degrees, so every map-fed route serves
+    exactly the orders through 2N + 1 on a map of depth N, with the values
+    of a deep map, and gram_matrix every depth through N.  On the free tree,
+    where C vanishes nowhere, each refuses the first order it cannot serve,
+    2N + 2, with the map's own error; the evaluator refuses 1^(2N + 2) but
+    serves (1, 2)^(N + 1), whose two half expansions share no word longer
+    than N."""
+    cm, deep = _map_pair(kind, depth)
+    order = 2 * depth + 1
+    expected = moment_table(deep, order)
+    for index, values in enumerate(_rule_routes(cm, order)):
+        assert values == expected, (kind, depth, index)
+    assert gram_matrix(cm, depth).entries == gram_matrix(deep, depth).entries
+    if kind != "free":
+        return
+    refusal = f"C query at depth {depth + 1} exceeds map depth {depth}"
+    for route in (moment_parts, scalar_branched_parts, matricial_map_parts):
+        with pytest.raises(DepthExhaustedError, match=refusal):
+            route(cm, order + 1)
+    with pytest.raises(DepthExhaustedError, match=refusal):
+        gram_matrix(cm, depth + 1)
+    with pytest.raises(DepthExhaustedError, match=refusal):
+        StateEvaluator(cm).word_numerator((1,) * (order + 1))
+    alternating = (1, 2) * (depth + 1)
+    assert StateEvaluator(cm).word_moment(alternating) == StateEvaluator(deep).word_moment(alternating)
 
 
 def test_moment_parts_equal_word_numerators():
@@ -727,16 +789,17 @@ def test_four_routes_agree_on_valid_trees(members, data):
     and sometimes a zero gamma, with sometimes a nu pair of the same kind
     for the inner runs, the transfer-operator table, the scalar and the
     matricial continued fractions and the word-by-word evaluator give the
-    same integer numerators through order 3."""
+    same integer numerators through order 5, every order its depth-2 map
+    serves."""
     tree = OmegaTree(2, members)
     j1, j2 = _draw_pair(data)
     nu = _draw_pair(data) if data.draw(st.booleans()) else None
     cm = product_type_map(tree, j1, j2, nu)
     evaluator = StateEvaluator(cm)
-    words = [[evaluator.word_numerator(w) for w in words_of_length(2, n)] for n in range(4)]
-    assert matricial_map_parts(cm, 3) == words
-    assert scalar_branched_parts(cm, 3) == words
-    assert moment_parts(cm, 3) == words
+    words = [[evaluator.word_numerator(w) for w in words_of_length(2, n)] for n in range(6)]
+    assert matricial_map_parts(cm, 5) == words
+    assert scalar_branched_parts(cm, 5) == words
+    assert moment_parts(cm, 5) == words
 
 
 VALID_TREES_4 = enumerate_valid_trees(4)
@@ -746,18 +809,18 @@ VALID_TREES_4 = enumerate_valid_trees(4)
 @given(st.sampled_from(VALID_TREES_4), st.data())
 def test_gram_and_mops_on_valid_trees(members, data):
     """On a valid tree stored to length 4 and Jacobi data with signed betas
-    and sometimes a zero gamma, the P_u through length 2 are orthogonal,
-    ||P_u||^2 is the product of the C's (the map's norm_squared), the
-    monomials orthogonalize to a monic family, and each Q_u differs from
-    P_u by a polynomial of norm 0."""
+    and sometimes a zero gamma, the P_u through length 3, the depth of the
+    map, are orthogonal, ||P_u||^2 is the product of the C's (the map's
+    norm_squared), the monomials orthogonalize to a monic family, and each
+    Q_u differs from P_u by a polynomial of norm 0."""
     tree = OmegaTree(3, members)
     j1, j2 = _draw_pair(data)
     cm = product_type_map(tree, j1, j2)
-    gram = gram_matrix(cm, 2)
+    gram = gram_matrix(cm, 3)
     assert gram.is_diagonal()
     assert gram.diagonal() == {u: cm.norm_squared(u) for u in gram.words}
-    phi = dict(moment_table(cm, 4)).__getitem__
-    result = gram_schmidt_mops(phi, 2)
+    phi = dict(moment_table(cm, 6)).__getitem__
+    result = gram_schmidt_mops(phi, 3)
     assert result.is_mops
     for u, q in result.polynomials.items():
         difference = q - recursion_basis(cm, u)
@@ -767,8 +830,8 @@ def test_gram_and_mops_on_valid_trees(members, data):
 def test_moment_parts_edges():
     cm = product_type_map(builder("free", 3), GENERIC_J1, GENERIC_J2)
     assert moment_parts(cm, 0) == [[1]]
-    assert len(moment_parts(cm, 4)) == 5
-    with pytest.raises(DepthExhaustedError):
-        moment_parts(cm, 5)
+    assert len(moment_parts(cm, 7)) == 8
+    with pytest.raises(DepthExhaustedError, match="C query at depth 4 exceeds map depth 3"):
+        moment_parts(cm, 8)
     with pytest.raises(ValueError):
         moment_parts(cm, -1)
