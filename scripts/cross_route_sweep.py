@@ -17,8 +17,16 @@ its map's scale: the free, Boolean, monotone and anti-monotone oracles
 (``free_state``, ``boolean_state``, ``monotone_state``,
 ``antimonotone_state``) on the map of the mu pair on their built-in tree,
 and the c-free oracle (``cfree_state``) on the two-pair map
-(``cfree_map``).  Exits 1 at the first disagreement, naming the tree or
-the oracle, the route and the word.
+(``cfree_map``).  Last it checks the depth contract: m_n reads beta_k only
+for k <= (n - 1) // 2 and gamma_k only for k <= n // 2, so marginals with
+k = 1, 2, 3 stored betas and gammas under ``"extend": "error"`` must be
+served at order 2k by every route, with the numerators of the same data
+under ``"repeat"``, and refused at order 2k + 1 with a ``JacobiRangeError``
+naming beta_k.  The routes are ``moment_parts``, ``scalar_branched_parts``,
+``matricial_map_parts`` and ``word_numerator`` on the word 1^n, on the
+maps of the four built-in pair trees and the two-pair map, and each
+oracle on its own map.  Exits 1 at the first disagreement or violation,
+naming the tree or the oracle, the route and the word.
 
 Run from the repository root: ``PYTHONPATH=src python3 scripts/cross_route_sweep.py``.
 """
@@ -27,6 +35,7 @@ import hashlib
 import sys
 import time
 from fractions import Fraction as F
+from functools import partial
 
 from ncprod import (
     CoefficientMap,
@@ -44,8 +53,9 @@ from ncprod import (
     product_type_map,
 )
 from ncprod.cfrac import matricial_map_parts, scalar_branched_parts
+from ncprod.jacobi import JacobiRangeError
 from ncprod.prodstate import moment_parts
-from ncprod.words import graded_lex_key, words_of_length
+from ncprod.words import graded_lex_key, words_of_length, words_up_to
 
 # every beta and gamma nonzero and distinct across the four marginals, so a
 # route that read a wrong coefficient would change some numerator
@@ -70,6 +80,8 @@ TREE_ORACLES = {
     "monotone": monotone_state,
     "antimonotone": antimonotone_state,
 }
+# the numbers k of stored betas and gammas in the depth-contract checks
+CONTRACT_PREFIXES = (1, 2, 3)
 
 
 def disagreement(cm: CoefficientMap, table: list[list[int]], order: int) -> str | None:
@@ -112,6 +124,55 @@ def oracle_disagreement(order: int) -> str | None:
     return None
 
 
+def contract_routes(mu: tuple, nu: tuple, order: int):
+    """(route, call) for every map route on the map of each built-in pair
+    tree and on the two-pair map, and for each oracle on its own map at the
+    map's scale, all through the order."""
+    maps = {name: product_type_map(builder(name, order), *mu) for name in TREE_ORACLES}
+    maps["two-pair"] = cfree_map(mu[0], nu[0], mu[1], nu[1], order)
+    words = words_up_to(2, order)
+    for name, cm in maps.items():
+        yield f"moment_parts on {name}", partial(moment_parts, cm, order)
+        yield f"scalar_branched_parts on {name}", partial(scalar_branched_parts, cm, order)
+        yield f"matricial_map_parts on {name}", partial(matricial_map_parts, cm, order)
+        yield f"word_numerator of 1^{order} on {name}", partial(StateEvaluator(cm).word_numerator, (1,) * order)
+        if name in TREE_ORACLES:
+            route, phi = f"{name}_state", TREE_ORACLES[name](*mu, scale=cm.scale)
+        else:
+            route, phi = "cfree_state", cfree_state(mu[0], nu[0], mu[1], nu[1], scale=cm.scale)
+        yield route, lambda phi=phi: list(map(phi, words))
+
+
+def contract_violation(k: int) -> tuple[int, str | None]:
+    """On k stored betas and gammas of each marginal under "error": the
+    number of routes, and the first that does not serve order 2k with the
+    numerators of the same data under "repeat", or does not refuse order
+    2k + 1 naming beta_k, or None."""
+    def marginals(policy: str) -> tuple[tuple, tuple]:
+        """The mu pair cut to k coefficients, and as the nu pair the same two swapped."""
+        mu = tuple(JacobiData(m.beta[:k], m.gamma[:k], extend=policy) for m in MU)
+        return mu, mu[::-1]
+
+    served = zip(contract_routes(*marginals("error"), 2 * k), contract_routes(*marginals("repeat"), 2 * k))
+    count = 0
+    for (route, call), (_, reference) in served:
+        count += 1
+        try:
+            if call() != reference():
+                return count, f"{route} at order {2 * k}: other numerators than under \"repeat\""
+        except ValueError as error:
+            return count, f"{route} at order {2 * k}: refused ({error})"
+    for route, call in contract_routes(*marginals("error"), 2 * k + 1):
+        try:
+            call()
+        except JacobiRangeError as error:
+            if str(error).startswith(f"beta_{k} beyond stored prefix"):
+                continue
+            return count, f"{route} at order {2 * k + 1}: refused naming another coefficient ({error})"
+        return count, f"{route} at order {2 * k + 1}: served, though it reads beta_{k}"
+    return count, None
+
+
 def sweep(max_len: int, order: int) -> tuple[int, int, str | None]:
     """Over every valid tree with words to ``max_len``, at the order: the
     number of trees, the number of distinct tables among them, and the first
@@ -151,6 +212,17 @@ def main() -> int:
     print(
         "oracles: free_state, boolean_state, monotone_state, antimonotone_state and cfree_state "
         f"agree through order {ORACLE_ORDER} ({elapsed:.2f} s)"
+    )
+    start = time.perf_counter()
+    for k in CONTRACT_PREFIXES:
+        routes, found = contract_violation(k)
+        if found is not None:
+            print(f"depth contract broken with {k} stored betas and gammas: {found}")
+            return 1
+    elapsed = time.perf_counter() - start
+    print(
+        f'depth contract: with k = {", ".join(map(str, CONTRACT_PREFIXES))} stored betas and gammas under '
+        f'"error", each of {routes} routes serves order 2k and refuses 2k + 1 naming beta_k ({elapsed:.2f} s)'
     )
     return 0
 

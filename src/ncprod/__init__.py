@@ -19,7 +19,6 @@ _EXPORTS = {
         "JacobiData",
         "jacobi_from_json",
         "jacobi_to_json",
-        "moment",
         "orthogonal_polynomial",
         "preset",
     ),
@@ -61,10 +60,7 @@ _EXPORTS = {
     ),
     "cfrac": (
         "MatricialData",
-        "classical_cf",
-        "matricial_cf",
         "render_branched_cf",
-        "scalar_branched_cf",
     ),
     "oracle": (
         "MopsResult",

@@ -1,20 +1,22 @@
 """Continued-fraction engines for moment generating functions.
 
-Each engine gives what :func:`~ncprod.prodstate.moment_table` gives: the
-state's value on every word through the order, in graded-lex order, zeros
-included, read as the coefficients of a generating function in z_1..z_d:
+Each engine hands out what :func:`~ncprod.prodstate.moment_parts` hands
+out: the dense integer parts over D^|w| of the state's value on every word
+through the order, in graded-lex order, zeros included, read as the
+coefficients of a generating function in z_1..z_d, which
+:func:`~ncprod.words.word_values` divides once per word.  The engines:
 
-* ``classical_cf``: the one-variable chain 1 / (1 - beta_0 z - gamma_1 z^2 /
-  (1 - beta_1 z - ...)), which is the scalar engine on the one-letter chain
-  map (:func:`chain_map`).
-* ``scalar_branched_cf``: the branched version over a coefficient map; the
-  node at word u contributes denominator 1 - sum_i B(i, u) z_i -
+* :func:`scalar_branched_parts`: the branched fraction over a coefficient
+  map; the node at word u contributes denominator 1 - sum_i B(i, u) z_i -
   sum_j C(j, u) z_j F_(j,u) z_j, with F_u the inverse of that denominator
-  and the generating function being F at the root.
-* ``matricial_cf``: the block version where level k carries d^k x d^k
-  coefficient matrices; the numerator of each sub-fraction is the matrix
-  sandwich sum_{j,l} z_j block_{j,l}(C^(k+1) D^{-1}) z_l with block
-  extraction in the new-letter-leftmost tensor ordering.
+  and the generating function being F at the root.  On the one-letter
+  chain map of :func:`chain_map` it is the classical one-variable fraction
+  1 / (1 - beta_0 z - gamma_1 z^2 / (1 - beta_1 z - ...)).
+* :func:`matricial_parts` and :func:`matricial_map_parts`: the block
+  version where level k carries d^k x d^k coefficient matrices; the
+  numerator of each sub-fraction is the matrix sandwich sum_{j,l} z_j
+  block_{j,l}(C^(k+1) D^{-1}) z_l with block extraction in the
+  new-letter-leftmost tensor ordering.
 
 Evaluation is bottom-up over the depth-truncated tree with the identity at
 the frontier.  Each level down costs at least total degree 2 per branch, so
@@ -39,10 +41,9 @@ the d^m words of length m at their base-d values (leftmost letter most
 significant), which is ``words_up_to`` order.  A product of two of them,
 the sandwich z_j F z_l and a truncation are slice updates of those lists
 (:func:`_add_outer`), so the recursions build no word tuple per
-coefficient; :func:`scalar_branched_parts` and :func:`matricial_parts`
-hand out the lists themselves, and the engines divide them into the value
-table with :func:`~ncprod.words.word_values`.  The scalar engine never
-forms a node's denominator: F'_u = 1 + r F'_u is solved degree by degree.
+coefficient, and every engine hands out the lists themselves.  The scalar
+engine never forms a node's denominator: F'_u = 1 + r F'_u is solved
+degree by degree.
 The matricial engine keeps each level's denominator as a sparse matrix of
 dense entries and inverts it column by column, degree by degree
 (:func:`_dense_inverse`).
@@ -63,7 +64,6 @@ from .words import (
     clear_denominator,
     common_denominator,
     parse_rational,
-    word_values,
     words_of_length,
 )
 
@@ -85,30 +85,18 @@ def chain_map(data: JacobiData, order: int) -> CoefficientMap:
     )
 
 
-def classical_cf(data: JacobiData, order: int) -> list[tuple[Word, Fraction]]:
-    """The one-variable moments m_0..m_order as the value table of the word
-    1^n: the scalar engine on the chain map (:func:`chain_map`)."""
-    return scalar_branched_cf(chain_map(data, order), order)
-
-
-def scalar_branched_cf(cm: CoefficientMap, order: int) -> list[tuple[Word, Fraction]]:
-    """Branched continued fraction of a diagonal coefficient map, as the
-    value table of every word through the order.
+def scalar_branched_parts(cm: CoefficientMap, order: int) -> list[list[int]]:
+    """The integer F' of the branched continued fraction of a diagonal
+    coefficient map by degree: parts[m] lists the d^m words of length m in
+    graded-lex order, and the entry of w is D^|w| times the state at x_w,
+    with D the map's scale, the same table as
+    :func:`~ncprod.prodstate.moment_parts` gives.
 
     Branches follow the nonzero C entries, so for a product-type map the
     recursion runs exactly over the interior of its tree; boundary nodes keep
     only their B terms.  It runs on the map's integer view (see the module
-    docstring) and divides once per output word.
+    docstring).
     """
-    return list(word_values(cm.d, scalar_branched_parts(cm, order), cm.scale))
-
-
-def scalar_branched_parts(cm: CoefficientMap, order: int) -> list[list[int]]:
-    """The integer F' of :func:`scalar_branched_cf` by degree, before
-    its one division per word: parts[m] lists the d^m words of length m in
-    graded-lex order, and the entry of w is D^|w| times the state at x_w,
-    with D the map's scale, the same table as
-    :func:`~ncprod.prodstate.moment_parts` gives."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     d = cm.d
@@ -251,10 +239,12 @@ def _dense_inverse(matrix: DenseMatrix, n: int, d: int, order: int) -> DenseMatr
 
 
 def matricial_parts(md: MatricialData, order: int) -> tuple[list[list[int]], int]:
-    """The dense integer parts of :func:`matricial_cf` before its one
-    division per word, with its scale D, the data's common denominator:
-    parts[m] lists D^m times the coefficients of the d^m words of length m,
-    m = 0..min(order, 2K), in graded-lex order (see :func:`_matricial_levels`).
+    """The dense integer parts of level-matrix data's continued fraction,
+    evaluated bottom-up, with its scale D, the data's common denominator
+    (T need not be diagonal): parts[m] lists D^m times the coefficients of
+    the d^m words of length m in graded-lex order (see
+    :func:`_matricial_levels`).  Coefficients are sound only up to order 2K
+    for data with levels 0..K, so the parts run through min(order, 2K).
     """
     matrices = [m for level in md.t for m in level] + list(md.c)
     scale = common_denominator(value for m in matrices for row in m for value in row)
@@ -348,19 +338,6 @@ def _matricial_levels(
         f = _dense_inverse(denom, n, d, budget)
     assert f is not None
     return [part or [0] * d**m for m, part in enumerate(f[(0, 0)])]
-
-
-def matricial_cf(md: MatricialData, order: int) -> list[tuple[Word, Fraction]]:
-    """The value table of level-matrix data, evaluated bottom-up.
-
-    Coefficients are sound only up to order 2 * K for data with levels 0..K,
-    so the table runs through min(order, 2K).  Like the scalar engine it
-    runs on integers: T' = D T and C' = D^2 C with D the data's own
-    common denominator (T need not be diagonal), one division per output
-    word; see :func:`matricial_parts`.
-    """
-    parts, scale = matricial_parts(md, order)
-    return list(word_values(md.d, parts, scale))
 
 
 def render_branched_cf(cm: CoefficientMap, depth: int) -> str:

@@ -126,26 +126,35 @@ class MomentSequence:
 
         y * Q_m = Q_{m+1} + (D beta_m) * Q_m + (D^2 gamma_m) * Q_{m-1},
 
-    with integer coefficients, so after n steps the vector holds the integer
-    Q-coefficients of y^n, whose constant coefficient is D^n mu[x^n]
-    (:meth:`numerator`); ``seq[n]`` divides it once.  D defaults to
+    with integer coefficients.  The pass keeps the cell (k, m), the integer
+    Q_m-coefficient of y^k, as
+
+        cell(k, m) = cell(k-1, m-1) + D beta_m cell(k-1, m) + D^2 gamma_(m+1) cell(k-1, m+1),
+
+    and cell(n, 0) is D^n mu[x^n] (:meth:`numerator`); ``seq[n]`` divides it
+    once.  Index n adds the anti-diagonal cells (k, n - k) with n - k <= k,
+    in increasing k: no other cell can still return to Q_0 by step n.  So
+    index n reads beta_m for m <= (n - 1) // 2 and gamma_m for m <= n // 2,
+    the coefficients mu[x^n] depends on, and no other.  D defaults to
     :func:`coefficient_scale`, which clears every coefficient the data can
     give.  A coefficient is scaled when the pass first reads it, and one
-    that D does not clear raises ``ValueError`` there.  Asking for an index
-    beyond those computed resumes the pass where it stopped, so each moment
-    is computed once.
+    that D does not clear raises ``ValueError`` there; every read of an
+    anti-diagonal comes before it is kept, so a refused index leaves the
+    sequence as it was.  Asking for an index beyond those computed resumes
+    the pass where it stopped, so each moment is computed once.
     """
 
-    __slots__ = ("data", "scale", "_numerators", "_vec", "_beta", "_gamma")
+    __slots__ = ("data", "scale", "_numerators", "_diagonals", "_beta", "_gamma")
 
     def __init__(self, data: JacobiData, scale: int | None = None):
         self.data = data
         self.scale = coefficient_scale(data) if scale is None else scale
         self._numerators = [1]
-        self._vec = [1]
-        # D beta_m and D^2 gamma_m, for the indices read so far
+        # the last two anti-diagonals; entry m of anti-diagonal n is the cell (n - m, m)
+        self._diagonals: tuple[list[int], list[int]] = ([], [1])
+        # D beta_m and D^2 gamma_m, for the indices read so far (gamma_0 = 0)
         self._beta: list[int] = []
-        self._gamma: list[int] = []
+        self._gamma: list[int] = [0]
 
     def numerator(self, n: int) -> int:
         """D^n mu[x^n], with D the scale."""
@@ -153,30 +162,31 @@ class MomentSequence:
             raise ValueError("moment index must be nonnegative")
         numerators = self._numerators
         while len(numerators) <= n:
-            self._vec = self._step(self._vec)
-            numerators.append(self._vec[0])
+            self._extend(len(numerators))
         return numerators[n]
 
     def __getitem__(self, n: int) -> Fraction:
         return Fraction(self.numerator(n), self.scale**n)
 
-    def _step(self, vec: list[int]) -> list[int]:
-        """y * sum_m vec[m] Q_m in the Q-basis, by the scaled three-term recursion."""
-        beta, gamma = self._beta, self._gamma
-        while len(beta) < len(vec):
-            m = len(beta)
-            beta.append(clear_denominator(self.data.beta_at(m), self.scale))
-            gamma.append(clear_denominator(self.data.gamma_at(m), self.scale * self.scale))
-        nxt = [0] * (len(vec) + 1)
-        for m, coeff in enumerate(vec):
-            if not coeff:
-                continue
-            nxt[m + 1] += coeff
-            if beta[m]:
-                nxt[m] += coeff * beta[m]
-            if gamma[m]:
-                nxt[m - 1] += coeff * gamma[m]
-        return nxt
+    def _extend(self, n: int) -> None:
+        """Add anti-diagonal n, whose cell (n, 0) is the numerator of index n."""
+        beta, gamma, data = self._beta, self._gamma, self.data
+        top = n // 2
+        while len(beta) <= (n - 1) // 2:
+            beta.append(clear_denominator(data.beta_at(len(beta)), self.scale))
+        while len(gamma) <= top:
+            gamma.append(clear_denominator(data.gamma_at(len(gamma)), self.scale * self.scale))
+        older, old = self._diagonals
+        new = [0] * (top + 1)
+        for m in range(top, -1, -1):
+            value = older[m - 1] if m else 0
+            if m < len(old) and beta[m]:
+                value += beta[m] * old[m]
+            if m < top and gamma[m + 1]:
+                value += gamma[m + 1] * new[m + 1]
+            new[m] = value
+        self._diagonals = (old, new)
+        self._numerators.append(new[0])
 
 
 def coefficient_scale(data: JacobiData) -> int:
@@ -184,11 +194,6 @@ def coefficient_scale(data: JacobiData) -> int:
     gamma_n is a stored entry or 0, whatever the extension policy, so it
     clears them all."""
     return common_denominator(data.beta + data.gamma)
-
-
-def moment(data: JacobiData, n: int) -> Fraction:
-    """n-th moment mu[x^n], via the transfer action on the P-basis."""
-    return MomentSequence(data)[n]
 
 
 PRESET_NAMES = ("semicircle", "q-gaussian", "gaussian", "point-mass", "bernoulli", "custom")

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from ncprod import JacobiData, moment
-from ncprod.words import words_up_to
+from ncprod import JacobiData
+from ncprod.cfrac import matricial_parts, scalar_branched_parts
+from ncprod.jacobi import MomentSequence
+from ncprod.words import word_values, words_up_to
 
 F = Fraction
 
@@ -33,8 +35,20 @@ def p1_coefficient(data: JacobiData, n: int) -> Fraction:
     """Coefficient of P_1 = x - mu[x] when x^n is expanded in the monic
     orthogonal polynomials of the one-variable state mu, from its moments alone:
     (mu[x^(n+1)] - mu[x] mu[x^n]) / (mu[x^2] - mu[x]^2)."""
-    mean = moment(data, 1)
-    return (moment(data, n + 1) - mean * moment(data, n)) / (moment(data, 2) - mean**2)
+    moment = MomentSequence(data)
+    mean = moment[1]
+    return (moment[n + 1] - mean * moment[n]) / (moment[2] - mean**2)
+
+
+def scalar_table(cm, order: int) -> list:
+    """The scalar engine's value table: its integer parts divided once per word."""
+    return list(word_values(cm.d, scalar_branched_parts(cm, order), cm.scale))
+
+
+def matricial_table(md, order: int) -> list:
+    """The matricial engine's value table over the data's own scale."""
+    parts, scale = matricial_parts(md, order)
+    return list(word_values(md.d, parts, scale))
 
 
 def map_entries(cm):

@@ -9,7 +9,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from conftest import GENERIC_J1, GENERIC_J2, p1_coefficient, random_pair
+from conftest import GENERIC_J1, GENERIC_J2, matricial_table, p1_coefficient, random_pair
 from reference_kernels import matricial_from_map
 from ncprod import (
     BUILTIN_OMEGAS,
@@ -26,17 +26,17 @@ from ncprod import (
     gram_matrix,
     gram_schmidt_mops,
     is_associative,
-    matricial_cf,
-    moment,
     moment_table,
     monotone_state,
     omega_squared,
     preset,
     product_type_map,
     q_gaussian_state,
-    scalar_branched_cf,
     tensor_state,
 )
+from ncprod.cfrac import scalar_branched_parts
+from ncprod.jacobi import MomentSequence
+from ncprod.prodstate import moment_parts
 from ncprod.words import words_up_to
 
 F = Fraction
@@ -101,8 +101,8 @@ def test_criterion_04_continued_fraction_consistency():
         maps = {name: product_type_map(builder(name, 8), GENERIC_J1, GENERIC_J2) for name in BUILTIN_OMEGAS}
         maps["c-free"] = cfree_map(GENERIC_J1, nu1, GENERIC_J2, nu2, 8)
         for name, cm in maps.items():
-            assert scalar_branched_cf(cm, 8) == moment_table(cm, 8), name
-            assert matricial_cf(matricial_from_map(cm, 3), 6) == moment_table(cm, 6), name
+            assert scalar_branched_parts(cm, 8) == moment_parts(cm, 8), name
+            assert matricial_table(matricial_from_map(cm, 3), 6) == moment_table(cm, 6), name
 
 
 def test_criterion_05_stochastic_independence():
@@ -112,7 +112,7 @@ def test_criterion_05_stochastic_independence():
             evaluator = StateEvaluator(cm)
             for n in range(9):
                 for k in range(9 - n):
-                    expected = moment(GENERIC_J1, n) * moment(GENERIC_J2, k)
+                    expected = MomentSequence(GENERIC_J1)[n] * MomentSequence(GENERIC_J2)[k]
                     assert evaluator.word_moment((1,) * n + (2,) * k) == expected, (name, n, k)
 
 
@@ -226,7 +226,7 @@ def test_criterion_11_one_branch_factorizations():
                     if len(w) + n + k > 7:
                         continue
                     lhs = evaluator.word_moment(w + (1,) * n + (2,) * k)
-                    rhs = evaluator.word_moment(w + (1,) * n) * moment(GENERIC_J2, k)
+                    rhs = evaluator.word_moment(w + (1,) * n) * MomentSequence(GENERIC_J2)[k]
                     assert lhs == rhs, ("trailing-2-block", w, n, k)
 
         # two-one tail identity: phi[w 1^n 2 1] = phi[w 1^(n+1)] mu2[x]
@@ -235,7 +235,7 @@ def test_criterion_11_one_branch_factorizations():
                 if len(w) + n + 2 > 7:
                     continue
                 lhs = evaluator.word_moment(w + (1,) * n + (2, 1))
-                rhs = evaluator.word_moment(w + (1,) * (n + 1)) * moment(GENERIC_J2, 1)
+                rhs = evaluator.word_moment(w + (1,) * (n + 1)) * MomentSequence(GENERIC_J2)[1]
                 assert lhs == rhs, ("two-one-tail", w, n)
 
         # boolean degeneration: second marginal mean zero collapses the extra node
@@ -253,8 +253,8 @@ def test_criterion_11_one_branch_factorizations():
         #   phi[w 2^k 1^n] = mu1[x^n] phi[w 2^k]
         #                  + a1(n) mu2[x]^k (phi[w 1] - mu1[x] phi[w]),
         # with a1(n) the coefficient of P_1 in x^n, taken from mu1's moments.
-        mean1 = moment(GENERIC_J1, 1)
-        mean2 = moment(GENERIC_J2, 1)
+        mean1 = MomentSequence(GENERIC_J1)[1]
+        mean2 = MomentSequence(GENERIC_J2)[1]
         visited = bare_failures = 0
         for w in contexts:
             for k in range(1, 7):
@@ -263,7 +263,7 @@ def test_criterion_11_one_branch_factorizations():
                         continue
                     visited += 1
                     lhs = evaluator.word_moment(w + (2,) * k + (1,) * n)
-                    bare = evaluator.word_moment(w + (2,) * k) * moment(GENERIC_J1, n)
+                    bare = evaluator.word_moment(w + (2,) * k) * MomentSequence(GENERIC_J1)[n]
                     correction = (
                         p1_coefficient(GENERIC_J1, n)
                         * mean2**k
@@ -276,7 +276,7 @@ def test_criterion_11_one_branch_factorizations():
 
         # the bare law genuinely fails once w holds a letter 1
         lhs = evaluator.word_moment((1, 2, 1, 1))
-        bare = evaluator.word_moment((1, 2)) * moment(GENERIC_J1, 2)
+        bare = evaluator.word_moment((1, 2)) * MomentSequence(GENERIC_J1)[2]
         assert lhs != bare
         print(
             "  resolution: the bare trailing-one-block law fails at word (1, 2, 1, 1): "

@@ -1,14 +1,15 @@
 """Continued-fraction engines against moments and against each other.
 
-Each engine gives a value table, as ``moment_table`` does: one (word,
-value) pair per word through the order, in graded-lex order, zeros
-included, so two routes agree when their lists are equal."""
+Each engine hands out dense integer parts, as ``moment_parts`` does; read
+through ``word_values`` they give one (word, value) pair per word through
+the order, in graded-lex order, zeros included, so two routes agree when
+their lists are equal."""
 
 from fractions import Fraction
 
 import pytest
 
-from conftest import GENERIC_J1, GENERIC_J2, random_pair
+from conftest import GENERIC_J1, GENERIC_J2, matricial_table, random_pair, scalar_table
 from reference_kernels import block_extract, fraction_classical_cf, matricial_from_map, value_table
 from ncprod import (
     BUILTIN_OMEGAS,
@@ -17,13 +18,11 @@ from ncprod import (
     StateEvaluator,
     builder,
     cfree_map,
-    classical_cf,
-    matricial_cf,
     preset,
     product_type_map,
     render_branched_cf,
-    scalar_branched_cf,
 )
+from ncprod.cfrac import chain_map
 from ncprod.jacobi import MomentSequence
 from ncprod.words import words_up_to
 from ncprod.oracle import cfree_state, free_state
@@ -38,29 +37,35 @@ def chain_table(values):
     return [((1,) * n, F(value)) for n, value in enumerate(values)]
 
 
+def classical_table(data, order):
+    """The one-variable moments m_0..m_order as the table of the word 1^n:
+    the scalar engine on the chain map."""
+    return scalar_table(chain_map(data, order), order)
+
+
 def test_classical_semicircle():
-    assert classical_cf(SEMI, 6) == chain_table([1, 0, 1, 0, 2, 0, 5])
+    assert classical_table(SEMI, 6) == chain_table([1, 0, 1, 0, 2, 0, 5])
 
 
 def test_classical_point_mass_geometric():
-    assert classical_cf(preset("point-mass", c=F(3)), 3) == chain_table([1, 3, 9, 27])
+    assert classical_table(preset("point-mass", c=F(3)), 3) == chain_table([1, 3, 9, 27])
 
 
 def test_classical_order_zero():
-    assert classical_cf(GENERIC_J1, 0) == [((), 1)]
+    assert classical_table(GENERIC_J1, 0) == [((), 1)]
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_classical_matches_moments(seed):
     j, _ = random_pair(seed)
     moments = MomentSequence(j)
-    assert classical_cf(j, 10) == chain_table(moments[n] for n in range(11))
+    assert classical_table(j, 10) == chain_table(moments[n] for n in range(11))
 
 
 def test_classical_finite_support():
     j = preset("bernoulli", p=F(1, 4), a=F(2), b=F(-1))
     moments = MomentSequence(j)
-    assert classical_cf(j, 8) == chain_table(moments[n] for n in range(9))
+    assert classical_table(j, 8) == chain_table(moments[n] for n in range(9))
 
 
 @pytest.mark.parametrize(
@@ -70,15 +75,15 @@ def test_classical_finite_support():
     ids=["generic", "semicircle", "point-mass", "finite-zero"],
 )
 def test_classical_is_the_scalar_engine_on_a_chain(data):
-    """classical_cf runs the scalar engine on the one-letter chain map; it
-    must equal the chain's own level-by-level recursion."""
+    """The scalar engine on the one-letter chain map must equal the chain's
+    own level-by-level recursion."""
     for order in range(12):
-        assert classical_cf(data, order) == value_table(fraction_classical_cf(data, order), order), order
+        assert classical_table(data, order) == value_table(fraction_classical_cf(data, order), order), order
 
 
 def test_scalar_branched_boolean_semicircle():
     cm = product_type_map(builder("boolean", 6), SEMI, SEMI)
-    values = dict(scalar_branched_cf(cm, 4))
+    values = dict(scalar_table(cm, 4))
     assert values[(1, 1)] == 1
     assert values[(1, 2, 1, 2)] == 0
     assert values[(1, 1, 2, 2)] == 1
@@ -86,12 +91,12 @@ def test_scalar_branched_boolean_semicircle():
 
 def test_scalar_branched_free_semicircle():
     cm = product_type_map(builder("free", 6), SEMI, SEMI)
-    assert dict(scalar_branched_cf(cm, 4))[(1, 2, 2, 1)] == 1
+    assert dict(scalar_table(cm, 4))[(1, 2, 2, 1)] == 1
 
 
 def test_scalar_branched_order_zero():
     cm = product_type_map(builder("monotone", 4), GENERIC_J1, GENERIC_J2)
-    assert scalar_branched_cf(cm, 0) == [((), 1)]
+    assert scalar_table(cm, 0) == [((), 1)]
 
 
 @pytest.mark.parametrize("name", BUILTIN_OMEGAS)
@@ -99,14 +104,14 @@ def test_scalar_branched_equals_state(name):
     j1, j2 = random_pair(11)
     cm = product_type_map(builder(name, 6), j1, j2)
     evaluator = StateEvaluator(cm)
-    assert scalar_branched_cf(cm, 6) == [(w, evaluator.word_moment(w)) for w in words_up_to(2, 6)]
+    assert scalar_table(cm, 6) == [(w, evaluator.word_moment(w)) for w in words_up_to(2, 6)]
 
 
 def test_cfree_cf_matches_two_pair_oracle():
     nu1, nu2 = random_pair(23)
     cm = cfree_map(GENERIC_J1, nu1, GENERIC_J2, nu2, 6)
     phi = cfree_state(GENERIC_J1, nu1, GENERIC_J2, nu2)
-    assert scalar_branched_cf(cm, 6) == [(w, phi(w)) for w in words_up_to(2, 6)]
+    assert scalar_table(cm, 6) == [(w, phi(w)) for w in words_up_to(2, 6)]
 
 
 def test_block_extract_four_by_four():
@@ -140,7 +145,7 @@ def test_matricial_one_letter_reduces_to_classical():
     t = tuple(([[j.beta_at(k)]],) for k in range(levels + 1))
     c = tuple([[j.gamma_at(k)]] for k in range(1, levels + 1))
     md = MatricialData(d=1, t=t, c=c)
-    assert matricial_cf(md, 10) == classical_cf(j, 10)
+    assert matricial_table(md, 10) == classical_table(j, 10)
 
 
 def _diag(values):
@@ -152,7 +157,7 @@ def _diag(values):
 def test_matricial_diagonal_equals_scalar(name):
     cm = product_type_map(builder(name, 6), GENERIC_J1, GENERIC_J2)
     md = matricial_from_map(cm, 3)
-    assert matricial_cf(md, 6) == scalar_branched_cf(cm, 6)
+    assert matricial_table(md, 6) == scalar_table(cm, 6)
 
 
 def test_matricial_validation():
@@ -170,15 +175,15 @@ def test_matricial_identity_c_is_free_semicircle_pair():
     t = tuple(tuple(_diag([F(0)] * d**k) for _ in range(d)) for k in range(levels + 1))
     c = tuple(_diag([F(1)] * d**k) for k in range(1, levels + 1))
     phi = free_state(SEMI, SEMI)
-    assert matricial_cf(MatricialData(d=d, t=t, c=c), 6) == [(w, phi(w)) for w in words_up_to(2, 6)]
+    assert matricial_table(MatricialData(d=d, t=t, c=c), 6) == [(w, phi(w)) for w in words_up_to(2, 6)]
 
 
 def test_matricial_truncates_to_sound_order():
     cm = product_type_map(builder("free", 6), SEMI, SEMI)
     md = matricial_from_map(cm, 2)
-    table = matricial_cf(md, 8)
+    table = matricial_table(md, 8)
     assert [w for w, _ in table] == words_up_to(2, 4)  # 2 * levels
-    assert table == scalar_branched_cf(cm, 4)
+    assert table == scalar_table(cm, 4)
 
 
 def test_render_branched_cf_boundary_is_bare_term():

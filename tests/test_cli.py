@@ -387,7 +387,7 @@ def test_compare_mismatch_report_equals_fraction_comparison(capsys, monkeypatch,
     fraction's numerators at (2,) and (1, 2, 1) gain 1."""
     from ncprod import cfrac, oracle, prodstate
     from ncprod.jacobi import jacobi_from_json
-    from ncprod.words import format_rational, words_of_length, words_up_to
+    from ncprod.words import format_rational, word_values, words_of_length, words_up_to
     from ncprod.omega import builder
 
     order = 6
@@ -413,7 +413,7 @@ def test_compare_mismatch_report_equals_fraction_comparison(capsys, monkeypatch,
                 parts[len(w)][words_of_length(2, len(w)).index(w)] += bump
             return parts
 
-        values = dict(cfrac.scalar_branched_cf(cm, order))
+        values = dict(word_values(cm.d, cfrac.scalar_branched_parts(cm, order), cm.scale))
         monkeypatch.setattr(cfrac, "scalar_branched_parts", numerators)
         reference = lambda w: values[w] + F(bumped.get(w, 0), cm.scale ** len(w))
     else:
@@ -642,7 +642,9 @@ def test_short_error_policy_data_runs_where_no_route_reads_past_it(capsys, gener
     """The map reads no coefficient at construction, so Jacobi data under
     the "error" policy refuse a command only when it reads past them: the
     table through order 3 reads beta_0, beta_1 and gamma_1 alone, the pretty
-    fraction reads to depth min(order, 4) and the free oracle index order - 1."""
+    fraction reads to depth min(order, 4), and the free oracle's moment m_n
+    reads beta_k only for k <= (n - 1) // 2, so it first needs beta_2 at
+    order 5."""
     short = tmp_path / "short.json"
     short.write_text(json.dumps({"beta": ["1/2", "1/3"], "gamma": ["1", "2"], "extend": "error"}))
     _, j2 = generic_files
@@ -651,8 +653,56 @@ def test_short_error_policy_data_runs_where_no_route_reads_past_it(capsys, gener
         code, out = run(capsys, *argv, *inputs)
         assert code == 0 and out, argv
     for argv in (["moments", "--order", "6"], ["cfrac", "--format", "pretty", "--order", "3"],
-                 ["compare", "--against", "free", "--order", "3"]):
+                 ["compare", "--against", "free", "--order", "5"]):
         _assert_input_error(capsys, [*argv, *inputs], "beta_2")
+
+
+# every command and route that reads one marginal file {f}, with the first
+# order at which two stored betas and gammas under "error" refuse it
+_ONE_DEPTH_CONTRACT = {
+    "moments": ("moments --omega free --jacobi1 {f} --jacobi2 {f}", 5),
+    "cfrac scalar json": ("cfrac --omega free --engine scalar --jacobi1 {f} --jacobi2 {f}", 5),
+    "cfrac scalar csv": ("cfrac --omega free --engine scalar --format csv --jacobi1 {f} --jacobi2 {f}", 5),
+    "cfrac matricial json": ("cfrac --omega free --engine matricial --jacobi1 {f} --jacobi2 {f}", 5),
+    "cfrac matricial csv": ("cfrac --omega free --engine matricial --format csv --jacobi1 {f} --jacobi2 {f}", 5),
+    "cfrac classical": ("cfrac --engine classical --jacobi1 {f}", 5),
+    "compare cfrac": ("compare --omega free --against cfrac --jacobi1 {f} --jacobi2 {f}", 5),
+    "compare free": ("compare --omega free --against free --jacobi1 {f} --jacobi2 {f}", 5),
+    "compare boolean": ("compare --omega boolean --against boolean --jacobi1 {f} --jacobi2 {f}", 5),
+    "compare monotone": ("compare --omega monotone --against monotone --jacobi1 {f} --jacobi2 {f}", 5),
+    "compare antimonotone": (
+        "compare --omega antimonotone --against antimonotone --jacobi1 {f} --jacobi2 {f}", 5),
+    "compare tensor": ("compare --omega free --against tensor --jacobi1 {f} --jacobi2 {f}", 5),
+    "compare cfree": ("compare --against cfree --jacobi1 {f} --jacobi2 {f} --nu1 {f} --nu2 {f}", 5),
+    # the known exception: the pretty rendering reads the map to depth
+    # min(order, 4), deeper than the table it prints, so it refuses this
+    # data at every order here
+    "cfrac pretty": ("cfrac --omega free --format pretty --jacobi1 {f} --jacobi2 {f}", 2),
+}
+
+
+@pytest.mark.parametrize("row", list(_ONE_DEPTH_CONTRACT))
+def test_error_policy_data_refuse_every_command_at_one_order(capsys, tmp_path, row):
+    """m_n reads beta_k only for k <= (n - 1) // 2 and gamma_k only for k <=
+    n // 2, so two stored betas and gammas under "error" serve every order
+    through 4 and refuse order 5, naming beta_2, whatever the command, the
+    engine, the reference or the format: where they serve, the command gives
+    the exit code and bytes of the same data under "repeat".  The pretty
+    rendering is the one exception, asserted as it stands."""
+    template, refused_from = _ONE_DEPTH_CONTRACT[row]
+    files = {}
+    for policy in ("error", "repeat"):
+        files[policy] = tmp_path / f"{policy}.json"
+        files[policy].write_text(json.dumps({"beta": ["1/2", "1/3"], "gamma": ["1", "2/3"], "extend": policy}))
+    for order in range(2, 6):
+        argv = [*template.split(), "--order", str(order)]
+        if order >= refused_from:
+            _assert_input_error(capsys, [arg.format(f=files["error"]) for arg in argv],
+                                "beta_2 beyond stored prefix of length 2")
+        else:
+            served = [run(capsys, *(arg.format(f=files[policy]) for arg in argv)) for policy in files]
+            assert served[0] == served[1], (row, order)
+            assert served[0][0] in (0, 1) and served[0][1], (row, order)
 
 
 @pytest.mark.parametrize(
@@ -818,10 +868,13 @@ def test_matricial_rows_equal_scalar_rows(capsys, generic_files, omega, orders):
 # and carries on, and their metrics read 0, as they did before on every
 # workload.
 RETIRED_WRAP_POINTS = [
+    "jacobi.moment",
     "prodstate.expansion",
     "prodstate.eval_poly",
     "ncpoly.series_mul",
     "ncpoly.series_inverse",
+    "cfrac.scalar_branched_cf",
+    "cfrac.matricial_cf",
     "cfrac.matricial_from_map",
 ]
 
@@ -833,10 +886,7 @@ def test_traced_benchmark_finds_every_wrap_point(tmp_path):
     pins the transfer operator's work: the table is one dense sweep over
     word length, with no expansion of any single word, so it makes no
     left_multiply call (pairing half-length expansions took 14 through
-    order 6, and full-length ones 126).  The free oracle's comparison pins
-    the marginal moments: the oracle reads its moment sequences and makes
-    no jacobi.moment call (rebuilding every moment from scratch took
-    3,602).  The mops run pins its moment matrix: it comes from one moment
+    order 6, and full-length ones 126).  The mops run pins its moment matrix: it comes from one moment
     table through order 4, with no word moment evaluated one at a time (one
     per entry of the 7 x 7 matrix took 49, and pair-by-pair polynomial
     products 328).  Both continued fractions solve on dense integer lists
@@ -847,7 +897,6 @@ def test_traced_benchmark_finds_every_wrap_point(tmp_path):
     inputs = ["--jacobi1", str(GOLDEN / "j1.json"), "--jacobi2", str(GOLDEN / "j2.json")]
     recorded = set()
     left_multiplies = {}
-    moment_calls = {}
     word_moments = {}
     tables = {}
     runs = {
@@ -868,14 +917,12 @@ def test_traced_benchmark_finds_every_wrap_point(tmp_path):
         assert dump["missing"] == RETIRED_WRAP_POINTS, name
         recorded |= {span[0] for span in dump["spans"]}
         left_multiplies[name] = sum(span[0] == "prodstate.left_multiply" for span in dump["spans"])
-        moment_calls[name] = dump["totals"]["jacobi.moment"][0]
         word_moments[name] = sum(span[0] == "prodstate.word_moment" for span in dump["spans"])
         tables[name] = sum(span[0] == "prodstate.moment_table" for span in dump["spans"])
     assert "ncpoly.poly_mul" in recorded
     assert left_multiplies["moments"] == 0
     assert word_moments["mops"] == 0
     assert tables["mops"] == 1
-    assert moment_calls["compare"] == 0
 
 
 def test_closed_pipe_exits_141_in_silence(tmp_path):

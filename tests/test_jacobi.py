@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_jacobi
-from ncprod import JacobiData, moment, orthogonal_polynomial, preset
+from ncprod import JacobiData, orthogonal_polynomial, preset
 from ncprod.jacobi import (
     JacobiRangeError,
     MomentSequence,
@@ -57,45 +57,45 @@ def test_semicircle_moments_are_noncrossing_counts():
     j = preset("semicircle")
     for n in (2, 4, 6):
         expected = pairing_moment(n, lambda cr: F(1) if cr == 0 else F(0))
-        assert moment(j, n) == expected
+        assert MomentSequence(j)[n] == expected
     # frozen values from the oracle: Catalan numbers
-    assert [moment(j, n) for n in (2, 4, 6)] == [1, 2, 5]
+    assert [MomentSequence(j)[n] for n in (2, 4, 6)] == [1, 2, 5]
 
 
 def test_point_mass_moments():
     j = preset("point-mass", c=F(3))
     for n in range(6):
-        assert moment(j, n) == F(3) ** n
+        assert MomentSequence(j)[n] == F(3) ** n
 
 
 def test_q_gaussian_single_variable_moment():
     q = F(1, 2)
     j = preset("q-gaussian", q=q)
     expected = pairing_moment(4, lambda cr: q**cr)
-    assert moment(j, 4) == expected
+    assert MomentSequence(j)[4] == expected
     assert expected == F(5, 2)  # gamma_1*gamma_2 + gamma_1**2 = (1 + q) + 1
     for n in (2, 6):
-        assert moment(j, n) == pairing_moment(n, lambda cr: q**cr)
+        assert MomentSequence(j)[n] == pairing_moment(n, lambda cr: q**cr)
 
 
 def test_gaussian_preset_moments():
     j = preset("gaussian")
     # all pairings with weight 1: (n-1)!! for even n
     for n in (2, 4, 6):
-        assert moment(j, n) == pairing_moment(n, lambda cr: F(1))
-    assert [moment(j, n) for n in (2, 4, 6)] == [1, 3, 15]
+        assert MomentSequence(j)[n] == pairing_moment(n, lambda cr: F(1))
+    assert [MomentSequence(j)[n] for n in (2, 4, 6)] == [1, 3, 15]
 
 
 def test_bernoulli_moments_match_atoms():
     p, a, b = F(1, 3), F(2), F(-1)
     j = preset("bernoulli", p=p, a=a, b=b)
     for n in range(7):
-        assert moment(j, n) == p * a**n + (1 - p) * b**n
+        assert MomentSequence(j)[n] == p * a**n + (1 - p) * b**n
     assert j.gamma_at(1) and not j.gamma_at(2)  # on two points
 
 
 def test_moment_zero_is_one():
-    assert moment(preset("semicircle"), 0) == 1
+    assert MomentSequence(preset("semicircle"))[0] == 1
 
 
 def test_semicircle_polynomial_degree_two():
@@ -223,18 +223,18 @@ def test_json_round_trip():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 8), st.fractions(min_value=-2, max_value=2, max_denominator=3))
 def test_point_mass_moment_property(n, c):
-    assert moment(preset("point-mass", c=c), n) == c**n
+    assert MomentSequence(preset("point-mass", c=c))[n] == c**n
 
 
 def test_moment_sequence_resumes_one_transfer_pass(monkeypatch):
     data = random_jacobi(random.Random(3))
-    expected = [moment(data, n) for n in range(10)]
-    steps = []
-    step = MomentSequence._step
-    monkeypatch.setattr(MomentSequence, "_step", lambda self, vec: steps.append(1) or step(self, vec))
+    expected = [MomentSequence(data)[n] for n in range(10)]
+    extensions = []
+    extend = MomentSequence._extend
+    monkeypatch.setattr(MomentSequence, "_extend", lambda self, n: extensions.append(n) or extend(self, n))
     seq = MomentSequence(data)
     assert [seq[n] for n in (5, 2, 9, 0, 9)] == [expected[n] for n in (5, 2, 9, 0, 9)]
     assert [seq[n] for n in range(10)] == expected
-    assert len(steps) == 9  # one step per index beyond 0, never repeated
+    assert extensions == list(range(1, 10))  # one anti-diagonal per index beyond 0, never repeated
     with pytest.raises(ValueError):
         seq[-1]

@@ -20,7 +20,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import GENERIC_J1, GENERIC_J2, map_entries, random_pair
+from conftest import GENERIC_J1, GENERIC_J2, map_entries, matricial_table, random_pair, scalar_table
 from reference_kernels import (
     fraction_expansion,
     fraction_inverse,
@@ -44,10 +44,8 @@ from ncprod import (
 from ncprod.cfrac import (
     MatricialData,
     _dense_inverse,
-    matricial_cf,
     matricial_map_parts,
     matricial_parts,
-    scalar_branched_cf,
     scalar_branched_parts,
 )
 from ncprod.cli import _emit_table
@@ -276,14 +274,14 @@ def test_integer_word_moments_equal_fraction_transfer_operator(name):
 
 @pytest.mark.parametrize("name", sorted(KERNEL_MAPS))
 def test_integer_scalar_cf_equals_fraction_engine(name):
-    """scalar_branched_cf runs on the map's integer view; its table must
+    """scalar_branched_parts runs on the map's integer view; its table must
     equal the same recursion on Fraction series at every order up to a
     bound: every order the map reaches for one letter, fewer for two and
     three."""
     cm = KERNEL_MAPS[name]()
     top = {1: 2 * cm.depth + 1, 2: 9, 3: 6}[cm.d]
     for order in range(top + 1):
-        table = scalar_branched_cf(cm, order)
+        table = scalar_table(cm, order)
         assert table == value_table(fraction_scalar_branched_cf(cm, order), order), (name, order)
         assert all(type(value) is Fraction for _, value in table)
 
@@ -347,7 +345,7 @@ def random_matricial_data(rng: random.Random, d: int, levels: int) -> MatricialD
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_integer_matricial_cf_equals_fraction_engine(d):
-    """matricial_cf takes its common denominator from the data, whose T need
+    """matricial_parts takes its common denominator from the data, whose T need
     not be diagonal; its table must equal the Fraction series-matrix
     recursion's through min(order, 2K)."""
     rng = random.Random(800 + d)
@@ -359,7 +357,7 @@ def test_integer_matricial_cf_equals_fraction_engine(d):
                            for r, row in enumerate(m) for s, value in enumerate(row))
             for order in range(2 * levels + 2):
                 reference = value_table(fraction_matricial_cf(md, order), min(order, 2 * levels))
-                assert matricial_cf(md, order) == reference, (d, levels, order)
+                assert matricial_table(md, order) == reference, (d, levels, order)
 
 
 @pytest.mark.parametrize("name", ["free", "boolean", "one-branch"])

@@ -21,7 +21,6 @@ from ncprod import (
     free_state,
     functional_inner,
     gram_schmidt_mops,
-    moment,
     monotone_state,
     preset,
     product_type_map,
@@ -60,7 +59,7 @@ def test_free_semicircle_values():
 
 
 def test_free_single_letter_restriction():
-    assert free_state(GENERIC_J1, GENERIC_J2)((1, 1, 1)) == moment(GENERIC_J1, 3)
+    assert free_state(GENERIC_J1, GENERIC_J2)((1, 1, 1)) == MomentSequence(GENERIC_J1)[3]
     assert free_state(GENERIC_J1, GENERIC_J2)(()) == 1
 
 
@@ -73,23 +72,23 @@ def test_free_centered_alternating_vanishes():
 
 def test_boolean_block_factorization():
     assert boolean_state(SEMI, SEMI)((1, 2, 1)) == 0  # centered marginals
-    assert boolean_state(GENERIC_J1, GENERIC_J2)((1, 1, 2, 2)) == moment(
-        GENERIC_J1, 2
-    ) * moment(GENERIC_J2, 2)
-    assert boolean_state(GENERIC_J1, GENERIC_J2)((2, 2, 2)) == moment(GENERIC_J2, 3)
+    assert boolean_state(GENERIC_J1, GENERIC_J2)((1, 1, 2, 2)) == (
+        MomentSequence(GENERIC_J1)[2] * MomentSequence(GENERIC_J2)[2]
+    )
+    assert boolean_state(GENERIC_J1, GENERIC_J2)((2, 2, 2)) == MomentSequence(GENERIC_J2)[3]
 
 
 def test_monotone_block_rule():
     j1, j2 = GENERIC_J1, GENERIC_J2
-    assert monotone_state(j1, j2)((1, 2, 1)) == moment(j1, 2) * moment(j2, 1)
-    assert monotone_state(j1, j2)((2, 1, 2)) == moment(j1, 1) * moment(j2, 1) ** 2
-    assert monotone_state(j1, j2)((1, 1)) == moment(j1, 2)
+    assert monotone_state(j1, j2)((1, 2, 1)) == MomentSequence(j1)[2] * MomentSequence(j2)[1]
+    assert monotone_state(j1, j2)((2, 1, 2)) == MomentSequence(j1)[1] * MomentSequence(j2)[1] ** 2
+    assert monotone_state(j1, j2)((1, 1)) == MomentSequence(j1)[2]
 
 
 def test_tensor_total_powers():
     j1, j2 = GENERIC_J1, GENERIC_J2
-    assert tensor_state(j1, j2)((1, 2, 1)) == moment(j1, 2) * moment(j2, 1)
-    assert tensor_state(j1, j2)((1, 2, 2, 1)) == moment(j1, 2) * moment(j2, 2)
+    assert tensor_state(j1, j2)((1, 2, 1)) == MomentSequence(j1)[2] * MomentSequence(j2)[1]
+    assert tensor_state(j1, j2)((1, 2, 2, 1)) == MomentSequence(j1)[2] * MomentSequence(j2)[2]
     assert tensor_state(j1, j2)(()) == 1
 
 
@@ -183,8 +182,8 @@ def test_free_semicircles_sum_non_crossing_pairings():
 
 def test_cfree_single_letter_restriction():
     nu1, nu2 = random_pair(41)
-    assert cfree_state(GENERIC_J1, nu1, GENERIC_J2, nu2)((1, 1)) == moment(GENERIC_J1, 2)
-    assert cfree_state(GENERIC_J1, nu1, GENERIC_J2, nu2)((2,)) == moment(GENERIC_J2, 1)
+    assert cfree_state(GENERIC_J1, nu1, GENERIC_J2, nu2)((1, 1)) == MomentSequence(GENERIC_J1)[2]
+    assert cfree_state(GENERIC_J1, nu1, GENERIC_J2, nu2)((2,)) == MomentSequence(GENERIC_J2)[1]
 
 
 def test_cfree_degenerations():
@@ -286,17 +285,18 @@ def test_scaled_oracle_gives_the_numerators(factory):
 def test_scale_that_leaves_a_denominator_raises():
     """A scale that clears beta_0 = 1/7 and gamma_1 = 2/11 but not gamma_2 =
     5/13 serves the words that read no further and raises, never truncates,
-    at the first that does."""
+    at the first that does: m_3 reads gamma_1 at most, m_4 reads gamma_2."""
     coprime = JacobiData(beta=(F(1, 7),), gamma=(F(2, 11), F(5, 13)))
-    assert MomentSequence(coprime, 77).numerator(2) == 77**2 * moment(coprime, 2)
+    assert MomentSequence(coprime, 77).numerator(2) == 77**2 * MomentSequence(coprime)[2]
+    assert MomentSequence(coprime, 77).numerator(3) == 77**3 * MomentSequence(coprime)[3]
     with pytest.raises(ValueError, match="does not clear"):
-        MomentSequence(coprime, 77).numerator(3)
+        MomentSequence(coprime, 77).numerator(4)
     pairs = (coprime, coprime, coprime, coprime)
     for factory in (free_state, boolean_state, monotone_state, antimonotone_state, tensor_state, cfree_state):
         phi = factory(*pairs[: 4 if factory is cfree_state else 2], scale=77)
-        assert phi((1, 2)) == 77**2 * moment(coprime, 1) ** 2
+        assert phi((1, 2)) == 77**2 * MomentSequence(coprime)[1] ** 2
         with pytest.raises(ValueError, match="does not clear"):
-            phi((2, 2, 2))
+            phi((2, 2, 2, 2))
 
 
 @pytest.mark.parametrize("factory", [free_state, cfree_state])
@@ -328,13 +328,13 @@ def test_tables_answer_alike_in_any_query_order(factory):
 def test_one_word_reads_every_marginal_through_its_length():
     """One word costs its whole table: it reads every letter's moments
     through index |w|.  Under the "error" policy, data that stop short of
-    m_2 still serve (1,) but refuse (1, 2), naming the first missing
-    coefficient; the refusal leaves the table as it was."""
+    m_2 still serve (1,) but refuse (1, 2), naming gamma_1, the coefficient
+    m_2 needs; the refusal leaves the table as it was."""
     short = JacobiData(beta=(F(1, 2),), gamma=(), extend="error")
     phi = free_state(short, short)
     assert phi((1,)) == F(1, 2)
     for _ in range(2):
-        with pytest.raises(JacobiRangeError, match="beta_1 beyond stored prefix of length 1"):
+        with pytest.raises(JacobiRangeError, match="gamma_1 beyond stored prefix of length 0"):
             phi((1, 2))
         assert phi((2,)) == F(1, 2)
 
@@ -495,11 +495,13 @@ def test_q_121_does_not_factor_for_generic_q():
 )
 def test_state_computes_each_marginal_moment_once(monkeypatch, factory):
     """A state holds one moment sequence per marginal: words through order 6
-    need indices 0..6 of each, so at most 6 transfer steps per marginal."""
-    steps = []
-    step = MomentSequence._step
-    monkeypatch.setattr(MomentSequence, "_step", lambda self, vec: steps.append(1) or step(self, vec))
+    need indices 0..6 of each, so at most 6 anti-diagonal extensions per
+    marginal, none repeated."""
+    extensions = []
+    extend = MomentSequence._extend
+    monkeypatch.setattr(MomentSequence, "_extend", lambda self, n: extensions.append((self, n)) or extend(self, n))
     phi = factory(GENERIC_J1, GENERIC_J2)
     for w in words_up_to(2, 6):
         phi(w)
-    assert len(steps) <= 2 * 6
+    assert len(extensions) <= 2 * 6
+    assert len(set(extensions)) == len(extensions)

@@ -1,6 +1,7 @@
 """The package namespace, the value types' contracts, and the scripts that
 import through them."""
 
+import ast
 import copy
 import importlib.util
 import json
@@ -29,6 +30,25 @@ def test_every_public_name_resolves_to_its_home_module():
             assert value is sys.modules[f"ncprod.{name}"]
         else:
             assert value is getattr(sys.modules[f"ncprod.{ncprod._HOME[name]}"], name), name
+
+
+def test_readme_api_quickstart_runs_as_written():
+    """The README's API quick start runs as printed, and every expression
+    in it gives the result its trailing comment names."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quickstart (API)", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    namespace: dict = {}
+    results = []
+    for statement in ast.parse(block).body:
+        if isinstance(statement, ast.Expr):
+            value = eval(compile(ast.Expression(statement.value), "README.md", "eval"), namespace)
+            results.append((repr(value), lines[statement.end_lineno - 1].split("#", 1)[1].strip()))
+        else:
+            exec(compile(ast.Module([statement], []), "README.md", "exec"), namespace)
+    assert [comment for _, comment in results] == [
+        "Fraction(1, 1)", "Fraction(0, 1)", "True", "Fraction(1, 1)", "True"]
+    assert all(value == comment for value, comment in results), results
 
 
 def test_dir_lists_every_public_name():
@@ -122,17 +142,22 @@ def test_subcommand_loads_only_what_it_runs(argv, loaded, not_loaded):
 
 
 # the three engines called from the library, each checked on a value it
-# must give; they return value tables, so no polynomial or series is built
+# must give; they hand out dense integer parts, so no polynomial or series
+# is built
 ENGINE_MODULES = """
 import json, sys
-from ncprod.cfrac import MatricialData, classical_cf, matricial_cf, scalar_branched_cf
+from ncprod.cfrac import MatricialData, chain_map, matricial_parts, scalar_branched_parts
 from ncprod.jacobi import preset
 from ncprod.omega import builder
 from ncprod.prodstate import product_type_map
+from ncprod.words import word_values
 semi = preset("semicircle")
-assert classical_cf(semi, 4)[4] == ((1, 1, 1, 1), 2)
-assert dict(scalar_branched_cf(product_type_map(builder("free", 4), semi, semi), 4))[(1, 2, 2, 1)] == 1
-assert matricial_cf(MatricialData(d=1, t=(((("0",),),), ((("0",),),)), c=((("1",),),)), 4)[2] == ((1, 1), 1)
+chain = chain_map(semi, 4)
+assert list(word_values(1, scalar_branched_parts(chain, 4), chain.scale))[4] == ((1, 1, 1, 1), 2)
+cm = product_type_map(builder("free", 4), semi, semi)
+assert dict(word_values(2, scalar_branched_parts(cm, 4), cm.scale))[(1, 2, 2, 1)] == 1
+parts, scale = matricial_parts(MatricialData(d=1, t=(((("0",),),), ((("0",),),)), c=((("1",),),)), 4)
+assert list(word_values(1, parts, scale))[2] == ((1, 1), 1)
 print(json.dumps(sorted(sys.modules)))
 """
 
@@ -160,9 +185,7 @@ def _negative_order_calls():
         "scalar_branched_parts": lambda: cfrac.scalar_branched_parts(cm, -1),
         "matricial_parts": lambda: cfrac.matricial_parts(md, -1),
         "matricial_map_parts": lambda: cfrac.matricial_map_parts(cm, -1),
-        "classical_cf": lambda: cfrac.classical_cf(semi, -1),
-        "scalar_branched_cf": lambda: cfrac.scalar_branched_cf(cm, -1),
-        "matricial_cf": lambda: cfrac.matricial_cf(md, -1),
+        "chain_map": lambda: cfrac.chain_map(semi, -1),
         "gram_matrix": lambda: gram_matrix(cm, -1),
         "gram_schmidt_mops": lambda: gram_schmidt_mops(oracle.free_state(semi, semi), -1),
         "render_branched_cf": lambda: cfrac.render_branched_cf(cm, -1),

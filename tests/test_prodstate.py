@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GENERIC_J1, GENERIC_J2, map_entries, p1_coefficient, random_pair
+from conftest import GENERIC_J1, GENERIC_J2, map_entries, p1_coefficient, random_pair, scalar_table
 from reference_kernels import eager_cfree_entries, eager_product_type_entries, fraction_expansion
 from ncprod import (
     BUILTIN_OMEGAS,
@@ -31,17 +31,15 @@ from ncprod import (
     gram_schmidt_mops,
     jacobi_from_json,
     left_multiply,
-    moment,
     moment_table,
     monotone_state,
     omega_from_json,
     preset,
     product_type_map,
     recursion_basis,
-    scalar_branched_cf,
 )
 from ncprod.cfrac import matricial_map_parts, scalar_branched_parts
-from ncprod.jacobi import JacobiRangeError
+from ncprod.jacobi import JacobiRangeError, MomentSequence
 from ncprod.treecheck import enumerate_valid_trees, validate
 from ncprod.prodstate import DepthExhaustedError, moment_parts
 from ncprod.words import word_values, words_of_length, words_up_to
@@ -122,7 +120,7 @@ def test_depth_guard():
 def test_integer_view_refuses_a_scale_that_leaves_a_denominator():
     cm = CoefficientMap(1, 2, lambda letter, word: F(1, 6), lambda word: F(0), 3)
     with pytest.raises(ValueError, match="does not clear"):
-        scalar_branched_cf(cm, 2)
+        scalar_branched_parts(cm, 2)
 
 
 ORACLES = {
@@ -139,7 +137,7 @@ def _assert_map_matches_references(name, depth, j1, j2):
     trees, the tree's direct-definition oracle."""
     cm = product_type_map(builder(name, depth), j1, j2)
     evaluator = StateEvaluator(cm)
-    values = dict(scalar_branched_cf(cm, depth + 1))
+    values = dict(scalar_table(cm, depth + 1))
     oracle = ORACLES[name](j1, j2) if name in ORACLES else None
     for w in words_up_to(2, depth + 1):
         value = evaluator.word_moment(w)
@@ -370,7 +368,7 @@ def test_stochastic_independence():
         for n in range(5):
             for k in range(5):
                 word = (1,) * n + (2,) * k
-                assert ev.word_moment(word) == moment(GENERIC_J1, n) * moment(GENERIC_J2, k)
+                assert ev.word_moment(word) == MomentSequence(GENERIC_J1)[n] * MomentSequence(GENERIC_J2)[k]
 
 
 def test_free_semicircle_values():
@@ -549,7 +547,7 @@ def test_one_branch_trailing_two_block_factors():
                 if len(w) + k + n > 6:
                     continue
                 lhs = ev.word_moment(w + (1,) * n + (2,) * k)
-                rhs = ev.word_moment(w + (1,) * n) * moment(GENERIC_J2, k)
+                rhs = ev.word_moment(w + (1,) * n) * MomentSequence(GENERIC_J2)[k]
                 assert lhs == rhs, (w, n, k)
 
 
@@ -562,7 +560,7 @@ def test_one_branch_two_one_tail():
             if len(w) + n + 2 > 6:
                 continue
             lhs = ev.word_moment(w + (1,) * n + (2, 1))
-            rhs = ev.word_moment(w + (1,) * (n + 1)) * moment(GENERIC_J2, 1)
+            rhs = ev.word_moment(w + (1,) * (n + 1)) * MomentSequence(GENERIC_J2)[1]
             assert lhs == rhs, (w, n)
 
 
@@ -577,8 +575,8 @@ def test_one_branch_trailing_one_block_exact_correction():
     # correction is what produces the two-one-tail identity above.
     ev = StateEvaluator(product_type_map(builder("one-branch", 8), GENERIC_J1, GENERIC_J2))
 
-    mean1 = moment(GENERIC_J1, 1)
-    mean2 = moment(GENERIC_J2, 1)
+    mean1 = MomentSequence(GENERIC_J1)[1]
+    mean2 = MomentSequence(GENERIC_J2)[1]
     for w in words_up_to(2, 3):
         for k in range(1, 4):
             for n in range(1, 4):
@@ -590,14 +588,14 @@ def test_one_branch_trailing_one_block_exact_correction():
                     * mean2**k
                     * (ev.word_moment(w + (1,)) - mean1 * ev.word_moment(w))
                 )
-                rhs = moment(GENERIC_J1, n) * ev.word_moment(w + (2,) * k) + leak
+                rhs = MomentSequence(GENERIC_J1)[n] * ev.word_moment(w + (2,) * k) + leak
                 assert lhs == rhs, (w, k, n)
                 if 1 not in w:
                     assert leak == 0
     # with generic data the correction is genuinely present for 1-bearing
     # contexts, e.g. w = (1), k = 1, n = 2
     lhs = ev.word_moment((1, 2, 1, 1))
-    rhs = ev.word_moment((1, 2)) * moment(GENERIC_J1, 2)
+    rhs = ev.word_moment((1, 2)) * MomentSequence(GENERIC_J1)[2]
     assert lhs != rhs
 
 
@@ -606,7 +604,7 @@ def test_one_branch_exception_is_real():
     cm = product_type_map(builder("one-branch", 5), GENERIC_J1, GENERIC_J2)
     ev = StateEvaluator(cm)
     lhs = ev.word_moment((1, 2, 1))
-    rhs = ev.word_moment((1, 2)) * moment(GENERIC_J1, 1)
+    rhs = ev.word_moment((1, 2)) * MomentSequence(GENERIC_J1)[1]
     assert lhs != rhs
 
 
