@@ -25,8 +25,14 @@ under ``"repeat"``, and refused at order 2k + 1 with a ``JacobiRangeError``
 naming beta_k.  The routes are ``moment_parts``, ``scalar_branched_parts``,
 ``matricial_map_parts`` and ``word_numerator`` on the word 1^n, on the
 maps of the four built-in pair trees and the two-pair map, and each
-oracle on its own map.  Exits 1 at the first disagreement or violation,
-naming the tree or the oracle, the route and the word.
+oracle on its own map.  Every route reads the same map rules, so last it
+checks two relations the state must satisfy on ``moment_parts``, over both
+enumerations at their orders with the nu pair: reversal, phi(w) = phi(rev
+w), and letter swap, the numerators of (sigma Omega, mu2, mu1, nu2, nu1)
+at sigma w equal those of (Omega, mu1, mu2, nu1, nu2) at w over the same
+scale, sigma exchanging the letters 1 and 2.  Exits 1 at the first
+disagreement or violation, naming the tree or the oracle, the route or the
+relation, and the word.
 
 Run from the repository root: ``PYTHONPATH=src python3 scripts/cross_route_sweep.py``.
 """
@@ -55,16 +61,16 @@ from ncprod import (
 from ncprod.cfrac import matricial_map_parts, scalar_branched_parts
 from ncprod.jacobi import JacobiRangeError
 from ncprod.prodstate import moment_parts
-from ncprod.words import graded_lex_key, words_of_length, words_up_to
+from ncprod.words import Word, graded_lex_key, words_of_length, words_up_to
 
 # every beta and gamma nonzero and distinct across the four marginals, so a
 # route that read a wrong coefficient would change some numerator
 MU = (
     JacobiData(beta=(F(1, 2), F(-1, 3), F(1, 4), F(2, 7)), gamma=(F(1), F(2, 3), F(3, 5))),
-    JacobiData(beta=(F(-1, 2), F(2, 5), F(1, 3), F(-3, 4)), gamma=(F(3, 2), F(1, 2), F(5, 7))),
+    JacobiData(beta=(F(-1, 2), F(2, 5), F(1, 3), F(-3, 4)), gamma=(F(3, 2), F(4, 7), F(5, 7))),
 )
 NU = (
-    JacobiData(beta=(F(1, 3), F(-2, 7), F(3, 2)), gamma=(F(4, 5), F(7, 3))),
+    JacobiData(beta=(F(1, 5), F(-2, 7), F(5, 2)), gamma=(F(4, 5), F(7, 3))),
     JacobiData(beta=(F(-3, 5), F(1, 6), F(2, 9)), gamma=(F(5, 4), F(2, 11))),
 )
 
@@ -173,6 +179,42 @@ def contract_violation(k: int) -> tuple[int, str | None]:
     return count, None
 
 
+def tree_label(members: frozenset[Word]) -> str:
+    return " ".join(map(str, (list(w) for w in sorted(members, key=graded_lex_key))))
+
+
+def swap_letters(word: Word) -> Word:
+    return tuple(3 - letter for letter in word)
+
+
+def relation_violation(max_len: int, order: int) -> tuple[int, str | None]:
+    """Over every valid tree with words to ``max_len``, at the order, with
+    the nu pair: the number of trees, and the first word at which
+    ``moment_parts`` breaks reversal or letter swap, naming its tree, or
+    None."""
+    trees = enumerate_valid_trees(max_len)
+    indices = [{w: k for k, w in enumerate(words_of_length(2, n))} for n in range(order + 1)]
+    for members in trees:
+        cm = product_type_map(OmegaTree(max_len - 1, members), *MU, NU)
+        swapped = product_type_map(
+            OmegaTree(max_len - 1, frozenset(map(swap_letters, members))), *MU[::-1], NU[::-1]
+        )
+        label = tree_label(members)
+        if swapped.scale != cm.scale:
+            return len(trees), f"letter swap on the tree {label}: scale {swapped.scale}, not {cm.scale}"
+        table, swapped_table = moment_parts(cm, order), moment_parts(swapped, order)
+        for index, part, swapped_part in zip(indices, table, swapped_table):
+            for w, k in index.items():
+                if part[index[w[::-1]]] != part[k]:
+                    relation = "reversal"
+                elif swapped_part[index[swap_letters(w)]] != part[k]:
+                    relation = "letter swap"
+                else:
+                    continue
+                return len(trees), f"{relation} on the tree {label} at order {order}, word {list(w)}"
+    return len(trees), None
+
+
 def sweep(max_len: int, order: int) -> tuple[int, int, str | None]:
     """Over every valid tree with words to ``max_len``, at the order: the
     number of trees, the number of distinct tables among them, and the first
@@ -186,8 +228,7 @@ def sweep(max_len: int, order: int) -> tuple[int, int, str | None]:
         tables.add(hashlib.sha256(repr(table).encode()).digest())
         found = disagreement(cm, table, order)
         if found is not None:
-            words = " ".join(map(str, (list(w) for w in sorted(members, key=graded_lex_key))))
-            return len(trees), len(tables), f"on the tree {words} at order {order}: {found}"
+            return len(trees), len(tables), f"on the tree {tree_label(members)} at order {order}: {found}"
     return len(trees), len(tables), None
 
 
@@ -223,6 +264,19 @@ def main() -> int:
     print(
         f'depth contract: with k = {", ".join(map(str, CONTRACT_PREFIXES))} stored betas and gammas under '
         f'"error", each of {routes} routes serves order 2k and refuses 2k + 1 naming beta_k ({elapsed:.2f} s)'
+    )
+    start = time.perf_counter()
+    counts = []
+    for max_len, order in SWEEPS:
+        trees, found = relation_violation(max_len, order)
+        if found is not None:
+            print(f"relation broken by moment_parts: {found}")
+            return 1
+        counts.append(f"{trees} trees through order {order}")
+    elapsed = time.perf_counter() - start
+    print(
+        f"relations: reversal and letter swap hold on moment_parts with the nu pair for "
+        f"{' and '.join(counts)} ({elapsed:.2f} s)"
     )
     return 0
 

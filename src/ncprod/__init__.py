@@ -58,10 +58,7 @@ _EXPORTS = {
         "gram_matrix",
         "recursion_basis",
     ),
-    "cfrac": (
-        "MatricialData",
-        "render_branched_cf",
-    ),
+    "cfrac": ("render_branched_cf",),
     "oracle": (
         "MopsResult",
         "antimonotone_state",

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ncprod import JacobiData
-from ncprod.cfrac import matricial_parts, scalar_branched_parts
+from ncprod.cfrac import matricial_map_parts, scalar_branched_parts
 from ncprod.jacobi import MomentSequence
 from ncprod.words import word_values, words_up_to
 
@@ -45,10 +45,9 @@ def scalar_table(cm, order: int) -> list:
     return list(word_values(cm.d, scalar_branched_parts(cm, order), cm.scale))
 
 
-def matricial_table(md, order: int) -> list:
-    """The matricial engine's value table over the data's own scale."""
-    parts, scale = matricial_parts(md, order)
-    return list(word_values(md.d, parts, scale))
+def matricial_table(cm, order: int) -> list:
+    """The matricial engine's value table: its integer parts divided once per word."""
+    return list(word_values(cm.d, matricial_map_parts(cm, order), cm.scale))
 
 
 def map_entries(cm):

@@ -8,20 +8,22 @@ cheap.
 given order with one operation per term pair, and ``sandwich`` is z_j F z_l
 cut at a given order.  ``_smat_inverse`` inverts a matrix of series by
 Neumann steps, each truncated to the degree it makes exact, and
-``full_order_neumann_inverse`` runs every step at the full order;
+``full_order_neumann_inverse`` runs every Neumann step on one series at the
+full order;
 ``fraction_expansion`` runs the transfer operator over the whole word on the
 map's own ``Fraction`` entries, and ``product_gram_schmidt_mops`` takes
 every inner product of the monomial orthogonalization from a polynomial
 product.  ``fraction_classical_cf``, ``fraction_scalar_branched_cf`` and
 ``fraction_matricial_cf`` are the continued-fraction engines with every
 series in ``Fraction`` coefficients, the classical one with its own chain
-recursion and the matricial one taking each sandwich's block with
-``block_extract``; ``value_table`` reads a series as the engines' value
-table.  ``matricial_from_map`` builds the diagonal
-``MatricialData`` of a coefficient map as matrices, the reference for the
-engine's map-fed route; ``eager_product_type_entries`` and
-``eager_cfree_entries`` fill every nonzero coefficient-map entry through
-the depth, word by word.
+recursion and the matricial one on whole d^k x d^k series matrices, taking
+each sandwich's block with ``block_extract``; ``value_table`` reads a
+series as the engines' value table.  ``matricial_from_map`` writes the
+diagonal level data of a coefficient map out as those matrices, in a
+``MatricialLevels`` record, the reference's input for the matricial
+engine, which keeps one series per word instead.
+``eager_product_type_entries`` and ``eager_cfree_entries`` fill every
+nonzero coefficient-map entry through the depth, word by word.
 ``centering_cfree_state`` evaluates the two-pair (conditionally free)
 state by centering blocks: a block polynomial p splits into (p - mean)
 plus its mean, the mean term deletes the block and merges its neighbors,
@@ -35,10 +37,10 @@ sum over one common denominator D must equal it times D^|w|.  The
 library's kernels must agree with them exactly.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from typing import Sequence
 
-from ncprod.cfrac import MatricialData
 from ncprod.jacobi import JacobiData, MomentSequence
 from ncprod.ncpoly import NCPolynomial, _make
 from ncprod.omega import OmegaTree
@@ -56,6 +58,10 @@ from ncprod.words import (
 
 
 SeriesMatrix = list[list[NCPolynomial]]
+
+# level-indexed recursion matrices on d letters: t[k][i - 1] is T_i at level
+# k = 0..levels and c[k - 1] is C at level k = 1..levels, each d^k x d^k
+MatricialLevels = namedtuple("MatricialLevels", "d t c levels")
 
 
 def truncate(series: NCPolynomial, order: int) -> NCPolynomial:
@@ -156,16 +162,13 @@ def sandwich(series: NCPolynomial, left: int, right: int, order: int) -> NCPolyn
     return truncate(_make(series.d, shifted), order)
 
 
-def full_order_neumann_inverse(mat: SeriesMatrix, order: int) -> SeriesMatrix:
-    """x_(k+1) = 1 + (1 - mat)*x_k, ``order`` times, every step at ``order``."""
-    n = len(mat)
-    d = mat[0][0].d
-    identity = _smat_identity(n, d)
-    u = [[identity[r][s] - mat[r][s] for s in range(n)] for r in range(n)]
-    x = identity
+def full_order_neumann_inverse(series: NCPolynomial, order: int) -> NCPolynomial:
+    """x_(k+1) = 1 + (1 - series)*x_k, ``order`` times, every step at ``order``."""
+    one = NCPolynomial.one(series.d)
+    u = one - series
+    x = one
     for _ in range(order):
-        ux = _smat_mul(u, x, order)
-        x = [[identity[r][s] + ux[r][s] for s in range(n)] for r in range(n)]
+        x = one + truncate(u * x, order)
     return x
 
 
@@ -269,8 +272,9 @@ def block_extract(matrix: Sequence[Sequence], i: int, j: int, d: int) -> list[li
     return [list(row[(j - 1) * m : j * m]) for row in matrix[(i - 1) * m : i * m]]
 
 
-def matricial_from_map(cm: CoefficientMap, levels: int) -> MatricialData:
-    """Diagonal matricial data induced by a coefficient map."""
+def matricial_from_map(cm: CoefficientMap, levels: int) -> MatricialLevels:
+    """The diagonal level matrices a coefficient map induces: T_i at level k
+    holds B(i, u) and C holds C(u) at the row of the word u of length k."""
     if levels > cm.depth:
         raise ValueError(f"levels {levels} exceed map depth {cm.depth}")
     d = cm.d
@@ -291,10 +295,10 @@ def matricial_from_map(cm: CoefficientMap, levels: int) -> MatricialData:
             for idx, u in enumerate(words):
                 mc[idx][idx] = cm.c(u)
             c.append(mc)
-    return MatricialData(d=d, t=tuple(t), c=tuple(c))
+    return MatricialLevels(d, tuple(t), tuple(c), levels)
 
 
-def fraction_matricial_cf(md: MatricialData, order: int) -> NCPolynomial:
+def fraction_matricial_cf(md: MatricialLevels, order: int) -> NCPolynomial:
     """The matricial continued fraction with Fraction series matrices,
     through min(order, 2K)."""
     d = md.d

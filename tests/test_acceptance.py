@@ -10,7 +10,6 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from conftest import GENERIC_J1, GENERIC_J2, matricial_table, p1_coefficient, random_pair
-from reference_kernels import matricial_from_map
 from ncprod import (
     BUILTIN_OMEGAS,
     JacobiData,
@@ -102,7 +101,7 @@ def test_criterion_04_continued_fraction_consistency():
         maps["c-free"] = cfree_map(GENERIC_J1, nu1, GENERIC_J2, nu2, 8)
         for name, cm in maps.items():
             assert scalar_branched_parts(cm, 8) == moment_parts(cm, 8), name
-            assert matricial_table(matricial_from_map(cm, 3), 6) == moment_table(cm, 6), name
+            assert matricial_table(cm, 6) == moment_table(cm, 6), name
 
 
 def test_criterion_05_stochastic_independence():

@@ -10,11 +10,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import GENERIC_J1, GENERIC_J2, matricial_table, random_pair, scalar_table
-from reference_kernels import block_extract, fraction_classical_cf, matricial_from_map, value_table
+from reference_kernels import block_extract, fraction_classical_cf, value_table
 from ncprod import (
     BUILTIN_OMEGAS,
     JacobiData,
-    MatricialData,
     StateEvaluator,
     builder,
     cfree_map,
@@ -139,51 +138,23 @@ def test_block_extract_dimension_mismatch():
 
 
 def test_matricial_one_letter_reduces_to_classical():
+    # d = 1: every level is one entry, the classical fraction's
     j = GENERIC_J1
-    levels = 5
-    # d = 1: every level is a 1 x 1 matrix
-    t = tuple(([[j.beta_at(k)]],) for k in range(levels + 1))
-    c = tuple([[j.gamma_at(k)]] for k in range(1, levels + 1))
-    md = MatricialData(d=1, t=t, c=c)
-    assert matricial_table(md, 10) == classical_table(j, 10)
-
-
-def _diag(values):
-    n = len(values)
-    return [[values[r] if r == s else F(0) for s in range(n)] for r in range(n)]
+    assert matricial_table(chain_map(j, 10), 10) == classical_table(j, 10)
 
 
 @pytest.mark.parametrize("name", BUILTIN_OMEGAS)
 def test_matricial_diagonal_equals_scalar(name):
     cm = product_type_map(builder(name, 6), GENERIC_J1, GENERIC_J2)
-    md = matricial_from_map(cm, 3)
-    assert matricial_table(md, 6) == scalar_table(cm, 6)
-
-
-def test_matricial_validation():
-    with pytest.raises(ValueError, match="diagonal"):
-        MatricialData(d=2, t=(([[F(0)]], [[F(0)]]), (_diag([0, 0]), _diag([0, 0]))), c=([[F(0), F(1)], [F(0), F(0)]],))
-    with pytest.raises(ValueError, match="negative"):
-        MatricialData(d=2, t=(([[F(0)]], [[F(0)]]), (_diag([0, 0]), _diag([0, 0]))), c=(_diag([F(-1), F(0)]),))
+    assert matricial_table(cm, 6) == scalar_table(cm, 6)
 
 
 def test_matricial_identity_c_is_free_semicircle_pair():
-    # T = 0 everywhere, C = identity at every level: the joint moments are
-    # those of a free pair of standard semicircles
-    d = 2
-    levels = 3
-    t = tuple(tuple(_diag([F(0)] * d**k) for _ in range(d)) for k in range(levels + 1))
-    c = tuple(_diag([F(1)] * d**k) for k in range(1, levels + 1))
-    phi = free_state(SEMI, SEMI)
-    assert matricial_table(MatricialData(d=d, t=t, c=c), 6) == [(w, phi(w)) for w in words_up_to(2, 6)]
-
-
-def test_matricial_truncates_to_sound_order():
+    # the free map of two standard semicircles has T = 0 and C = identity at
+    # every level: the joint moments are those of a free semicircle pair
     cm = product_type_map(builder("free", 6), SEMI, SEMI)
-    md = matricial_from_map(cm, 2)
-    table = matricial_table(md, 8)
-    assert [w for w, _ in table] == words_up_to(2, 4)  # 2 * levels
-    assert table == scalar_table(cm, 4)
+    phi = free_state(SEMI, SEMI)
+    assert matricial_table(cm, 6) == [(w, phi(w)) for w in words_up_to(2, 6)]
 
 
 def test_render_branched_cf_boundary_is_bare_term():

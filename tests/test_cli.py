@@ -840,22 +840,34 @@ def test_negative_order_is_input_error(capsys, generic_files, argv):
     assert "--order: must be nonnegative, got -1" in captured.err
 
 
+# the flags that build each row's map: two built-in trees, the two-pair map
+# on the golden nu pair, and a tree file of depth 3
+_MATRICIAL_ROW_MAPS = {
+    "free": ("--omega", "free"),
+    "one-branch": ("--omega", "one-branch"),
+    "two-pair": _TWO_PAIR,
+    "tree-file": ("--omega", str(GOLDEN / "two_branch_tree.json")),
+}
+
+
 @pytest.mark.parametrize(
-    "omega,orders",
-    [("free", range(5)), ("one-branch", range(11)), ("free", [12]), ("one-branch", [14])],
+    "row,orders",
+    [("free", range(5)), ("one-branch", range(11)), ("free", [12]), ("one-branch", [14]),
+     ("two-pair", range(10)), ("tree-file", range(4))],
 )
-def test_matricial_rows_equal_scalar_rows(capsys, generic_files, omega, orders):
+def test_matricial_rows_equal_scalar_rows(capsys, generic_files, row, orders):
     """Every order is served exactly, by no more levels than the map built
     for that order holds: the matricial engine prints the scalar engine's
     output byte for byte in every format, also past order 10, which needs
-    more than 5 levels."""
+    more than 5 levels, on the two-pair map, whose inner runs read the nu
+    pair, and on a tree file through its depth."""
     j1, j2 = generic_files
     for order in orders:
         for fmt in ("json", "csv", "pretty"):
             out = {}
             for engine in ("scalar", "matricial"):
                 code, out[engine] = run(capsys, "cfrac", "--engine", engine, "--jacobi1", j1, "--jacobi2", j2,
-                                        "--omega", omega, "--order", str(order), "--format", fmt)
+                                        *_MATRICIAL_ROW_MAPS[row], "--order", str(order), "--format", fmt)
                 assert code == 0, (engine, order, fmt)
             assert out["matricial"] == out["scalar"], (order, fmt)
 

@@ -2,12 +2,12 @@
 
 ``StateEvaluator`` and the two continued-fraction engines run on integers
 over a common denominator, both engines on dense per-degree lists, and the
-matricial one inverts each level's matrix degree by degree
-(``_dense_inverse``, whose 1 x 1 case is the engines' series inverse); each
-must equal the plain ``Fraction`` version in ``reference_kernels`` exactly
-(``fraction_inverse``, ``fraction_expansion``, the ``fraction_*_cf``
-engines read as value tables, and ``matricial_from_map`` for the map-fed
-matricial route), and the scalar engine also the transfer operator.
+matricial one inverts each word's denominator degree by degree
+(``_series_inverse``); each must equal the plain ``Fraction`` version in
+``reference_kernels`` exactly (``fraction_inverse``, ``fraction_expansion``
+and the ``fraction_*_cf`` engines read as value tables, the matricial one
+on the whole level matrices ``matricial_from_map`` writes out), and the
+scalar engine also the transfer operator.
 Arithmetic results skip the constructors' checks, so the invariants those
 checks gave are asserted here on every operation.  The
 CLI's tables are written by hand, the json as the bytes ``json.dumps``
@@ -41,13 +41,7 @@ from ncprod import (
     preset,
     q_gaussian_state,
 )
-from ncprod.cfrac import (
-    MatricialData,
-    _dense_inverse,
-    matricial_map_parts,
-    matricial_parts,
-    scalar_branched_parts,
-)
+from ncprod.cfrac import _series_inverse, matricial_map_parts, scalar_branched_parts
 from ncprod.cli import _emit_table
 from ncprod.ncpoly import NCPolynomial, _make
 from ncprod.prodstate import DepthExhaustedError, StateEvaluator, cfree_map, explicit_map, product_type_map
@@ -87,22 +81,18 @@ def assert_clean(p: NCPolynomial) -> None:
 
 
 def dense_series(d: int, parts: list) -> NCPolynomial:
-    """Dense parts over scale 1, a zero degree given as None, as a series."""
-    parts = [part or [0] * d**m for m, part in enumerate(parts)]
+    """Dense parts over scale 1 as a series."""
     return _make(d, dict(word_values(d, parts, 1)))
 
 
 def dense_entry(series: NCPolynomial, order: int) -> list:
-    """A series as the matricial engine's dense parts through the order,
-    None for a zero degree."""
-    parts = [[series.terms.get(w, 0) for w in words_of_length(series.d, m)]
-             for m in range(order + 1)]
-    return [part if any(part) else None for part in parts]
+    """A series as the matricial engine's dense parts through the order."""
+    return [[series.terms.get(w, 0) for w in words_of_length(series.d, m)] for m in range(order + 1)]
 
 
 def dense_inverse_parts(series: NCPolynomial, order: int) -> list:
-    """The engines' series inverse: _dense_inverse of the 1 x 1 matrix."""
-    return _dense_inverse({(0, 0): dense_entry(series, order)}, 1, series.d, order)[(0, 0)]
+    """The matricial engine's series inverse through the order."""
+    return _series_inverse(dense_entry(series, order), series.d)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -126,7 +116,7 @@ def test_inverse_of_an_int_series_stays_int():
         for order in range(7):
             terms = {w: c.numerator for w, c in random_unit_series(rng, d, order).terms.items()}
             parts = dense_inverse_parts(_make(d, {**terms, (): 1}), order)
-            assert all(type(coeff) is int for part in parts if part for coeff in part)
+            assert all(type(coeff) is int for part in parts for coeff in part)
             assert dense_series(d, parts) == fraction_inverse(NCPolynomial(d, {**terms, (): 1}), order)
 
 
@@ -138,43 +128,22 @@ def test_integer_inverse_without_positive_degree_terms():
     assert dense_series(2, dense_inverse_parts(s, 6)) == fraction_inverse(s, 6)
 
 
-def random_series_matrix(rng: random.Random, n: int, d: int, order: int) -> list:
-    """Identity constant term; about a third of the entries have no other terms."""
-    rows = []
-    for r in range(n):
-        row = []
-        for s in range(n):
-            terms = {(): 1} if r == s else {}
-            if order and rng.random() < 2 / 3:
-                terms.update(random_terms(rng, d, min(order, 3), rng.randint(1, 3)))
-            row.append(NCPolynomial(d, terms))
-        rows.append(row)
-    return rows
-
-
-@pytest.mark.parametrize("n", [1, 2, 4])
-def test_truncated_neumann_equals_full_order(n):
-    """The dense inverse solves X = 1 + (1 - M) X degree by degree; it must
+@pytest.mark.parametrize("d", [1, 2])
+def test_truncated_neumann_equals_full_order(d):
+    """The series inverse solves x = 1 + (1 - s) x degree by degree; it must
     equal every Neumann step taken at the full order."""
-    rng = random.Random(600 + n)
-    for d in (1, 2):
-        for order in range(7):
-            mat = random_series_matrix(rng, n, d, order)
-            dense = {(r, s): dense_entry(mat[r][s], order) for r in range(n) for s in range(n)
-                     if mat[r][s].terms}
-            fast = _dense_inverse(dense, n, d, order)
-            slow = full_order_neumann_inverse(mat, order)
-            for r in range(n):
-                for s in range(n):
-                    entry = dense_series(d, fast.get((r, s), [None] * (order + 1)))
-                    assert entry == slow[r][s], (d, order, r, s)
+    rng = random.Random(600 + d)
+    for order in range(7):
+        for _ in range(4):
+            s = random_unit_series(rng, d, order)
+            fast = dense_series(d, dense_inverse_parts(s, order))
+            assert fast == full_order_neumann_inverse(s, order), (d, order)
 
 
 def test_dense_inverse_requires_identity_constant_term():
-    one, two = [[1], None], [[2], None]
-    for matrix in ({(0, 0): one}, {(0, 0): two, (1, 1): one}, {(0, 0): one, (0, 1): one, (1, 1): one}):
-        with pytest.raises(ValueError, match="identity constant term"):
-            _dense_inverse(matrix, 2, 2, 1)
+    for series in ([[2], [0, 0]], [[0], [1, 0]], [[-1]]):
+        with pytest.raises(ValueError, match="constant term 1"):
+            _series_inverse(series, 2)
 
 
 def test_arithmetic_results_hold_only_clean_terms():
@@ -219,8 +188,7 @@ def test_float_coefficients_are_rejected():
                   lambda: parse_rational(0.5),
                   lambda: jacobi_from_json({"beta": [0.1], "gamma": ["1"]}),
                   lambda: explicit_map(1, 1, {(1, ()): 0.5}, {}),
-                  lambda: q_gaussian_state(0.5),
-                  lambda: MatricialData(d=1, t=((((0.5,),),),), c=())):
+                  lambda: q_gaussian_state(0.5)):
         with pytest.raises(ValueError, match="float"):
             build()
     # exact inputs are still read as before
@@ -325,68 +293,58 @@ def test_dense_scalar_numerators_equal_fraction_engine(seed):
     assert list(word_values(cm.d, parts, 1)) == [(w, value * cm.scale ** len(w)) for w, value in reference]
 
 
-def random_matricial_data(rng: random.Random, d: int, levels: int) -> MatricialData:
-    """T entries over 7 or 11 with either sign, off the diagonal too, about
-    a third of them zero; diagonal C over 13, about a quarter zero."""
-    def t_entry():
-        if rng.random() < 1 / 3:
-            return F(0)
-        return F(rng.choice((-1, 1)) * rng.randint(1, 4), rng.choice((7, 11)))
-
-    t, c = [], []
-    for k in range(levels + 1):
-        n = d**k
-        t.append([[[t_entry() for _ in range(n)] for _ in range(n)] for _ in range(d)])
-        if k:
-            c.append([[F(rng.choice((0, 1, 2, 3)), 13) if r == s else F(0) for s in range(n)]
-                      for r in range(n)])
-    return MatricialData(d=d, t=t, c=c)
-
-
 @pytest.mark.parametrize("d", [1, 2])
 def test_integer_matricial_cf_equals_fraction_engine(d):
-    """matricial_parts takes its common denominator from the data, whose T need
-    not be diagonal; its table must equal the Fraction series-matrix
-    recursion's through min(order, 2K)."""
-    rng = random.Random(800 + d)
-    for levels in range(1, 4 if d == 1 else 3):
-        for _ in range(3):
-            md = random_matricial_data(rng, d, levels)
-            if d > 1:
-                assert any(value and r != s for level in md.t for m in level
-                           for r, row in enumerate(m) for s, value in enumerate(row))
-            for order in range(2 * levels + 2):
-                reference = value_table(fraction_matricial_cf(md, order), min(order, 2 * levels))
-                assert matricial_table(md, order) == reference, (d, levels, order)
+    """matricial_map_parts runs on the map's integer view; on random data of
+    d letters whose common denominator needs every factor, with signed B
+    and some zero C, its table must equal the Fraction series-matrix
+    recursion's on the level matrices of the map: through 2 depth, the
+    highest order whose levels the map holds, for one letter, through 7 for
+    two."""
+    for seed in range(3):
+        cm = KERNEL_MAPS[f"explicit-d{d}-seed{seed}"]()
+        for order in range({1: 2 * cm.depth, 2: 7}[d] + 1):
+            reference = fraction_matricial_cf(matricial_from_map(cm, (order + 1) // 2), order)
+            assert matricial_table(cm, order) == value_table(reference, order), (d, seed, order)
+
+
+MATRICIAL_MAPS = {
+    "c-free": lambda: cfree_map(GENERIC_J1, random_pair(7)[0], GENERIC_J2, random_pair(8)[1], 10),
+    **{name: (lambda name=name: product_type_map(builder(name, 10), GENERIC_J1, GENERIC_J2))
+       for name in BUILTIN_OMEGAS},
+}
 
 
 @pytest.mark.parametrize("name", ["free", "boolean", "one-branch"])
 def test_matricial_parts_of_product_maps_equal_both_references(name):
     """On a product-type map the dense matricial engine must give, at every
     order through 10, the Fraction series-matrix recursion's coefficients and
-    the scalar engine's numerators, each times D^|w|."""
-    cm = product_type_map(builder(name, 10), GENERIC_J1, GENERIC_J2)
-    md = matricial_from_map(cm, 5)
-    for order in range(11):
-        parts, scale = matricial_parts(md, order)
-        assert scale == cm.scale
-        assert [len(part) for part in parts] == [2**m for m in range(order + 1)]
-        assert parts == scalar_branched_parts(cm, order), (name, order)
-        reference = value_table(fraction_matricial_cf(md, order), order)
-        assert list(word_values(2, parts, scale)) == reference, (name, order)
-
-
-@pytest.mark.parametrize("name", BUILTIN_OMEGAS)
-def test_map_fed_matricial_parts_equal_matricial_data_route(name):
-    """The CLI's matricial route reads the diagonal T' and C' straight from
-    the map's integer view; through the same level loop it must give the
-    table of the Fraction matrices matricial_from_map builds, at every
-    order through 10."""
-    cm = product_type_map(builder(name, 10), GENERIC_J1, GENERIC_J2)
+    the scalar engine's numerators, each times D^|w|; the recursion runs on
+    five levels at every order, so levels an order does not read must not
+    change its table."""
+    cm = MATRICIAL_MAPS[name]()
     md = matricial_from_map(cm, 5)
     for order in range(11):
         parts = matricial_map_parts(cm, order)
-        assert list(word_values(2, parts, cm.scale)) == list(word_values(2, *matricial_parts(md, order))), (name, order)
+        assert [len(part) for part in parts] == [2**m for m in range(order + 1)]
+        assert parts == scalar_branched_parts(cm, order), (name, order)
+        reference = value_table(fraction_matricial_cf(md, order), order)
+        assert list(word_values(2, parts, cm.scale)) == reference, (name, order)
+
+
+@pytest.mark.parametrize("name", sorted(MATRICIAL_MAPS))
+def test_map_fed_matricial_parts_equal_matricial_data_route(name):
+    """The matricial engine reads the diagonal T' and C' straight from the
+    map's integer view and keeps one series per word; at every order
+    through 10 its parts must be the coefficients of the Fraction
+    series-matrix recursion on the whole level matrices matricial_from_map
+    writes out, on the (order + 1) // 2 levels an order reads, times D^|w|."""
+    cm = MATRICIAL_MAPS[name]()
+    for order in range(11):
+        parts = matricial_map_parts(cm, order)
+        assert [len(part) for part in parts] == [2**m for m in range(order + 1)]
+        reference = value_table(fraction_matricial_cf(matricial_from_map(cm, (order + 1) // 2), order), order)
+        assert list(word_values(2, parts, cm.scale)) == reference, (name, order)
     # a map of depth 10 serves through order 21; order 22 reads C at depth 11
     with pytest.raises(DepthExhaustedError, match="C query at depth 11 exceeds map depth 10"):
         matricial_map_parts(cm, 22)

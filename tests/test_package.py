@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import ncprod
-from ncprod import JacobiData, MatricialData, OmegaTree
+from ncprod import JacobiData, OmegaTree
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -146,7 +146,7 @@ def test_subcommand_loads_only_what_it_runs(argv, loaded, not_loaded):
 # is built
 ENGINE_MODULES = """
 import json, sys
-from ncprod.cfrac import MatricialData, chain_map, matricial_parts, scalar_branched_parts
+from ncprod.cfrac import chain_map, matricial_map_parts, scalar_branched_parts
 from ncprod.jacobi import preset
 from ncprod.omega import builder
 from ncprod.prodstate import product_type_map
@@ -156,8 +156,7 @@ chain = chain_map(semi, 4)
 assert list(word_values(1, scalar_branched_parts(chain, 4), chain.scale))[4] == ((1, 1, 1, 1), 2)
 cm = product_type_map(builder("free", 4), semi, semi)
 assert dict(word_values(2, scalar_branched_parts(cm, 4), cm.scale))[(1, 2, 2, 1)] == 1
-parts, scale = matricial_parts(MatricialData(d=1, t=(((("0",),),), ((("0",),),)), c=((("1",),),)), 4)
-assert list(word_values(1, parts, scale))[2] == ((1, 1), 1)
+assert list(word_values(1, matricial_map_parts(chain, 4), chain.scale))[2] == ((1, 1), 1)
 print(json.dumps(sorted(sys.modules)))
 """
 
@@ -178,12 +177,10 @@ def _negative_order_calls():
 
     semi = ncprod.preset("semicircle")
     cm = prodstate.product_type_map(ncprod.builder("free", 3), semi, semi)
-    md = cfrac.MatricialData(d=1, t=(((("0",),),), ((("0",),),)), c=((("1",),),))
     return {
         "moment_parts": lambda: prodstate.moment_parts(cm, -1),
         "moment_table": lambda: prodstate.moment_table(cm, -1),
         "scalar_branched_parts": lambda: cfrac.scalar_branched_parts(cm, -1),
-        "matricial_parts": lambda: cfrac.matricial_parts(md, -1),
         "matricial_map_parts": lambda: cfrac.matricial_map_parts(cm, -1),
         "chain_map": lambda: cfrac.chain_map(semi, -1),
         "gram_matrix": lambda: gram_matrix(cm, -1),
@@ -250,11 +247,6 @@ def test_frozen_records_keep_their_contracts():
             setattr(value, field, None)
         with pytest.raises(AttributeError):
             delattr(value, field)
-    matrices = dict(d=1, t=((((F(0),),),),), c=())
-    md = MatricialData(**matrices)
-    assert md == md and md != MatricialData(**matrices)
-    with pytest.raises(AttributeError):
-        md.d = 2
     assert repr(data) == f"JacobiData(beta={data.beta!r}, gamma={data.gamma!r}, extend='repeat')"
 
 

@@ -800,6 +800,53 @@ def test_four_routes_agree_on_valid_trees(members, data):
     assert moment_parts(cm, 5) == words
 
 
+# every stored beta and gamma distinct across the four marginals, so a rule
+# that read one coefficient in place of another would change a numerator
+DISTINCT_MU = (
+    JacobiData(beta=(F(1, 2), F(-1, 3), F(1, 4)), gamma=(F(1), F(2, 3), F(3, 5))),
+    JacobiData(beta=(F(-1, 2), F(2, 5), F(1, 3)), gamma=(F(3, 2), F(4, 7), F(5, 7))),
+)
+DISTINCT_NU = (
+    JacobiData(beta=(F(1, 5), F(-2, 7), F(5, 2)), gamma=(F(4, 5), F(7, 3), F(9, 4))),
+    JacobiData(beta=(F(-3, 5), F(1, 6), F(2, 9)), gamma=(F(5, 4), F(2, 11), F(8, 3))),
+)
+RELATION_ROUTES = {
+    "moment_parts": moment_parts,
+    "scalar_branched_parts": scalar_branched_parts,
+    "matricial_map_parts": matricial_map_parts,
+}
+
+
+def _swap_letters(word):
+    return tuple(3 - letter for letter in word)
+
+
+@pytest.mark.parametrize("nu", [None, DISTINCT_NU], ids=["mu-pair", "nu-pair"])
+@pytest.mark.parametrize("route", sorted(RELATION_ROUTES))
+def test_reversal_and_letter_swap_on_valid_trees(route, nu):
+    """Two relations every product-type state satisfies, on each valid tree
+    stored to length 3 through order 5, with and without a nu pair:
+    reversal, phi(w) = phi(rev w), since each x_i is symmetric under the
+    state's form; and letter swap, the numerators of (sigma Omega, mu2, mu1,
+    nu2, nu1) at sigma w equal those of (Omega, mu1, mu2, nu1, nu2) at w over
+    the same scale, sigma exchanging the letters 1 and 2.  Every route
+    reads the same map rules, so only relations like these see a fault in
+    them."""
+    parts_of = RELATION_ROUTES[route]
+    for members in VALID_TREES_3:
+        cm = product_type_map(OmegaTree(2, members), *DISTINCT_MU, nu)
+        swapped = product_type_map(OmegaTree(2, frozenset(map(_swap_letters, members))),
+                                   *DISTINCT_MU[::-1], nu and nu[::-1])
+        assert swapped.scale == cm.scale
+        parts, swapped_parts = parts_of(cm, 5), parts_of(swapped, 5)
+        for n in range(6):
+            words = words_of_length(2, n)
+            index = {w: k for k, w in enumerate(words)}
+            for w, value in zip(words, parts[n]):
+                assert parts[n][index[w[::-1]]] == value, ("reversal", sorted(members), w)
+                assert swapped_parts[n][index[_swap_letters(w)]] == value, ("swap", sorted(members), w)
+
+
 VALID_TREES_4 = enumerate_valid_trees(4)
 
 
