@@ -11,13 +11,31 @@ The tensor state with semicircle marginals is reported alongside.
 from fractions import Fraction
 
 from ncprod import (
+    NCPolynomial,
     functional_inner,
     gram_schmidt_mops,
     preset,
     q_gaussian_state,
     tensor_state,
 )
-from ncprod.oracle import factor_into_one_variable_triple
+
+
+def factor_into_one_variable_triple(
+    p: NCPolynomial,
+) -> tuple[Fraction, Fraction, Fraction] | None:
+    """Constants (a, b, c) with p = (x1 + a)(x2 + b)(x1 + c), if they exist.
+
+    The only monic one-variable factor shape whose leading word is (1, 2, 1);
+    the candidate constants are read off the degree-two coefficients and then
+    verified exactly.
+    """
+    a = p.coefficient((2, 1))
+    b = p.coefficient((1, 1))
+    c = p.coefficient((1, 2))
+    x1 = NCPolynomial.variable(1, p.d)
+    x2 = NCPolynomial.variable(2, p.d)
+    candidate = (x1 + a) * (x2 + b) * (x1 + c)
+    return (a, b, c) if candidate == p else None
 
 
 def main() -> None:

@@ -26,13 +26,17 @@ naming beta_k.  The routes are ``moment_parts``, ``scalar_branched_parts``,
 ``matricial_map_parts`` and ``word_numerator`` on the word 1^n, on the
 maps of the four built-in pair trees and the two-pair map, and each
 oracle on its own map.  Every route reads the same map rules, so last it
-checks two relations the state must satisfy on ``moment_parts``, over both
-enumerations at their orders with the nu pair: reversal, phi(w) = phi(rev
-w), and letter swap, the numerators of (sigma Omega, mu2, mu1, nu2, nu1)
-at sigma w equal those of (Omega, mu1, mu2, nu1, nu2) at w over the same
-scale, sigma exchanging the letters 1 and 2.  Exits 1 at the first
-disagreement or violation, naming the tree or the oracle, the route or the
-relation, and the word.
+checks three relations the state must satisfy on ``moment_parts``, over
+both enumerations at their orders with the nu pair: reversal, phi(w) =
+phi(rev w); letter swap, the numerators of (sigma Omega, mu2, mu1, nu2,
+nu1) at sigma w equal those of (Omega, mu1, mu2, nu1, nu2) at w over the
+same scale, sigma exchanging the letters 1 and 2; and reflection and
+dilation, the state of (-x1, a x2) with a = 2/3, which is the state of
+mu1 and nu1 reflected (beta -> -beta) and mu2 and nu2 dilated (beta -> a
+beta, gamma -> a^2 gamma) on the same tree, is (-1)^(#1 in w) a^(#2 in w)
+phi(w), checked in integers across the two maps' scales.  Exits 1 at the
+first disagreement or violation, naming the tree or the oracle, the route
+or the relation, and the word.
 
 Run from the repository root: ``PYTHONPATH=src python3 scripts/cross_route_sweep.py``.
 """
@@ -187,28 +191,55 @@ def swap_letters(word: Word) -> Word:
     return tuple(3 - letter for letter in word)
 
 
+# the dilation of the second letter in the reflection and dilation relation
+DILATION = F(2, 3)
+
+
+def reflect_dilate(pair: tuple[JacobiData, JacobiData]) -> tuple[JacobiData, JacobiData]:
+    """The laws of -x1 and a x2, a = DILATION, from those of x1 and x2."""
+    first, second = pair
+    return (
+        JacobiData([-b for b in first.beta], first.gamma, first.extend),
+        JacobiData([DILATION * b for b in second.beta], [DILATION**2 * g for g in second.gamma],
+                   second.extend),
+    )
+
+
 def relation_violation(max_len: int, order: int) -> tuple[int, str | None]:
     """Over every valid tree with words to ``max_len``, at the order, with
     the nu pair: the number of trees, and the first word at which
-    ``moment_parts`` breaks reversal or letter swap, naming its tree, or
-    None."""
+    ``moment_parts`` breaks reversal, letter swap or reflection and
+    dilation, naming its tree, or None."""
     trees = enumerate_valid_trees(max_len)
     indices = [{w: k for k, w in enumerate(words_of_length(2, n))} for n in range(order + 1)]
+    # the factor (-1)^(#1 in w) a^(#2 in w) of each word, by degree
+    factors = [
+        [(-1) ** (n - w.count(2)) * DILATION ** w.count(2) for w in index] for n, index in enumerate(indices)
+    ]
+    moved_mu, moved_nu = reflect_dilate(MU), reflect_dilate(NU)
     for members in trees:
-        cm = product_type_map(OmegaTree(max_len - 1, members), *MU, NU)
+        tree = OmegaTree(max_len - 1, members)
+        cm = product_type_map(tree, *MU, NU)
         swapped = product_type_map(
             OmegaTree(max_len - 1, frozenset(map(swap_letters, members))), *MU[::-1], NU[::-1]
         )
+        moved = product_type_map(tree, *moved_mu, moved_nu)
         label = tree_label(members)
         if swapped.scale != cm.scale:
             return len(trees), f"letter swap on the tree {label}: scale {swapped.scale}, not {cm.scale}"
         table, swapped_table = moment_parts(cm, order), moment_parts(swapped, order)
-        for index, part, swapped_part in zip(indices, table, swapped_table):
-            for w, k in index.items():
+        moved_table = moment_parts(moved, order)
+        for n, (index, part, swapped_part, moved_part) in enumerate(
+            zip(indices, table, swapped_table, moved_table)
+        ):
+            scale, moved_scale = cm.scale**n, moved.scale**n
+            for (w, k), factor in zip(index.items(), factors[n]):
                 if part[index[w[::-1]]] != part[k]:
                     relation = "reversal"
                 elif swapped_part[index[swap_letters(w)]] != part[k]:
                     relation = "letter swap"
+                elif moved_part[k] * scale * factor.denominator != factor.numerator * part[k] * moved_scale:
+                    relation = "reflection and dilation"
                 else:
                     continue
                 return len(trees), f"{relation} on the tree {label} at order {order}, word {list(w)}"
@@ -275,8 +306,8 @@ def main() -> int:
         counts.append(f"{trees} trees through order {order}")
     elapsed = time.perf_counter() - start
     print(
-        f"relations: reversal and letter swap hold on moment_parts with the nu pair for "
-        f"{' and '.join(counts)} ({elapsed:.2f} s)"
+        "relations: reversal, letter swap and reflection and dilation hold on moment_parts "
+        f"with the nu pair for {' and '.join(counts)} ({elapsed:.2f} s)"
     )
     return 0
 

@@ -2,7 +2,8 @@
 """Gallery of the built-in product states with semicircle marginals.
 
 For each built-in tree: its boundary, the first few joint moments, and the
-indented branched-continued-fraction display.
+indented branched-continued-fraction display through the same order as the
+moments it lists.
 """
 
 from ncprod import (
@@ -30,7 +31,7 @@ def main() -> None:
             label = ".".join(map(str, w)) or "()"
             print(f"  phi[{label:<9}] = {format_rational(value)}")
         print()
-        print(render_branched_cf(cm, 3))
+        print(render_branched_cf(cm, 4))
         print()
 
 

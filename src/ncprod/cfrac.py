@@ -186,37 +186,41 @@ def _series_inverse(series: list[list[int]], d: int) -> list[list[int]]:
     return x
 
 
-def render_branched_cf(cm: CoefficientMap, depth: int) -> str:
-    """Indented text rendering of the branched fraction down to a depth.
+def render_branched_cf(cm: CoefficientMap, order: int) -> str:
+    """Indented text rendering of the branched fraction that
+    :func:`scalar_branched_parts` solves through the order, so it reads the
+    map's entries that the engine reads and no others: the node at u has
+    budget order - 2|u|, shows its B terms from budget 1 and its C branches
+    from budget 2, and a node of budget 0 is ``1 / ( 1 )``.
 
     Each line shows one node's denominator; a trailing "-> [word]" marks a
     sub-fraction continued on the indented lines below.
     """
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     lines: list[str] = []
 
     def label(u: Word) -> str:
         return "(" + ",".join(str(letter) for letter in u) + ")"
 
-    def walk(u: Word, indent: int) -> None:
+    def walk(u: Word, budget: int) -> None:
         parts = ["1"]
-        for i in range(1, cm.d + 1):
-            bval = cm.b(i, u)
-            if bval:
-                parts.append(f"{'-' if bval > 0 else '+'} {abs(bval)}*z{i}")
+        if budget >= 1:
+            for i in range(1, cm.d + 1):
+                bval = cm.b(i, u)
+                if bval:
+                    parts.append(f"{'-' if bval > 0 else '+'} {abs(bval)}*z{i}")
         children = []
-        if len(u) < depth:
+        if budget >= 2:
             for j in range(1, cm.d + 1):
                 child = (j,) + u
                 cval = cm.c(child)
                 if cval:
-                    children.append((j, child, cval))
-        for j, child, cval in children:
-            parts.append(f"- {cval}*z{j}|z{j} -> {label(child)}")
-        lines.append("  " * indent + f"{label(u)}: 1 / ( " + " ".join(parts) + " )")
-        for _, child, _ in children:
-            walk(child, indent + 1)
+                    parts.append(f"- {cval}*z{j}|z{j} -> {label(child)}")
+                    children.append(child)
+        lines.append("  " * len(u) + f"{label(u)}: 1 / ( " + " ".join(parts) + " )")
+        for child in children:
+            walk(child, budget - 2)
 
-    walk(EMPTY_WORD, 0)
+    walk(EMPTY_WORD, order)
     return "\n".join(lines)

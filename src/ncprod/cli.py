@@ -40,6 +40,12 @@ a tree file and ``validate`` load).  ``validate``, ``gram``, ``mops`` and
 every moment of the state from the one dense table,
 ``prodstate.moment_table`` through order 2 * --order.
 
+Every map is built at depth --order (at least 1), or at a tree file's own
+"depth", and the map's ``DepthExhaustedError`` is the one depth check: a
+map of depth N serves the tables through order 2N + 1, and ``gram`` and
+``mops`` through --order N.  ``cfrac --format pretty`` renders the fraction
+that the scalar engine solves at --order, so it reads what the table reads.
+
 ``compare`` checks each word in integers.  The state's numerators
 D^|w| phi(w), with D the coefficient map's scale, are the transfer
 operator's dense table (``prodstate.moment_parts``), the integers that
@@ -56,10 +62,10 @@ It builds each degree's row stems from the previous degree's, reduces each
 distinct value of a degree with one gcd and writes each degree as one join.
 
 Exit codes: 0 on success, 1 on mathematical failure (invalid tree, mismatch
-in a comparison), 2 on input errors, including a negative --order and
-Jacobi data under the "error" extension policy too short for a coefficient
-the command reads, and 141 (128 + SIGPIPE) with nothing on stderr when the
-reader closes stdout early, as ``| head`` does.  A process ends through
+in a comparison), 2 on input errors, including a negative --order, a read
+past the map's depth and Jacobi data under the "error" extension policy too
+short for a coefficient the command reads, and 141 (128 + SIGPIPE) with
+nothing on stderr when the reader closes stdout early, as ``| head`` does.  A process ends through
 :func:`run`, which freezes the heap before it exits (see there).
 """
 
@@ -147,19 +153,6 @@ def _load_tree(spec: str, depth: int) -> omega.OmegaTree:
         raise ValueError(f"bad tree specification in {spec}: {exc}") from exc
 
 
-def _load_omega(spec: str | None, depth: int) -> omega.OmegaTree:
-    """The tree for --omega; a JSON file's own depth, if it has one, must be
-    sufficient."""
-    if spec is None:
-        raise ValueError("missing required --omega specification")
-    tree = _load_tree(spec, depth)
-    if tree.depth < depth:
-        raise ValueError(
-            f"tree depth {tree.depth} in {spec} is insufficient; need at least {depth}"
-        )
-    return tree
-
-
 def _load_marginals(args) -> Marginals:
     """(mu1, mu2, nu1, nu2) from --jacobi1, --jacobi2, --nu1 and --nu2, each
     file read once; the nu's are None outside two-pair mode, which refuses
@@ -183,14 +176,16 @@ def _load_marginals(args) -> Marginals:
 def _build_map(args, marginals: Marginals | None = None) -> CoefficientMap:
     """The coefficient map the flags name, on ``marginals`` as
     :func:`_load_marginals` returns them, read from the files if not given.
-    Its depth is --order (at least 1) for every command: a map of depth N
-    serves every order through 2N + 1, which covers gram's and mops' 2 * --order."""
+    It has depth --order (at least 1), or a tree file's own "depth", and
+    refuses a read past it itself (see the module docstring)."""
     from . import prodstate
 
     depth = max(args.order, 1)
     mu1, mu2, nu1, nu2 = _load_marginals(args) if marginals is None else marginals
     if nu1 is None:
-        return prodstate.product_type_map(_load_omega(args.omega, depth), mu1, mu2)
+        if args.omega is None:
+            raise ValueError("missing required --omega specification")
+        return prodstate.product_type_map(_load_tree(args.omega, depth), mu1, mu2)
     return prodstate.cfree_map(mu1, nu1, mu2, nu2, depth)
 
 
@@ -322,7 +317,7 @@ def cmd_cfrac(args) -> int:
     else:
         parts = cfrac.scalar_branched_parts(cm, args.order)
     if args.format == "pretty" and args.engine != "classical":
-        _emit(cfrac.render_branched_cf(cm, min(args.order, 4)))
+        _emit(cfrac.render_branched_cf(cm, args.order))
         _emit("")
     _emit_table(parts, cm.d, args.format, cm.scale)
     return 0

@@ -442,23 +442,3 @@ def gram_schmidt_mops(phi: MomentFunctional, depth: int) -> MopsResult:
                 witness = Fraction(value, denominator[u] * denominator[v] * scale)
                 return MopsResult(polys, norm_values, False, pair_uv, witness)
     return MopsResult(polys, norm_values, True)
-
-
-def factor_into_one_variable_triple(
-    p: NCPolynomial,
-) -> tuple[Fraction, Fraction, Fraction] | None:
-    """Constants (a, b, c) with p = (x1 + a)(x2 + b)(x1 + c), if they exist.
-
-    The only monic one-variable factor shape whose leading word is (1, 2, 1);
-    the candidate constants are read off the degree-two coefficients and then
-    verified exactly.
-    """
-    from .ncpoly import NCPolynomial
-
-    a = p.coefficient((2, 1))
-    b = p.coefficient((1, 1))
-    c = p.coefficient((1, 2))
-    x1 = NCPolynomial.variable(1, p.d)
-    x2 = NCPolynomial.variable(2, p.d)
-    candidate = (x1 + a) * (x2 + b) * (x1 + c)
-    return (a, b, c) if candidate == p else None

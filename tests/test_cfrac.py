@@ -21,7 +21,7 @@ from ncprod import (
     product_type_map,
     render_branched_cf,
 )
-from ncprod.cfrac import chain_map
+from ncprod.cfrac import chain_map, scalar_branched_parts
 from ncprod.jacobi import MomentSequence
 from ncprod.words import words_up_to
 from ncprod.oracle import cfree_state, free_state
@@ -159,7 +159,7 @@ def test_matricial_identity_c_is_free_semicircle_pair():
 
 def test_render_branched_cf_boundary_is_bare_term():
     cm = product_type_map(builder("one-branch", 4), GENERIC_J1, GENERIC_J2)
-    text = render_branched_cf(cm, 3)
+    text = render_branched_cf(cm, 4)
     node_one = next(line for line in text.splitlines() if line.strip().startswith("(1):"))
     # the boundary child (2, 1) contributes only its stay term at node (1):
     # a bare z2 coefficient, no sub-fraction in the letter-2 direction
@@ -173,6 +173,34 @@ def test_render_branched_cf_signs_each_b_term_once():
     """A node's denominator 1 - B z writes a negative B as "+ |B|", never
     as "- -|B|"; C is nonnegative and keeps its "-"."""
     cm = product_type_map(builder("free", 2), GENERIC_J1, GENERIC_J2)
-    text = render_branched_cf(cm, 1)
+    text = render_branched_cf(cm, 2)
     assert text.splitlines()[0] == "(): 1 / ( 1 - 1/2*z1 + 1/2*z2 - 1*z1|z1 -> (1) - 3/2*z2|z2 -> (2) )"
     assert "- -" not in text
+
+
+def _fresh_maps(order):
+    """Fresh maps of depth ``order`` (at least 1), the ones the CLI builds:
+    the five built-in trees and the two-pair map."""
+    depth = max(order, 1)
+    maps = [product_type_map(builder(name, depth), GENERIC_J1, GENERIC_J2) for name in BUILTIN_OMEGAS]
+    return maps + [cfree_map(GENERIC_J1, GENERIC_J2, GENERIC_J2, GENERIC_J1, depth)]
+
+
+@pytest.mark.parametrize("order", range(11))
+def test_render_branched_cf_reads_what_the_scalar_engine_reads(order):
+    """The pretty rendering draws the fraction that scalar_branched_parts
+    solves through the same order, so on a fresh map each reads the same B
+    and C entries: the rendering reads nothing its table does not."""
+    for rendered, solved in zip(_fresh_maps(order), _fresh_maps(order)):
+        render_branched_cf(rendered, order)
+        scalar_branched_parts(solved, order)
+        assert rendered._b.keys() == solved._b.keys()
+        assert rendered._c.keys() == solved._c.keys()
+
+
+def test_render_branched_cf_budget_zero_node_is_one():
+    """A node of budget 0 shows neither B terms nor branches."""
+    cm = product_type_map(builder("free", 1), GENERIC_J1, GENERIC_J2)
+    assert render_branched_cf(cm, 0) == "(): 1 / ( 1 )"
+    assert render_branched_cf(cm, 1) == "(): 1 / ( 1 - 1/2*z1 + 1/2*z2 )"
+    assert render_branched_cf(cm, 2).splitlines()[1:] == ["  (1): 1 / ( 1 )", "  (2): 1 / ( 1 )"]

@@ -361,6 +361,28 @@ def test_compare_reads_each_marginal_file_once(capsys, monkeypatch, against, fil
     assert len(calls) == files
 
 
+def test_moments_table_obeys_letter_swap_and_reversal(capsys):
+    """The written table keys each value by its word: the monotone state of
+    (mu1, mu2) at w is the anti-monotone state of (mu2, mu1) at sigma w,
+    sigma exchanging the letters 1 and 2, and each is its value at rev w,
+    on all 511 rows through order 8."""
+    def table(tree, first, second):
+        code, out = run(capsys, "moments", "--omega", tree, "--jacobi1", str(GOLDEN / first),
+                        "--jacobi2", str(GOLDEN / second), "--format", "csv", "--order", "8")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "word,value"
+        rows = dict(line.split(",") for line in lines[1:])
+        assert len(rows) == len(lines) - 1 == 511
+        return {tuple(map(int, key.split("."))) if key else (): value for key, value in rows.items()}
+
+    monotone = table("monotone", "j1.json", "j2.json")
+    swapped = table("antimonotone", "j2.json", "j1.json")
+    for w, value in monotone.items():
+        assert swapped[tuple(3 - letter for letter in w)] == value, w
+        assert monotone[w[::-1]] == value, w
+
+
 _TWO_PAIR = ("--nu1", str(GOLDEN / "nu1.json"), "--nu2", str(GOLDEN / "nu2.json"))
 
 
@@ -507,31 +529,63 @@ def test_mops_q_gaussian_refuses_map_flags(capsys, generic_files):
     )
 
 
-def test_tree_file_shallower_than_the_order_is_refused(capsys, generic_files, tmp_path):
+def _tree_file(tmp_path, depth):
+    tree = tmp_path / f"tree{depth}.json"
+    tree.write_text(json.dumps({"words": [[1, 2], [2, 1]], "depth": depth, "implicit_runs": True}))
+    return str(tree)
+
+
+# every table a product-type map feeds, in every format and engine
+_TABLE_COMMANDS = [
+    *(["moments", "--format", fmt] for fmt in ("json", "csv", "pretty")),
+    *(["cfrac", "--engine", engine, "--format", fmt]
+      for engine in ("scalar", "matricial") for fmt in ("json", "csv", "pretty")),
+    *(["compare", "--against", against, "--format", fmt]
+      for against in ("cfrac", "free") for fmt in ("json", "pretty")),
+]
+
+
+@pytest.mark.parametrize("command", _TABLE_COMMANDS, ids=" ".join)
+def test_tree_file_of_depth_n_serves_the_tables_through_order_2n_plus_1(
+    capsys, generic_files, tmp_path, command
+):
+    """A map of depth N serves every order through 2N + 1: a tree file of
+    depth 2 gives through order 5 the bytes of the same tree at depth 5."""
     j1, j2 = generic_files
-    tree = tmp_path / "shallow.json"
-    tree.write_text(json.dumps({"words": [[1, 2], [2, 1]], "depth": 2, "implicit_runs": True}))
-    _assert_refused(
-        capsys,
-        ["moments", "--jacobi1", j1, "--jacobi2", j2, "--omega", str(tree), "--order", "3"],
-        f"tree depth 2 in {tree} is insufficient; need at least 3",
-    )
+    inputs = ["--jacobi1", j1, "--jacobi2", j2]
+    for order in range(6):
+        served = [
+            run(capsys, *command, *inputs, "--omega", _tree_file(tmp_path, depth), "--order", str(order))
+            for depth in (2, 5)
+        ]
+        assert served[0] == served[1], order
+        assert served[0][0] in (0, 1) and served[0][1], order
+
+
+def test_tree_file_shallower_than_the_order_is_refused(capsys, generic_files, tmp_path):
+    """The map's depth error is the one depth check: order 6 reads C at
+    depth 3, past a tree file of depth 2, in every table command."""
+    j1, j2 = generic_files
+    inputs = ["--jacobi1", j1, "--jacobi2", j2, "--omega", _tree_file(tmp_path, 2)]
+    for command in _TABLE_COMMANDS:
+        _assert_refused(capsys, [*command, *inputs, "--order", "6"], "C query at depth 3 exceeds map depth 2")
 
 
 @pytest.mark.parametrize("command", [["gram"], ["mops", "--format", "pretty"]])
 def test_gram_and_mops_read_a_tree_file_of_depth_order(capsys, generic_files, tmp_path, command):
     """gram and mops read moments through order 2 * --order, which a map of
     depth --order serves: a tree file of depth 2 gives at --order 2 the
-    bytes of the same tree at depth 4."""
+    bytes of the same tree at depth 4, and the map refuses --order 3."""
     j1, j2 = generic_files
+    inputs = ["--jacobi1", j1, "--jacobi2", j2]
     outputs = []
     for depth in (2, 4):
-        tree = tmp_path / f"tree{depth}.json"
-        tree.write_text(json.dumps({"words": [[1, 2], [2, 1]], "depth": depth, "implicit_runs": True}))
-        code, out = run(capsys, *command, "--jacobi1", j1, "--jacobi2", j2, "--omega", str(tree), "--order", "2")
+        code, out = run(capsys, *command, *inputs, "--omega", _tree_file(tmp_path, depth), "--order", "2")
         assert code == 0 and out
         outputs.append(out)
     assert outputs[0] == outputs[1]
+    _assert_refused(capsys, [*command, *inputs, "--omega", _tree_file(tmp_path, 2), "--order", "3"],
+                    "C query at depth 3 exceeds map depth 2")
 
 
 def test_moments_without_a_tree_or_a_nu_pair_is_refused(capsys, generic_files):
@@ -641,43 +695,39 @@ def test_classical_engine_reads_the_betas_its_table_reads(capsys, tmp_path):
 def test_short_error_policy_data_runs_where_no_route_reads_past_it(capsys, generic_files, tmp_path):
     """The map reads no coefficient at construction, so Jacobi data under
     the "error" policy refuse a command only when it reads past them: the
-    table through order 3 reads beta_0, beta_1 and gamma_1 alone, the pretty
-    fraction reads to depth min(order, 4), and the free oracle's moment m_n
-    reads beta_k only for k <= (n - 1) // 2, so it first needs beta_2 at
-    order 5."""
+    table and the pretty fraction through order 4 read beta_0, beta_1,
+    gamma_1 and gamma_2 alone, and gram and mops through --order 2 read
+    moments through order 4; the free oracle's moment m_n reads beta_k only
+    for k <= (n - 1) // 2, so it first needs beta_2 at order 5."""
     short = tmp_path / "short.json"
     short.write_text(json.dumps({"beta": ["1/2", "1/3"], "gamma": ["1", "2"], "extend": "error"}))
     _, j2 = generic_files
     inputs = ["--omega", "free", "--jacobi1", str(short), "--jacobi2", j2]
-    for argv in (["moments", "--order", "2"], ["gram", "--order", "1"]):
+    for argv in (["moments", "--order", "2"], ["cfrac", "--format", "pretty", "--order", "4"],
+                 ["gram", "--order", "2"], ["mops", "--order", "2"]):
         code, out = run(capsys, *argv, *inputs)
         assert code == 0 and out, argv
-    for argv in (["moments", "--order", "6"], ["cfrac", "--format", "pretty", "--order", "3"],
-                 ["compare", "--against", "free", "--order", "5"]):
+    for argv in (["moments", "--order", "6"], ["cfrac", "--format", "pretty", "--order", "5"],
+                 ["gram", "--order", "3"], ["compare", "--against", "free", "--order", "5"]):
         _assert_input_error(capsys, [*argv, *inputs], "beta_2")
 
 
-# every command and route that reads one marginal file {f}, with the first
-# order at which two stored betas and gammas under "error" refuse it
+# every command and route that reads one marginal file {f}
 _ONE_DEPTH_CONTRACT = {
-    "moments": ("moments --omega free --jacobi1 {f} --jacobi2 {f}", 5),
-    "cfrac scalar json": ("cfrac --omega free --engine scalar --jacobi1 {f} --jacobi2 {f}", 5),
-    "cfrac scalar csv": ("cfrac --omega free --engine scalar --format csv --jacobi1 {f} --jacobi2 {f}", 5),
-    "cfrac matricial json": ("cfrac --omega free --engine matricial --jacobi1 {f} --jacobi2 {f}", 5),
-    "cfrac matricial csv": ("cfrac --omega free --engine matricial --format csv --jacobi1 {f} --jacobi2 {f}", 5),
-    "cfrac classical": ("cfrac --engine classical --jacobi1 {f}", 5),
-    "compare cfrac": ("compare --omega free --against cfrac --jacobi1 {f} --jacobi2 {f}", 5),
-    "compare free": ("compare --omega free --against free --jacobi1 {f} --jacobi2 {f}", 5),
-    "compare boolean": ("compare --omega boolean --against boolean --jacobi1 {f} --jacobi2 {f}", 5),
-    "compare monotone": ("compare --omega monotone --against monotone --jacobi1 {f} --jacobi2 {f}", 5),
-    "compare antimonotone": (
-        "compare --omega antimonotone --against antimonotone --jacobi1 {f} --jacobi2 {f}", 5),
-    "compare tensor": ("compare --omega free --against tensor --jacobi1 {f} --jacobi2 {f}", 5),
-    "compare cfree": ("compare --against cfree --jacobi1 {f} --jacobi2 {f} --nu1 {f} --nu2 {f}", 5),
-    # the known exception: the pretty rendering reads the map to depth
-    # min(order, 4), deeper than the table it prints, so it refuses this
-    # data at every order here
-    "cfrac pretty": ("cfrac --omega free --format pretty --jacobi1 {f} --jacobi2 {f}", 2),
+    "moments": "moments --omega free --jacobi1 {f} --jacobi2 {f}",
+    "cfrac scalar json": "cfrac --omega free --engine scalar --jacobi1 {f} --jacobi2 {f}",
+    "cfrac scalar csv": "cfrac --omega free --engine scalar --format csv --jacobi1 {f} --jacobi2 {f}",
+    "cfrac matricial json": "cfrac --omega free --engine matricial --jacobi1 {f} --jacobi2 {f}",
+    "cfrac matricial csv": "cfrac --omega free --engine matricial --format csv --jacobi1 {f} --jacobi2 {f}",
+    "cfrac classical": "cfrac --engine classical --jacobi1 {f}",
+    "compare cfrac": "compare --omega free --against cfrac --jacobi1 {f} --jacobi2 {f}",
+    "compare free": "compare --omega free --against free --jacobi1 {f} --jacobi2 {f}",
+    "compare boolean": "compare --omega boolean --against boolean --jacobi1 {f} --jacobi2 {f}",
+    "compare monotone": "compare --omega monotone --against monotone --jacobi1 {f} --jacobi2 {f}",
+    "compare antimonotone": "compare --omega antimonotone --against antimonotone --jacobi1 {f} --jacobi2 {f}",
+    "compare tensor": "compare --omega free --against tensor --jacobi1 {f} --jacobi2 {f}",
+    "compare cfree": "compare --against cfree --jacobi1 {f} --jacobi2 {f} --nu1 {f} --nu2 {f}",
+    "cfrac pretty": "cfrac --omega free --format pretty --jacobi1 {f} --jacobi2 {f}",
 }
 
 
@@ -687,16 +737,15 @@ def test_error_policy_data_refuse_every_command_at_one_order(capsys, tmp_path, r
     n // 2, so two stored betas and gammas under "error" serve every order
     through 4 and refuse order 5, naming beta_2, whatever the command, the
     engine, the reference or the format: where they serve, the command gives
-    the exit code and bytes of the same data under "repeat".  The pretty
-    rendering is the one exception, asserted as it stands."""
-    template, refused_from = _ONE_DEPTH_CONTRACT[row]
+    the exit code and bytes of the same data under "repeat"."""
+    template = _ONE_DEPTH_CONTRACT[row]
     files = {}
     for policy in ("error", "repeat"):
         files[policy] = tmp_path / f"{policy}.json"
         files[policy].write_text(json.dumps({"beta": ["1/2", "1/3"], "gamma": ["1", "2/3"], "extend": policy}))
     for order in range(2, 6):
         argv = [*template.split(), "--order", str(order)]
-        if order >= refused_from:
+        if order == 5:
             _assert_input_error(capsys, [arg.format(f=files["error"]) for arg in argv],
                                 "beta_2 beyond stored prefix of length 2")
         else:

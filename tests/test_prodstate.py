@@ -24,6 +24,7 @@ from ncprod import (
     boolean_state,
     builder,
     cfree_map,
+    cfree_state,
     explicit_map,
     free_state,
     functional_inner,
@@ -37,9 +38,10 @@ from ncprod import (
     preset,
     product_type_map,
     recursion_basis,
+    tensor_state,
 )
 from ncprod.cfrac import matricial_map_parts, scalar_branched_parts
-from ncprod.jacobi import JacobiRangeError, MomentSequence
+from ncprod.jacobi import JacobiRangeError, MomentSequence, coefficient_scale
 from ncprod.treecheck import enumerate_valid_trees, validate
 from ncprod.prodstate import DepthExhaustedError, moment_parts
 from ncprod.words import word_values, words_of_length, words_up_to
@@ -845,6 +847,79 @@ def test_reversal_and_letter_swap_on_valid_trees(route, nu):
             for w, value in zip(words, parts[n]):
                 assert parts[n][index[w[::-1]]] == value, ("reversal", sorted(members), w)
                 assert swapped_parts[n][index[_swap_letters(w)]] == value, ("swap", sorted(members), w)
+
+
+# reflection of marginal 1 and dilation of marginal 2 by DILATION
+DILATION = F(2, 3)
+
+
+def _reflect_dilate(pair):
+    """(mu1, mu2) with mu1 reflected, beta -> -beta, and mu2 dilated,
+    beta -> a beta and gamma -> a^2 gamma with a = DILATION: the laws of
+    -x1 and a x2."""
+    first, second = pair
+    return (
+        JacobiData([-b for b in first.beta], first.gamma, first.extend),
+        JacobiData([DILATION * b for b in second.beta], [DILATION**2 * g for g in second.gamma],
+                   second.extend),
+    )
+
+
+def _reflection_dilation_break(parts, scale, moved, moved_scale):
+    """The first word w at which the numerators ``moved`` over
+    moved_scale^|w| of the state of x1 -> -x1, x2 -> a x2 break phi'(w) =
+    (-1)^(#1 in w) a^(#2 in w) phi(w), phi's numerators being ``parts``
+    over scale^|w|, checked in integers across the two scales; or None."""
+    assert len(parts) == len(moved)
+    for n, (part, moved_part) in enumerate(zip(parts, moved)):
+        for w, x, y in zip(words_of_length(2, n), part, moved_part):
+            twos = w.count(2)
+            factor = (-1) ** (n - twos) * DILATION**twos
+            if y * scale**n * factor.denominator != factor.numerator * x * moved_scale**n:
+                return w
+    return None
+
+
+@pytest.mark.parametrize("nu", [None, DISTINCT_NU], ids=["mu-pair", "nu-pair"])
+@pytest.mark.parametrize("route", sorted(RELATION_ROUTES))
+def test_reflection_and_dilation_on_valid_trees(route, nu):
+    """The state of (-x1, a x2) is the product-type state of the reflected
+    mu1 (and nu1) and the dilated mu2 (and nu2) on the same tree: on each
+    valid tree stored to length 3 through order 5, with and without a nu
+    pair, its numerators at w are (-1)^(#1 in w) a^(#2 in w) times the
+    state's, over a scale of its own."""
+    parts_of = RELATION_ROUTES[route]
+    for members in VALID_TREES_3:
+        tree = OmegaTree(2, members)
+        cm = product_type_map(tree, *DISTINCT_MU, nu)
+        moved = product_type_map(tree, *_reflect_dilate(DISTINCT_MU), nu and _reflect_dilate(nu))
+        broken = _reflection_dilation_break(parts_of(cm, 5), cm.scale, parts_of(moved, 5), moved.scale)
+        assert broken is None, (sorted(members), broken)
+
+
+def _oracle_parts(factory, pairs, order):
+    """An oracle's numerators by degree through the order, at the lcm of its
+    marginals' scales, and that scale."""
+    scale = math.lcm(*(coefficient_scale(data) for pair in pairs for data in pair))
+    marginals = pairs[0] if len(pairs) == 1 else (pairs[0][0], pairs[1][0], pairs[0][1], pairs[1][1])
+    phi = factory(*marginals, scale=scale)
+    return [list(map(phi, words_of_length(2, n))) for n in range(order + 1)], scale
+
+
+@pytest.mark.parametrize(
+    "factory, pairs",
+    [*((factory, (DISTINCT_MU,))
+       for factory in (free_state, boolean_state, monotone_state, antimonotone_state, tensor_state)),
+     (cfree_state, (DISTINCT_MU, DISTINCT_NU))],
+    ids=["free", "boolean", "monotone", "antimonotone", "tensor", "cfree"],
+)
+def test_reflection_and_dilation_on_every_oracle(factory, pairs):
+    """Each direct definition obeys the same reflection and dilation rule
+    through order 8; the c-free oracle takes cfree_state(mu1, nu1, mu2,
+    nu2), both pairs moved alike."""
+    parts, scale = _oracle_parts(factory, pairs, 8)
+    moved, moved_scale = _oracle_parts(factory, [_reflect_dilate(pair) for pair in pairs], 8)
+    assert _reflection_dilation_break(parts, scale, moved, moved_scale) is None
 
 
 VALID_TREES_4 = enumerate_valid_trees(4)
